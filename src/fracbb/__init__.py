@@ -56,16 +56,12 @@ from .kernels import (
 )
 from .norms import SumSpaceSplit, l1_norm, l2_norm, sobolev_norm, sum_space_norm
 from .operators import (
-    MultiplierOp,
     dirac_D,
     dirac_Dbar,
-    dirac_op,
     fractional_laplacian,
-    fractional_laplacian_op,
     invert_D,
     invert_D2,
     riesz,
-    riesz_op,
 )
 from .spectral import (
     GridField,
@@ -93,7 +89,6 @@ __all__ = [
     "InputError",
     "InvariantViolation",
     "KernelSpec",
-    "MultiplierOp",
     "PowerSeries",
     "RatioReport",
     "ScanReport",
@@ -112,12 +107,10 @@ __all__ = [
     "dilate",
     "dirac_D",
     "dirac_Dbar",
-    "dirac_op",
     "dirac_pair_limit",
     "dyadic_block_sum",
     "forward_transform",
     "fractional_laplacian",
-    "fractional_laplacian_op",
     "freq_norm",
     "hminus_half_boundary_norm",
     "invert_D",
@@ -135,7 +128,6 @@ __all__ = [
     "random_field",
     "random_series",
     "riesz",
-    "riesz_op",
     "sawtooth_eval",
     "sawtooth_field",
     "smooth_complement",

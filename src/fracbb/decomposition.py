@@ -23,13 +23,13 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .norms import sobolev_norm
-from .operators import fractional_laplacian, riesz
+from .operators import _symbol_table, fractional_laplacian, riesz
 from .spectral import (
-    Index,
     SpectralField,
+    _mode_product,
     default_points,
-    freq_norm,
     inverse_transform,
+    project_zero_mean,
 )
 
 SUM_RATIO_CEILING_FACTOR = 1.0 / math.sqrt(2.0)
@@ -80,17 +80,12 @@ def solve_decomposition(
     if not g.is_scalar():
         raise InputError("decomposition expects a complex scalar field")
     dim = g.dim
-    sign = 1.0 if conjugated_riesz else -1.0
-    part_coeffs: list[dict[Index, complex]] = [dict() for _ in range(dim + 1)]
-    for m, value in g.scalar_coeffs().items():
-        norm = freq_norm(m)
-        base = value / (2.0 * norm ** (dim / 2.0))
-        part_coeffs[0][m] = base
-        for j, mj in enumerate(m, start=1):
-            if mj:
-                part_coeffs[j][m] = sign * 1j * (mj / norm) * base
-    parts = tuple(
-        SpectralField(dim, g.band, coeffs, zero_mean=True) for coeffs in part_coeffs
+    # Half the symbol |m|**(-n/2) of (-Lap)^{-n/4}, which the public operator
+    # does not offer (it takes positive exponents only).
+    half_inverse = _symbol_table(dim, g.band, "fraclap", -dim / 4.0).scale(0.5)
+    f0 = _mode_product(half_inverse, g, zero_mean=True)
+    parts = (f0,) + tuple(
+        riesz(f0, j, conjugated=not conjugated_riesz) for j in range(1, dim + 1)
     )
     reconstruction = _reconstruct(parts, conjugated_riesz)
     residual = (reconstruction - g).l2_coefficient_norm()
@@ -158,10 +153,7 @@ def smooth_complement(
     for j in range(1, dim + 1):
         summed = summed + riesz(result.parts[j], j, conjugated=reassembly_conjugated)
     phi = f - summed
-    zero: Index = (0,) * dim
-    offband = math.sqrt(
-        sum(v.norm() ** 2 for m, v in phi.coeffs.items() if m != zero)
-    )
+    offband = project_zero_mean(phi).l2_coefficient_norm()
     return ComplementResult(
         phi=phi,
         decomposition=result,

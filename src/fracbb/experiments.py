@@ -59,6 +59,10 @@ class ExperimentConfig:
             raise InputError("band must be >= 1")
         if self.samples < 1:
             raise InputError("need at least one sample")
+        if not math.isfinite(self.decay):
+            raise InputError(f"decay must be finite, got {self.decay!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise InputError(f"tolerance must be finite and positive, got {self.tol!r}")
 
 
 @dataclass(frozen=True)

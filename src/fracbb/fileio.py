@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .clifford import CliffordElement, mask_to_subset, subset_to_mask
-from .errors import InputError
+from .errors import InputError, InvariantViolation
 from .spectral import GridField, SpectralField
 
 SCHEMA_VERSION = 1
@@ -38,7 +39,8 @@ def dumps_json(value, indent: int = 0) -> str:
     """JSON text with floats rendered via :func:`format_float`.
 
     Supports dict/list/str/bool/None/int/float trees; dict keys keep their
-    insertion order (callers build them deterministically).
+    insertion order (callers build them deterministically).  A non-finite
+    float raises :class:`InvariantViolation`, since JSON has no spelling for it.
     """
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -53,6 +55,8 @@ def dumps_json(value, indent: int = 0) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise InvariantViolation(f"non-finite value {value} cannot be written as JSON")
         return format_float(value)
     if isinstance(value, dict):
         if not value:
@@ -74,9 +78,9 @@ def dumps_json(value, indent: int = 0) -> str:
 
 
 def write_json(path, value) -> None:
+    text = dumps_json(value)
     with open(path, "w") as fh:
-        fh.write(dumps_json(value))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 # -- coefficient files -------------------------------------------------------
@@ -118,7 +122,7 @@ def field_from_jsonable(data: dict) -> SpectralField:
             raise InputError(f"malformed coefficient entry {entry!r}") from exc
         mask = subset_to_mask(subset, dim)
         comps = coeffs.setdefault(m, {})
-        comps[mask] = comps.get(mask, 0j) + value
+        comps[mask] = comps[mask] + value if mask in comps else value
     return SpectralField(
         dim,
         band,
@@ -126,10 +130,15 @@ def field_from_jsonable(data: dict) -> SpectralField:
     )
 
 
+def _json_int(text: str):
+    # format_float writes -0.0 as "-0", which JSON would read as the integer 0.
+    return -0.0 if text == "-0" else int(text)
+
+
 def load_coefficients(path) -> SpectralField:
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_json_int)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read coefficient file {path}: {exc}") from exc
     return field_from_jsonable(data)

@@ -23,14 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .clifford import CliffordElement
 from .errors import InputError
-from .spectral import (
-    SpectralField,
-    band_indices,
-    freq_norm,
-    inverse_transform,
-)
+from .operators import _symbol_table
+from .spectral import SpectralField, freq_norm, inverse_transform
 
 #: Sup-ratio threshold between consecutive bands above which a scan reports
 #: divergence.  No reference constant exists for the sup growth; the
@@ -47,14 +42,12 @@ class KernelSpec:
     ``kind`` is one of ``"sawtooth"`` (1-D, coefficients ``i/n``), ``"K"``
     (coefficients ``-i/(2n)`` in 1-D, grade-1 ``m/(2i*|m|**(n+1))`` in n-D)
     and ``"direction"`` (scalar ``m_j/|m|**(n+1)``, needs ``direction``).
-    ``assembly`` records the dyadic-block order used for partial evaluations.
     """
 
     dim: int
     band: int
     kind: str = "direction"
     direction: int | None = None
-    assembly: str = "dyadic-increasing"
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -77,13 +70,8 @@ class KernelSpec:
             return kernel_K_nd(self.dim, self.band)
         axis = self.direction if self.direction is not None else 1
         if self.dim == 1:
-            # 1-D direction form m/|m|**2 = 1/m; same magnitudes as the sawtooth.
-            return SpectralField(
-                1,
-                self.band,
-                {(n,): 1.0 / n for n in range(-self.band, self.band + 1) if n},
-                zero_mean=True,
-            )
+            # 1-D direction form m/|m|**2 = 1/m = 2i * K; same magnitudes as the sawtooth.
+            return kernel_K_1d(self.band).scale(2j)
         return kernel_component_nd(self.dim, axis, self.band)
 
 
@@ -106,26 +94,17 @@ def sawtooth_eval(x):
 
 def sawtooth_field(band: int) -> SpectralField:
     """Band truncation of the sawtooth: coefficients ``i/n`` for ``0 < |n| <= N``."""
-    if band < 1:
-        raise InputError("band must be >= 1")
-    return SpectralField(
-        1,
-        band,
-        {(n,): 1j / n for n in range(-band, band + 1) if n},
-        zero_mean=True,
-    )
+    return kernel_K_1d(band).scale(-2.0)
 
 
 def kernel_K_1d(band: int) -> SpectralField:
-    """The 1-D inverting kernel ``K = -k/2``: coefficients ``-i/(2n)``."""
+    """The 1-D inverting kernel ``K = -k/2``: coefficients ``-i/(2n)``.
+
+    This is the symbol of ``invert_D2`` on the circle.
+    """
     if band < 1:
         raise InputError("band must be >= 1")
-    return SpectralField(
-        1,
-        band,
-        {(n,): -0.5j / n for n in range(-band, band + 1) if n},
-        zero_mean=True,
-    )
+    return _symbol_table(1, band, "invD2")
 
 
 # -- n dimensions ----------------------------------------------------------------
@@ -137,30 +116,21 @@ def kernel_component_nd(dim: int, axis: int, band: int) -> SpectralField:
         raise InputError("directional kernel needs dim >= 2 (use the 1-D kernel)")
     if not 1 <= axis <= dim:
         raise InputError(f"axis {axis} out of range 1..{dim}")
-    coeffs = {}
-    for m in band_indices(dim, band):
-        mj = m[axis - 1]
-        if mj:
-            coeffs[m] = mj / freq_norm(m) ** (dim + 1)
-    return SpectralField(dim, band, coeffs, zero_mean=True)
+    # The e_axis row of K is -i/2 times the directional coefficients.
+    K = kernel_K_nd(dim, band)
+    row = K.data[K.masks.index(1 << (axis - 1))]
+    return SpectralField.from_blade_vectors(dim, band, (0,), [2j * row], zero_mean=True)
 
 
 def kernel_K_nd(dim: int, band: int) -> SpectralField:
     """Grade-1 kernel ``K_hat(m) = m / (2i * |m|**(n+1))`` inverting ``D**2``.
 
-    Satisfies ``invert_D2(g) = (2*pi)**-n * convolve(K, g)`` on the band.
+    This is the symbol of ``invert_D2``, so
+    ``invert_D2(g) = (2*pi)**-n * convolve(K, g)`` on the band.
     """
     if dim < 2:
         raise InputError("use kernel_K_1d in one dimension")
-    coeffs = {}
-    for m in band_indices(dim, band):
-        if all(mj == 0 for mj in m):
-            continue
-        scale = -0.5j / freq_norm(m) ** (dim + 1)
-        coeffs[m] = CliffordElement(
-            dim, {1 << j: scale * mj for j, mj in enumerate(m) if mj}
-        )
-    return SpectralField(dim, band, coeffs, zero_mean=True)
+    return _symbol_table(dim, band, "invD2")
 
 
 # -- dyadic blocks -----------------------------------------------------------------

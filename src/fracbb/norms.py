@@ -49,22 +49,16 @@ def sobolev_norm(u: SpectralField, s: float, homogeneous: bool = True) -> float:
     The homogeneous variant always excludes the mean; for ``s < 0`` it
     rejects fields with a nonzero mean coefficient (undefined weight at 0).
     """
-    total = 0.0
-    if homogeneous:
-        mean = u.mean_coefficient()
-        if s < 0 and not mean.is_zero():
-            raise InputError(
-                "homogeneous norm with negative exponent needs a zero-mean field"
-            )
-        for m, value in u.coeffs.items():
-            norm_sq = sum(mj * mj for mj in m)
-            if norm_sq:
-                total += norm_sq**s * value.norm() ** 2
-    else:
-        for m, value in u.coeffs.items():
-            norm_sq = sum(mj * mj for mj in m)
-            total += (1.0 + norm_sq) ** s * value.norm() ** 2
-    return math.sqrt(total)
+    norm_sq = (mode_matrix(u.dim, u.band) ** 2).sum(axis=1).astype(float)
+    power = (np.abs(u.data) ** 2).sum(axis=0)
+    if not homogeneous:
+        return math.sqrt(float(((1.0 + norm_sq) ** s * power).sum()))
+    if s < 0 and not u.mean_coefficient().is_zero():
+        raise InputError(
+            "homogeneous norm with negative exponent needs a zero-mean field"
+        )
+    active = norm_sq > 0
+    return math.sqrt(float((norm_sq[active] ** s * power[active]).sum()))
 
 
 @dataclass
@@ -141,6 +135,8 @@ def sum_space_norm(
     is what instances with an active integrable part need; an explicit value
     disables the schedule.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tolerance must be finite and positive, got {tol!r}")
     dim, band = f.dim, f.band
     if s is None:
         s = -dim / 2.0
@@ -150,7 +146,7 @@ def sum_space_norm(
     if P < 2 * band + 1:
         raise InputError(f"grid of {P} points per axis is too coarse for band {band}")
 
-    masks, fvec = f.blade_vectors()
+    masks, fvec = f.masks, f.data
     nblades = len(masks)
     shape = (P,) * dim
     quad_w = (TWO_PI / P) ** dim

@@ -10,191 +10,91 @@ together with closed-form inverses of ``D`` and ``D**2``.  In one dimension
 the Dirac symbols reduce to the scalar form ``|m|**(1/2) * (1 +/- i*sign(m))``
 and no Clifford generators appear.
 
-Every multiplier sends the ``m = 0`` mode to zero (the calculus works modulo
-means throughout); symbols left-multiply the coefficients, which matters for
-Clifford-valued fields.
+Every symbol has grade at most 1.  It is tabulated once per
+``(dim, band, operator)`` as a zero-mean field and applied by the per-mode
+Clifford product, so every multiplier sends the ``m = 0`` mode to zero (the
+calculus works modulo means throughout); symbols left-multiply the
+coefficients, which matters for Clifford-valued fields.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
-from typing import Callable
 
-from .clifford import CliffordElement
+import numpy as np
+
 from .errors import InputError
-from .spectral import Index, SpectralField, freq_norm
+from .spectral import SpectralField, _mode_product, mode_matrix
 
 
-def _is_zero_index(m: Index) -> bool:
-    return all(mj == 0 for mj in m)
+@lru_cache(maxsize=64)
+def _symbol_table(dim: int, band: int, op: str, param=None) -> SpectralField:
+    """Symbol of one multiplier on the band cube, as a read-only zero-mean field.
 
-
-@dataclass(frozen=True)
-class MultiplierOp:
-    """A Fourier multiplier with an explicit rule for the ``m = 0`` mode.
-
-    ``symbol(m)`` must be defined for every nonzero band frequency and
-    left-multiplies the coefficient there.  ``zero_rule`` maps the mean
-    coefficient; the default annihilates it.
+    ``op`` is ``"fraclap"`` (``param`` = s), ``"riesz"`` (``param`` =
+    (axis, conjugated)), ``"D"``, ``"Dbar"``, ``"invD"`` or ``"invD2"``.
+    Each symbol is ``scalar + sum_j e_j * vector_j``; in one dimension ``e_1``
+    acts as the unit, so the two parts add.  The ``m = 0`` entry is zero.
     """
-
-    dim: int
-    symbol: Callable[[Index], CliffordElement]
-    zero_rule: Callable[[CliffordElement], CliffordElement] = dataclass_field(
-        default=lambda value: CliffordElement.zero(value.n)
-    )
-
-    def apply(self, u: SpectralField) -> SpectralField:
-        if u.dim != self.dim:
-            raise InputError(f"operator dim {self.dim} vs field dim {u.dim}")
-
-        def act(m: Index, value: CliffordElement) -> CliffordElement:
-            if _is_zero_index(m):
-                return self.zero_rule(value)
-            return self.symbol(m) * value
-
-        return u.map_coefficients(act)
-
-    def then(self, outer: "MultiplierOp") -> "MultiplierOp":
-        """Composite applying ``self`` first, then ``outer`` (symbols multiply
-        pointwise in that order: ``outer.symbol(m) * self.symbol(m)``)."""
-        if outer.dim != self.dim:
-            raise InputError("cannot compose operators of different dimensions")
-        return MultiplierOp(
-            self.dim,
-            symbol=lambda m: outer.symbol(m) * self.symbol(m),
-            zero_rule=lambda value: outer.zero_rule(self.zero_rule(value)),
-        )
-
-
-# -- symbols -------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _riesz_factor(m: Index, axis: int, conjugated: bool) -> complex:
-    scale = m[axis - 1] / freq_norm(m)
-    return -1j * scale if conjugated else 1j * scale
-
-
-@lru_cache(maxsize=None)
-def _dirac_symbol(dim: int, m: Index, conjugated: bool) -> CliffordElement:
-    norm = freq_norm(m)
-    amplitude = norm ** (dim / 2.0)
-    sign = -1.0 if conjugated else 1.0
+    mm = mode_matrix(dim, band)
+    norm = np.sqrt((mm**2).sum(axis=1))
+    origin = norm == 0
+    norm[origin] = 1.0  # any positive value; the origin column is zeroed below
+    unit = mm / norm[:, None]
+    scalar, vector = 0.0, np.zeros(mm.shape)
+    if op == "fraclap":
+        scalar = norm ** (2.0 * param)
+    elif op == "riesz":
+        axis, conjugated = param
+        scalar = (-1j if conjugated else 1j) * unit[:, axis - 1]
+    elif op in ("D", "Dbar"):
+        scalar = norm ** (dim / 2.0)
+        vector = (1j if op == "D" else -1j) * scalar[:, None] * unit
+    elif op == "invD":
+        # (1 + v)*(1 - v) = 1 - v**2 = 2 for the unit v in the D symbol.
+        scalar = 0.5 / norm ** (dim / 2.0)
+        vector = -1j * scalar[:, None] * unit
+    elif op == "invD2":
+        # D(D(.)) has symbol 2i*|m|**(n-1)*m; its inverse is m/(2i*|m|**(n+1)).
+        vector = -0.5j * (mm / (norm ** (dim + 1))[:, None])
+    else:
+        raise InputError(f"unknown multiplier {op!r}")
     if dim == 1:
-        return CliffordElement.scalar(
-            1, amplitude * (1.0 + sign * 1j * math.copysign(1.0, m[0]))
-        )
-    comps = {0: complex(amplitude)}
-    for j, mj in enumerate(m):
-        if mj:
-            comps[1 << j] = sign * 1j * amplitude * mj / norm
-    return CliffordElement(dim, comps)
+        masks, rows = (0,), [scalar + vector[:, 0]]
+    else:
+        masks = (0,) + tuple(1 << j for j in range(dim))
+        rows = [np.broadcast_to(scalar, norm.shape), *vector.T]
+    data = np.array(rows, dtype=complex)
+    data[:, origin] = 0
+    return SpectralField.from_blade_vectors(dim, band, masks, data, zero_mean=True)
 
 
-@lru_cache(maxsize=None)
-def _dirac_inverse_symbol(dim: int, m: Index) -> CliffordElement:
-    """Left inverse of the D symbol: (1 - v) / (2*|m|**(n/2)) with v**2 = -1."""
-    norm = freq_norm(m)
-    scale = 1.0 / (2.0 * norm ** (dim / 2.0))
-    if dim == 1:
-        return CliffordElement.scalar(
-            1, scale * (1.0 - 1j * math.copysign(1.0, m[0]))
-        )
-    comps = {0: complex(scale)}
-    for j, mj in enumerate(m):
-        if mj:
-            comps[1 << j] = -1j * scale * mj / norm
-    return CliffordElement(dim, comps)
-
-
-@lru_cache(maxsize=None)
-def _dirac_square_inverse_symbol(dim: int, m: Index) -> CliffordElement:
-    """Inverse of the D**2 symbol ``2i*|m|**(n-1)*m``: ``m/(2i*|m|**(n+1))``."""
-    norm = freq_norm(m)
-    scale = -0.5j / norm ** (dim + 1)
-    if dim == 1:
-        # The 1-D operator is scalar: w_hat(n) = -i/(2n) * g_hat(n).
-        return CliffordElement.scalar(1, scale * m[0])
-    return CliffordElement(
-        dim, {1 << j: scale * mj for j, mj in enumerate(m) if mj}
-    )
-
-
-# -- operator constructors ------------------------------------------------------
-
-
-def fractional_laplacian_op(dim: int, s: float) -> MultiplierOp:
-    return MultiplierOp(
-        dim, symbol=lambda m: CliffordElement.scalar(dim, freq_norm(m) ** (2.0 * s))
-    )
-
-def riesz_op(dim: int, axis: int, conjugated: bool = False) -> MultiplierOp:
-    if not 1 <= axis <= dim:
-        raise InputError(f"axis {axis} out of range 1..{dim}")
-    return MultiplierOp(
-        dim,
-        symbol=lambda m: CliffordElement.scalar(dim, _riesz_factor(m, axis, conjugated)),
-    )
-
-
-def dirac_op(dim: int, conjugated: bool = False) -> MultiplierOp:
-    return MultiplierOp(dim, symbol=lambda m: _dirac_symbol(dim, m, conjugated))
-
-
-# -- direct operations -----------------------------------------------------------
+def _apply(u: SpectralField, op: str, param=None) -> SpectralField:
+    return _mode_product(_symbol_table(u.dim, u.band, op, param), u, u.zero_mean)
 
 
 def fractional_laplacian(u: SpectralField, s: float) -> SpectralField:
     """Coefficientwise multiplication by ``|m|**(2s)``; the mean is annihilated."""
     if s <= 0:
         raise InputError(f"fractional exponent must be positive, got {s}")
-
-    def act(m: Index, value: CliffordElement) -> CliffordElement:
-        if _is_zero_index(m):
-            return CliffordElement.zero(value.n)
-        return value.scale(freq_norm(m) ** (2.0 * s))
-
-    return u.map_coefficients(act)
+    return _apply(u, "fraclap", float(s))
 
 
 def riesz(u: SpectralField, axis: int = 1, conjugated: bool = False) -> SpectralField:
     """Riesz transform along ``axis``: multiplier ``+/- i*m_j/|m|``."""
     if not 1 <= axis <= u.dim:
         raise InputError(f"axis {axis} out of range 1..{u.dim}")
-
-    def act(m: Index, value: CliffordElement) -> CliffordElement:
-        if _is_zero_index(m):
-            return CliffordElement.zero(value.n)
-        return value.scale(_riesz_factor(m, axis, conjugated))
-
-    return u.map_coefficients(act)
+    return _apply(u, "riesz", (axis, bool(conjugated)))
 
 
 def dirac_D(u: SpectralField) -> SpectralField:
     """Dirac operator: coefficients left-multiplied by the D symbol."""
-    dim = u.dim
-
-    def act(m: Index, value: CliffordElement) -> CliffordElement:
-        if _is_zero_index(m):
-            return CliffordElement.zero(value.n)
-        return _dirac_symbol(dim, m, False) * value
-
-    return u.map_coefficients(act)
+    return _apply(u, "D")
 
 
 def dirac_Dbar(u: SpectralField) -> SpectralField:
     """Conjugate Dirac operator (Riesz part entering with a minus sign)."""
-    dim = u.dim
-
-    def act(m: Index, value: CliffordElement) -> CliffordElement:
-        if _is_zero_index(m):
-            return CliffordElement.zero(value.n)
-        return _dirac_symbol(dim, m, True) * value
-
-    return u.map_coefficients(act)
+    return _apply(u, "Dbar")
 
 
 def _require_zero_mean(f: SpectralField, what: str) -> None:
@@ -210,12 +110,7 @@ def invert_D(f: SpectralField) -> SpectralField:
     satisfies ``||F||_{L2} <= ||f||_{H^{-n/2}-dot}`` coefficientwise.
     """
     _require_zero_mean(f, "invert_D")
-    dim = f.dim
-
-    def act(m: Index, value: CliffordElement) -> CliffordElement:
-        return _dirac_inverse_symbol(dim, m) * value
-
-    return f.map_coefficients(act)
+    return _apply(f, "invD")
 
 
 def invert_D2(g: SpectralField) -> SpectralField:
@@ -226,20 +121,4 @@ def invert_D2(g: SpectralField) -> SpectralField:
     (``-i/(2m)`` in one dimension).
     """
     _require_zero_mean(g, "invert_D2")
-    dim = g.dim
-
-    def act(m: Index, value: CliffordElement) -> CliffordElement:
-        return _dirac_square_inverse_symbol(dim, m) * value
-
-    return g.map_coefficients(act)
-
-
-def dirac_square_symbol(dim: int, m: Index) -> CliffordElement:
-    """Symbol of ``D(D(.))`` at a nonzero frequency: ``2i*|m|**(n-1)*m``."""
-    if _is_zero_index(m):
-        return CliffordElement.zero(dim)
-    norm = freq_norm(m)
-    scale = 2j * norm ** (dim - 1)
-    if dim == 1:
-        return CliffordElement.scalar(1, scale * m[0])
-    return CliffordElement(dim, {1 << j: scale * mj for j, mj in enumerate(m) if mj})
+    return _apply(g, "invD2")

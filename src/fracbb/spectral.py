@@ -9,21 +9,23 @@ uniform-grid quadrature of the forward integral reduces to an FFT divided by
 the point count.  The quadrature is exact (to roundoff) for fields whose band
 fits the grid, which requires ``P >= 2*N + 1`` points per axis.
 
-Coefficients are stored sparsely as a map from frequency tuples to Clifford
-values; frequencies absent from the map are exactly zero.  Truncation is a
-hard cube ``|m_j| <= N`` and no operation extends the band silently.
+A field stores its coefficients as one dense complex array with a row per
+Clifford blade and a column per mode of the band cube, in the canonical
+order of :func:`mode_list`.  Truncation is a hard cube ``|m_j| <= N`` and no
+operation extends the band silently.  Fourier multipliers and convolution
+are per-mode Clifford products of two such arrays.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .clifford import CliffordElement
+from .clifford import MAX_GENERATORS, CliffordElement, _blade_tables
 from .errors import AliasingError, InputError
 
 Index = tuple[int, ...]
@@ -85,6 +87,13 @@ def _wrapped_index_arrays(dim: int, band: int, points: int) -> tuple[np.ndarray,
     return tuple(np.mod(mm[:, ax], points).astype(np.intp) for ax in range(dim))
 
 
+def _check_shape(dim: int, band: int) -> None:
+    if not isinstance(dim, int) or not 1 <= dim <= MAX_GENERATORS:
+        raise InputError(f"dimension must be an integer in [1, {MAX_GENERATORS}], got {dim!r}")
+    if not isinstance(band, int) or band < 1:
+        raise InputError(f"band must be a positive integer, got {band!r}")
+
+
 def grid_coordinates(dim: int, points: int) -> tuple[np.ndarray, ...]:
     """Meshgrid coordinate arrays ``x_k = 2*pi*k/P`` with 'ij' indexing."""
     axis = np.arange(points) * (TWO_PI / points)
@@ -94,13 +103,18 @@ def grid_coordinates(dim: int, points: int) -> tuple[np.ndarray, ...]:
 
 
 class SpectralField:
-    """Band-limited Clifford-valued field stored as frequency -> coefficient.
+    """Band-limited Clifford-valued field stored as one dense coefficient array.
+
+    ``data[r, k]`` is the component along blade ``masks[r]`` of the coefficient
+    at mode ``mode_list(dim, band)[k]``.  Only blades with a nonzero entry get
+    a row (``masks == (0,)`` for the zero field), in increasing mask order.
+    Fields are immutable values and ``data`` is read-only.
 
     ``zero_mean`` marks fields whose coefficient at ``m = 0`` is known to be
     zero; constructors enforce the invariant when the flag is set.
     """
 
-    __slots__ = ("dim", "band", "coeffs", "zero_mean")
+    __slots__ = ("dim", "band", "masks", "data", "zero_mean")
 
     def __init__(
         self,
@@ -109,118 +123,44 @@ class SpectralField:
         coeffs: Mapping | None = None,
         zero_mean: bool = False,
     ):
-        if not isinstance(dim, int) or dim < 1:
-            raise InputError(f"dimension must be a positive integer, got {dim!r}")
-        if not isinstance(band, int) or band < 1:
-            raise InputError(f"band must be a positive integer, got {band!r}")
-        self.dim = dim
-        self.band = band
-        cleaned: dict[Index, CliffordElement] = {}
-        if coeffs:
-            for m, value in coeffs.items():
-                m = normalize_index(m, dim)
-                if any(abs(mj) > band for mj in m):
-                    raise InputError(f"frequency {m} outside band {band}")
-                if not isinstance(value, CliffordElement):
-                    value = CliffordElement.scalar(dim, value)
-                elif value.n != dim:
-                    raise InputError(
-                        f"coefficient at {m} lives in C_{value.n}, field needs C_{dim}"
-                    )
-                if not value.is_zero():
-                    cleaned[m] = value
-        if zero_mean and (0,) * dim in cleaned:
+        _check_shape(dim, band)
+        positions = _mode_positions(dim, band)
+        entries: dict[int, Mapping[int, complex]] = {}
+        for m, value in (coeffs or {}).items():
+            m = normalize_index(m, dim)
+            if any(abs(mj) > band for mj in m):
+                raise InputError(f"frequency {m} outside band {band}")
+            if not isinstance(value, CliffordElement):
+                value = complex(value)
+                if value:
+                    entries[positions[m]] = {0: value}
+            elif value.n != dim:
+                raise InputError(
+                    f"coefficient at {m} lives in C_{value.n}, field needs C_{dim}"
+                )
+            elif value.comps:
+                entries[positions[m]] = value.comps
+        masks = sorted({mask for comps in entries.values() for mask in comps})
+        row = {mask: r for r, mask in enumerate(masks)}
+        data = np.zeros((len(masks), len(positions)), dtype=complex)
+        for col, comps in entries.items():
+            for mask, value in comps.items():
+                data[row[mask], col] = value
+        self._assign(dim, band, tuple(masks), data, zero_mean)
+
+    def _assign(self, dim, band, masks, data, zero_mean) -> None:
+        """Store ``data`` (owned by the field from now on), dropping zero rows."""
+        keep = [r for r in range(len(masks)) if data[r].any()]
+        if not keep:
+            masks, data = (0,), np.zeros((1, data.shape[1]), dtype=complex)
+        elif len(keep) < len(masks):
+            masks, data = tuple(masks[r] for r in keep), data[keep]
+        # The origin m = 0 sits at the centre of the symmetric band cube.
+        if zero_mean and data[:, data.shape[1] // 2].any():
             raise InputError("field flagged zero_mean has a nonzero coefficient at 0")
-        self.coeffs = cleaned
+        data.flags.writeable = False
+        self.dim, self.band, self.masks, self.data = dim, band, masks, data
         self.zero_mean = zero_mean
-
-    # -- access ------------------------------------------------------------
-
-    def get(self, m) -> CliffordElement:
-        m = normalize_index(m, self.dim)
-        return self.coeffs.get(m, CliffordElement.zero(self.dim))
-
-    def sorted_items(self) -> list[tuple[Index, CliffordElement]]:
-        return sorted(self.coeffs.items())
-
-    def mean_coefficient(self) -> CliffordElement:
-        return self.get((0,) * self.dim)
-
-    def is_scalar(self) -> bool:
-        """True when every coefficient has only a scalar (unit) component."""
-        return all(set(v.comps) <= {0} for v in self.coeffs.values())
-
-    def scalar_coeffs(self) -> dict[Index, complex]:
-        if not self.is_scalar():
-            raise InputError("field has non-scalar Clifford components")
-        return {m: v.p0() for m, v in self.coeffs.items()}
-
-    def blade_masks(self) -> tuple[int, ...]:
-        masks: set[int] = set()
-        for value in self.coeffs.values():
-            masks.update(value.comps)
-        return tuple(sorted(masks)) or (0,)
-
-    # -- linear structure ----------------------------------------------------
-
-    def scale(self, factor: complex) -> "SpectralField":
-        return SpectralField(
-            self.dim,
-            self.band,
-            {m: v.scale(factor) for m, v in self.coeffs.items()},
-            zero_mean=self.zero_mean,
-        )
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._require_compatible(other)
-        coeffs = dict(self.coeffs)
-        for m, v in other.coeffs.items():
-            coeffs[m] = coeffs[m] + v if m in coeffs else v
-        return SpectralField(self.dim, self.band, coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return self + other.scale(-1.0)
-
-    def map_coefficients(
-        self, fn: Callable[[Index, CliffordElement], CliffordElement]
-    ) -> "SpectralField":
-        """New field with ``fn`` applied per stored frequency (zeros dropped)."""
-        return SpectralField(
-            self.dim,
-            self.band,
-            {m: fn(m, v) for m, v in self.coeffs.items()},
-            zero_mean=self.zero_mean,
-        )
-
-    def _require_compatible(self, other: "SpectralField") -> None:
-        if self.dim != other.dim:
-            raise InputError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        if self.band != other.band:
-            raise InputError(f"band mismatch: {self.band} vs {other.band}")
-
-    # -- norms and packing ---------------------------------------------------
-
-    def l2_coefficient_norm(self) -> float:
-        """Plain coefficient norm ``sqrt(sum ||u_hat(m)||**2)``."""
-        return math.sqrt(sum(v.norm() ** 2 for v in self.coeffs.values()))
-
-    def blade_vectors(self, masks: Iterable[int] | None = None) -> tuple[tuple[int, ...], np.ndarray]:
-        """Dense per-blade coefficient vectors aligned with ``mode_list``.
-
-        Returns (masks, array of shape (len(masks), modes)).
-        """
-        masks = tuple(masks) if masks is not None else self.blade_masks()
-        positions = _mode_positions(self.dim, self.band)
-        out = np.zeros((len(masks), len(positions)), dtype=complex)
-        mask_row = {mask: row for row, mask in enumerate(masks)}
-        for m, value in self.coeffs.items():
-            col = positions[m]
-            for mask, comp in value.comps.items():
-                row = mask_row.get(mask)
-                if row is None:
-                    raise InputError(f"blade mask {mask} missing from packing set")
-                out[row, col] = comp
-        return masks, out
 
     @classmethod
     def from_blade_vectors(
@@ -232,26 +172,136 @@ class SpectralField:
         zero_mean: bool = False,
         prune_tol: float = 0.0,
     ) -> "SpectralField":
-        masks = tuple(masks)
-        modes = mode_list(dim, band)
-        vectors = np.asarray(vectors)
-        coeffs: dict[Index, CliffordElement] = {}
-        keep = np.abs(vectors).max(axis=0) > prune_tol
-        for col in np.nonzero(keep)[0]:
-            comps = {
-                mask: vectors[row, col]
-                for row, mask in enumerate(masks)
-                if vectors[row, col] != 0
-            }
-            if comps:
-                coeffs[modes[col]] = CliffordElement(dim, comps)
-        return cls(dim, band, coeffs, zero_mean=zero_mean)
+        """Field from per-blade coefficient rows aligned with ``mode_list``.
+
+        ``vectors`` has shape ``(len(masks), modes)`` and is copied.  Modes
+        whose largest component is at most ``prune_tol`` in size become zero.
+        """
+        _check_shape(dim, band)
+        masks = tuple(int(mask) for mask in masks)
+        if len(set(masks)) != len(masks) or not all(0 <= mk < 1 << dim for mk in masks):
+            raise InputError(f"blade masks {masks} are not distinct masks of C_{dim}")
+        data = np.asarray(vectors, dtype=complex)
+        if data.shape != (len(masks), len(mode_list(dim, band))):
+            raise InputError(f"coefficient array of shape {data.shape} does not fit "
+                             f"{len(masks)} blades on band {band}")
+        order = sorted(range(len(masks)), key=masks.__getitem__)
+        data = data[order]  # a copy, in increasing mask order
+        if prune_tol > 0:
+            data[:, np.abs(data).max(axis=0) <= prune_tol] = 0
+        field = cls.__new__(cls)
+        field._assign(dim, band, tuple(masks[r] for r in order), data, zero_mean)
+        return field
+
+    # -- read-only views -----------------------------------------------------
+
+    @property
+    def coeffs(self) -> "_CoefficientView":
+        """Mapping from each nonzero mode to its Clifford coefficient."""
+        return _CoefficientView(self)
+
+    def _element(self, col: int) -> CliffordElement:
+        return CliffordElement(self.dim, dict(zip(self.masks, self.data[:, col].tolist())))
+
+    def get(self, m) -> CliffordElement:
+        col = _mode_positions(self.dim, self.band).get(normalize_index(m, self.dim))
+        if col is None:
+            return CliffordElement.zero(self.dim)
+        return self._element(col)
+
+    def sorted_items(self) -> list[tuple[Index, CliffordElement]]:
+        return list(self.coeffs.items())
+
+    def mean_coefficient(self) -> CliffordElement:
+        return self.get((0,) * self.dim)
+
+    def is_scalar(self) -> bool:
+        """True when every coefficient has only a scalar (unit) component."""
+        return self.masks == (0,)
+
+    def scalar_coeffs(self) -> dict[Index, complex]:
+        if not self.is_scalar():
+            raise InputError("field has non-scalar Clifford components")
+        view = self.coeffs
+        return dict(zip(view, self.data[0, view.cols].tolist()))
+
+    def blade_masks(self) -> tuple[int, ...]:
+        return self.masks
+
+    def blade_vectors(self) -> tuple[tuple[int, ...], np.ndarray]:
+        """``(masks, data)``: the read-only per-blade rows aligned with ``mode_list``."""
+        return self.masks, self.data
+
+    # -- linear structure ----------------------------------------------------
+
+    def _with(self, masks, data, zero_mean) -> "SpectralField":
+        field = SpectralField.__new__(SpectralField)
+        field._assign(self.dim, self.band, masks, data, zero_mean)
+        return field
+
+    def scale(self, factor: complex) -> "SpectralField":
+        return self._with(self.masks, complex(factor) * self.data, self.zero_mean)
+
+    def __add__(self, other: "SpectralField") -> "SpectralField":
+        return self._combine(other, other.data)
+
+    def __sub__(self, other: "SpectralField") -> "SpectralField":
+        return self._combine(other, -other.data)
+
+    def _combine(self, other: "SpectralField", other_data: np.ndarray) -> "SpectralField":
+        """``self + other`` with ``other``'s rows replaced by ``other_data``."""
+        self._require_compatible(other)
+        masks = tuple(sorted(set(self.masks) | set(other.masks)))
+        data = np.zeros((len(masks), self.data.shape[1]), dtype=complex)
+        data[[masks.index(mask) for mask in self.masks]] = self.data
+        data[[masks.index(mask) for mask in other.masks]] += other_data
+        return self._with(masks, data, self.zero_mean and other.zero_mean)
+
+    def _require_compatible(self, other: "SpectralField") -> None:
+        if self.dim != other.dim:
+            raise InputError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        if self.band != other.band:
+            raise InputError(f"band mismatch: {self.band} vs {other.band}")
+
+    # -- norms ---------------------------------------------------------------
+
+    def l2_coefficient_norm(self) -> float:
+        """Plain coefficient norm ``sqrt(sum ||u_hat(m)||**2)``."""
+        return float(np.linalg.norm(self.data))
 
     def __repr__(self) -> str:
         return (
             f"SpectralField(dim={self.dim}, band={self.band}, "
             f"modes={len(self.coeffs)}, zero_mean={self.zero_mean})"
         )
+
+
+class _CoefficientView(Mapping):
+    """Read-only ``mode -> CliffordElement`` view of a field's nonzero modes.
+
+    Iterates in canonical (lexicographic) mode order; within a mode only the
+    nonzero blades appear.  Elements are built on access.
+    """
+
+    __slots__ = ("field", "cols")
+
+    def __init__(self, field: SpectralField):
+        self.field = field
+        self.cols = np.flatnonzero(field.data.any(axis=0))
+
+    def __len__(self) -> int:
+        return len(self.cols)
+
+    def __iter__(self) -> Iterator[Index]:
+        modes = mode_list(self.field.dim, self.field.band)
+        return (modes[col] for col in self.cols.tolist())
+
+    def __getitem__(self, m) -> CliffordElement:
+        field = self.field
+        col = _mode_positions(field.dim, field.band).get(m)
+        if col is None or not field.data[:, col].any():
+            raise KeyError(m)
+        return field._element(col)
 
 
 class GridField:
@@ -311,14 +361,6 @@ class GridField:
             raise InputError("grid field has non-scalar Clifford components")
         return self.comps.get(0, np.zeros((self.points_per_axis,) * self.dim, complex))
 
-    def value_at(self, idx) -> CliffordElement:
-        if isinstance(idx, (int, np.integer)):
-            idx = (int(idx),)
-        idx = tuple(idx)
-        return CliffordElement(
-            max(self.dim, 1), {mask: plane[idx] for mask, plane in self.comps.items()}
-        )
-
     def quadrature_weight(self) -> float:
         return (TWO_PI / self.points_per_axis) ** self.dim
 
@@ -369,13 +411,30 @@ def inverse_transform(field: SpectralField, points_per_axis: int | None = None) 
     _check_grid_band(P, field.band)
     dim = field.dim
     scatter = _wrapped_index_arrays(dim, field.band, P)
-    masks, vectors = field.blade_vectors()
     comps: dict[int, np.ndarray] = {}
-    for row, mask in enumerate(masks):
+    for mask, vector in zip(field.masks, field.data):
         cube = np.zeros((P,) * dim, dtype=complex)
-        cube[scatter] = vectors[row]
+        cube[scatter] = vector
         comps[mask] = np.fft.ifftn(cube) * P**dim
     return GridField(dim, P, comps)
+
+
+def _mode_product(f: SpectralField, g: SpectralField, zero_mean: bool = False) -> SpectralField:
+    """Per-mode Clifford product ``f_hat(m) * g_hat(m)``, with f on the left.
+
+    Works on whole blade rows: rows ``a`` of f and ``b`` of g add
+    ``sign(a, b) * f_a * g_b`` to row ``a ^ b`` of the result, in increasing
+    order of ``a``.
+    """
+    f._require_compatible(g)
+    sign = _blade_tables(f.dim)[0]
+    masks = tuple(sorted({a ^ b for a in f.masks for b in g.masks}))
+    data = np.zeros((len(masks), f.data.shape[1]), dtype=complex)
+    for a, f_row in zip(f.masks, f.data):
+        for b, g_row in zip(g.masks, g.data):
+            term = f_row * g_row
+            data[masks.index(a ^ b)] += term if sign[a, b] > 0 else -term
+    return f._with(masks, data, zero_mean)
 
 
 def convolve(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -383,18 +442,11 @@ def convolve(f: SpectralField, g: SpectralField) -> SpectralField:
 
     Clifford coefficients multiply in the order f then g; the order matters.
     """
-    f._require_compatible(g)
-    factor = TWO_PI**f.dim
-    coeffs = {}
-    for m, fv in f.coeffs.items():
-        gv = g.coeffs.get(m)
-        if gv is not None:
-            coeffs[m] = (fv * gv).scale(factor)
-    return SpectralField(f.dim, f.band, coeffs)
+    return _mode_product(f, g).scale(TWO_PI**f.dim)
 
 
 def project_zero_mean(f: SpectralField) -> SpectralField:
     """Drop the ``m = 0`` coefficient and flag the result as zero-mean."""
-    zero = (0,) * f.dim
-    coeffs = {m: v for m, v in f.coeffs.items() if m != zero}
-    return SpectralField(f.dim, f.band, coeffs, zero_mean=True)
+    data = f.data.copy()
+    data[:, data.shape[1] // 2] = 0
+    return f._with(f.masks, data, True)

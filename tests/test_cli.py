@@ -234,3 +234,25 @@ def test_console_script_help():
     for command in ["transform", "apply-op", "kernel", "norm", "mixed-norm",
                     "verify-bb", "verify-bergman", "bilinear-a", "decompose"]:
         assert command in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify-bb", "--band", 4, "--samples", 1, "--tol", -1],
+        ["verify-bb", "--band", 4, "--samples", 1, "--decay", "nan"],
+    ],
+)
+def test_verify_bb_rejects_bad_settings(args, capsys):
+    assert run_cli(args) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "input"
+
+
+def test_mixed_norm_rejects_bad_tolerance(tmp_path, capsys):
+    src = tmp_path / "f.json"
+    save_coefficients(SpectralField(1, 2, {(1,): 1.0}, zero_mean=True), src)
+    # A negative tolerance can never be met; it must fail before any iteration.
+    assert run_cli(["mixed-norm", "--in", src, "--homogeneous", "--tol", -1]) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "input" and "tolerance" in report["message"]

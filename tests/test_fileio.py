@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fracbb.clifford import CliffordElement
-from fracbb.errors import InputError
+from fracbb.errors import InputError, InvariantViolation
 from fracbb.fileio import (
     dumps_json,
     field_from_jsonable,
@@ -15,6 +15,7 @@ from fracbb.fileio import (
     load_grid_csv,
     save_coefficients,
     save_grid_csv,
+    write_json,
 )
 from fracbb.spectral import GridField, SpectralField, inverse_transform
 
@@ -113,3 +114,13 @@ def test_dumps_json_is_deterministic():
     payload = {"b": 1.5, "a": [1, 2, 3], "flag": True, "nested": {"x": None}}
     assert dumps_json(payload) == dumps_json(payload)
     assert '"b": 1.5' in dumps_json(payload)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, np.float64("nan")])
+def test_dumps_json_rejects_non_finite_floats(bad, tmp_path):
+    with pytest.raises(InvariantViolation):
+        dumps_json({"ok": 1.0, "values": [0.5, bad]})
+    path = tmp_path / "report.json"
+    with pytest.raises(InvariantViolation):
+        write_json(path, {"x": bad})
+    assert not path.exists()

@@ -9,14 +9,10 @@ from fracbb.norms import sobolev_norm
 from fracbb.operators import (
     dirac_D,
     dirac_Dbar,
-    dirac_op,
-    dirac_square_symbol,
     fractional_laplacian,
-    fractional_laplacian_op,
     invert_D,
     invert_D2,
     riesz,
-    riesz_op,
 )
 from fracbb.spectral import SpectralField, band_indices
 
@@ -137,26 +133,6 @@ def test_D_plus_Dbar_is_twice_fraclap(dim, band):
     assert field_error(lhs, rhs) < 1e-12
 
 
-def test_dirac_square_symbol_identity():
-    for dim, band in [(1, 8), (2, 4), (3, 2)]:
-        op = dirac_op(dim)
-        for m in band_indices(dim, band):
-            if not any(m):
-                continue
-            via_product = op.symbol(m) * op.symbol(m)
-            direct = dirac_square_symbol(dim, m)
-            assert (via_product - direct).norm() < 1e-12 * max(1.0, direct.norm())
-
-
-def test_multiplier_op_composition_order():
-    op1 = fractional_laplacian_op(1, 0.5)
-    op2 = riesz_op(1, 1)
-    u = SpectralField(1, 3, {(2,): 1.0})
-    composite = op1.then(op2)
-    direct = riesz(fractional_laplacian(u, 0.5), 1)
-    assert field_error(composite.apply(u), direct) < 1e-13
-
-
 # -- inverses ----------------------------------------------------------------------
 
 
@@ -200,7 +176,7 @@ def test_invert_D2_examples():
     assert abs(invert_D2(g2).get(-1).p0() - 0.5j) < 1e-15
 
 
-@pytest.mark.parametrize("dim,band", [(1, 8), (2, 4)])
+@pytest.mark.parametrize("dim,band", [(1, 8), (2, 4), (3, 2)])
 def test_invert_D2_round_trip(dim, band):
     rng = np.random.default_rng(7 + dim)
     g = random_scalar_field(rng, dim, band)

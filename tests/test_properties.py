@@ -1,0 +1,114 @@
+"""Property tests of the coefficient store and the identities built on it."""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from fracbb.clifford import CliffordElement
+from fracbb.fileio import load_coefficients, save_coefficients
+from fracbb.operators import dirac_D, invert_D, invert_D2
+from fracbb.spectral import (
+    SpectralField,
+    band_indices,
+    convolve,
+    forward_transform,
+    inverse_transform,
+)
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
+
+values = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def coefficient_tables(draw, zero_mean=False, shape=None):
+    """``(dim, band, {mode: {blade: value}})`` with Clifford values, zeros included."""
+    dim = shape[0] if shape else draw(st.integers(1, 3))
+    band = shape[1] if shape else draw(st.integers(1, 3 if dim < 3 else 2))
+    modes = [m for m in band_indices(dim, band) if any(m) or not zero_mean]
+    chosen = draw(st.lists(st.sampled_from(modes), unique=True, max_size=12))
+    blades = st.dictionaries(st.integers(0, (1 << dim) - 1), values, max_size=4)
+    return dim, band, {m: draw(blades) for m in chosen}
+
+
+def clifford_fields(zero_mean=False, shape=None):
+    return coefficient_tables(zero_mean, shape).map(
+        lambda t: SpectralField(
+            t[0], t[1], {m: CliffordElement(t[0], c) for m, c in t[2].items()}, zero_mean
+        )
+    )
+
+
+def assert_close(a: SpectralField, b: SpectralField, rel: float) -> None:
+    scale = max(1.0, a.l2_coefficient_norm(), b.l2_coefficient_norm())
+    assert (a - b).l2_coefficient_norm() <= rel * scale
+
+
+@PROPERTY_SETTINGS
+@given(coefficient_tables())
+def test_dict_array_and_coeffs_round_trip(table):
+    dim, band, raw = table
+    expected = {}
+    for m, comps in raw.items():
+        element = CliffordElement(dim, comps)
+        if element.comps:
+            expected[m] = element
+    field = SpectralField(dim, band, {m: CliffordElement(dim, c) for m, c in raw.items()})
+    # coeffs shows exactly the nonzero modes, and only their nonzero blades
+    assert dict(field.coeffs) == expected
+    assert len(field.coeffs) == len(expected)
+    assert all(0 not in v.comps.values() for v in field.coeffs.values())
+    used = sorted({mask for v in expected.values() for mask in v.comps})
+    assert field.blade_masks() == (tuple(used) or (0,))
+    for m in band_indices(dim, band):
+        assert field.get(m) == expected.get(m, CliffordElement.zero(dim))
+    # array -> field -> dict -> field reproduces the array exactly
+    masks, data = field.blade_vectors()
+    via_array = SpectralField.from_blade_vectors(dim, band, masks[::-1], data[::-1])
+    assert via_array.blade_masks() == masks
+    assert np.array_equal(via_array.blade_vectors()[1], data)
+    via_dict = SpectralField(dim, band, dict(via_array.coeffs))
+    assert via_dict.blade_masks() == masks
+    assert np.array_equal(via_dict.blade_vectors()[1], data)
+
+
+@PROPERTY_SETTINGS
+@given(clifford_fields(), st.integers(0, 3))
+def test_forward_inverts_inverse_transform(u, extra_points):
+    points = 2 * u.band + 1 + extra_points
+    back = forward_transform(inverse_transform(u, points), u.band)
+    assert_close(back, u, 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_convolve_matches_per_mode_clifford_products(data):
+    f = data.draw(clifford_fields())
+    g = data.draw(clifford_fields(shape=(f.dim, f.band)))
+    out = convolve(f, g)
+    factor = (2.0 * math.pi) ** f.dim
+    for m in band_indices(f.dim, f.band):
+        expected = (f.get(m) * g.get(m)).scale(factor)
+        assert out.get(m).isclose(expected, 1e-12 * max(1.0, expected.norm()))
+
+
+@PROPERTY_SETTINGS
+@given(clifford_fields(zero_mean=True))
+def test_dirac_inverses(f):
+    assert_close(dirac_D(invert_D(f)), f, 1e-12)
+    assert_close(dirac_D(dirac_D(invert_D2(f))), f, 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(u=clifford_fields())
+@example(u=SpectralField(1, 2, {(1,): complex(-0.0, 2.0), (2,): complex(1.5, -0.0)}))
+def test_coefficient_json_round_trip_is_byte_exact(tmp_path_factory, u):
+    path = tmp_path_factory.mktemp("coefficients") / "u.json"
+    save_coefficients(u, path)
+    text = path.read_text()
+    back = load_coefficients(path)
+    save_coefficients(back, path)
+    assert path.read_text() == text
+    assert back.blade_masks() == u.blade_masks()
+    assert np.array_equal(back.blade_vectors()[1], u.blade_vectors()[1])

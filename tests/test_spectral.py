@@ -193,3 +193,12 @@ def test_coefficient_wrapping_of_plain_scalars():
     value = f.get((1, 0))
     assert value.p0() == 2.5
     assert f.is_scalar()
+
+
+def test_zero_mean_flag_survives_addition():
+    a = SpectralField(1, 2, {(1,): 1.0}, zero_mean=True)
+    b = SpectralField(1, 2, {(-1,): 2.0, (2,): 1j}, zero_mean=True)
+    assert (a + b).zero_mean
+    assert (a - b).zero_mean
+    assert not (a + SpectralField(1, 2, {(0,): 1.0})).zero_mean
+    assert not (a - SpectralField(1, 2, {(1,): 1.0})).zero_mean
