@@ -199,6 +199,8 @@ def analytic_projection(u: SpectralField) -> tuple[PowerSeries, PowerSeries]:
 
 def random_series(order: int, decay: float, rng: np.random.Generator) -> PowerSeries:
     """Random series with ``|a_n| ~ n**(-decay)`` and uniform phases."""
+    if not math.isfinite(decay):
+        raise InputError(f"decay must be finite, got {decay!r}")
     n = np.arange(order + 1)
     magnitude = np.maximum(n, 1) ** (-float(decay))
     phase = np.exp(2j * math.pi * rng.uniform(size=order + 1))

@@ -63,6 +63,10 @@ class ExperimentConfig:
             raise InputError(f"decay must be finite, got {self.decay!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise InputError(f"tolerance must be finite and positive, got {self.tol!r}")
+        if self.max_iterations < 1:
+            raise InputError(
+                f"iteration cap must be at least 1, got {self.max_iterations!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -233,6 +237,8 @@ def bilinear_A_diracs(
     ``2 sum_{n > 0} sin(n (a - b)) / n``.  Tracks every partial sum up to the
     largest requested truncation so uniform-boundedness claims are checkable.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InputError(f"point-mass angles must be finite, got a={a!r}, b={b!r}")
     truncations = sorted({int(t) for t in truncations})
     if not truncations or truncations[0] < 1:
         raise InputError("truncations must be positive integers")

@@ -98,6 +98,18 @@ def test_mixed_norm_command(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == pytest.approx(1.0, abs=1e-6)
     assert payload["gap"] <= 1e-7
+    # A single mode is Sobolev-only; the closed-form certificate settles it.
+    assert payload["iterations"] == 0
+    # With a positive exponent the integrable part is active, so it iterates.
+    ones = tmp_path / "ones.json"
+    save_coefficients(
+        SpectralField(1, 8, {(n,): 1.0 for n in range(-8, 9) if n}, zero_mean=True), ones
+    )
+    assert run_cli([
+        "mixed-norm", "--in", ones, "--homogeneous", "--s", 0.5, "--tol", 1e-7,
+    ]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["gap"] <= 1e-7
     assert payload["iterations"] >= 1
 
 
@@ -174,7 +186,9 @@ def test_exit_codes(tmp_path):
     src = tmp_path / "mean.json"
     save_coefficients(SpectralField(1, 2, {(0,): 1.0}), src)
     assert run_cli(["apply-op", "--op", "invD", "--in", src, "--out", tmp_path / "o.json"]) == 2
-    # non-convergence exit code 3: an over-tight tolerance with a tiny cap
+    # non-convergence exit code 3: an over-tight tolerance with a tiny cap.
+    # --s 1 makes the integrable part active; at the default exponent the
+    # field certifies in closed form, without iterating.
     hard = tmp_path / "hard.json"
     rng = np.random.default_rng(0)
     save_coefficients(
@@ -182,7 +196,7 @@ def test_exit_codes(tmp_path):
         hard,
     )
     code = run_cli([
-        "mixed-norm", "--in", hard, "--homogeneous", "--tol", 1e-15,
+        "mixed-norm", "--in", hard, "--homogeneous", "--s", 1, "--tol", 1e-15,
         "--max-iterations", 100,
     ])
     assert code == 3
@@ -256,3 +270,28 @@ def test_mixed_norm_rejects_bad_tolerance(tmp_path, capsys):
     assert run_cli(["mixed-norm", "--in", src, "--homogeneous", "--tol", -1]) == 2
     report = json.loads(capsys.readouterr().err)
     assert report["error"] == "input" and "tolerance" in report["message"]
+
+
+def test_mixed_norm_rejects_iteration_cap_below_one(tmp_path, capsys):
+    src = tmp_path / "f.json"
+    save_coefficients(SpectralField(1, 2, {(1,): 1.0}, zero_mean=True), src)
+    assert run_cli(["mixed-norm", "--in", src, "--homogeneous", "--max-iterations", 0]) == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["error"] == "input" and "iteration cap" in report["message"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify-bergman", "--corpus-size", 1, "--order", 4, "--decay", "nan"],
+        ["verify-bergman", "--corpus-size", 1, "--order", 4, "--decay", "inf"],
+        ["bilinear-a", "--a", "nan", "--b", 0.5],
+        ["bilinear-a", "--a", 0.5, "--b=-inf"],
+    ],
+)
+def test_non_finite_settings_exit_with_input_error(args, tmp_path, capsys):
+    if args[0] == "verify-bergman":
+        args = args + ["--out", tmp_path / "bergman.csv"]
+    assert run_cli(args) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+    assert not (tmp_path / "bergman.csv").exists()

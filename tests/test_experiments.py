@@ -199,9 +199,14 @@ def test_verify_bb_report_structure():
     assert report.failure_rate == 0.0
 
 
-def test_verify_bb_failure_strictness():
-    # An absurdly tight tolerance with a tiny iteration cap must surface
-    # non-convergence rather than a silently wrong report.
+def test_verify_bb_failure_strictness(monkeypatch):
+    # A solver that cannot converge must surface as non-convergence rather
+    # than a silently wrong report.  Its samples certify in closed form, so
+    # the solver is replaced by one that always fails.
+    def non_converging(*args, **kwargs):
+        raise ConvergenceError("cap hit", partial=object())
+
+    monkeypatch.setattr("fracbb.experiments.sum_space_norm", non_converging)
     cfg = ExperimentConfig(
         dim=1, band=8, samples=2, seed=8, tol=1e-14, max_iterations=100
     )
@@ -239,3 +244,14 @@ def test_experiment_config_validation():
         bilinear_A({}, {}, 0)
     with pytest.raises(InputError):
         bilinear_A_diracs(1.0, 0.0, [])
+
+
+def test_settings_that_cannot_run_are_rejected():
+    # An iteration cap below one can never certify anything, and NaN angles
+    # give NaN partial sums; both fail at the boundary.
+    with pytest.raises(InputError):
+        ExperimentConfig(max_iterations=0)
+    with pytest.raises(InputError):
+        bilinear_A_diracs(math.nan, 0.5, [10])
+    with pytest.raises(InputError):
+        bilinear_A_diracs(0.5, math.inf, [10])

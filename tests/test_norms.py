@@ -17,10 +17,16 @@ from fracbb.spectral import (
     band_indices,
     forward_transform,
     inverse_transform,
+    mode_matrix,
 )
 
 from frozen_values import SUBGRADIENT_VALUES
-from regen_oracle_values import instance_field, instance_weight_array, oracle_instances
+from regen_oracle_values import (
+    independent_weights,
+    instance_field,
+    instance_weight_array,
+    oracle_instances,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -153,6 +159,62 @@ def test_mixed_instances_have_integrable_mass():
             points_per_axis=inst["points"],
         )
         assert l1_norm(split.g) > 1.0
+
+
+def test_sobolev_only_splits_certify_in_closed_form():
+    from fracbb.disk import hminus_half_boundary_norm, mixed_boundary_norm, random_series
+    from fracbb.experiments import ExperimentConfig, random_field
+    from fracbb.operators import fractional_laplacian
+
+    tol = 1e-6
+    # A verify-bb sample: a normalized random field under (-Lap)^{1/4}.
+    u = random_field(ExperimentConfig(dim=1, band=32, seed=3))
+    v = fractional_laplacian(u.scale(1.0 / u.l2_coefficient_norm()), 0.25)
+    split = sum_space_norm(v, s=-0.5, tol=tol)
+    cases = [(split, sobolev_norm(v, -0.5))]
+    # A disk trace next to the boundary, against the closed-form boundary norm.
+    series = random_series(16, 1.0, np.random.default_rng(9))
+    cases.append((mixed_boundary_norm(series, 0.9999, tol=tol),
+                  hminus_half_boundary_norm(series, 0.9999)))
+    # The frozen torus instance, against weights built independently.
+    inst = next(i for i in oracle_instances() if i["name"] == "torus_hom")
+    f = instance_field(inst)
+    split = sum_space_norm(f, s=inst["s"], tol=tol, points_per_axis=inst["points"])
+    weight, _ = independent_weights(mode_matrix(2, inst["band"]), inst["s"], True)
+    sobolev = math.sqrt(float((weight**2 * np.abs(f.data[0]) ** 2).sum()))
+    cases.append((split, sobolev))
+    for split, sobolev in cases:
+        assert split.iterations == 0
+        assert 0.0 <= split.gap <= tol
+        assert split.value == pytest.approx(sobolev, rel=1e-12)
+        assert l1_norm(split.g) == 0.0
+
+
+def test_mixed_instances_iterate_and_match_oracle():
+    for inst in oracle_instances():
+        if not inst["name"].startswith("mixed"):
+            continue
+        split = sum_space_norm(
+            instance_field(inst),
+            s=inst["s"],
+            homogeneous=inst["homogeneous"],
+            tol=1e-8,
+            weights=instance_weight_array(inst),
+            points_per_axis=inst["points"],
+        )
+        assert split.iterations > 0, inst["name"]
+        assert 0.0 <= split.gap <= 1e-8
+        assert split.value == pytest.approx(SUBGRADIENT_VALUES[inst["name"]], abs=1e-4)
+
+
+def test_iteration_cap_is_validated_and_kept():
+    f = SpectralField(1, 8, {(n,): 1.0 for n in range(-8, 9) if n}, zero_mean=True)
+    with pytest.raises(InputError):
+        sum_space_norm(f, s=0.5, max_iterations=0)
+    # A cap that is not a multiple of the check cadence is not overrun.
+    with pytest.raises(ConvergenceError) as err:
+        sum_space_norm(f, s=0.5, tol=1e-12, max_iterations=120)
+    assert err.value.partial.iterations == 120
 
 
 def test_triangle_inequality_and_homogeneity():

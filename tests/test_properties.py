@@ -7,13 +7,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from fracbb.clifford import CliffordElement
 from fracbb.fileio import load_coefficients, save_coefficients
+from fracbb.norms import l1_norm, sobolev_norm, sum_space_norm
 from fracbb.operators import dirac_D, invert_D, invert_D2
 from fracbb.spectral import (
     SpectralField,
     band_indices,
     convolve,
+    default_points,
     forward_transform,
     inverse_transform,
+    mode_matrix,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -112,3 +115,71 @@ def test_coefficient_json_round_trip_is_byte_exact(tmp_path_factory, u):
     assert path.read_text() == text
     assert back.blade_masks() == u.blade_masks()
     assert np.array_equal(back.blade_vectors()[1], u.blade_vectors()[1])
+
+
+# -- the sum-space norm -------------------------------------------------------------
+
+# Each example runs the solver a few times, some of them thousands of iterations.
+SOLVER_SETTINGS = settings(max_examples=10, deadline=None)
+SOLVER_TOL = 1e-6
+# The H^{-1/2} weights are scaled by up to 4.5.  Near that scale the integrable
+# part starts to pay at these bands (the explicit examples iterate); well
+# beyond it, where h = 0 is optimal, the iteration needs tens of thousands
+# of steps.
+weight_scales = st.floats(0.5, 4.5)
+BAND_3_FLAT = SpectralField(1, 3, {(n,): 1.0 for n in range(-3, 4) if n}, zero_mean=True)
+
+
+def circle_fields(band):
+    modes = [(n,) for n in range(-band, band + 1) if n]
+    table = st.dictionaries(
+        st.sampled_from(modes),
+        st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0),
+        min_size=1,
+    )
+    return table.map(lambda c: SpectralField(1, band, c, zero_mean=True))
+
+
+small_circle_fields = st.integers(1, 4).flatmap(circle_fields)
+circle_field_pairs = st.integers(1, 4).flatmap(
+    lambda band: st.tuples(circle_fields(band), circle_fields(band))
+)
+
+
+def solve(f, scale):
+    """Sum-space split with the H^{-1/2} weights scaled by ``scale``."""
+    freq = np.abs(mode_matrix(1, f.band)[:, 0]).astype(float)
+    weights = np.where(freq > 0, scale * np.maximum(freq, 1.0) ** -0.5, 1.0)
+    split = sum_space_norm(f, tol=SOLVER_TOL, weights=weights)
+    assert 0.0 <= split.gap <= SOLVER_TOL
+    return split
+
+
+@SOLVER_SETTINGS
+@given(pair=circle_field_pairs, scale=weight_scales)
+@example(pair=(BAND_3_FLAT, BAND_3_FLAT.scale(0.5j)), scale=4.5)
+def test_sum_space_triangle_inequality(pair, scale):
+    f, g = pair
+    total = solve(f + g, scale)
+    # A reported value overestimates the optimum by at most its gap.
+    assert total.value <= solve(f, scale).value + solve(g, scale).value + total.gap + 1e-12
+
+
+@SOLVER_SETTINGS
+@given(f=small_circle_fields, scale=weight_scales, lam=st.floats(0.1, 10.0))
+@example(f=BAND_3_FLAT, scale=4.5, lam=3.0)
+def test_sum_space_homogeneity(f, scale, lam):
+    base = solve(f, scale)
+    scaled = solve(f.scale(lam), scale)
+    slack = scaled.gap + lam * base.gap + 1e-12 * (1.0 + scaled.value)
+    assert abs(scaled.value - lam * base.value) <= slack
+
+
+@SOLVER_SETTINGS
+@given(f=small_circle_fields, scale=weight_scales)
+@example(f=BAND_3_FLAT, scale=4.5)
+def test_sum_space_below_pure_splits(f, scale):
+    split = solve(f, scale)
+    sobolev = scale * sobolev_norm(f, -0.5)
+    l1 = l1_norm(inverse_transform(f, default_points(f.band)))
+    assert split.value <= min(sobolev, l1) + SOLVER_TOL
