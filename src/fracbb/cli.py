@@ -14,6 +14,7 @@ caps the worker count of sample loops.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -40,7 +41,7 @@ from .fileio import (
     write_json,
 )
 from .kernels import KernelSpec, sup_norm_scan
-from .norms import l1_norm, l2_norm, sobolev_norm, sum_space_norm
+from .norms import SumSpaceSplit, l1_norm, l2_norm, sobolev_norm, sum_space_norm
 from .operators import (
     dirac_D,
     dirac_Dbar,
@@ -49,7 +50,7 @@ from .operators import (
     invert_D2,
     riesz,
 )
-from .spectral import default_points, forward_transform, inverse_transform
+from .spectral import forward_transform, inverse_transform
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -242,7 +243,7 @@ def _cmd_norm(args) -> int:
     if args.kind == "sobolev":
         value = sobolev_norm(field, args.s, homogeneous=args.homogeneous)
     else:
-        grid = inverse_transform(field, args.points or default_points(field.band))
+        grid = inverse_transform(field, args.points)
         value = l1_norm(grid) if args.kind == "l1" else l2_norm(grid)
     _emit(
         {
@@ -460,8 +461,8 @@ _HANDLERS = {
 }
 
 
-def _error_report(kind: str, message: str) -> None:
-    sys.stderr.write(dumps_json({"error": kind, "message": message}) + "\n")
+def _error_report(kind: str, message: str, **extra) -> None:
+    sys.stderr.write(dumps_json({"error": kind, "message": message, **extra}) + "\n")
 
 
 def main(argv=None) -> int:
@@ -473,7 +474,12 @@ def main(argv=None) -> int:
         _error_report("input", str(exc))
         return EXIT_INPUT
     except ConvergenceError as exc:
-        _error_report("non-convergence", str(exc))
+        split = exc.partial
+        extra = {}
+        # An overflowed partial has no JSON form; the message still says why.
+        if isinstance(split, SumSpaceSplit) and math.isfinite(split.value + split.gap):
+            extra = dict(value=split.value, gap=split.gap, iterations=split.iterations)
+        _error_report("non-convergence", str(exc), **extra)
         return EXIT_NONCONVERGENCE
     except InvariantViolation as exc:
         _error_report("invariant-violation", str(exc))

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConvergenceError, InputError
 from .norms import sum_space_norm
 from .operators import fractional_laplacian, riesz
-from .spectral import SpectralField, band_indices
+from .spectral import SpectralField, mode_matrix
 
 THREAD_ENV_VAR = "FRACBB_THREADS"
 
@@ -113,13 +113,15 @@ def random_field(cfg: ExperimentConfig, sample_index: int = 0) -> SpectralField:
     order.
     """
     rng = np.random.default_rng([int(cfg.seed), int(sample_index)])
-    modes = [m for m in band_indices(cfg.dim, cfg.band) if any(m)]
-    phases = np.exp(2j * math.pi * rng.uniform(size=len(modes)))
-    coeffs = {}
-    for m, phase in zip(modes, phases):
-        norm = math.sqrt(sum(mj * mj for mj in m))
-        coeffs[m] = norm ** (-cfg.decay) * phase
-    return SpectralField(cfg.dim, cfg.band, coeffs, zero_mean=True)
+    norm_sq = (mode_matrix(cfg.dim, cfg.band) ** 2).sum(axis=1)
+    active = norm_sq > 0
+    phases = np.exp(2j * math.pi * rng.uniform(size=int(active.sum())))
+    # Scalar C pow per mode: numpy's vectorized power can differ in the last
+    # place, which would change every report built on these samples.
+    magnitudes = [math.sqrt(k) ** -cfg.decay for k in norm_sq[active].tolist()]
+    data = np.zeros((1, len(norm_sq)), dtype=complex)
+    data[0, active] = np.array(magnitudes) * phases
+    return SpectralField.from_blade_vectors(cfg.dim, cfg.band, (0,), data, zero_mean=True)
 
 
 def _sample_row(cfg: ExperimentConfig, sample_id: int) -> SampleRow:

@@ -407,7 +407,7 @@ def forward_transform(grid: GridField, band: int, prune_tol: float = 0.0) -> Spe
 
 def inverse_transform(field: SpectralField, points_per_axis: int | None = None) -> GridField:
     """Synthesis ``u(x_k) = sum_m u_hat(m) exp(i<m, x_k>)`` on the uniform grid."""
-    P = int(points_per_axis) if points_per_axis else default_points(field.band)
+    P = default_points(field.band) if points_per_axis is None else int(points_per_axis)
     _check_grid_band(P, field.band)
     dim = field.dim
     scatter = _wrapped_index_arrays(dim, field.band, P)

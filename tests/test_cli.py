@@ -179,7 +179,7 @@ def test_verify_bergman_command(tmp_path):
     assert payload["aggregates"]["max_ratio"] == pytest.approx(math.sqrt(math.pi), rel=1e-3)
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     # input error: missing file
     assert run_cli(["norm", "--in", tmp_path / "missing.json", "--kind", "l1"]) == 2
     # input error: nonzero mean for invD
@@ -195,11 +195,45 @@ def test_exit_codes(tmp_path):
         SpectralField(1, 8, {(n,): complex(rng.normal(), rng.normal()) for n in range(-8, 9) if n}),
         hard,
     )
+    capsys.readouterr()
     code = run_cli([
         "mixed-norm", "--in", hard, "--homogeneous", "--s", 1, "--tol", 1e-15,
         "--max-iterations", 100,
     ])
     assert code == 3
+    # The error report keeps the partial split's value and certificate.
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "non-convergence"
+    assert error["iterations"] == 100
+    assert math.isfinite(error["value"]) and error["value"] > 0
+    assert error["gap"] > 1e-15
+
+
+def test_non_convergence_report_of_an_overflowed_split_is_valid_json(tmp_path, capsys):
+    src = tmp_path / "huge.json"
+    save_coefficients(SpectralField(1, 4, {(1,): 1e300, (-2,): 1e300}, zero_mean=True), src)
+    capsys.readouterr()
+    with np.errstate(all="ignore"):
+        code = run_cli(["mixed-norm", "--in", src, "--homogeneous", "--s", 1,
+                        "--max-iterations", 50])
+    assert code == 3
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "non-convergence" and "value" not in error
+
+
+@pytest.mark.parametrize("args", [
+    ["mixed-norm", "--points", 0],
+    ["mixed-norm", "--points", -3],
+    ["norm", "--kind", "l1", "--points", 0],
+    ["norm", "--kind", "l2", "--points", -1],
+    ["transform", "--direction", "inverse", "--points", 0],
+])
+def test_grid_sizes_below_one_are_rejected(tmp_path, args):
+    # Only an absent --points means the default grid; 0 used to mean it too.
+    src = tmp_path / "f.json"
+    save_coefficients(SpectralField(1, 4, {(1,): 1.0, (-2,): 0.5}, zero_mean=True), src)
+    out = ["--out", tmp_path / "out.csv"] if args[0] == "transform" else []
+    assert run_cli(args + ["--in", src] + out) == 2
 
 
 def test_pipeline_forward_apply_norm(tmp_path, capsys):

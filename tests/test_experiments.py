@@ -14,7 +14,7 @@ from fracbb.experiments import (
     verify_bb,
 )
 from fracbb.norms import sobolev_norm
-from fracbb.spectral import SpectralField
+from fracbb.spectral import SpectralField, band_indices
 
 from oracles import harmonic_sum
 
@@ -100,6 +100,31 @@ def test_random_field_determinism():
         assert (f1.get(m) - f2.get(m)).is_zero()
     f3 = random_field(cfg, 3)
     assert any(not (f1.get(m) - f3.get(m)).is_zero() for m in f1.coeffs)
+
+
+def dict_built_random_field(cfg, sample_index):
+    """Reference: one dict entry per mode through the checked constructor."""
+    rng = np.random.default_rng([cfg.seed, sample_index])
+    modes = [m for m in band_indices(cfg.dim, cfg.band) if any(m)]
+    phases = np.exp(2j * math.pi * rng.uniform(size=len(modes)))
+    coeffs = {}
+    for m, phase in zip(modes, phases):
+        norm = math.sqrt(sum(mj * mj for mj in m))
+        coeffs[m] = norm ** (-cfg.decay) * phase
+    return SpectralField(cfg.dim, cfg.band, coeffs, zero_mean=True)
+
+
+@pytest.mark.parametrize("dim, band", [(1, 1), (1, 64), (2, 1), (2, 12)])
+def test_random_field_matches_dict_built_reference_bit_for_bit(dim, band):
+    for seed in (0, 3, 17):
+        for decay in (1.0, 0.5, 1.7):
+            cfg = ExperimentConfig(dim=dim, band=band, seed=seed, decay=decay)
+            for index in (0, 5):
+                field = random_field(cfg, index)
+                ref = dict_built_random_field(cfg, index)
+                assert field.masks == ref.masks and field.zero_mean
+                # Bit patterns, so signed zeros and last-place differences count.
+                assert np.array_equal(field.data.view(np.uint64), ref.data.view(np.uint64))
 
 
 def test_random_field_band_one_mode_count():

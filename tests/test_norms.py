@@ -207,6 +207,57 @@ def test_mixed_instances_iterate_and_match_oracle():
         assert split.value == pytest.approx(SUBGRADIENT_VALUES[inst["name"]], abs=1e-4)
 
 
+def test_mixed_instance_iteration_counts_are_pinned():
+    # A cheaper iteration must not cost iterations: at tol 1e-6 these are the
+    # counts of the Chambolle-Pock schedule.
+    ceilings = {"mixed_flat_8": 13_550, "mixed_jitter_8": 21_800, "mixed_flat_10": 23_550}
+    for inst in oracle_instances():
+        if inst["name"] not in ceilings:
+            continue
+        split = sum_space_norm(
+            instance_field(inst),
+            s=inst["s"],
+            homogeneous=inst["homogeneous"],
+            tol=1e-6,
+            weights=instance_weight_array(inst),
+            points_per_axis=inst["points"],
+        )
+        assert 0 < split.iterations <= ceilings[inst["name"]], inst["name"]
+
+
+@pytest.mark.parametrize(
+    "dim, band, points, masks, dense",
+    [
+        (1, 8, 32, (0, 1), True),
+        (1, 64, 256, (0, 1), False),
+        (2, 12, 48, (0, 1, 2, 3), True),
+        (2, 33, 132, (0, 3), False),
+        (3, 2, 8, (0, 3, 5, 6), True),
+    ],
+)
+def test_solver_coupling_matches_the_transforms(dim, band, points, masks, dense):
+    from fracbb.norms import _DENSE_MAX_ENTRIES, _coupling
+
+    rng = np.random.default_rng(dim * 1000 + points)
+    forward, adjoint = _coupling(dim, band, points, len(masks))
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    planes = draw(len(masks), *(points,) * dim)
+    grid = GridField(dim, points, dict(zip(masks, planes)))
+    assert np.abs(forward(planes) - forward_transform(grid, band).data).max() <= 1e-13
+
+    rows = draw(len(masks), (2 * band + 1) ** dim)
+    field = SpectralField.from_blade_vectors(dim, band, masks, rows)
+    synthesis = inverse_transform(field, points)
+    expected = np.array([synthesis.comps[mask] for mask in masks])
+    # A* is P**-n times the synthesis.
+    err = np.abs(adjoint(rows) * points**dim - expected).max()
+    assert err <= 1e-13 * max(1.0, np.abs(expected).max())
+    # Dense DFT matrices on one side of the size rule, FFTs on the other.
+    assert (points * (2 * band + 1) <= _DENSE_MAX_ENTRIES) == dense
+
+
 def test_iteration_cap_is_validated_and_kept():
     f = SpectralField(1, 8, {(n,): 1.0 for n in range(-8, 9) if n}, zero_mean=True)
     with pytest.raises(InputError):

@@ -7,7 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from fracbb.clifford import CliffordElement
 from fracbb.fileio import load_coefficients, save_coefficients
-from fracbb.norms import l1_norm, sobolev_norm, sum_space_norm
+from fracbb.norms import (
+    _DENSE_MAX_ENTRIES,
+    _coupling,
+    l1_norm,
+    sobolev_norm,
+    sum_space_norm,
+)
 from fracbb.operators import dirac_D, invert_D, invert_D2
 from fracbb.spectral import (
     SpectralField,
@@ -82,6 +88,39 @@ def test_forward_inverts_inverse_transform(u, extra_points):
     points = 2 * u.band + 1 + extra_points
     back = forward_transform(inverse_transform(u, points), u.band)
     assert_close(back, u, 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(
+    dim=st.integers(1, 3),
+    band=st.integers(1, 3),
+    extra_points=st.integers(0, 3),
+    fft_side=st.booleans(),
+    blades=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solver_coupling_adjoint_identity(dim, band, extra_points, fft_side, blades, seed):
+    # <A g, p> = P**-n <g, S p> with S the synthesis of inverse_transform, and
+    # the solver's adjoint is A* = P**-n S.  Past the size rule (1-D only,
+    # to keep grids small) the pair runs on FFTs instead of dense matrices.
+    points = 2 * band + 1 + extra_points
+    if fft_side:
+        dim, points = 1, _DENSE_MAX_ENTRIES // (2 * band + 1) + 1 + extra_points
+    blades = min(blades, 1 << dim)
+    forward, adjoint = _coupling(dim, band, points, blades)
+    rng = np.random.default_rng(seed)
+    g_shape, p_shape = (blades,) + (points,) * dim, (blades, (2 * band + 1) ** dim)
+    g = rng.normal(size=g_shape) + 1j * rng.normal(size=g_shape)
+    p = rng.normal(size=p_shape) + 1j * rng.normal(size=p_shape)
+    masks = tuple(range(blades))
+    synthesis = inverse_transform(
+        SpectralField.from_blade_vectors(dim, band, masks, p), points
+    )
+    s_p = np.array([synthesis.comps[mask] for mask in masks])
+    lhs = np.vdot(p, forward(g))
+    scale = 1e-12 * max(1.0, np.linalg.norm(g) * np.linalg.norm(p))
+    assert abs(lhs - np.vdot(s_p, g) / points**dim) <= scale
+    assert abs(lhs - np.vdot(adjoint(p), g)) <= scale
 
 
 @PROPERTY_SETTINGS
