@@ -15,6 +15,7 @@ from .decomposition import (
     solve_decomposition,
 )
 from .disk import (
+    CorpusReport,
     PowerSeries,
     RatioReport,
     analytic_projection,
@@ -25,6 +26,7 @@ from .disk import (
     hminus_half_boundary_norm,
     mixed_boundary_norm,
     random_series,
+    verify_bergman,
 )
 from .errors import (
     AliasingError,
@@ -81,6 +83,7 @@ __all__ = [
     "CliffordElement",
     "ComplementResult",
     "ConvergenceError",
+    "CorpusReport",
     "DecompositionResult",
     "DiracSeriesTrace",
     "ExperimentConfig",
@@ -136,4 +139,5 @@ __all__ = [
     "sum_space_norm",
     "sup_norm_scan",
     "verify_bb",
+    "verify_bergman",
 ]

@@ -7,8 +7,8 @@ tables are CSV; both carry a schema-version field and serialize floats with
 rows are canonically ordered and no timestamps are written.
 
 Exit codes: 0 success, 2 input error, 3 numerical non-convergence,
-4 internal invariant violation.  The ``FRACBB_THREADS`` environment variable
-caps the worker count of sample loops.
+4 internal invariant violation.  Input errors include malformed or non-finite
+coefficient and grid files, and experiment settings that cannot run.
 """
 
 from __future__ import annotations
@@ -17,11 +17,9 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .decomposition import solve_decomposition
-from .disk import RADIUS_LADDER, bbb_ratio, random_series
+from .disk import RADIUS_LADDER, verify_bergman
 from .errors import ConvergenceError, InputError, InvariantViolation, ToolkitError
 from .experiments import (
     ExperimentConfig,
@@ -345,19 +343,6 @@ def _cmd_verify_bb(args) -> int:
 
 
 def _cmd_verify_bergman(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    max_ratio = 0.0
-    convention = []
-    for series_id in range(args.corpus_size):
-        series = random_series(args.order, args.decay, rng)
-        report = bbb_ratio(series, args.radii, tol=args.tol)
-        convention.append(report.weight_convention_ratio)
-        for row in report.rows:
-            rows.append(
-                (series_id, row.r, row.bergman, row.l1, row.hminushalf, row.mixed, row.ratio)
-            )
-            max_ratio = max(max_ratio, row.ratio)
     config_echo = {
         "corpus_size": args.corpus_size,
         "decay": args.decay,
@@ -366,10 +351,14 @@ def _cmd_verify_bergman(args) -> int:
         "tol": args.tol,
         "seed": args.seed,
     }
+    report = verify_bergman(**config_echo)
     write_csv_report(
         args.out,
         ["series_id", "r", "bergman", "l1", "hminushalf", "mixed", "ratio"],
-        rows,
+        [
+            (series_id, row.r, row.bergman, row.l1, row.hminushalf, row.mixed, row.ratio)
+            for series_id, row in report.rows
+        ],
         config=config_echo,
     )
     payload = {
@@ -377,8 +366,8 @@ def _cmd_verify_bergman(args) -> int:
         "command": "verify-bergman",
         "config": config_echo,
         "aggregates": {
-            "max_ratio": max_ratio,
-            "mean_weight_convention_ratio": float(np.mean(convention)) if convention else 1.0,
+            "max_ratio": report.max_ratio,
+            "mean_weight_convention_ratio": report.mean_weight_convention_ratio,
         },
     }
     if args.out_json:

@@ -174,11 +174,6 @@ class CliffordElement:
             return True
         return self.norm() <= tol
 
-    def max_grade(self) -> int:
-        if not self.comps:
-            return 0
-        return max(mask.bit_count() for mask in self.comps)
-
     # -- algebra -----------------------------------------------------------
 
     def _require_same_n(self, other: "CliffordElement") -> None:

@@ -32,9 +32,6 @@ from .spectral import (
     project_zero_mean,
 )
 
-SUM_RATIO_CEILING_FACTOR = 1.0 / math.sqrt(2.0)
-
-
 @dataclass(frozen=True)
 class DecompositionResult:
     """Parts, reconstruction residual, and norm report of one solve."""

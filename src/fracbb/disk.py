@@ -48,9 +48,6 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, z):
-        return np.polyval(self.coeffs[::-1], z)
-
     def is_zero(self) -> bool:
         return not np.any(self.coeffs)
 
@@ -103,9 +100,7 @@ def disk_boundary_weights(band: int) -> np.ndarray:
     return (1.0 + np.abs(mm[:, 0]).astype(float)) ** -0.5
 
 
-def mixed_boundary_norm(
-    f: PowerSeries, r: float, tol: float = 1e-6, **solver_kwargs
-) -> SumSpaceSplit:
+def mixed_boundary_norm(f: PowerSeries, r: float, tol: float = 1e-6) -> SumSpaceSplit:
     """Sum-space norm ``L1 + H^{-1/2}`` of the boundary trace at radius ``r``."""
     trace = boundary_trace(f, r)
     return sum_space_norm(
@@ -114,7 +109,6 @@ def mixed_boundary_norm(
         homogeneous=False,
         tol=tol,
         weights=disk_boundary_weights(trace.band),
-        **solver_kwargs,
     )
 
 
@@ -137,10 +131,7 @@ class RatioReport:
 
 
 def bbb_ratio(
-    f: PowerSeries,
-    radii: Sequence[float] = RADIUS_LADDER,
-    tol: float = 1e-6,
-    **solver_kwargs,
+    f: PowerSeries, radii: Sequence[float] = RADIUS_LADDER, tol: float = 1e-6
 ) -> RatioReport:
     """Per-radius ratio ``bergman(f_r) / mixed_boundary_norm(f, r)``.
 
@@ -157,7 +148,7 @@ def bbb_ratio(
         grid = inverse_transform(trace, default_points(trace.band))
         l1 = l1_norm(grid)
         hm = hminus_half_boundary_norm(f, r)
-        split = mixed_boundary_norm(f, r, tol=tol, **solver_kwargs)
+        split = mixed_boundary_norm(f, r, tol=tol)
         ratio = berg / split.value if split.value > 0 else math.inf
         if not f.is_zero():
             section_norm = sobolev_norm(trace, -0.5, homogeneous=False)
@@ -199,9 +190,52 @@ def analytic_projection(u: SpectralField) -> tuple[PowerSeries, PowerSeries]:
 
 def random_series(order: int, decay: float, rng: np.random.Generator) -> PowerSeries:
     """Random series with ``|a_n| ~ n**(-decay)`` and uniform phases."""
+    if order < 0:
+        raise InputError(f"series order must be >= 0, got {order!r}")
     if not math.isfinite(decay):
         raise InputError(f"decay must be finite, got {decay!r}")
     n = np.arange(order + 1)
-    magnitude = np.maximum(n, 1) ** (-float(decay))
+    with np.errstate(over="ignore"):
+        magnitude = np.maximum(n, 1) ** (-float(decay))
+    if not np.isfinite(magnitude).all():
+        raise InputError(f"decay {decay!r} overflows the coefficients of order {order}")
     phase = np.exp(2j * math.pi * rng.uniform(size=order + 1))
     return PowerSeries(magnitude * phase)
+
+
+@dataclass(frozen=True)
+class CorpusReport:
+    """Per-radius rows of every series in a random corpus, keyed by series id."""
+
+    rows: tuple[tuple[int, RatioRow], ...]
+    max_ratio: float
+    mean_weight_convention_ratio: float
+
+
+def verify_bergman(
+    corpus_size: int, decay: float, order: int, radii: Sequence[float], tol: float, seed: int
+) -> CorpusReport:
+    """:func:`bbb_ratio` over ``corpus_size`` random series drawn from one seeded rng.
+
+    Series ``k`` is the ``k``-th draw of ``random_series(order, decay, rng)``
+    with ``rng = default_rng(seed)``, so a corpus is a prefix of any larger one.
+    """
+    if corpus_size < 1:
+        raise InputError(f"corpus size must be >= 1, got {corpus_size!r}")
+    if not radii:
+        raise InputError("need at least one radius")
+    rng = np.random.default_rng(seed)
+    rows = []
+    max_ratio = 0.0
+    convention = []
+    for series_id in range(corpus_size):
+        report = bbb_ratio(random_series(order, decay, rng), radii, tol=tol)
+        convention.append(report.weight_convention_ratio)
+        for row in report.rows:
+            rows.append((series_id, row))
+            max_ratio = max(max_ratio, row.ratio)
+    return CorpusReport(
+        rows=tuple(rows),
+        max_ratio=max_ratio,
+        mean_weight_convention_ratio=float(np.mean(convention)),
+    )

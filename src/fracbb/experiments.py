@@ -10,16 +10,14 @@ pairs.  No reference value for C exists, so the harness reports ratio
 statistics and never asserts a target.
 
 Determinism contract: every sample draws from a substream derived from
-``(seed, sample index)``, so results do not depend on execution order or
-parallelism, and reports are emitted sorted by sample id.
+``(seed, sample index)``, so results do not depend on execution order, and
+reports are emitted sorted by sample id.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,17 +26,6 @@ from .errors import ConvergenceError, InputError
 from .norms import sum_space_norm
 from .operators import fractional_laplacian, riesz
 from .spectral import SpectralField, mode_matrix
-
-THREAD_ENV_VAR = "FRACBB_THREADS"
-
-
-def worker_count() -> int:
-    raw = os.environ.get(THREAD_ENV_VAR, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -94,11 +81,12 @@ class InequalityReport:
     def median_ratio(self) -> float:
         return float(np.median([row.ratio for row in self.rows])) if self.rows else 0.0
 
-    def ratio_quantiles(self, qs: Sequence[float] = (0.1, 0.5, 0.9)) -> dict[str, float]:
+    def ratio_quantiles(self) -> dict[str, float]:
         values = [row.ratio for row in self.rows]
-        if not values:
-            return {f"q{int(100 * q)}": 0.0 for q in qs}
-        return {f"q{int(100 * q)}": float(np.quantile(values, q)) for q in qs}
+        return {
+            f"q{int(100 * q)}": float(np.quantile(values, q)) if values else 0.0
+            for q in (0.1, 0.5, 0.9)
+        }
 
     @property
     def failure_rate(self) -> float:
@@ -160,29 +148,12 @@ def verify_bb(cfg: ExperimentConfig, strict: bool = True) -> InequalityReport:
     """
     rows: list[SampleRow] = []
     failures: list[int] = []
-
-    def run(sample_id: int):
+    for sample_id in range(cfg.samples):
         try:
-            return _sample_row(cfg, sample_id)
+            rows.append(_sample_row(cfg, sample_id))
         except ConvergenceError:
-            return sample_id
-
-    workers = min(worker_count(), cfg.samples)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, range(cfg.samples)))
-    else:
-        outcomes = [run(i) for i in range(cfg.samples)]
-    for outcome in outcomes:
-        if isinstance(outcome, SampleRow):
-            rows.append(outcome)
-        else:
-            failures.append(outcome)
-    report = InequalityReport(
-        config=cfg,
-        rows=tuple(sorted(rows, key=lambda row: row.sample_id)),
-        failures=tuple(sorted(failures)),
-    )
+            failures.append(sample_id)
+    report = InequalityReport(config=cfg, rows=tuple(rows), failures=tuple(failures))
     if strict and report.failure_rate > 0.01:
         raise ConvergenceError(
             f"optimizer failure rate {report.failure_rate:.1%} exceeds 1%",
@@ -229,9 +200,11 @@ def dirac_pair_limit(theta: float) -> float:
     return math.pi - theta_mod
 
 
-def bilinear_A_diracs(
-    a: float, b: float, truncations: Sequence[int], chunk: int = 1 << 16
-) -> DiracSeriesTrace:
+#: Terms per block of the partial-sum scan; fixes the summation order.
+_DIRAC_BLOCK = 1 << 16
+
+
+def bilinear_A_diracs(a: float, b: float, truncations: Sequence[int]) -> DiracSeriesTrace:
     """Partial-sum trace of the pairing on two point masses at angles a, b.
 
     Uses the raw point-mass coefficient convention ``g_n = exp(i n a)`` (no
@@ -251,7 +224,7 @@ def bilinear_A_diracs(
     sup_partial = 0.0
     start = 1
     while start <= top:
-        stop = min(start + chunk - 1, top)
+        stop = min(start + _DIRAC_BLOCK - 1, top)
         n = np.arange(start, stop + 1, dtype=float)
         partials = running + 2.0 * np.cumsum(np.sin(n * theta) / n)
         sup_partial = max(sup_partial, float(np.abs(partials).max()))

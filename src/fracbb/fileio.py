@@ -16,6 +16,7 @@ inputs produce identical bytes.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 import math
@@ -23,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .clifford import CliffordElement, mask_to_subset, subset_to_mask
+from .clifford import MAX_GENERATORS, CliffordElement, mask_to_subset, subset_to_mask
 from .errors import InputError, InvariantViolation
 from .spectral import GridField, SpectralField
 
@@ -88,7 +89,7 @@ def write_json(path, value) -> None:
 
 def field_to_jsonable(field: SpectralField) -> dict:
     entries = []
-    for m, element in field.sorted_items():
+    for m, element in field.coeffs.items():
         for subset, value in element.items_by_subset():
             entries.append(
                 {
@@ -120,6 +121,8 @@ def field_from_jsonable(data: dict) -> SpectralField:
             value = complex(float(entry["re"]), float(entry["im"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed coefficient entry {entry!r}") from exc
+        if not cmath.isfinite(value):
+            raise InputError(f"non-finite coefficient in entry {entry!r}")
         mask = subset_to_mask(subset, dim)
         comps = coeffs.setdefault(m, {})
         comps[mask] = comps[mask] + value if mask in comps else value
@@ -178,6 +181,8 @@ def save_grid_csv(grid: GridField, path) -> None:
 
 
 def load_grid_csv(path, dim: int) -> GridField:
+    if not 1 <= dim <= MAX_GENERATORS:
+        raise InputError(f"grid dimension must lie in [1, {MAX_GENERATORS}], got {dim}")
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -196,16 +201,23 @@ def load_grid_csv(path, dim: int) -> GridField:
             raise InputError(f"mismatched component pair {re_name!r}, {im_name!r}")
         masks.append(_label_to_mask(re_name[3:], dim))
     count = len(rows)
+    if count == 0:
+        raise InputError(f"grid file {path} has no data rows")
     points = round(count ** (1.0 / dim))
     if points**dim != count:
         raise InputError(f"{count} grid rows do not form a cubic {dim}-D grid")
-    data = np.array([[float(v) for v in row] for row in rows], dtype=float)
-    if data.shape[1] != len(header):
+    if any(len(row) != len(header) for row in rows):
         raise InputError("grid CSV rows have inconsistent width")
+    try:
+        data = np.array([[float(v) for v in row] for row in rows], dtype=float)
+    except ValueError as exc:
+        raise InputError(f"non-numeric grid CSV cell: {exc}") from exc
+    if not np.isfinite(data).all():
+        raise InputError("grid CSV has a non-finite cell")
+    # Each (re, im) column pair is one complex column, bit for bit, signed zeros too.
+    planes = data.view(complex)
     shape = (points,) * dim
-    comps = {}
-    for i, mask in enumerate(masks):
-        comps[mask] = (data[:, 2 * i] + 1j * data[:, 2 * i + 1]).reshape(shape)
+    comps = {mask: planes[:, i].reshape(shape) for i, mask in enumerate(masks)}
     return GridField(dim, points, comps)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError
 from .operators import _symbol_table
-from .spectral import SpectralField, freq_norm, inverse_transform
+from .spectral import SpectralField, default_points, freq_norm, inverse_transform
 
 #: Sup-ratio threshold between consecutive bands above which a scan reports
 #: divergence.  No reference constant exists for the sup growth; the
@@ -244,19 +244,11 @@ class ScanReport:
     rows: tuple[ScanRow, ...]
     diverging: bool
 
-    def sups(self) -> list[float]:
-        return [row.sup for row in self.rows]
 
+def sup_norm_scan(spec: KernelSpec, bands: Sequence[int]) -> ScanReport:
+    """Empirical sup of truncated kernels on the default grid of each band.
 
-def sup_norm_scan(
-    spec: KernelSpec,
-    bands: Sequence[int],
-    oversample: int = 4,
-    ratio_threshold: float = DIVERGENCE_RATIO,
-) -> ScanReport:
-    """Empirical sup of truncated kernels over an oversampled grid per band.
-
-    Flags divergence when the sup grows by more than ``ratio_threshold``
+    Flags divergence when the sup grows by more than ``DIVERGENCE_RATIO``
     between consecutive bands.
     """
     bands = [int(b) for b in bands]
@@ -267,13 +259,12 @@ def sup_norm_scan(
     diverging = False
     for band in bands:
         k = replace(spec, band=band).build()
-        points = max(oversample * band, 2 * band + 1)
-        grid = inverse_transform(k, points)
+        grid = inverse_transform(k, default_points(band))
         sup = float(grid.magnitude().max())
         ratio = None
         if previous is not None and previous > 0:
             ratio = sup / previous
-            if ratio > ratio_threshold:
+            if ratio > DIVERGENCE_RATIO:
                 diverging = True
         rows.append(ScanRow(band=band, sup=sup, ratio=ratio))
         previous = sup

@@ -4,7 +4,7 @@ The sum-space norm of a band-limited field is the infimal convolution
 
     ||f|| = inf { ||g||_L1 + ||h||_{H^s} : g + h = f },
 
-discretized with ``g`` living on the oversampled grid (where L1 is local) and
+discretized with ``g`` living on the quadrature grid (where L1 is local) and
 ``h`` on the coefficient table (where the Sobolev norm is diagonal).  With
 ``A`` the band-limited forward transform, ``W`` the Sobolev weights
 (``W**2`` is the weight of the norm) and ``w`` the quadrature weight, a dual

@@ -170,12 +170,10 @@ class SpectralField:
         masks: Iterable[int],
         vectors: np.ndarray,
         zero_mean: bool = False,
-        prune_tol: float = 0.0,
     ) -> "SpectralField":
         """Field from per-blade coefficient rows aligned with ``mode_list``.
 
-        ``vectors`` has shape ``(len(masks), modes)`` and is copied.  Modes
-        whose largest component is at most ``prune_tol`` in size become zero.
+        ``vectors`` has shape ``(len(masks), modes)`` and is copied.
         """
         _check_shape(dim, band)
         masks = tuple(int(mask) for mask in masks)
@@ -187,8 +185,6 @@ class SpectralField:
                              f"{len(masks)} blades on band {band}")
         order = sorted(range(len(masks)), key=masks.__getitem__)
         data = data[order]  # a copy, in increasing mask order
-        if prune_tol > 0:
-            data[:, np.abs(data).max(axis=0) <= prune_tol] = 0
         field = cls.__new__(cls)
         field._assign(dim, band, tuple(masks[r] for r in order), data, zero_mean)
         return field
@@ -208,9 +204,6 @@ class SpectralField:
         if col is None:
             return CliffordElement.zero(self.dim)
         return self._element(col)
-
-    def sorted_items(self) -> list[tuple[Index, CliffordElement]]:
-        return list(self.coeffs.items())
 
     def mean_coefficient(self) -> CliffordElement:
         return self.get((0,) * self.dim)
@@ -331,10 +324,6 @@ class GridField:
         self.comps = cleaned
 
     @classmethod
-    def zeros(cls, dim: int, points_per_axis: int) -> "GridField":
-        return cls(dim, points_per_axis, {0: np.zeros((points_per_axis,) * dim, complex)})
-
-    @classmethod
     def from_scalar(cls, values: np.ndarray, dim: int | None = None) -> "GridField":
         values = np.asarray(values, dtype=complex)
         dim = values.ndim if dim is None else dim
@@ -380,11 +369,11 @@ def _check_grid_band(points: int, band: int) -> None:
 
 
 def default_points(band: int) -> int:
-    """Default oversampled grid size for a given band."""
+    """Default grid size for a given band: ``OVERSAMPLE * band``, at least ``2*band + 1``."""
     return max(OVERSAMPLE * band, 2 * band + 1)
 
 
-def forward_transform(grid: GridField, band: int, prune_tol: float = 0.0) -> SpectralField:
+def forward_transform(grid: GridField, band: int) -> SpectralField:
     """Fourier coefficients of grid samples by uniform-grid quadrature.
 
     Exact to roundoff for band-limited inputs; raises ``AliasingError`` when
@@ -402,7 +391,7 @@ def forward_transform(grid: GridField, band: int, prune_tol: float = 0.0) -> Spe
     for row, mask in enumerate(masks):
         hat = np.fft.fftn(grid.comps[mask]) * scale
         vectors[row] = hat[gather]
-    return SpectralField.from_blade_vectors(dim, band, masks, vectors, prune_tol=prune_tol)
+    return SpectralField.from_blade_vectors(dim, band, masks, vectors)
 
 
 def inverse_transform(field: SpectralField, points_per_axis: int | None = None) -> GridField:

@@ -329,3 +329,40 @@ def test_non_finite_settings_exit_with_input_error(args, tmp_path, capsys):
     assert run_cli(args) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "input"
     assert not (tmp_path / "bergman.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify-bergman", "--corpus-size", 0],
+        ["verify-bergman", "--corpus-size", 1, "--radii", ""],
+        ["verify-bergman", "--corpus-size", 1, "--order", -1],
+        ["verify-bergman", "--corpus-size", 1, "--order", 24, "--decay", -300],
+    ],
+)
+def test_verify_bergman_rejects_bad_settings(args, tmp_path, capsys):
+    # Settings that cannot give a finite report fail before any solve or write.
+    assert run_cli(args + ["--out", tmp_path / "bergman.csv"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+    assert not (tmp_path / "bergman.csv").exists()
+
+
+BAD_INPUT_FILES = [
+    ("nan.json", '{"dim": 1, "band": 2, "entries": [{"m": [1], "alpha": [], "re": NaN, "im": 0}]}',
+     ["norm", "--kind", "l2"]),
+    ("inf.json", '{"dim": 1, "band": 2, "entries": [{"m": [1], "alpha": [], "re": 1, "im": Infinity}]}',
+     ["apply-op", "--op", "riesz"]),
+    ("dim0.csv", "re_1,im_1\n1.0,0.0\n1.0,0.0\n",
+     ["transform", "--direction", "forward", "--dim", 0, "--band", 1]),
+    ("header_only.csv", "re_1,im_1\n",
+     ["transform", "--direction", "forward", "--dim", 1, "--band", 1]),
+]
+
+
+@pytest.mark.parametrize("name, text, args", BAD_INPUT_FILES, ids=[c[0] for c in BAD_INPUT_FILES])
+def test_bad_input_files_exit_with_input_error(name, text, args, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_text(text)
+    out = ["--out", tmp_path / "out.json"] if args[0] == "transform" else []
+    assert run_cli(args + ["--in", path] + out) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "input"

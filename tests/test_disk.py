@@ -14,6 +14,7 @@ from fracbb.disk import (
     hminus_half_boundary_norm,
     mixed_boundary_norm,
     random_series,
+    verify_bergman,
 )
 from fracbb.errors import InputError
 from fracbb.norms import l1_norm, sum_space_norm
@@ -200,3 +201,22 @@ def test_random_series_decay_law():
     mags = np.abs(f.coeffs)
     n = np.arange(21)
     assert np.allclose(mags, np.maximum(n, 1) ** -1.5, atol=1e-12)
+
+
+@pytest.mark.parametrize("order, decay", [(-1, 1.0), (24, -300.0)])
+def test_random_series_rejects_series_that_cannot_run(order, decay):
+    # An empty series has ratio inf; 24**300 overflows to a non-finite coefficient.
+    with pytest.raises(InputError):
+        random_series(order, decay, np.random.default_rng(0))
+
+
+def test_verify_bergman_is_bbb_ratio_over_seeded_draws():
+    radii = (0.9, 0.99)
+    report = verify_bergman(corpus_size=3, order=8, decay=1.0, radii=radii, tol=1e-6, seed=4)
+    rng = np.random.default_rng(4)
+    per_series = [bbb_ratio(random_series(8, 1.0, rng), radii, tol=1e-6) for _ in range(3)]
+    assert report.rows == tuple((k, row) for k, rep in enumerate(per_series) for row in rep.rows)
+    assert report.max_ratio == max(rep.max_ratio for rep in per_series)
+    assert report.mean_weight_convention_ratio == pytest.approx(
+        np.mean([rep.weight_convention_ratio for rep in per_series]), rel=1e-15
+    )

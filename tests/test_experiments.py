@@ -250,16 +250,6 @@ def test_lhs_monotone_under_added_modes():
     assert extended.l2_coefficient_norm() >= lhs
 
 
-def test_thread_env_var_does_not_change_results(monkeypatch):
-    cfg = ExperimentConfig(dim=1, band=6, samples=4, seed=13, tol=1e-7)
-    serial = verify_bb(cfg)
-    monkeypatch.setenv("FRACBB_THREADS", "4")
-    threaded = verify_bb(cfg)
-    assert [r.sample_id for r in threaded.rows] == [r.sample_id for r in serial.rows]
-    for a, b in zip(serial.rows, threaded.rows):
-        assert a.lhs == b.lhs and a.rhs == b.rhs and a.ratio == b.ratio
-
-
 def test_experiment_config_validation():
     with pytest.raises(InputError):
         ExperimentConfig(dim=0)

@@ -102,6 +102,31 @@ def test_malformed_inputs(tmp_path):
         load_grid_csv(path3, 1)
 
 
+# (file name, contents, grid dimension; None for a coefficient file)
+BAD_INPUT_FILES = [
+    ("nan.json", '{"dim": 1, "band": 2, "entries": [{"m": [1], "alpha": [], "re": NaN, "im": 0}]}', None),
+    ("inf.json", '{"dim": 1, "band": 2, "entries": [{"m": [1], "alpha": [], "re": 0, "im": -Infinity}]}', None),
+    ("dim0.csv", "re_1,im_1\n1.0,0.0\n1.0,0.0\n", 0),
+    ("dim-1.csv", "re_1,im_1\n1.0,0.0\n1.0,0.0\n", -1),
+    ("dim9.csv", "re_1,im_1\n" + "1.0,0.0\n" * 2**9, 9),
+    ("header_only.csv", "re_1,im_1\n", 1),
+    ("non_numeric.csv", "re_1,im_1\n1.0,0.0\nabc,0.0\n", 1),
+    ("ragged.csv", "re_1,im_1\n1.0,0.0\n1.0,0.0,2.0\n", 1),
+    ("non_finite.csv", "re_1,im_1\n1.0,0.0\ninf,0.0\n", 1),
+]
+
+
+@pytest.mark.parametrize("name, text, dim", BAD_INPUT_FILES, ids=[c[0] for c in BAD_INPUT_FILES])
+def test_bad_input_files_are_rejected_at_load(tmp_path, name, text, dim):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(InputError):
+        if dim is None:
+            load_coefficients(path)
+        else:
+            load_grid_csv(path, dim)
+
+
 def test_non_cubic_grid_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     rows = ["re_1,im_1"] + ["1.0,0.0"] * 5

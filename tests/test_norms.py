@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -129,17 +130,23 @@ def test_three_mode_field_matches_inline_subgradient_oracle():
     assert split.value == pytest.approx(oracle, abs=1e-4)
 
 
+@lru_cache(maxsize=None)
+def solved_oracle_instance(name: str) -> SumSpaceSplit:
+    """The frozen oracle instance ``name`` solved at tol 1e-8, once per session."""
+    inst = next(inst for inst in oracle_instances() if inst["name"] == name)
+    return sum_space_norm(
+        instance_field(inst),
+        s=inst["s"],
+        homogeneous=inst["homogeneous"],
+        tol=1e-8,
+        weights=instance_weight_array(inst),
+        points_per_axis=inst["points"],
+    )
+
+
 def test_matches_frozen_subgradient_oracle():
     for inst in oracle_instances():
-        f = instance_field(inst)
-        split = sum_space_norm(
-            f,
-            s=inst["s"],
-            homogeneous=inst["homogeneous"],
-            tol=1e-8,
-            weights=instance_weight_array(inst),
-            points_per_axis=inst["points"],
-        )
+        split = solved_oracle_instance(inst["name"])
         assert split.value == pytest.approx(
             SUBGRADIENT_VALUES[inst["name"]], abs=1e-4
         ), inst["name"]
@@ -149,15 +156,7 @@ def test_mixed_instances_have_integrable_mass():
     mixed = [inst for inst in oracle_instances() if inst["name"].startswith("mixed")]
     assert len(mixed) == 3
     for inst in mixed:
-        f = instance_field(inst)
-        split = sum_space_norm(
-            f,
-            s=inst["s"],
-            homogeneous=inst["homogeneous"],
-            tol=1e-8,
-            weights=instance_weight_array(inst),
-            points_per_axis=inst["points"],
-        )
+        split = solved_oracle_instance(inst["name"])
         assert l1_norm(split.g) > 1.0
 
 
@@ -194,14 +193,7 @@ def test_mixed_instances_iterate_and_match_oracle():
     for inst in oracle_instances():
         if not inst["name"].startswith("mixed"):
             continue
-        split = sum_space_norm(
-            instance_field(inst),
-            s=inst["s"],
-            homogeneous=inst["homogeneous"],
-            tol=1e-8,
-            weights=instance_weight_array(inst),
-            points_per_axis=inst["points"],
-        )
+        split = solved_oracle_instance(inst["name"])
         assert split.iterations > 0, inst["name"]
         assert 0.0 <= split.gap <= 1e-8
         assert split.value == pytest.approx(SUBGRADIENT_VALUES[inst["name"]], abs=1e-4)

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from fracbb.clifford import CliffordElement
-from fracbb.fileio import load_coefficients, save_coefficients
+from fracbb.fileio import load_coefficients, load_grid_csv, save_coefficients, save_grid_csv
 from fracbb.norms import (
     _DENSE_MAX_ENTRIES,
     _coupling,
@@ -16,6 +16,7 @@ from fracbb.norms import (
 )
 from fracbb.operators import dirac_D, invert_D, invert_D2
 from fracbb.spectral import (
+    GridField,
     SpectralField,
     band_indices,
     convolve,
@@ -154,6 +155,38 @@ def test_coefficient_json_round_trip_is_byte_exact(tmp_path_factory, u):
     assert path.read_text() == text
     assert back.blade_masks() == u.blade_masks()
     assert np.array_equal(back.blade_vectors()[1], u.blade_vectors()[1])
+
+
+# Signed zeros, subnormals and the edges of the float range, besides any finite float.
+grid_values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -2.5e-310, 1e308, -1e308]
+)
+
+
+@st.composite
+def grid_fields(draw):
+    dim = draw(st.integers(1, 2))
+    points = draw(st.integers(2, 4))
+    masks = draw(st.lists(st.integers(0, (1 << dim) - 1), min_size=1, max_size=3, unique=True))
+    size = 2 * points**dim
+    planes = {
+        mask: np.array(draw(st.lists(grid_values, min_size=size, max_size=size)))
+        .view(complex)
+        .reshape((points,) * dim)
+        for mask in masks
+    }
+    return GridField(dim, points, planes)
+
+
+@PROPERTY_SETTINGS
+@given(grid=grid_fields())
+@example(grid=GridField(1, 2, {0: np.array([complex(-0.0, -0.0), complex(5e-324, -1e308)])}))
+def test_grid_csv_round_trip_is_byte_exact(tmp_path_factory, grid):
+    path = tmp_path_factory.mktemp("grid") / "g.csv"
+    save_grid_csv(grid, path)
+    text = path.read_bytes()
+    save_grid_csv(load_grid_csv(path, grid.dim), path)
+    assert path.read_bytes() == text
 
 
 # -- the sum-space norm -------------------------------------------------------------
