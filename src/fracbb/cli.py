@@ -127,7 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--homogeneous", action="store_true")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--points", type=int, help="grid for the integrable part")
-    p.add_argument("--max-iterations", type=int, default=100_000)
+    p.add_argument(
+        "--max-iterations", type=int, default=100_000,
+        help="cap on Newton steps plus first-order iterations (default 100000)",
+    )
     p.add_argument("--out")
     p.add_argument("--dump-split", metavar="PREFIX", help="write the achieved split")
 
@@ -291,6 +294,7 @@ def _cmd_mixed_norm(args) -> int:
             "value": split.value,
             "gap": split.gap,
             "iterations": split.iterations,
+            "path": split.path,
         },
         args.out,
     )

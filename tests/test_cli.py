@@ -113,6 +113,19 @@ def test_mixed_norm_command(tmp_path, capsys):
     assert payload["iterations"] >= 1
 
 
+def test_mixed_norm_reports_the_solver_path(tmp_path, capsys):
+    src = tmp_path / "ones.json"
+    save_coefficients(
+        SpectralField(1, 8, {(n,): 1.0 for n in range(-8, 9) if n}, zero_mean=True), src
+    )
+    paths = {}
+    for s in (-0.5, 0.5):
+        assert run_cli(["mixed-norm", "--in", src, "--homogeneous", "--s", s]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        paths[s] = (payload["path"], payload["iterations"] > 0)
+    assert paths == {-0.5: ("closed-form", False), 0.5: ("interior-point", True)}
+
+
 def test_mixed_norm_split_dump(tmp_path, capsys):
     src = tmp_path / "f.json"
     save_coefficients(SpectralField(1, 3, {(1,): 1.0, (2,): 1j}, zero_mean=True), src)

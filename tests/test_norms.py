@@ -32,6 +32,12 @@ from regen_oracle_values import (
 TWO_PI = 2.0 * math.pi
 
 
+def scaled_weights(band, scale):
+    """1-D ``H^{-1/2}`` weights times ``scale``: ``scale * |m|**-1/2``, 1 at the mean."""
+    freq = np.abs(mode_matrix(1, band)[:, 0]).astype(float)
+    return np.where(freq > 0, scale * np.maximum(freq, 1.0) ** -0.5, 1.0)
+
+
 def random_zero_mean(rng, dim, band, decay=1.0):
     coeffs = {}
     for m in band_indices(dim, band):
@@ -217,6 +223,134 @@ def test_mixed_instance_iteration_counts_are_pinned():
         assert 0 < split.iterations <= ceilings[inst["name"]], inst["name"]
 
 
+def all_ones(band):
+    """The zero-mean 1-D field with every coefficient 1."""
+    return SpectralField(1, band, {(n,): 1.0 for n in range(-band, band + 1) if n}, zero_mean=True)
+
+
+def two_blade_field(band):
+    """A seeded zero-mean 1-D field with scalar and vector parts at every mode."""
+    from fracbb.clifford import CliffordElement
+
+    rng = np.random.default_rng([77, 3])
+    coeffs = {
+        (n,): CliffordElement(
+            1, {0: complex(*rng.normal(size=2)), 1: complex(*rng.normal(size=2))}
+        )
+        for n in range(-band, band + 1)
+        if n
+    }
+    return SpectralField(1, band, coeffs, zero_mean=True)
+
+
+def mixed_flat_8(**kwargs) -> SumSpaceSplit:
+    """The frozen mixed_flat_8 instance: all-ones band 8, weights 5|m|^-1/2."""
+    return sum_space_norm(all_ones(8), weights=scaled_weights(8, 5.0), **kwargs)
+
+
+def test_hard_mixed_inputs_certify_in_few_steps():
+    # Inputs on which the first-order method needs 15k-93k iterations or
+    # stops at its 100k cap: all-ones fields at positive exponents, an h = 0
+    # optimum, a two-blade field whose count grew with the grid, and a 2-D
+    # all-ones field under weights 20 |m|^-1.
+    cases = [
+        (all_ones(16), dict(s=0.5)),
+        (all_ones(24), dict(s=0.5)),
+        (all_ones(32), dict(s=0.25)),
+        (all_ones(32), dict(s=0.5)),
+        (all_ones(64), dict(s=0.25)),
+        (all_ones(4), dict(weights=scaled_weights(4, 6.0))),
+        (all_ones(3), dict(weights=scaled_weights(3, 5.0))),
+    ]
+    cases += [
+        (two_blade_field(4), dict(weights=scaled_weights(4, 5.5), points_per_axis=points))
+        for points in (16, 32, 64, 128, 256)
+    ]
+    mm = mode_matrix(2, 3)
+    norm = np.sqrt((mm**2).sum(axis=1))
+    ones_2d = SpectralField(2, 3, {tuple(m): 1.0 for m in mm if any(m)}, zero_mean=True)
+    cases.append((ones_2d, dict(weights=np.where(norm > 0, 20.0 / np.maximum(norm, 1.0), 1.0))))
+    for f, kwargs in cases:
+        split = sum_space_norm(f, tol=1e-6, **kwargs)
+        assert 0.0 <= split.gap <= 1e-6, (f.band, kwargs)
+        assert 0 < split.iterations <= 50, (f.band, kwargs)
+
+
+def test_nonconvergence_carries_the_best_certificate_seen():
+    # Below the interior-point method's reach the first-order tail takes
+    # over and first moves away; a larger cap never reports a worse split.
+    gaps = []
+    for cap in (10, 14, 20, 120, 400):
+        with pytest.raises(ConvergenceError) as err:
+            mixed_flat_8(tol=1e-15, max_iterations=cap)
+        assert err.value.partial.iterations == cap
+        gaps.append(err.value.partial.gap)
+    assert all(0.0 < later <= earlier for earlier, later in zip(gaps, gaps[1:])), gaps
+
+
+def test_closed_form_path_is_named():
+    # With the genuine weights the pure-Sobolev split is optimal.
+    split = sum_space_norm(all_ones(8))
+    assert split.path == "closed-form" and split.iterations == 0
+    assert sum_space_norm(SpectralField(1, 4, {}, zero_mean=True)).path == "closed-form"
+
+
+def test_interior_point_path_is_named():
+    split = mixed_flat_8(tol=1e-6)
+    assert split.path == "interior-point"
+    assert 0 < split.iterations <= 50 and split.gap <= 1e-6
+
+
+def test_first_order_path_is_named_after_a_stall():
+    # At 1e-12 the Newton steps stall on roundoff first; the first-order
+    # method continues from their best split and certifies.
+    split = mixed_flat_8(tol=1e-12)
+    assert split.path == "first-order"
+    assert 50 < split.iterations < 100_000 and split.gap <= 1e-12
+
+
+def test_first_order_path_above_the_size_cap(monkeypatch):
+    # Past the cap the first-order method runs alone from zero, so its count
+    # is that of the two-phase schedule; 34 unknowns is the instance's size.
+    from fracbb import norms
+
+    monkeypatch.setattr(norms, "_INTERIOR_POINT_MAX_UNKNOWNS", 33)
+    split = mixed_flat_8(tol=1e-6)
+    assert split.path == "first-order" and split.iterations == 13_550
+    assert split.value == pytest.approx(SUBGRADIENT_VALUES["mixed_flat_8"], abs=1e-4)
+    monkeypatch.setattr(norms, "_INTERIOR_POINT_MAX_UNKNOWNS", 34)
+    assert mixed_flat_8(tol=1e-6).path == "interior-point"
+
+
+def test_cone_algebra_of_the_interior_point_method():
+    from fracbb.norms import _LorentzCones, _moved, _NTScaling
+
+    rng = np.random.default_rng(11)
+    ids = np.repeat(np.arange(4), [1, 2, 3, 5])
+    cones = _LorentzCones(ids, 4)
+
+    def interior():
+        u = rng.normal(size=len(ids)) + 1j * rng.normal(size=len(ids))
+        return np.sqrt(cones.dot(u, u)) + rng.uniform(0.1, 2.0, 4), u
+
+    s, z, x = interior(), interior(), interior()
+    scaling = _NTScaling(cones, s, z)
+    # W z = W^-1 s = lam, and W undoes W^-1.
+    for got, want in ((scaling.apply(z), scaling.lam), (scaling.inverse(s), scaling.lam),
+                      (scaling.apply(scaling.inverse(x)), x)):
+        assert np.allclose(got[0], want[0], atol=1e-12) and np.allclose(got[1], want[1], atol=1e-12)
+    # divide inverts the Jordan product.
+    t, u = cones.product(x, cones.divide(x, s))
+    assert np.allclose(t, s[0]) and np.allclose(u, s[1])
+    # The largest step ends on the boundary of one cone.
+    d = (rng.normal(size=4), rng.normal(size=len(ids)) + 1j * rng.normal(size=len(ids)))
+    alpha = cones.max_step(x, d)
+    assert math.isfinite(alpha)
+    edge = cones.lorentz(_moved(x, alpha, d))
+    assert edge.min() == pytest.approx(0.0, abs=1e-9) and np.all(edge >= -1e-9)
+    assert np.all(cones.lorentz(_moved(x, 0.99 * alpha, d)) > 0)
+
+
 @pytest.mark.parametrize(
     "dim, band, points, masks, dense",
     [
@@ -254,9 +388,11 @@ def test_iteration_cap_is_validated_and_kept():
     f = SpectralField(1, 8, {(n,): 1.0 for n in range(-8, 9) if n}, zero_mean=True)
     with pytest.raises(InputError):
         sum_space_norm(f, s=0.5, max_iterations=0)
-    # A cap that is not a multiple of the check cadence is not overrun.
+    # A cap that is not a multiple of the check cadence is not overrun.  The
+    # weights of mixed_flat_8 and a tolerance below the interior-point
+    # method's reach make the first-order tail run into the cap.
     with pytest.raises(ConvergenceError) as err:
-        sum_space_norm(f, s=0.5, tol=1e-12, max_iterations=120)
+        sum_space_norm(f, tol=1e-15, weights=scaled_weights(8, 5.0), max_iterations=120)
     assert err.value.partial.iterations == 120
 
 
@@ -328,19 +464,11 @@ def test_nonconvergence_raises_with_partial():
     # Sobolev-only optima can certify with gap exactly zero, so force a
     # genuinely mixed instance (scaled weights) and a tiny iteration cap.
     f = SpectralField(1, 8, {(n,): 1.0 for n in range(-8, 9) if n}, zero_mean=True)
-    from fracbb.spectral import mode_matrix
-
-    mm = mode_matrix(1, 8)
-    warr = np.where(
-        np.abs(mm[:, 0]) > 0,
-        5.0 * np.maximum(np.abs(mm[:, 0]), 1).astype(float) ** -0.5,
-        1.0,
-    )
     with pytest.raises(ConvergenceError) as err:
-        sum_space_norm(f, tol=1e-10, weights=warr, max_iterations=200)
+        sum_space_norm(f, tol=1e-10, weights=scaled_weights(8, 5.0), max_iterations=3)
     partial = err.value.partial
     assert isinstance(partial, SumSpaceSplit)
-    assert partial.gap > 0 and partial.iterations == 200
+    assert partial.gap > 0 and partial.iterations == 3
 
 
 def test_custom_weight_validation():
