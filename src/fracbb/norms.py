@@ -31,13 +31,16 @@ it as a second-order-cone program: minimize ``Re<p, f_hat>`` subject to
 keeps each cone of order one) and ``(1, p / W)``, over the active modes, in
 one more.  Its Mehrotra predictor-corrector steps with Nesterov-Todd scaling
 follow the embedded conic solvers ECOS (Domahidi, Chu and Boyd, ECC 2013)
-and CVXOPT's ``coneqp`` (Andersen, Dahl and Vandenberghe), in numpy.  The
-Newton matrix ``G^T W^-2 G`` is two matmuls with the dense ``A*`` (the
-adjoint applied to the identity) plus the Sobolev cone's dense block, and a
-Cholesky factorization checks it.  The primal split is an output: the
-vector part of grid cone ``x``'s multiplier, divided by ``w``, is ``g(x)``,
-and every step's ``(g, p)`` goes to the same certificate.  The frozen mixed
-instances certify at tol 1e-6 in 11-12 steps.
+and CVXOPT's ``coneqp`` (Andersen, Dahl and Vandenberghe), in numpy, with
+the cones' vector parts stored as real arrays.  The Newton matrix ``G^T W^-2
+G`` comes from the transform's structure: its grid block depends on the
+modes only through ``m - n`` and ``m + n``, so one forward transform at band
+``2N`` of per-cell arrays gives every entry, placed by cached gather tables.
+The Sobolev cone adds its dense block, and a Cholesky factorization checks
+the matrix.  The primal split is an output: the vector part of grid cone
+``x``'s multiplier, divided by ``w``, is ``g(x)``, and every step's ``(g,
+p)`` goes to the same certificate.  The frozen mixed instances certify at
+tol 1e-6 in 11-12 steps.
 
 When the Newton steps stall before the gap reaches ``tol`` (on roundoff,
 typically at an absolute gap of 1e-11 to 1e-8), the first-order primal-dual
@@ -53,13 +56,14 @@ every instance that needs the iteration.  ``iterations`` counts Newton steps
 and first-order iterations together, against one cap.
 
 The size rule was measured on a 2-CPU machine with one BLAS thread, on the
-all-ones 2-D field at ``s = 0.5``.  A Newton step took 65, 128, 186 and 330
-ms at 578, 722, 882 and 1058 unknowns (bands 8-11), against 64-127 us for a
-first-order iteration.  The solves took 0.72 / 1.7 / 2.2 / 5.3 s (11-16
-steps) against 0.76 / 1.2 / 4.9 s (11,800 / 16,000 / 51,400 iterations) and
-an exit at the 100k cap after 12.7 s.  So the two methods cross near 600-900
-unknowns, and the cap sits where a Newton step still costs under a third of
-a second.
+all-ones 2-D field at ``s = 0.5``.  A Newton step took 22, 39, 62 and 91 ms
+at 578, 722, 882 and 1058 unknowns (bands 8-11), against 63-88 us for a
+first-order iteration.  The solves took 0.25 / 0.51 / 0.75 / 1.45 s (11-16
+steps) against 0.74 / 1.1 / 3.9 s (11,800 / 16,000 / 51,400 iterations) and
+an exit at the 100k cap after 8.8 s.  So the interior-point method is the
+faster one at every size measured, and the crossover lies above 1058
+unknowns, past the cap.  At 1058 unknowns the Cholesky check and the two
+dense solves take three quarters of a step.
 
 The coupling pair ``A``/``A*`` is built once per solve and realized in one of
 two ways, chosen from the band and the grid alone.  While the per-axis DFT
@@ -252,7 +256,9 @@ def _coupling(dim: int, band: int, points: int, blades: int):
 
 #: Largest number of real dual unknowns, ``2 * blades * modes``, that the
 #: interior-point method takes on; past it the first-order method runs from
-#: zero.  The module docstring gives the measured crossover.
+#: zero.  Newton steps of 22-91 ms at 578-1058 unknowns beat the first-order
+#: method at every size measured (see the module docstring), so the cap sits
+#: below the crossover.
 _INTERIOR_POINT_MAX_UNKNOWNS = 1024
 #: Newton steps after which the interior-point method hands over, the
 #: default iteration limit of the ECOS and CVXOPT conic solvers.  It
@@ -266,21 +272,21 @@ _STEP_FRACTION = 0.99
 class _LorentzCones:
     """A product of second-order cones ``{(t, u) : |u| <= t}``.
 
-    A point is a pair ``(t, u)``: ``t`` holds one real per cone, and the
-    complex array ``u`` holds the vector parts of all cones end to end, entry
-    ``k`` belonging to cone ``ids[k]``.
+    A point is a pair ``(t, u)``: ``t`` holds one real per cone, and the real
+    array ``u`` holds the vector parts of all cones end to end, entry ``k``
+    belonging to cone ``ids[k]``.
     """
 
     def __init__(self, ids: np.ndarray, count: int):
         self.ids, self.count = ids, count
 
     def dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Real inner product of two vector parts, one per cone."""
-        return np.bincount(self.ids, u.real * v.real + u.imag * v.imag, self.count)
+        """Inner product of two vector parts, one per cone."""
+        return np.bincount(self.ids, u * v, self.count)
 
     def inner(self, x, y) -> float:
-        """Real inner product of two points over all cones."""
-        return float(x[0] @ y[0] + np.vdot(x[1], y[1]).real)
+        """Inner product of two points over all cones."""
+        return float(x[0] @ y[0] + x[1] @ y[1])
 
     def lorentz(self, x) -> np.ndarray:
         """``t**2 - |u|**2`` per cone, factored to stay accurate near the boundary."""
@@ -302,13 +308,26 @@ class _LorentzCones:
     def max_step(self, x, d) -> float:
         """Largest ``alpha`` keeping ``x + alpha d`` in the cones, ``x`` inside."""
         n = np.sqrt(self.lorentz(x))
-        xt, xu = x[0] / n, x[1] / n[self.ids]
+        return self.max_step_normalized(n, x[0] / n, x[1] / n[self.ids], d)
+
+    def max_step_normalized(self, n, xt, xu, d) -> float:
+        """:meth:`max_step` from ``x = n * (xt, xu)`` with ``(xt, xu)`` of unit Lorentz norm."""
         c = xt * d[0] - self.dot(xu, d[1])
         # The hyperbolic rotation taking x to n * (1, 0) takes d to
         # n * (c / n, rho_u); the step ends where |rho_u| = 1/alpha + c/n.
         rho_u = (d[1] - ((c + d[0]) / (xt + 1.0))[self.ids] * xu) / n[self.ids]
         excess = float((np.sqrt(self.dot(rho_u, rho_u)) - c / n).max())
         return 1.0 / excess if excess > 0 else math.inf
+
+
+def _sum_space_cones(blades: int, cells: int, active: int) -> _LorentzCones:
+    """The cones of the dual program: one per grid cell, then the Sobolev cone.
+
+    The vector parts are the real views of the complex arrays ``(blades,
+    cells)`` (grid cone ``x`` holds column ``x``) and ``(blades, active)``.
+    """
+    grid = np.repeat(np.tile(np.arange(cells), blades), 2)
+    return _LorentzCones(np.concatenate([grid, np.full(2 * blades * active, cells)]), cells + 1)
 
 
 def _moved(x, alpha: float, d):
@@ -332,6 +351,7 @@ class _NTScaling:
         zt, zu = z[0] / nz, z[1] / nz[ids]
         gamma = np.sqrt((1.0 + st * zt + cones.dot(su, zu)) / 2.0)
         self.cones = cones
+        self._s, self._z = (ns, st, su), (nz, zt, zu)
         self.beta = np.sqrt(ns / nz)
         self.wt = (st + zt) / (2.0 * gamma)
         self.wu = (su - zu) / (2.0 * gamma)[ids]
@@ -353,16 +373,117 @@ class _NTScaling:
         """``W^-1 x``."""
         return self.apply(x, -1.0)
 
+    def inverse_squared(self, u):
+        """``W^-2 (0, u)``: ``(-2 wt wu.u, u + 2 wu (wu.u)) / beta**2``."""
+        d = 2.0 * self.cones.dot(self.wu, u)
+        scale = self.beta**-2.0
+        return -self.wt * d * scale, (u + d[self.cones.ids] * self.wu) * scale[self.cones.ids]
+
+    def max_step(self, ds, dz) -> float:
+        """Largest ``alpha`` keeping ``s + alpha ds`` and ``z + alpha dz`` in the cones."""
+        step = self.cones.max_step_normalized
+        return min(step(*self._s, ds), step(*self._z, dz))
+
+
+@lru_cache(maxsize=4)
+def _newton_gathers(dim: int, band: int, blades: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather tables placing band-2N spectra in the grid block of ``G^T W^-2 G``.
+
+    On the real unknowns the 2x2 block of blades ``b, c`` at modes ``m, n``
+    is ``(Re, -Im; Im, Re)`` of ``T_bc[m - n]`` plus ``(Re, Im; Im, -Re)`` of
+    ``H_bc[m + n]`` (see :func:`_newton_matrix`).  Both tables index one flat
+    real array: the real views of the ``2 * blades**2`` spectra (``T`` then
+    ``H``, pair ``(b, c)`` at ``b * blades + c``), then the same entries
+    negated, so a sign is an offset.  Shared cached storage; treat as
+    read-only.
+    """
+    mm = mode_matrix(dim, band)
+    width = 4 * band + 1
+    place = width ** np.arange(dim - 1, -1, -1)
+    modes, spectrum = len(mm), width**dim
+    negated = 2 * blades * blades * spectrum * 2
+    pair = blades * np.arange(blades)[:, None] + np.arange(blades)
+    pair = pair.reshape(blades, 1, 1, blades, 1, 1)
+    part = np.array([[0, 1], [1, 0]]).reshape(1, 1, 2, 1, 1, 2)
+    size = 2 * blades * modes
+
+    def table(offset: int, modes_at: np.ndarray, sign: list) -> np.ndarray:
+        at = ((modes_at + 2 * band) @ place).reshape(1, modes, 1, 1, modes, 1)
+        flip = negated * np.array(sign).reshape(1, 1, 2, 1, 1, 2)
+        index = ((offset + pair) * spectrum + at) * 2 + part + flip
+        index = np.ascontiguousarray(index.reshape(size, size), dtype=np.intp)
+        index.flags.writeable = False
+        return index
+
+    return (
+        table(0, mm[:, None, :] - mm[None, :, :], [[0, 1], [0, 0]]),
+        table(blades * blades, mm[:, None, :] + mm[None, :, :], [[0, 0], [0, 1]]),
+    )
+
+
+def _newton_matrix(
+    dim: int,
+    band: int,
+    points: int,
+    blades: int,
+    weight: np.ndarray,
+    h_mask: np.ndarray,
+    quad_w: float,
+) -> Callable[["_NTScaling"], np.ndarray]:
+    """``newton_matrix(scaling)``: ``G^T W^-2 G`` on the real unknowns ``p.view(float)``.
+
+    ``G`` takes ``p`` to the vector parts ``-A* p(x) / w`` of the grid cones
+    and ``-p / W`` of the Sobolev cone (see :func:`_interior_point`), and
+    ``W^-2`` has the vector block ``d (I + 2 wu wu^T)`` at a cone, with
+    ``d = beta**-2``.  As ``A* p(x) = sum_m p_m e^{i m.x} / P**n``, grid cone
+    ``x`` adds ``d (delta_bc + om_b conj(om_c)) e^{-i (m - n).x}`` to the
+    complex-linear entry of blades ``b, c`` at modes ``m, n``, and ``d om_b
+    om_c e^{-i (m + n).x}`` to the conjugate-linear one, both over ``P**(2n)
+    w**2``, where ``om`` is the complex view of ``wu`` at ``x``.  Summed over
+    the grid, each is a forward transform at band ``2N`` of a per-cell array,
+    read at ``m - n`` (the Toeplitz part ``T``) or ``m + n`` (the Hankel part
+    ``H``): one transform of ``2 * blades**2`` planes per step, placed by
+    :func:`_newton_gathers`, instead of dense products with the synthesis
+    matrix.  The Sobolev cone adds its diagonal plus rank-one block on the
+    active modes.
+    """
+    cells = points**dim
+    shape = (2 * blades * blades,) + (points,) * dim
+    forward, _ = _coupling(dim, 2 * band, points, shape[0])
+    toeplitz_at, hankel_at = _newton_gathers(dim, band, blades)
+    delta = np.eye(blades)[:, :, None]
+    cut = 2 * blades * cells
+    # The Sobolev cone's entries in the real unknowns.
+    active = np.flatnonzero(np.broadcast_to(h_mask[:, None], (blades, len(h_mask), 2)))
+    active_block = np.ix_(active, active)
+    inv_w_real = np.tile(np.repeat(1.0 / weight[h_mask], 2), blades)
+
+    def newton_matrix(scaling: "_NTScaling") -> np.ndarray:
+        om = scaling.wu[:cut].view(complex)
+        row, col = om.reshape(blades, 1, cells), om.reshape(1, blades, cells)
+        pairs = np.concatenate((row * col.conj() + delta, row * col))
+        d = (quad_w * scaling.beta[:cells]) ** -2.0 / cells
+        spectra = forward((pairs * d).reshape(shape)).ravel().view(float)
+        spectra = np.concatenate((spectra, -spectra))
+        matrix = spectra[toeplitz_at] + spectra[hankel_at]
+        scale = inv_w_real / scaling.beta[cells]
+        u = scaling.wu[cut:] * scale
+        matrix[active, active] += scale**2
+        matrix[active_block] += 2.0 * np.outer(u, u)
+        return matrix
+
+    return newton_matrix
+
 
 def _interior_point(
     fvec: np.ndarray,
+    band: int,
     weight: np.ndarray,
     h_mask: np.ndarray,
     quad_w: float,
     shape: tuple[int, ...],
     forward,
     adjoint,
-    synthesis: np.ndarray,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield the split's ``g`` and the dual point ``p`` after each Newton step.
 
@@ -373,59 +494,35 @@ def _interior_point(
     cones; the multiplier ``z`` of that constraint is the primal split, ``g(x)``
     the vector part of grid cone ``x``'s multiplier divided by ``w``.  Each
     step is a Mehrotra predictor-corrector step with Nesterov-Todd scaling,
-    from ``p = 0`` and ``s = z = (1, 0)``.  ``synthesis`` is the dense ``A*``
-    of one blade, ``(grid points, modes)``.  The generator returns when a
-    step fails: a point that left the cones' interior, a Newton matrix whose
+    from ``p = 0`` and ``s = z = (1, 0)``.  Cone vector parts are real; the
+    complex views meet the transforms.  The generator returns when a step
+    fails: a point that left the cones' interior, a Newton matrix whose
     Cholesky factorization breaks down, a non-finite direction or a zero
     step.
     """
-    nblades, modes = fvec.shape
-    cells = synthesis.shape[0]
+    nblades = len(fvec)
+    dim, points = len(shape), shape[0]
+    cells = points**dim
     planes = (nblades,) + shape
     inv_w = 1.0 / weight[h_mask]
     cut = nblades * cells
-    cones = _LorentzCones(
-        np.concatenate([np.tile(np.arange(cells), nblades), np.full(nblades * len(inv_w), cells)]),
-        cells + 1,
-    )
-    # The Sobolev cone's entries in the real unknowns p.view(float).
-    active = np.flatnonzero(np.broadcast_to(h_mask[:, None], (nblades, modes, 2)))
-    inv_w_real = np.tile(np.repeat(inv_w, 2), nblades)
-    conj_synthesis = synthesis.conj()
+    cones = _sum_space_cones(nblades, cells, len(inv_w))
+    newton_matrix = _newton_matrix(dim, band, points, nblades, weight, h_mask, quad_w)
 
     def couple(p):
         """Vector parts of ``G p``; its scalar parts are zero."""
-        return np.concatenate([adjoint(p).ravel() / -quad_w, (p[:, h_mask] * -inv_w).ravel()])
+        return np.concatenate(
+            [adjoint(p).ravel() / -quad_w, (p[:, h_mask] * -inv_w).ravel()]
+        ).view(float)
 
     def couple_t(u):
         """``G^T`` of a point with vector parts ``u``."""
+        u = u.view(complex)
         out = forward(u[:cut].reshape(planes)) / -quad_w
         out[:, h_mask] -= u[cut:].reshape(nblades, -1) * inv_w
         return out
 
-    def newton_matrix(scaling: _NTScaling) -> np.ndarray:
-        """``G^T W^-2 G`` on the real unknowns ``p.view(float)``."""
-        d = (quad_w * scaling.beta[:cells]) ** -2.0
-        # The identity part is one block per blade: the real form of A D A*.
-        c = conj_synthesis.T @ (d[:, None] * synthesis)
-        block = np.empty((modes, 2, modes, 2))
-        block[:, 0, :, 0] = block[:, 1, :, 1] = c.real
-        block[:, 1, :, 0] = c.imag
-        block[:, 0, :, 1] = -c.imag
-        matrix = np.kron(np.eye(nblades), block.reshape(2 * modes, 2 * modes))
-        # The rank-one part: row x of v is the gradient of Re<wu(x), A* p(x)>.
-        wu = scaling.wu[:cut].reshape(nblades, cells)
-        v = (wu.T[:, :, None] * conj_synthesis[:, None, :]).copy().view(float)
-        v = v.reshape(cells, -1)
-        matrix += v.T @ (2.0 * d[:, None] * v)
-        # The Sobolev cone's dense block.
-        scale = inv_w_real / scaling.beta[cells]
-        u = scaling.wu[cut:].view(float) * scale
-        matrix[active, active] += scale**2
-        matrix[np.ix_(active, active)] += 2.0 * np.outer(u, u)
-        return matrix
-
-    identity = (np.ones(cones.count), np.zeros(len(cones.ids), complex))
+    identity = (np.ones(cones.count), np.zeros(len(cones.ids)))
     p, s, z = np.zeros_like(fvec), identity, identity
     for _ in range(_INTERIOR_POINT_MAX_STEPS):
         if not (np.all(cones.lorentz(s) > 0) and np.all(cones.lorentz(z) > 0)):
@@ -438,36 +535,36 @@ def _interior_point(
             return
         r_x = couple_t(z[1]) + fvec
         r_z = (s[0] - 1.0, couple(p) + s[1])
+        scaled_r_z = scaling.inverse(r_z)
 
         def direction(r_c):
             """Newton direction ``(dp, ds, dz)`` with ``lam o (W^-1 ds + W dz) = r_c``."""
             t, u = cones.divide(scaling.lam, r_c)
-            rt, ru = scaling.inverse(r_z)
-            rhs = -r_x - couple_t(scaling.inverse((rt + t, ru + u))[1])
+            v = (scaled_r_z[0] + t, scaled_r_z[1] + u)
+            scaled_v = scaling.inverse(v)
+            rhs = -r_x - couple_t(scaled_v[1])
             dp = np.linalg.solve(matrix, rhs.view(float).ravel()).view(complex)
             dp = dp.reshape(fvec.shape)
             gdp = couple(dp)
-            rt, ru = scaling.inverse((r_z[0], r_z[1] + gdp))
-            return dp, (-r_z[0], -r_z[1] - gdp), scaling.inverse((rt + t, ru + u))
-
-        def step_to_boundary(ds, dz):
-            return min(cones.max_step(s, ds), cones.max_step(z, dz))
+            # dz = W^-1 v + W^-2 G dp, with W^-1 r_z inside v once a step.
+            rt, ru = scaling.inverse_squared(gdp)
+            return dp, (-r_z[0], -r_z[1] - gdp), (scaled_v[0] + rt, scaled_v[1] + ru)
 
         # Predictor: the affine direction, r_c = -lam o lam.
         gap = cones.inner(s, z)
         lt, lu = cones.product(scaling.lam, scaling.lam)
         _, ds, dz = direction((-lt, -lu))
-        alpha = min(1.0, step_to_boundary(ds, dz))
+        alpha = min(1.0, scaling.max_step(ds, dz))
         ratio = cones.inner(_moved(s, alpha, ds), _moved(z, alpha, dz)) / gap
         sigma = min(1.0, max(0.0, ratio)) ** 3
         # Corrector: centring at sigma * mu plus the second-order term.
         ct, cu = cones.product(scaling.inverse(ds), scaling.apply(dz))
         dp, ds, dz = direction((sigma * gap / cones.count - lt - ct, -lu - cu))
-        alpha = min(1.0, _STEP_FRACTION * step_to_boundary(ds, dz))
+        alpha = min(1.0, _STEP_FRACTION * scaling.max_step(ds, dz))
         if not (alpha > 0 and all(np.isfinite(a).all() for a in (dp, *ds, *dz))):
             return
         p, s, z = p + alpha * dp, _moved(s, alpha, ds), _moved(z, alpha, dz)
-        yield z[1][:cut].reshape(planes) / quad_w, p
+        yield z[1].view(complex)[:cut].reshape(planes) / quad_w, p
 
 
 #: Iterations between two duality-gap checks of the iterative solver.
@@ -602,12 +699,7 @@ def sum_space_norm(
     best = best_p = None
     iterations = 0
     if 2 * fvec.size <= _INTERIOR_POINT_MAX_UNKNOWNS:
-        modes = fvec.shape[1]
-        _, scalar_adjoint = _coupling(dim, band, P, modes)
-        synthesis = scalar_adjoint(np.eye(modes)).reshape(modes, cell_count).T
-        steps = _interior_point(
-            fvec, weight, h_mask, quad_w, shape, forward, adjoint, synthesis
-        )
+        steps = _interior_point(fvec, band, weight, h_mask, quad_w, shape, forward, adjoint)
         for gq, pq in steps:
             iterations += 1
             upper, gap, g_adj, h_rep = certificate(gq, pq)

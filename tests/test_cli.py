@@ -351,6 +351,7 @@ def test_non_finite_settings_exit_with_input_error(args, tmp_path, capsys):
         ["verify-bergman", "--corpus-size", 1, "--radii", ""],
         ["verify-bergman", "--corpus-size", 1, "--order", -1],
         ["verify-bergman", "--corpus-size", 1, "--order", 24, "--decay", -300],
+        ["verify-bergman", "--corpus-size", 1, "--order", 24, "--decay", -150],
     ],
 )
 def test_verify_bergman_rejects_bad_settings(args, tmp_path, capsys):

@@ -203,9 +203,10 @@ def test_random_series_decay_law():
     assert np.allclose(mags, np.maximum(n, 1) ** -1.5, atol=1e-12)
 
 
-@pytest.mark.parametrize("order, decay", [(-1, 1.0), (24, -300.0)])
+@pytest.mark.parametrize("order, decay", [(-1, 1.0), (24, -300.0), (24, -150.0)])
 def test_random_series_rejects_series_that_cannot_run(order, decay):
-    # An empty series has ratio inf; 24**300 overflows to a non-finite coefficient.
+    # An empty series has ratio inf; 24**300 overflows to a non-finite
+    # coefficient, and 24**150 is finite but its square overflows.
     with pytest.raises(InputError):
         random_series(order, decay, np.random.default_rng(0))
 

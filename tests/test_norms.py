@@ -223,6 +223,25 @@ def test_mixed_instance_iteration_counts_are_pinned():
         assert 0 < split.iterations <= ceilings[inst["name"]], inst["name"]
 
 
+def test_mixed_instance_newton_step_counts_are_pinned():
+    # The interior-point method's exact counts at tol 1e-6: a cheaper Newton
+    # step must take the same steps.
+    counts = {"mixed_flat_8": 11, "mixed_jitter_8": 11, "mixed_flat_10": 12}
+    for inst in oracle_instances():
+        if inst["name"] not in counts:
+            continue
+        split = sum_space_norm(
+            instance_field(inst),
+            s=inst["s"],
+            homogeneous=inst["homogeneous"],
+            tol=1e-6,
+            weights=instance_weight_array(inst),
+            points_per_axis=inst["points"],
+        )
+        assert split.path == "interior-point", inst["name"]
+        assert split.iterations == counts[inst["name"]], inst["name"]
+
+
 def all_ones(band):
     """The zero-mean 1-D field with every coefficient 1."""
     return SpectralField(1, band, {(n,): 1.0 for n in range(-band, band + 1) if n}, zero_mean=True)
@@ -330,7 +349,7 @@ def test_cone_algebra_of_the_interior_point_method():
     cones = _LorentzCones(ids, 4)
 
     def interior():
-        u = rng.normal(size=len(ids)) + 1j * rng.normal(size=len(ids))
+        u = rng.normal(size=len(ids))
         return np.sqrt(cones.dot(u, u)) + rng.uniform(0.1, 2.0, 4), u
 
     s, z, x = interior(), interior(), interior()
@@ -343,12 +362,91 @@ def test_cone_algebra_of_the_interior_point_method():
     t, u = cones.product(x, cones.divide(x, s))
     assert np.allclose(t, s[0]) and np.allclose(u, s[1])
     # The largest step ends on the boundary of one cone.
-    d = (rng.normal(size=4), rng.normal(size=len(ids)) + 1j * rng.normal(size=len(ids)))
+    d = (rng.normal(size=4), rng.normal(size=len(ids)))
     alpha = cones.max_step(x, d)
     assert math.isfinite(alpha)
     edge = cones.lorentz(_moved(x, alpha, d))
     assert edge.min() == pytest.approx(0.0, abs=1e-9) and np.all(edge >= -1e-9)
     assert np.all(cones.lorentz(_moved(x, 0.99 * alpha, d)) > 0)
+
+
+def _dense_newton_matrix(synthesis, scaling, quad_w, blades, active, inv_w_real):
+    """The dense reference: ``G^T W^-2 G`` from the synthesis matrix ``A*``."""
+    cells, modes = synthesis.shape
+    d = (quad_w * scaling.beta[:cells]) ** -2.0
+    conj_synthesis = synthesis.conj()
+    c = conj_synthesis.T @ (d[:, None] * synthesis)
+    block = np.empty((modes, 2, modes, 2))
+    block[:, 0, :, 0] = block[:, 1, :, 1] = c.real
+    block[:, 1, :, 0] = c.imag
+    block[:, 0, :, 1] = -c.imag
+    matrix = np.kron(np.eye(blades), block.reshape(2 * modes, 2 * modes))
+    cut = 2 * blades * cells
+    wu = scaling.wu[:cut].view(complex).reshape(blades, cells)
+    v = (wu.T[:, :, None] * conj_synthesis[:, None, :]).copy().view(float)
+    v = v.reshape(cells, -1)
+    matrix += v.T @ (2.0 * d[:, None] * v)
+    scale = inv_w_real / scaling.beta[cells]
+    u = scaling.wu[cut:] * scale
+    matrix[active, active] += scale**2
+    matrix[np.ix_(active, active)] += 2.0 * np.outer(u, u)
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "dim, band, points, blades, homogeneous",
+    [
+        (1, 4, 16, 1, True),
+        (1, 4, 9, 2, True),  # P < 4N + 1: the band-2N transform wraps
+        (1, 24, 96, 1, False),  # band-2N transform by FFT
+        (2, 2, 8, 1, False),
+        (2, 2, 5, 2, True),
+        (3, 1, 4, 2, True),
+    ],
+)
+def test_structured_newton_matrix_matches_the_dense_reference(
+    dim, band, points, blades, homogeneous
+):
+    from fracbb.norms import _NTScaling, _coupling, _newton_matrix, _sum_space_cones
+
+    rng = np.random.default_rng([dim, band, points, blades])
+    modes = (2 * band + 1) ** dim
+    cells = points**dim
+    quad_w = (TWO_PI / points) ** dim
+    h_mask = np.ones(modes, dtype=bool)
+    if homogeneous:
+        h_mask[modes // 2] = False
+    weight = rng.uniform(0.5, 3.0, modes)
+    inv_w = 1.0 / weight[h_mask]
+    cones = _sum_space_cones(blades, cells, len(inv_w))
+
+    def interior():
+        u = rng.normal(size=len(cones.ids))
+        return np.sqrt(cones.dot(u, u)) + rng.uniform(0.1, 2.0, cones.count), u
+
+    scaling = _NTScaling(cones, interior(), interior())
+    got = _newton_matrix(dim, band, points, blades, weight, h_mask, quad_w)(scaling)
+
+    _, scalar_adjoint = _coupling(dim, band, points, modes)
+    synthesis = scalar_adjoint(np.eye(modes)).reshape(modes, cells).T
+    active = np.flatnonzero(np.broadcast_to(h_mask[:, None], (blades, modes, 2)))
+    inv_w_real = np.tile(np.repeat(inv_w, 2), blades)
+    want = _dense_newton_matrix(synthesis, scaling, quad_w, blades, active, inv_w_real)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    # The same matrix from the operators themselves: columns G e_k, then W^-2
+    # as W^-1 applied twice.
+    _, adjoint = _coupling(dim, band, points, blades)
+    unknowns = np.eye(2 * blades * modes).view(complex).reshape(-1, blades, modes)
+    g_cols = np.array([
+        np.concatenate([adjoint(p).ravel() / -quad_w, (p[:, h_mask] * -inv_w).ravel()])
+        for p in unknowns
+    ]).view(float)
+    w2_cols = np.array([
+        scaling.inverse(scaling.inverse((np.zeros(cones.count), col)))[1] for col in g_cols
+    ])
+    operator_form = g_cols @ w2_cols.T
+    assert np.abs(got - operator_form).max() <= 1e-12 * np.abs(operator_form).max()
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,13 @@ import math
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from fracbb.clifford import CliffordElement
+from fracbb.clifford import (
+    _DENSE_PAIR_THRESHOLD,
+    CliffordElement,
+    _blade_product,
+    _dense_multiply,
+    multiply,
+)
 from fracbb.fileio import load_coefficients, load_grid_csv, save_coefficients, save_grid_csv
 from fracbb.norms import (
     _DENSE_MAX_ENTRIES,
@@ -255,3 +261,97 @@ def test_sum_space_below_pure_splits(f, scale):
     sobolev = scale * sobolev_norm(f, -0.5)
     l1 = l1_norm(inverse_transform(f, default_points(f.band)))
     assert split.value <= min(sobolev, l1) + SOLVER_TOL
+
+
+# -- Clifford axioms ------------------------------------------------------------
+
+blade_values = st.complex_numbers(
+    min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False
+)
+
+
+def clifford_elements(n, min_size=0, max_size=None):
+    masks = st.integers(0, (1 << n) - 1)
+    return st.dictionaries(masks, blade_values, min_size=min_size, max_size=max_size).map(
+        lambda comps: CliffordElement(n, comps)
+    )
+
+
+@st.composite
+def clifford_triples(draw, max_n=5):
+    n = draw(st.integers(1, max_n))
+    return tuple(draw(clifford_elements(n)) for _ in range(3))
+
+
+def assert_products_close(a: CliffordElement, b: CliffordElement, scale: float) -> None:
+    # Each component sums at most 2**n terms of size at most scale per factor.
+    assert (a - b).norm() <= 1e-13 * (1 << a.n) ** 2 * scale
+
+
+@PROPERTY_SETTINGS
+@given(clifford_triples())
+def test_clifford_product_is_associative(xyz):
+    x, y, z = xyz
+    assert_products_close((x * y) * z, x * (y * z), x.norm() * y.norm() * z.norm())
+
+
+@PROPERTY_SETTINGS
+@given(clifford_triples())
+def test_clifford_product_distributes_over_sums(xyz):
+    x, y, z = xyz
+    assert_products_close(x * (y + z), x * y + x * z, x.norm() * (y.norm() + z.norm()))
+    assert_products_close((x + y) * z, x * z + y * z, (x.norm() + y.norm()) * z.norm())
+
+
+@PROPERTY_SETTINGS
+@given(clifford_triples())
+def test_conjugation_is_an_involutive_anti_homomorphism(xyz):
+    x, y, _ = xyz
+    assert x.conjugate().conjugate() == x
+    assert_products_close(
+        (x * y).conjugate(), y.conjugate() * x.conjugate(), x.norm() * y.norm()
+    )
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n), st.integers(1, n))))
+def test_generators_anticommute_and_square_to_one(njk):
+    # e_j e_k + e_k e_j = 2 delta_jk exactly; a bivector squares to -1.
+    n, j, k = njk
+    ej, ek = CliffordElement.basis_vector(n, j), CliffordElement.basis_vector(n, k)
+    one = CliffordElement.scalar(n, 1.0)
+    assert ej * ek + ek * ej == (one + one if j == k else CliffordElement.zero(n))
+    if j != k:
+        assert (ej * ek) * (ej * ek) == -one
+
+
+def blade_sum_product(x: CliffordElement, y: CliffordElement) -> CliffordElement:
+    """``x * y`` expanded blade by blade: bilinearity plus the blade table."""
+    comps: dict[int, complex] = {}
+    for a, va in x.comps.items():
+        for b, vb in y.comps.items():
+            sign, blade = _blade_product(a, b)
+            comps[blade] = comps.get(blade, 0j) + sign * va * vb
+    return CliffordElement(x.n, comps)
+
+
+@st.composite
+def product_pairs(draw, dense):
+    # Below the threshold multiply takes the blade-pair loop, at or above it
+    # the dense table; C_5's 32 blades reach either side.
+    sizes = st.integers(12, 32) if dense else st.integers(1, 11)  # >= 144 or <= 121 pairs
+    x_size, y_size = draw(sizes), draw(sizes)
+    return (
+        draw(clifford_elements(5, min_size=x_size, max_size=x_size)),
+        draw(clifford_elements(5, min_size=y_size, max_size=y_size)),
+    )
+
+
+@PROPERTY_SETTINGS
+@given(st.booleans().flatmap(lambda dense: st.tuples(st.just(dense), product_pairs(dense))))
+def test_product_paths_agree_on_both_sides_of_the_threshold(case):
+    dense, (x, y) = case
+    assert (len(x.comps) * len(y.comps) >= _DENSE_PAIR_THRESHOLD) == dense
+    scale = x.norm() * y.norm()
+    assert_products_close(multiply(x, y), _dense_multiply(x, y), scale)
+    assert_products_close(multiply(x, y), blade_sum_product(x, y), scale)
