@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -93,10 +94,16 @@ def hminus_half_boundary_norm(f: PowerSeries, r: float) -> float:
     return math.sqrt(float(((np.abs(f.coeffs) ** 2) * r ** (2 * n) / (1 + n)).sum()))
 
 
+@lru_cache(maxsize=32)
 def disk_boundary_weights(band: int) -> np.ndarray:
-    """Two-sided area-matched H^{-1/2} weights ``(1 + |n|)**(-1/2)`` per mode."""
+    """Two-sided area-matched H^{-1/2} weights ``(1 + |n|)**(-1/2)`` per mode.
+
+    Shared cached storage, read-only.
+    """
     mm = mode_matrix(1, band)
-    return (1.0 + np.abs(mm[:, 0]).astype(float)) ** -0.5
+    weights = (1.0 + np.abs(mm[:, 0]).astype(float)) ** -0.5
+    weights.flags.writeable = False
+    return weights
 
 
 def mixed_boundary_norm(f: PowerSeries, r: float, tol: float = 1e-6) -> SumSpaceSplit:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -98,18 +99,40 @@ def random_field(cfg: ExperimentConfig, sample_index: int = 0) -> SpectralField:
     """Zero-mean field with magnitudes ``|m|**(-decay)`` and uniform phases.
 
     Fully determined by ``(cfg.seed, sample_index)`` regardless of execution
-    order.
+    order.  Raises :class:`InputError` when the decay overflows a magnitude
+    or the sum of their squares.
     """
+    active, magnitudes = _field_magnitudes(cfg.dim, cfg.band, cfg.decay)
     rng = np.random.default_rng([int(cfg.seed), int(sample_index)])
-    norm_sq = (mode_matrix(cfg.dim, cfg.band) ** 2).sum(axis=1)
+    phases = np.exp(2j * math.pi * rng.uniform(size=len(magnitudes)))
+    data = np.zeros((1, len(active)), dtype=complex)
+    data[0, active] = magnitudes * phases
+    return SpectralField.from_blade_vectors(cfg.dim, cfg.band, (0,), data, zero_mean=True)
+
+
+# Typed: a numpy float decay takes numpy's power below, a float C's.
+@lru_cache(maxsize=32, typed=True)
+def _field_magnitudes(dim: int, band: int, decay: float) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of nonzero modes and their magnitudes ``|m|**(-decay)``.
+
+    Shared cached storage, read-only.
+    """
+    norm_sq = (mode_matrix(dim, band) ** 2).sum(axis=1)
     active = norm_sq > 0
-    phases = np.exp(2j * math.pi * rng.uniform(size=int(active.sum())))
     # Scalar C pow per mode: numpy's vectorized power can differ in the last
     # place, which would change every report built on these samples.
-    magnitudes = [math.sqrt(k) ** -cfg.decay for k in norm_sq[active].tolist()]
-    data = np.zeros((1, len(norm_sq)), dtype=complex)
-    data[0, active] = np.array(magnitudes) * phases
-    return SpectralField.from_blade_vectors(cfg.dim, cfg.band, (0,), data, zero_mean=True)
+    try:
+        magnitudes = np.array([math.sqrt(k) ** -decay for k in norm_sq[active].tolist()])
+    except OverflowError:
+        magnitudes = None
+    # A unit sample divides by the square root of the sum of squares.
+    with np.errstate(over="ignore"):
+        if magnitudes is None or not np.isfinite((magnitudes**2).sum()):
+            raise InputError(
+                f"decay {decay!r} overflows the squared magnitudes of band {band}"
+            )
+    active.flags.writeable = magnitudes.flags.writeable = False
+    return active, magnitudes
 
 
 def _sample_row(cfg: ExperimentConfig, sample_id: int) -> SampleRow:

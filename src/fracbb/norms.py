@@ -22,7 +22,11 @@ occupy.  The split is proven optimal when ``max_x |A* p0|(x) <= w``, the KKT
 condition of the infimal convolution, which costs one adjoint transform.
 (With the mean mode excluded the dual entry there is free, so fixing it at
 zero makes the check sufficient rather than necessary.)  With the genuine
-``H^{-n/2}`` weights every field at desk-scale bands passes.
+``H^{-n/2}`` weights every field at desk-scale bands passes.  The check
+transforms nothing else and reads cached tables: ``A 0`` is zero up to signs
+of zero, kept once per shape, so no forward map and no mean repair run, and
+the default weights, their mask and their square are kept once per ``(dim,
+band, s, homogeneous)``.
 
 Otherwise, when the dual has at most ``_INTERIOR_POINT_MAX_UNKNOWNS`` real
 unknowns (``2 * blades * modes``), a primal-dual interior-point method solves
@@ -152,22 +156,17 @@ def _weights_for(
     s: float,
     homogeneous: bool,
     weights: np.ndarray | Callable | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode Sobolev weights and the mask of modes ``h`` may occupy."""
-    mm = mode_matrix(dim, band)
-    norm_sq = (mm.astype(float) ** 2).sum(axis=1)
-    mask = np.ones(len(mm), dtype=bool)
-    if homogeneous:
-        mask &= norm_sq > 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The weight tables of a solve: ``(W, mask, masked, masked**2)``.
+
+    ``W`` holds the per-mode Sobolev weights, ``mask`` the modes ``h`` may
+    occupy, and ``masked`` is ``W`` with 1 off the mask.  The default weights
+    come from a cache; array and callable weights are checked on every call.
+    """
     if weights is None:
-        # W multiplies h_hat inside an l2 norm, so W**2 must be the Sobolev
-        # weight: |m|**(2s), resp. (1 + |m|**2)**s.
-        w = np.ones(len(mm))
-        if homogeneous:
-            w[mask] = norm_sq[mask] ** (s / 2.0)
-        else:
-            w = (1.0 + norm_sq) ** (s / 2.0)
-    elif callable(weights):
+        return _default_weights(dim, band, float(s), homogeneous)
+    mm = mode_matrix(dim, band)
+    if callable(weights):
         w = np.array([float(weights(tuple(row))) for row in mm])
     else:
         w = np.asarray(weights, dtype=float)
@@ -175,9 +174,36 @@ def _weights_for(
             raise InputError(
                 f"weights must have one entry per mode ({len(mm)}), got {w.shape}"
             )
+    return _weight_tables(w, homogeneous)
+
+
+@lru_cache(maxsize=32)
+def _default_weights(dim: int, band: int, s: float, homogeneous: bool) -> tuple:
+    """:func:`_weights_for` of the ``H^s`` weights.  Shared cached storage, read-only."""
+    norm_sq = (mode_matrix(dim, band).astype(float) ** 2).sum(axis=1)
+    # W multiplies h_hat inside an l2 norm, so W**2 must be the Sobolev
+    # weight: |m|**(2s), resp. (1 + |m|**2)**s.
+    if homogeneous:
+        w = np.ones(len(norm_sq))
+        active = norm_sq > 0
+        w[active] = norm_sq[active] ** (s / 2.0)
+    else:
+        w = (1.0 + norm_sq) ** (s / 2.0)
+    tables = _weight_tables(w, homogeneous)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _weight_tables(w: np.ndarray, homogeneous: bool) -> tuple:
+    """Check ``w`` where ``h`` may be nonzero and derive the tables from it."""
+    mask = np.ones(len(w), dtype=bool)
+    if homogeneous:
+        mask[len(w) // 2] = False  # m = 0, the centre of the band cube
     if np.any(w[mask] <= 0) or not np.all(np.isfinite(w[mask])):
         raise InputError("Sobolev weights must be positive and finite on active modes")
-    return w, mask
+    masked = np.where(mask, w, 1.0)
+    return w, mask, masked, masked**2
 
 
 #: Largest per-axis DFT matrix, ``P * (2N + 1)`` entries, that the solver
@@ -252,6 +278,20 @@ def _coupling(dim: int, band: int, points: int, blades: int):
         return out
 
     return forward, adjoint
+
+
+@lru_cache(maxsize=32)
+def _zero_image(dim: int, band: int, points: int, blades: int) -> np.ndarray:
+    """``A 0``, the coupling's forward map of the zero grid.
+
+    Its entries are zeros, but BLAS can give some of them the sign of -0.0;
+    ``f - A 0`` passes those signs on to ``h`` as a transform would.  Shared
+    cached storage, read-only.
+    """
+    forward, _ = _coupling(dim, band, points, blades)
+    image = forward(np.zeros((blades,) + (points,) * dim, dtype=complex))
+    image.flags.writeable = False
+    return image
 
 
 #: Largest number of real dual unknowns, ``2 * blades * modes``, that the
@@ -612,20 +652,23 @@ def sum_space_norm(
     dim, band = f.dim, f.band
     if s is None:
         s = -dim / 2.0
-    if homogeneous and not f.mean_coefficient().is_zero():
+    masks, fvec = f.masks, f.data
+    # The mean coefficient sits at the centre of the band cube.
+    if homogeneous and fvec[:, fvec.shape[1] // 2].any():
         raise InputError("homogeneous sum-space norm requires a zero-mean field")
     P = default_points(band) if points_per_axis is None else int(points_per_axis)
     if P < 2 * band + 1:
         raise InputError(f"grid of {P} points per axis is too coarse for band {band}")
 
-    masks, fvec = f.masks, f.data
     nblades = len(masks)
     shape = (P,) * dim
     quad_w = (TWO_PI / P) ** dim
     cell_count = P**dim
 
-    weight, h_mask = _weights_for(dim, band, s, homogeneous, weights)
-    if not np.any(fvec):
+    weight, h_mask, masked_weight, masked_weight_sq = _weights_for(
+        dim, band, s, homogeneous, weights
+    )
+    if not fvec.any():
         return SumSpaceSplit(
             g=GridField(dim, P, {mask: np.zeros(shape, complex) for mask in masks}),
             h=SpectralField(dim, band, {}, zero_mean=homogeneous),
@@ -636,30 +679,34 @@ def sum_space_norm(
         )
 
     forward, adjoint = _coupling(dim, band, P, nblades)
-    g = np.zeros((nblades,) + shape, dtype=complex)
-    masked_weight = np.where(h_mask, weight, 1.0)
 
     def certificate(gq, pq):
-        """Feasible primal cost, duality gap, and the repaired split."""
-        Ag = forward(gq)
-        g_adj = gq
-        if homogeneous:
-            # Repair the mean constraint by adding a constant per blade.
-            rho = fvec[:, ~h_mask] - Ag[:, ~h_mask]
-            if rho.size and np.any(rho):
-                g_adj = gq + rho.sum(axis=1).reshape((nblades,) + (1,) * dim)
-                Ag = forward(g_adj)
+        """Feasible primal cost, duality gap, and the repaired split.
+
+        ``gq`` is None for the split ``g = 0``.
+        """
+        if gq is None:
+            # A homogeneous f is zero-mean, so no mean repair is due, and the
+            # L1 term is 0.0 (0.0 + x == x).  A 0 is zero up to signs of
+            # zero that h keeps, so it comes from a cached table.
+            g_adj = np.zeros((nblades,) + shape, dtype=complex)
+            Ag, l1 = _zero_image(dim, band, P, nblades), 0.0
+        else:
+            Ag = forward(gq)
+            g_adj = gq
+            if homogeneous:
+                # Repair the mean constraint by adding a constant per blade.
+                rho = fvec[:, ~h_mask] - Ag[:, ~h_mask]
+                if rho.size and np.any(rho):
+                    g_adj = gq + rho.sum(axis=1).reshape((nblades,) + (1,) * dim)
+                    Ag = forward(g_adj)
+            l1 = quad_w * np.sqrt((np.abs(g_adj) ** 2).sum(axis=0)).sum()
         h_rep = np.where(h_mask, fvec - Ag, 0.0)
-        mag = np.sqrt((np.abs(g_adj) ** 2).sum(axis=0))
-        upper = quad_w * mag.sum() + math.sqrt(
-            ((masked_weight**2) * (np.abs(h_rep) ** 2)).sum()
-        )
+        upper = l1 + math.sqrt((masked_weight_sq * (np.abs(h_rep) ** 2)).sum())
         Ap = adjoint(pq)
         point_norms = np.sqrt((np.abs(Ap) ** 2).sum(axis=0))
         s1 = float(point_norms.max()) / quad_w
-        s2 = math.sqrt(
-            ((np.abs(pq) ** 2)[:, h_mask] / (weight[h_mask] ** 2)).sum()
-        )
+        s2 = math.sqrt(((np.abs(pq) ** 2) / masked_weight_sq)[:, h_mask].sum())
         mu = max(s1, s2, 1.0)
         # Dual feasibility also needs p = -W*q on active modes, so the scaled
         # dual objective is -<p, f_hat>; weak duality gives the lower bound.
@@ -677,7 +724,8 @@ def sum_space_norm(
     def finish(upper, gap, g_adj, h_rep, iterations, path) -> SumSpaceSplit:
         return SumSpaceSplit(
             g=GridField(dim, P, {mask: g_adj[i] for i, mask in enumerate(masks)}),
-            h=SpectralField.from_blade_vectors(dim, band, masks, h_rep, zero_mean=homogeneous),
+            # f's masks are checked and sorted, and h_rep is a fresh array.
+            h=f._with(masks, h_rep, homogeneous),
             value=upper,
             gap=gap,
             iterations=iterations,
@@ -690,7 +738,7 @@ def sum_space_norm(
     weighted = np.where(h_mask, masked_weight * fvec, 0.0)
     weighted_norm = math.sqrt(float((np.abs(weighted) ** 2).sum()))
     if weighted_norm > 0:
-        upper, gap, g_adj, h_rep = certificate(g, -masked_weight * weighted / weighted_norm)
+        upper, gap, g_adj, h_rep = certificate(None, -masked_weight * weighted / weighted_norm)
         if gap <= tol:
             return finish(upper, gap, g_adj, h_rep, 0, "closed-form")
 
@@ -721,6 +769,7 @@ def sum_space_norm(
     base = 0.95 / K_bound
     phases = [(1.0, max_iterations // 4), (math.sqrt(cell_count), max_iterations)]
 
+    g = np.zeros((nblades,) + shape, dtype=complex)
     h = np.zeros_like(fvec)
     p = np.zeros_like(h)
     q = np.zeros_like(h)

@@ -302,6 +302,8 @@ def test_console_script_help():
     [
         ["verify-bb", "--band", 4, "--samples", 1, "--tol", -1],
         ["verify-bb", "--band", 4, "--samples", 1, "--decay", "nan"],
+        ["verify-bb", "--dim", 1, "--band", 8, "--samples", 2, "--decay", -200],
+        ["verify-bb", "--dim", 1, "--band", 8, "--samples", 2, "--decay", -400],
     ],
 )
 def test_verify_bb_rejects_bad_settings(args, capsys):

@@ -180,6 +180,13 @@ def test_disk_boundary_weights():
     assert w[0] == pytest.approx(0.5)  # mode -3
 
 
+def test_disk_boundary_weights_are_cached_and_read_only():
+    w = disk_boundary_weights(3)
+    assert disk_boundary_weights(3) is w
+    with pytest.raises(ValueError):
+        w[0] = 2.0
+
+
 def test_hardy_embedding_empirical_constant_recorded():
     # ||f||_{L2(D)} <= C ||f||_{L1(S1)}: no closed constant exists, so the
     # corpus maximum is recorded and only finiteness is asserted.

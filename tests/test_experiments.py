@@ -270,3 +270,33 @@ def test_settings_that_cannot_run_are_rejected():
         bilinear_A_diracs(math.nan, 0.5, [10])
     with pytest.raises(InputError):
         bilinear_A_diracs(0.5, math.inf, [10])
+
+
+@pytest.mark.parametrize("decay", [-200.0, -400.0])
+def test_decays_that_overflow_are_rejected_before_any_solve(decay, monkeypatch):
+    # At band 8, -200 overflows the squared magnitudes (the unit sample would
+    # be zero) and -400 a magnitude itself; -150 still runs.
+    import fracbb.experiments as experiments
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solver reached")
+
+    monkeypatch.setattr(experiments, "sum_space_norm", no_solve)
+    cfg = ExperimentConfig(dim=1, band=8, samples=2, decay=decay)
+    with pytest.raises(InputError, match="overflows"):
+        verify_bb(cfg)
+    with pytest.raises(InputError, match="overflows"):
+        random_field(cfg)
+    monkeypatch.undo()
+    report = verify_bb(ExperimentConfig(dim=1, band=8, samples=2, decay=-150.0))
+    assert len(report.rows) == 2 and all(math.isfinite(row.ratio) for row in report.rows)
+
+
+def test_random_field_magnitude_table_is_cached_and_read_only():
+    from fracbb.experiments import _field_magnitudes
+
+    tables = _field_magnitudes(2, 5, 1.0)
+    assert _field_magnitudes(2, 5, 1.0) is tables
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[0] = 0

@@ -482,6 +482,121 @@ def test_solver_coupling_matches_the_transforms(dim, band, points, masks, dense)
     assert (points * (2 * band + 1) <= _DENSE_MAX_ENTRIES) == dense
 
 
+def _closed_form_reference(f, s, homogeneous, weights, points):
+    """The certificate of the split ``g = 0`` at ``p0 = -W**2 f / ||W f||``.
+
+    Written out from the solver's formulas as they stand for any ``g``: the
+    forward map of the zero grid, the mean repair, the grid's L1 term and
+    both dual scalings.  Returns ``(value, gap, h)``.
+    """
+    from fracbb.norms import _coupling
+
+    dim, band, fvec = f.dim, f.band, f.data
+    mm = mode_matrix(dim, band)
+    norm_sq = (mm.astype(float) ** 2).sum(axis=1)
+    mask = norm_sq > 0 if homogeneous else np.ones(len(mm), dtype=bool)
+    if weights is None:
+        w = np.ones(len(mm))
+        if homogeneous:
+            w[mask] = norm_sq[mask] ** (s / 2.0)
+        else:
+            w = (1.0 + norm_sq) ** (s / 2.0)
+    elif callable(weights):
+        w = np.array([float(weights(tuple(row))) for row in mm])
+    else:
+        w = np.asarray(weights, dtype=float)
+    masked = np.where(mask, w, 1.0)
+    weighted = np.where(mask, masked * fvec, 0.0)
+    p0 = -masked * weighted / math.sqrt(float((np.abs(weighted) ** 2).sum()))
+
+    blades = len(fvec)
+    quad_w = (TWO_PI / points) ** dim
+    forward, adjoint = _coupling(dim, band, points, blades)
+    g = np.zeros((blades,) + (points,) * dim, dtype=complex)
+    Ag = forward(g)
+    if homogeneous:
+        rho = fvec[:, ~mask] - Ag[:, ~mask]
+        if np.any(rho):
+            g = g + rho.sum(axis=1).reshape((blades,) + (1,) * dim)
+            Ag = forward(g)
+    h = np.where(mask, fvec - Ag, 0.0)
+    upper = quad_w * np.sqrt((np.abs(g) ** 2).sum(axis=0)).sum() + math.sqrt(
+        ((masked**2) * (np.abs(h) ** 2)).sum()
+    )
+    s1 = float(np.sqrt((np.abs(adjoint(p0)) ** 2).sum(axis=0)).max()) / quad_w
+    s2 = math.sqrt(((np.abs(p0) ** 2)[:, mask] / (w[mask] ** 2)).sum())
+    lower = -float(np.real(np.conj(p0) * fvec).sum()) / max(s1, s2, 1.0)
+    return float(upper), max(float(upper - lower), 0.0), h
+
+
+@pytest.mark.parametrize(
+    "dim, band, masks, homogeneous, weight_kind",
+    [
+        (1, 8, (0, 1), False, "callable"),
+        (1, 32, (0,), True, "default"),  # the largest dense DFT matrix
+        (1, 33, (0, 1), True, "default"),  # the smallest FFT grid
+        (1, 64, (0,), False, "array"),
+        (2, 6, (0,), True, "callable"),
+        (2, 12, (0, 3), True, "array"),
+        (2, 33, (0,), False, "default"),
+        (3, 2, (0, 5), True, "default"),
+        (3, 2, (0,), False, "array"),
+    ],
+)
+def test_closed_form_split_matches_the_reference_bit_for_bit(
+    dim, band, masks, homogeneous, weight_kind
+):
+    from fracbb.norms import _DENSE_MAX_ENTRIES, _weights_for, _zero_image
+
+    rng = np.random.default_rng([dim, band, len(masks)])
+    s = -dim / 2.0
+    mm = mode_matrix(dim, band)
+    norm_sq = (mm.astype(float) ** 2).sum(axis=1)
+    # Decaying coefficients, half of them imaginary with a real part of -0.0,
+    # so the signs of zero in h count.
+    data = rng.normal(size=(len(masks), len(mm))) + 1j * rng.normal(size=(len(masks), len(mm)))
+    data /= np.maximum(norm_sq, 1.0)
+    data[:, ::2] = -0.0 + 1j * data[:, ::2].imag
+    if homogeneous:
+        data[:, len(mm) // 2] = 0.0
+    f = SpectralField.from_blade_vectors(dim, band, masks, data, zero_mean=homogeneous)
+    weights = {
+        "default": None,
+        "array": 1.01 * np.where(norm_sq > 0, np.maximum(norm_sq, 1.0) ** (s / 2.0), 1.0),
+        "callable": lambda m: (1.0 + sum(x * x for x in m)) ** (s / 2.0),
+    }[weight_kind]
+    points = 4 * band
+    assert (points * (2 * band + 1) <= _DENSE_MAX_ENTRIES) == (band <= 32)
+
+    split = sum_space_norm(f, s=s, homogeneous=homogeneous, weights=weights)
+    value, gap, h = _closed_form_reference(f, s, homogeneous, weights, points)
+    assert (split.path, split.iterations) == ("closed-form", 0)
+    assert split.value.hex() == value.hex() and split.gap.hex() == gap.hex()
+    assert split.h.masks == f.masks and split.h.zero_mean == homogeneous
+    # Bit patterns, so signed zeros and last-place differences count.
+    assert np.array_equal(split.h.data.view(np.uint64), h.view(np.uint64))
+    assert sorted(split.g.comps) == list(masks)
+    for plane in split.g.comps.values():
+        assert plane.shape == (points,) * dim and not np.any(plane.view(np.uint64))
+
+    # The cached tables: a repeat returns the same objects, and none can be
+    # written.
+    def cached():
+        return [*_weights_for(dim, band, s, homogeneous, None),
+                _zero_image(dim, band, points, len(masks))]
+
+    tables = cached()
+    assert all(a is b for a, b in zip(tables, cached()))
+    for table in tables:
+        with pytest.raises(ValueError):
+            table.flat[0] = 1
+    # Array weights are checked on every call, not cached.
+    if weight_kind == "array":
+        weights[1] = -1.0
+        with pytest.raises(InputError):
+            sum_space_norm(f, s=s, homogeneous=homogeneous, weights=weights)
+
+
 def test_iteration_cap_is_validated_and_kept():
     f = SpectralField(1, 8, {(n,): 1.0 for n in range(-8, 9) if n}, zero_mean=True)
     with pytest.raises(InputError):
