@@ -27,7 +27,6 @@ from .operators import _symbol_table, fractional_laplacian, riesz
 from .spectral import (
     SpectralField,
     _mode_product,
-    default_points,
     inverse_transform,
     project_zero_mean,
 )
@@ -87,10 +86,7 @@ def solve_decomposition(
     reconstruction = _reconstruct(parts, conjugated_riesz)
     residual = (reconstruction - g).l2_coefficient_norm()
     sob = tuple(sobolev_norm(part, dim / 2.0, homogeneous=True) for part in parts)
-    sups = tuple(
-        float(inverse_transform(part, default_points(g.band)).magnitude().max())
-        for part in parts
-    )
+    sups = tuple(float(inverse_transform(part).magnitude().max()) for part in parts)
     g_norm = g.l2_coefficient_norm()
     if g_norm > 0:
         bound_ratio = math.sqrt(sum(v * v for v in sob)) / g_norm

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError
 from .norms import SumSpaceSplit, l1_norm, sobolev_norm, sum_space_norm
-from .spectral import SpectralField, default_points, inverse_transform, mode_matrix
+from .spectral import SpectralField, inverse_transform, mode_matrix
 
 #: Radius ladder approximating the r -> 1 boundary limit.
 RADIUS_LADDER = (0.9, 0.99, 0.999, 0.9999)
@@ -154,7 +154,7 @@ def bbb_ratio(
         fr = dilate(f, r)
         berg = bergman_norm(fr)
         trace = boundary_trace(f, r)
-        grid = inverse_transform(trace, default_points(trace.band))
+        grid = inverse_transform(trace)
         l1 = l1_norm(grid)
         hm = hminus_half_boundary_norm(f, r)
         split = _mixed_trace_norm(trace, tol)

@@ -164,20 +164,17 @@ def _label_to_mask(label: str, dim: int) -> int:
 
 
 def save_grid_csv(grid: GridField, path) -> None:
-    masks = sorted(grid.comps)
     header: list[str] = []
-    for mask in masks:
+    for mask in grid.masks:
         label = blade_label(mask)
         header += [f"re_{label}", f"im_{label}"]
-    flats = [grid.comps[mask].reshape(-1) for mask in masks]
+    # One row per grid point: the (re, im) pairs of its blades, bit for bit.
+    cells = grid.data.reshape(len(grid.masks), -1).T.copy().view(float)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k in range(flats[0].size):
-            row: list[str] = []
-            for flat in flats:
-                row += [format_float(flat[k].real), format_float(flat[k].imag)]
-            writer.writerow(row)
+        for row in cells.tolist():
+            writer.writerow([format_float(v) for v in row])
 
 
 def load_grid_csv(path, dim: int) -> GridField:
@@ -199,7 +196,10 @@ def load_grid_csv(path, dim: int) -> GridField:
             raise InputError(f"unexpected grid CSV columns {re_name!r}, {im_name!r}")
         if re_name[3:] != im_name[3:]:
             raise InputError(f"mismatched component pair {re_name!r}, {im_name!r}")
-        masks.append(_label_to_mask(re_name[3:], dim))
+        mask = _label_to_mask(re_name[3:], dim)
+        if mask in masks:
+            raise InputError(f"repeated blade column pair {re_name!r}, {im_name!r}")
+        masks.append(mask)
     count = len(rows)
     if count == 0:
         raise InputError(f"grid file {path} has no data rows")

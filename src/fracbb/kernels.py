@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError
 from .operators import _symbol_table
-from .spectral import SpectralField, default_points, freq_norm, inverse_transform
+from .spectral import SpectralField, freq_norm, inverse_transform
 
 #: Sup-ratio threshold between consecutive bands above which a scan reports
 #: divergence.  No reference constant exists for the sup growth; the
@@ -259,7 +259,7 @@ def sup_norm_scan(spec: KernelSpec, bands: Sequence[int]) -> ScanReport:
     diverging = False
     for band in bands:
         k = replace(spec, band=band).build()
-        grid = inverse_transform(k, default_points(band))
+        grid = inverse_transform(k)
         sup = float(grid.magnitude().max())
         ratio = None
         if previous is not None and previous > 0:

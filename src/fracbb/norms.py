@@ -69,18 +69,8 @@ faster one at every size measured, and the crossover lies above 1058
 unknowns, past the cap.  At 1058 unknowns the Cholesky check and the two
 dense solves take three quarters of a step.
 
-The coupling pair ``A``/``A*`` is built once per solve and realized in one of
-two ways, chosen from the band and the grid alone.  While the per-axis DFT
-matrix ``E[k, m] = exp(-i m x_k) / P`` has at most 128 * 65 entries (the
-default grid of band 32), both maps are dense matmuls, one per axis, with
-the matrices cached per ``(band, P)``; the band cube is lexicographic, so no
-gather or scatter is needed.  Larger grids run one FFT per axis with a
-gather, and a scatter into one zero cube reused for the whole solve.  On
-small grids numpy call overhead, not arithmetic, sets the cost: on a 2-CPU
-machine a forward/adjoint pair at 32 points and band 8 took 4-8 us as
-matmuls, 17-30 us as per-axis FFTs and 45-52 us as ``fftn`` with gather and
-scatter, while past the rule the matmuls lose (1-D, 512 points, band 128:
-3 times the FFTs; 2-D, 128 points, band 63: 1.3 times).
+The coupling pair ``A``/``A*`` is :func:`spectral._coupling`, the package's
+one transform pair, built once per solve.
 """
 
 from __future__ import annotations
@@ -93,11 +83,12 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import ConvergenceError, InputError, InvariantViolation
-from .spectral import (
+from .spectral import (  # noqa: F401  (_DENSE_MAX_ENTRIES is re-exported with _coupling)
+    _DENSE_MAX_ENTRIES,
     GridField,
     SpectralField,
     TWO_PI,
-    _wrapped_index_arrays,
+    _coupling,
     default_points,
     mode_matrix,
 )
@@ -118,17 +109,23 @@ def sobolev_norm(u: SpectralField, s: float, homogeneous: bool = True) -> float:
 
     The homogeneous variant always excludes the mean; for ``s < 0`` it
     rejects fields with a nonzero mean coefficient (undefined weight at 0).
+    A non-finite ``s``, or one whose weights or weighted sum overflow on the
+    band, is an input error.
     """
+    if not math.isfinite(s):
+        raise InputError(f"Sobolev exponent must be finite, got {s!r}")
     norm_sq = (mode_matrix(u.dim, u.band) ** 2).sum(axis=1).astype(float)
     power = (np.abs(u.data) ** 2).sum(axis=0)
-    if not homogeneous:
-        return math.sqrt(float(((1.0 + norm_sq) ** s * power).sum()))
-    if s < 0 and not u.mean_coefficient().is_zero():
+    if homogeneous and s < 0 and not u.mean_coefficient().is_zero():
         raise InputError(
             "homogeneous norm with negative exponent needs a zero-mean field"
         )
-    active = norm_sq > 0
-    return math.sqrt(float((norm_sq[active] ** s * power[active]).sum()))
+    base, active = (norm_sq, norm_sq > 0) if homogeneous else (1.0 + norm_sq, slice(None))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float((base[active] ** s * power[active]).sum())
+    if not math.isfinite(total):
+        raise InputError(f"Sobolev norm with exponent {s!r} overflows on band {u.band}")
+    return math.sqrt(total)
 
 
 @dataclass
@@ -204,80 +201,6 @@ def _weight_tables(w: np.ndarray, homogeneous: bool) -> tuple:
         raise InputError("Sobolev weights must be positive and finite on active modes")
     masked = np.where(mask, w, 1.0)
     return w, mask, masked, masked**2
-
-
-#: Largest per-axis DFT matrix, ``P * (2N + 1)`` entries, that the solver
-#: applies densely; past it one FFT per axis is faster.  128 * 65 is the
-#: matrix of the default grid of band 32.
-_DENSE_MAX_ENTRIES = 128 * 65
-
-
-@lru_cache(maxsize=32)
-def _dft_matrices(band: int, points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-axis analysis matrix ``E[k, m] = exp(-i m x_k) / P`` and ``E^H``.
-
-    ``E`` has shape ``(P, 2N+1)`` with modes in increasing order; the phase
-    ``m * k`` is reduced modulo ``P`` in integers, so every entry is accurate
-    to roundoff.  Shared cached storage; treat as read-only.
-    """
-    phase = np.outer(np.arange(points), np.arange(-band, band + 1)) % points
-    analysis = np.exp(phase * (-1j * TWO_PI / points)) / points
-    synthesis = np.ascontiguousarray(analysis.conj().T)
-    analysis.flags.writeable = synthesis.flags.writeable = False
-    return analysis, synthesis
-
-
-def _coupling(dim: int, band: int, points: int, blades: int):
-    """The solver's coupling operator ``A`` and its adjoint ``A*``.
-
-    ``A`` maps grid planes ``(blades, P, ..., P)`` to coefficient rows
-    ``(blades, modes)`` as :func:`spectral.forward_transform` does
-    (``fftn / P**n`` restricted to the band); ``A*`` is its adjoint,
-    ``P**-n`` times the synthesis of :func:`spectral.inverse_transform`.  Up
-    to ``_DENSE_MAX_ENTRIES`` entries of the per-axis DFT matrix both apply
-    the cached matrices, one matmul per axis; larger grids run one FFT per
-    axis, in the order ``fftn`` uses, and scatter into one zero cube owned by
-    the pair.
-    """
-    shape = (points,) * dim
-    width = 2 * band + 1
-    if points * width <= _DENSE_MAX_ENTRIES:
-        analysis, synthesis = _dft_matrices(band, points)
-
-        def forward(planes: np.ndarray) -> np.ndarray:
-            # The last axis first; then each earlier axis, with the modes of
-            # the axes already done as a trailing block.
-            out = planes.reshape(-1, points) @ analysis
-            for done in range(1, dim):
-                out = analysis.T @ out.reshape(-1, points, width**done)
-            return out.reshape(blades, -1)
-
-        def adjoint(rows: np.ndarray) -> np.ndarray:
-            out = rows.reshape(-1, width) @ synthesis
-            for done in range(1, dim):
-                out = synthesis.T @ out.reshape(-1, width, points**done)
-            return out.reshape((blades,) + shape)
-
-        return forward, adjoint
-
-    index = (slice(None),) + _wrapped_index_arrays(dim, band, points)
-    axes = range(dim, 0, -1)
-    cell_count = points**dim
-    cube = np.zeros((blades,) + shape, dtype=complex)
-
-    def forward(planes: np.ndarray) -> np.ndarray:
-        for axis in axes:
-            planes = np.fft.fft(planes, axis=axis)
-        return planes[index] / cell_count
-
-    def adjoint(rows: np.ndarray) -> np.ndarray:
-        cube[index] = rows
-        out = cube
-        for axis in axes:
-            out = np.fft.ifft(out, axis=axis)
-        return out
-
-    return forward, adjoint
 
 
 @lru_cache(maxsize=32)
@@ -610,7 +533,8 @@ def _interior_point(
 #: Iterations between two duality-gap checks of the iterative solver.
 _CHECK_EVERY = 50
 #: How far, in units in the last place of the split cost, the lower bound
-#: may exceed it through roundoff before the certificate counts as broken.
+#: may exceed it through roundoff before the certificate counts as broken,
+#: and how large a closed-form gap may be and still count as roundoff.
 _GAP_ROUNDOFF_ULPS = 16
 
 
@@ -637,13 +561,17 @@ def sum_space_norm(
     Chambolle-Pock iteration continues from the best certified split.
     Larger problems run Chambolle-Pock from zero (step ratio 1 up to a
     quarter of ``max_iterations``, then ``sqrt(grid size)``).  The solve
-    stops once the duality-gap certificate drops below ``tol``.
-    ``max_iterations`` caps Newton steps plus first-order iterations; when it
-    runs out first, :class:`ConvergenceError` carries the best certified
-    split seen.  ``path`` names the method that produced the split:
-    ``"closed-form"``, ``"interior-point"`` or ``"first-order"``.  The
-    reported gap is never negative: bounds that cross by roundoff report 0,
-    and a larger crossing raises :class:`InvariantViolation`.
+    stops once the duality-gap certificate drops below ``tol``.  The
+    closed-form split is also accepted when its gap is within
+    ``_GAP_ROUNDOFF_ULPS`` units in the last place of its value, since
+    roundoff alone leaves such a gap on large fields whatever ``tol`` is;
+    the gap is reported as computed.  ``max_iterations`` caps Newton steps
+    plus first-order iterations; when it runs out first,
+    :class:`ConvergenceError` carries the best certified split seen.
+    ``path`` names the method that produced the split: ``"closed-form"``,
+    ``"interior-point"`` or ``"first-order"``.  The reported gap is never
+    negative: bounds that cross by roundoff report 0, and a larger crossing
+    raises :class:`InvariantViolation`.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tolerance must be finite and positive, got {tol!r}")
@@ -670,7 +598,7 @@ def sum_space_norm(
     )
     if not fvec.any():
         return SumSpaceSplit(
-            g=GridField(dim, P, {mask: np.zeros(shape, complex) for mask in masks}),
+            g=GridField._of(dim, P, masks, np.zeros((nblades,) + shape, complex)),
             h=SpectralField(dim, band, {}, zero_mean=homogeneous),
             value=0.0,
             gap=0.0,
@@ -723,8 +651,8 @@ def sum_space_norm(
 
     def finish(upper, gap, g_adj, h_rep, iterations, path) -> SumSpaceSplit:
         return SumSpaceSplit(
-            g=GridField(dim, P, {mask: g_adj[i] for i, mask in enumerate(masks)}),
-            # f's masks are checked and sorted, and h_rep is a fresh array.
+            # f's masks are checked and sorted; g_adj and h_rep are the split's own.
+            g=GridField._of(dim, P, masks, g_adj),
             h=f._with(masks, h_rep, homogeneous),
             value=upper,
             gap=gap,
@@ -739,7 +667,8 @@ def sum_space_norm(
     weighted_norm = math.sqrt(float((np.abs(weighted) ** 2).sum()))
     if weighted_norm > 0:
         upper, gap, g_adj, h_rep = certificate(None, -masked_weight * weighted / weighted_norm)
-        if gap <= tol:
+        roundoff = _GAP_ROUNDOFF_ULPS * math.ulp(upper) if math.isfinite(upper) else 0.0
+        if gap <= max(tol, roundoff):
             return finish(upper, gap, g_adj, h_rep, 0, "closed-form")
 
     # The best certificate seen, (gap, upper, g_adj, h_rep, path), and the

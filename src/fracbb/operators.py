@@ -19,6 +19,7 @@ coefficients, which matters for Clifford-valued fields.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -43,7 +44,8 @@ def _symbol_table(dim: int, band: int, op: str, param=None) -> SpectralField:
     unit = mm / norm[:, None]
     scalar, vector = 0.0, np.zeros(mm.shape)
     if op == "fraclap":
-        scalar = norm ** (2.0 * param)
+        with np.errstate(over="ignore"):
+            scalar = norm ** (2.0 * param)
     elif op == "riesz":
         axis, conjugated = param
         scalar = (-1j if conjugated else 1j) * unit[:, axis - 1]
@@ -74,10 +76,18 @@ def _apply(u: SpectralField, op: str, param=None) -> SpectralField:
 
 
 def fractional_laplacian(u: SpectralField, s: float) -> SpectralField:
-    """Coefficientwise multiplication by ``|m|**(2s)``; the mean is annihilated."""
-    if s <= 0:
-        raise InputError(f"fractional exponent must be positive, got {s}")
-    return _apply(u, "fraclap", float(s))
+    """Coefficientwise multiplication by ``|m|**(2s)``; the mean is annihilated.
+
+    A non-finite ``s``, or a result that overflows (as it does wherever the
+    symbol does), is an input error.
+    """
+    if not (math.isfinite(s) and s > 0):
+        raise InputError(f"fractional exponent must be positive and finite, got {s}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _apply(u, "fraclap", float(s))
+    if not np.isfinite(out.data).all():
+        raise InputError(f"fractional Laplacian with exponent {s} overflows on band {u.band}")
+    return out
 
 
 def riesz(u: SpectralField, axis: int = 1, conjugated: bool = False) -> SpectralField:

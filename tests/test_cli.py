@@ -6,7 +6,9 @@ import sys
 import numpy as np
 import pytest
 
+from fracbb import spectral
 from fracbb.cli import main
+from fracbb.clifford import MAX_GENERATORS
 from fracbb.fileio import load_coefficients, save_coefficients, save_grid_csv
 from fracbb.spectral import GridField, SpectralField, inverse_transform
 
@@ -372,6 +374,8 @@ BAD_INPUT_FILES = [
      ["transform", "--direction", "forward", "--dim", 0, "--band", 1]),
     ("header_only.csv", "re_1,im_1\n",
      ["transform", "--direction", "forward", "--dim", 1, "--band", 1]),
+    ("repeated_blade.csv", "re_1,im_1,re_1,im_1\n" + "1,0,2,0\n" * 3,
+     ["transform", "--direction", "forward", "--dim", 1, "--band", 1]),
 ]
 
 
@@ -382,3 +386,70 @@ def test_bad_input_files_exit_with_input_error(name, text, args, tmp_path, capsy
     out = ["--out", tmp_path / "out.json"] if args[0] == "transform" else []
     assert run_cli(args + ["--in", path] + out) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["kernel", "--dim", 9, "--band", 4, "--out", "k.json"],
+        ["kernel", "--dim", 9, "--band", 1, "--report", "scan.csv", "--scan-bands", "1,2"],
+        ["verify-bb", "--dim", 9, "--samples", 1],
+        ["verify-bb", "--dim", 9, "--band", 1, "--samples", 1],
+    ],
+)
+def test_dimensions_above_the_generator_count_exit_before_any_band_cube(
+    args, tmp_path, monkeypatch, capsys
+):
+    # A band cube of 9**9 modes exhausts memory, so the guard fails the test
+    # if one of dimension 9 is ever started.
+    real_band_indices = spectral.band_indices
+
+    def guarded(dim, band):
+        assert dim <= MAX_GENERATORS, f"a band cube of dimension {dim} was built"
+        return real_band_indices(dim, band)
+
+    monkeypatch.setattr(spectral, "band_indices", guarded)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(args) == 2
+    assert "dimension" in json.loads(capsys.readouterr().err)["message"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["norm", "--kind", "sobolev", "--s", "nan"],
+        ["norm", "--kind", "sobolev", "--s", "inf", "--homogeneous"],
+        ["norm", "--kind", "sobolev", "--s", 1e6],
+        ["norm", "--kind", "sobolev", "--s", 1e6, "--homogeneous"],
+        ["apply-op", "--op", "fraclap", "--s", "nan"],
+        ["apply-op", "--op", "fraclap", "--s", "inf"],
+        ["apply-op", "--op", "fraclap", "--s", 1e6],
+    ],
+)
+def test_non_finite_or_overflowing_exponents_exit_with_input_error(args, tmp_path, capsys):
+    src = tmp_path / "f.json"
+    save_coefficients(SpectralField(1, 4, {(1,): 1.0, (-2,): 0.5}, zero_mean=True), src)
+    assert run_cli(args + ["--in", src, "--out", tmp_path / "out.json"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_fractional_laplacian_result_that_overflows_exits_with_input_error(tmp_path, capsys):
+    # The symbol 4**200 is finite; its product with the coefficient is not.
+    src = tmp_path / "f.json"
+    save_coefficients(SpectralField(1, 4, {(4,): 1e200}, zero_mean=True), src)
+    args = ["apply-op", "--op", "fraclap", "--s", 100, "--in", src, "--out", tmp_path / "o.json"]
+    assert run_cli(args) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
+def test_verify_bergman_certifies_huge_series_in_closed_form(tmp_path):
+    # Boundary values near 1e16: the closed-form gap is a few units in the
+    # last place of the value, far above tol but only roundoff.
+    out = tmp_path / "bergman.csv"
+    args = ["verify-bergman", "--corpus-size", 1, "--order", 24, "--decay", -12, "--out", out]
+    assert run_cli(args) == 0
+    rows = out.read_text().splitlines()[3:]
+    assert len(rows) == 4
+    assert all(float(row.split(",")[-1]) == pytest.approx(math.sqrt(math.pi)) for row in rows)

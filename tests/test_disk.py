@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fracbb.disk import (
+    RADIUS_LADDER,
     PowerSeries,
     analytic_projection,
     bbb_ratio,
@@ -228,3 +229,18 @@ def test_verify_bergman_is_bbb_ratio_over_seeded_draws():
     assert report.mean_weight_convention_ratio == pytest.approx(
         np.mean([rep.weight_convention_ratio for rep in per_series]), rel=1e-15
     )
+
+
+@pytest.mark.parametrize("decay", [-12.0, -30.0, -100.0])
+def test_huge_boundary_traces_certify_in_closed_form_within_roundoff(decay):
+    # Boundary values of 1e15 and more: the closed-form gap is a few units in
+    # the last place of the value, which tol 1e-6 cannot meet but which is
+    # only roundoff.  The gap is reported as computed.
+    f = random_series(24, decay, np.random.default_rng(0))
+    gaps = []
+    for r in RADIUS_LADDER:
+        split = mixed_boundary_norm(f, r)
+        assert (split.path, split.iterations) == ("closed-form", 0)
+        assert split.gap <= 16 * math.ulp(split.value)
+        gaps.append(split.gap)
+    assert max(gaps) > 1e-6

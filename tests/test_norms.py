@@ -467,17 +467,26 @@ def test_solver_coupling_matches_the_transforms(dim, band, points, masks, dense)
     def draw(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
+    # The reference: fftn over the grid axes, with each band mode at its
+    # wrapped position in the FFT cube.
+    axes = tuple(range(1, dim + 1))
+    wrapped = (slice(None),) + tuple(np.mod(mode_matrix(dim, band).T, points))
     planes = draw(len(masks), *(points,) * dim)
+    expected = np.fft.fftn(planes, axes=axes)[wrapped] / points**dim
+    assert np.abs(forward(planes) - expected).max() <= 1e-13
     grid = GridField(dim, points, dict(zip(masks, planes)))
-    assert np.abs(forward(planes) - forward_transform(grid, band).data).max() <= 1e-13
+    assert np.abs(forward_transform(grid, band).data - expected).max() <= 1e-13
 
     rows = draw(len(masks), (2 * band + 1) ** dim)
-    field = SpectralField.from_blade_vectors(dim, band, masks, rows)
-    synthesis = inverse_transform(field, points)
-    expected = np.array([synthesis.comps[mask] for mask in masks])
+    cube = np.zeros_like(planes)
+    cube[wrapped] = rows
+    expected = np.fft.ifftn(cube, axes=axes) * points**dim
     # A* is P**-n times the synthesis.
     err = np.abs(adjoint(rows) * points**dim - expected).max()
     assert err <= 1e-13 * max(1.0, np.abs(expected).max())
+    synthesis = inverse_transform(SpectralField.from_blade_vectors(dim, band, masks, rows), points)
+    synthesis = np.array([synthesis.comps[mask] for mask in masks])
+    assert np.abs(synthesis - expected).max() <= 1e-13 * max(1.0, np.abs(expected).max())
     # Dense DFT matrices on one side of the size rule, FFTs on the other.
     assert (points * (2 * band + 1) <= _DENSE_MAX_ENTRIES) == dense
 
