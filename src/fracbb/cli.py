@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, help="grid for the integrable part")
     p.add_argument(
         "--max-iterations", type=int, default=100_000,
-        help="cap on Newton steps plus first-order iterations (default 100000)",
+        help="cap on Newton steps (default 100000)",
     )
     p.add_argument("--out")
     p.add_argument("--dump-split", metavar="PREFIX", help="write the achieved split")

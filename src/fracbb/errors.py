@@ -20,7 +20,7 @@ class AliasingError(InputError):
 
 
 class ConvergenceError(ToolkitError):
-    """An iterative solver hit its iteration cap before reaching tolerance.
+    """An iterative solver stopped before reaching tolerance: cap reached or steps stalled.
 
     The partial result, when one exists, is attached as ``partial``.
     """

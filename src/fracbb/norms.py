@@ -28,12 +28,11 @@ of zero, kept once per shape, so no forward map and no mean repair run, and
 the default weights, their mask and their square are kept once per ``(dim,
 band, s, homogeneous)``.
 
-Otherwise, when the dual has at most ``_INTERIOR_POINT_MAX_UNKNOWNS`` real
-unknowns (``2 * blades * modes``), a primal-dual interior-point method solves
-it as a second-order-cone program: minimize ``Re<p, f_hat>`` subject to
-``(1, A* p(x) / w)`` in a Lorentz cone at every grid point (dividing by ``w``
-keeps each cone of order one) and ``(1, p / W)``, over the active modes, in
-one more.  Its Mehrotra predictor-corrector steps with Nesterov-Todd scaling
+Otherwise a primal-dual interior-point method solves the dual as a
+second-order-cone program: minimize ``Re<p, f_hat>`` subject to ``(1, A*
+p(x) / w)`` in a Lorentz cone at every grid point (dividing by ``w`` keeps
+each cone of order one) and ``(1, p / W)``, over the active modes, in one
+more.  Its Mehrotra predictor-corrector steps with Nesterov-Todd scaling
 follow the embedded conic solvers ECOS (Domahidi, Chu and Boyd, ECC 2013)
 and CVXOPT's ``coneqp`` (Andersen, Dahl and Vandenberghe), in numpy, with
 the cones' vector parts stored as real arrays.  The Newton matrix ``G^T W^-2
@@ -41,33 +40,23 @@ G`` comes from the transform's structure: its grid block depends on the
 modes only through ``m - n`` and ``m + n``, so one forward transform at band
 ``2N`` of per-cell arrays gives every entry, placed by cached gather tables.
 The Sobolev cone adds its dense block, and a Cholesky factorization checks
-the matrix.  The primal split is an output: the vector part of grid cone
-``x``'s multiplier, divided by ``w``, is ``g(x)``, and every step's ``(g,
-p)`` goes to the same certificate.  The frozen mixed instances certify at
-tol 1e-6 in 11-12 steps.
+the matrix.  Above ``_DENSE_NEWTON_MAX_UNKNOWNS`` real dual unknowns (``2 *
+blades * modes``) conjugate gradients solve the Newton systems instead, as
+in Gondzio's matrix-free interior-point method (Comput. Optim. Appl. 51,
+2012); a product is one adjoint and one forward transform.  The primal
+split is an output: the vector part of grid cone ``x``'s multiplier,
+divided by ``w``, is ``g(x)``, and every step's ``(g, p)`` goes to the same
+certificate.  The frozen mixed instances certify at tol 1e-6 in 11-12 steps.
 
 When the Newton steps stall before the gap reaches ``tol`` (on roundoff,
-typically at an absolute gap of 1e-11 to 1e-8), the first-order primal-dual
-method of Chambolle and Pock (J. Math. Imaging Vision 40, 2011) continues
-from the best certified split, with the Sobolev dual ``q = -p/W`` scaled
-into the unit ball.  Larger problems run that method from zero.  Its
-proximal maps are exact in their native domains: pointwise block shrinkage
-for the L1 term, a single radial projection for the dualized Sobolev term,
-and the transform pair as the coupling.  It checks the gap every fifty
-iterations and runs up to a quarter of the iteration budget at primal/dual
-step ratio 1 and the rest at ``sqrt(grid size)``: neither ratio is faster on
-every instance that needs the iteration.  ``iterations`` counts Newton steps
-and first-order iterations together, against one cap.
-
-The size rule was measured on a 2-CPU machine with one BLAS thread, on the
-all-ones 2-D field at ``s = 0.5``.  A Newton step took 22, 39, 62 and 91 ms
-at 578, 722, 882 and 1058 unknowns (bands 8-11), against 63-88 us for a
-first-order iteration.  The solves took 0.25 / 0.51 / 0.75 / 1.45 s (11-16
-steps) against 0.74 / 1.1 / 3.9 s (11,800 / 16,000 / 51,400 iterations) and
-an exit at the 100k cap after 8.8 s.  So the interior-point method is the
-faster one at every size measured, and the crossover lies above 1058
-unknowns, past the cap.  At 1058 unknowns the Cholesky check and the two
-dense solves take three quarters of a step.
+typically at an absolute gap of 1e-11 to 1e-8), a polish in the manner of
+OSQP's (Stellato et al., Math. Prog. Comp. 12, 2020) fixes the support
+``S`` of the best split's ``g`` and takes Newton steps on ``g`` over ``S``:
+first on ``w sum_S |g(x)| + ||W (f - A_S g)||``, with the dual point ``-W**2
+h / ||W h||``, then, for an ``h = 0`` optimum, on ``w sum_S |g(x)|`` under
+``W A_S g = W f``, with the dual point ``W nu`` from its multipliers.
+Without the mean mode both keep ``(A_S g)_0 = 0``.  ``iterations`` counts
+every Newton step against one cap.
 
 The coupling pair ``A``/``A*`` is :func:`spectral._coupling`, the package's
 one transform pair, built once per solve.
@@ -75,6 +64,7 @@ one transform pair, built once per solve.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -134,9 +124,8 @@ class SumSpaceSplit:
 
     ``value`` is the achieved ``||g||_L1 + ||h||_{H^s}``; ``gap`` the
     duality-gap certificate (0 means proven optimal on the discretization).
-    ``iterations`` counts Newton steps plus first-order iterations, and
-    ``path`` names the method that produced the split: ``"closed-form"``,
-    ``"interior-point"`` or ``"first-order"``.
+    ``iterations`` counts Newton steps, and ``path`` names the method that
+    produced the split: ``"closed-form"`` or ``"interior-point"``.
     """
 
     g: GridField
@@ -217,16 +206,16 @@ def _zero_image(dim: int, band: int, points: int, blades: int) -> np.ndarray:
     return image
 
 
-#: Largest number of real dual unknowns, ``2 * blades * modes``, that the
-#: interior-point method takes on; past it the first-order method runs from
-#: zero.  Newton steps of 22-91 ms at 578-1058 unknowns beat the first-order
-#: method at every size measured (see the module docstring), so the cap sits
-#: below the crossover.
-_INTERIOR_POINT_MAX_UNKNOWNS = 1024
-#: Newton steps after which the interior-point method hands over, the
-#: default iteration limit of the ECOS and CVXOPT conic solvers.  It
-#: converges in 7-18 steps on every input measured, and stalls on roundoff
-#: within about 20 when the tolerance is out of its reach.
+#: Largest number of real dual unknowns, ``2 * blades * modes``, for which
+#: the Newton matrix is formed and factored; above it conjugate gradients
+#: solve the Newton systems, and no polish runs on more.  The crossover, on
+#: 1-D all-ones fields at ``s = 0.25`` and tol 1e-6 (2-CPU machine, one BLAS
+#: thread): 156 ms dense vs 203 ms CG at 322 unknowns, 227 vs 191 at 386.
+_DENSE_NEWTON_MAX_UNKNOWNS = 352
+#: Newton steps after which the interior-point method hands over to the
+#: polish, the default iteration limit of the ECOS and CVXOPT conic solvers.
+#: It converges in 7-18 steps on every input measured, and stalls on
+#: roundoff within about 20 when the tolerance is out of its reach.
 _INTERIOR_POINT_MAX_STEPS = 100
 #: Fraction of the distance to the cone boundary that a Newton step covers.
 _STEP_FRACTION = 0.99
@@ -458,10 +447,11 @@ def _interior_point(
     the vector part of grid cone ``x``'s multiplier divided by ``w``.  Each
     step is a Mehrotra predictor-corrector step with Nesterov-Todd scaling,
     from ``p = 0`` and ``s = z = (1, 0)``.  Cone vector parts are real; the
-    complex views meet the transforms.  The generator returns when a step
-    fails: a point that left the cones' interior, a Newton matrix whose
-    Cholesky factorization breaks down, a non-finite direction or a zero
-    step.
+    complex views meet the transforms, and above ``_DENSE_NEWTON_MAX_UNKNOWNS``
+    real unknowns conjugate gradients solve the Newton systems.  The
+    generator returns when a step fails: a point that left the cones'
+    interior, a Newton matrix whose Cholesky factorization breaks down, a
+    non-finite direction or a zero step.
     """
     nblades = len(fvec)
     dim, points = len(shape), shape[0]
@@ -470,7 +460,9 @@ def _interior_point(
     inv_w = 1.0 / weight[h_mask]
     cut = nblades * cells
     cones = _sum_space_cones(nblades, cells, len(inv_w))
-    newton_matrix = _newton_matrix(dim, band, points, nblades, weight, h_mask, quad_w)
+    dense = 2 * fvec.size <= _DENSE_NEWTON_MAX_UNKNOWNS
+    if dense:
+        newton_matrix = _newton_matrix(dim, band, points, nblades, weight, h_mask, quad_w)
 
     def couple(p):
         """Vector parts of ``G p``; its scalar parts are zero."""
@@ -491,11 +483,12 @@ def _interior_point(
         if not (np.all(cones.lorentz(s) > 0) and np.all(cones.lorentz(z) > 0)):
             return
         scaling = _NTScaling(cones, s, z)
-        matrix = newton_matrix(scaling)
-        try:
-            np.linalg.cholesky(matrix)
-        except np.linalg.LinAlgError:
-            return
+        if dense:
+            matrix = newton_matrix(scaling)
+            try:
+                np.linalg.cholesky(matrix)
+            except np.linalg.LinAlgError:
+                return
         r_x = couple_t(z[1]) + fvec
         r_z = (s[0] - 1.0, couple(p) + s[1])
         scaled_r_z = scaling.inverse(r_z)
@@ -506,7 +499,12 @@ def _interior_point(
             v = (scaled_r_z[0] + t, scaled_r_z[1] + u)
             scaled_v = scaling.inverse(v)
             rhs = -r_x - couple_t(scaled_v[1])
-            dp = np.linalg.solve(matrix, rhs.view(float).ravel()).view(complex)
+            if dense:
+                dp = np.linalg.solve(matrix, rhs.view(float).ravel()).view(complex)
+            else:
+                dp = _conjugate_gradients(
+                    lambda d: couple_t(scaling.inverse_squared(couple(d))[1]), rhs
+                )
             dp = dp.reshape(fvec.shape)
             gdp = couple(dp)
             # dz = W^-1 v + W^-2 G dp, with W^-1 r_z inside v once a step.
@@ -530,8 +528,106 @@ def _interior_point(
         yield z[1].view(complex)[:cut].reshape(planes) / quad_w, p
 
 
-#: Iterations between two duality-gap checks of the iterative solver.
-_CHECK_EVERY = 50
+#: Relative residual at which conjugate gradients accept a Newton direction.
+_CG_TOLERANCE = 1e-10
+
+
+def _conjugate_gradients(product: Callable, rhs: np.ndarray) -> np.ndarray:
+    """Unpreconditioned conjugate gradients from 0 on ``product(x) = rhs``.
+
+    ``product`` is symmetric positive definite in ``Re<u, v>``.  The iteration
+    stops at relative residual ``_CG_TOLERANCE``, on non-positive curvature,
+    or after ten iterations per real unknown.
+    """
+    x, r, d = np.zeros_like(rhs), rhs, rhs
+    rr = np.vdot(r, r).real
+    stop = _CG_TOLERANCE**2 * rr
+    for _ in range(20 * rhs.size):
+        if rr <= stop:
+            break
+        q = product(d)
+        curvature = np.vdot(d, q).real
+        if not curvature > 0:
+            break
+        x, r = x + (rr / curvature) * d, r - (rr / curvature) * q
+        rr, rr_old = np.vdot(r, r).real, rr
+        d = r + (rr / rr_old) * d
+    return x
+
+
+#: A polish's support: the cells where ``|g(x)|`` exceeds this fraction of its maximum.
+_POLISH_SUPPORT = 1e-6
+#: Newton steps of each polish model.
+_POLISH_MAX_STEPS = 8
+
+
+def _polish(g, fvec, band, masked_weight, h_mask, quad_w) -> Iterator[tuple]:
+    """Yield ``g`` and a dual point ``p`` after each Newton step on a fixed support.
+
+    On the support ``S`` of ``g`` the cost is smooth while no ``g(x)`` and no
+    ``h`` vanish.  Each model (see the module docstring) takes up to
+    ``_POLISH_MAX_STEPS`` steps from ``g``, its KKT system solved by least
+    squares; ``W A_S g = W f`` is reduced to its row space by a singular value
+    decomposition.  An excluded mean entry of ``p`` is the multiplier of
+    ``(A_S g)_0 = 0``.
+    """
+    nblades, shape = g.shape[0], g.shape[1:]
+    dim, points = len(shape), shape[0]
+    flat = g.reshape(nblades, -1)
+    magnitude = np.linalg.norm(flat, axis=0)
+    support = np.flatnonzero(magnitude > _POLISH_SUPPORT * magnitude.max())
+    cells, unknowns = len(support), 2 * nblades * len(support)
+    if not 0 < unknowns <= _DENSE_NEWTON_MAX_UNKNOWNS:
+        return
+    # W_m e^{-i m.x} / P**n on S, from exact integer phases, and the real
+    # matrix of g -> W A_S g, with unknowns ordered (cell, blade, re/im) and
+    # rows (mode, blade, re/im).
+    phase = (mode_matrix(dim, band) @ np.array(np.unravel_index(support, shape))) % points
+    rows = masked_weight[:, None] * np.exp(phase * (-2j * math.pi / points)) / points**dim
+    eye, rotate = np.eye(2 * nblades), np.kron(np.eye(nblades), [[0.0, -1.0], [1.0, 0.0]])
+    jac = np.kron(rows.real, eye) + np.kron(rows.imag, rotate)
+    target = (masked_weight * fvec).T.ravel().view(float)
+    active = np.repeat(h_mask, 2 * nblades)
+    sob = jac[active]
+    gram, diagonal = sob.T @ sob, np.eye(cells)
+
+    def newton(cons, bound, basis=None):
+        """Steps on the first model, or with the constraint's ``basis`` on the second."""
+        y = flat[:, support].T.ravel().view(float)
+        for _ in range(_POLISH_MAX_STEPS):
+            cone = y.reshape(cells, -1)
+            size = np.linalg.norm(cone, axis=1)[:, None]
+            u = cone / size
+            blocks = quad_w * (eye - u[:, :, None] * u[:, None, :]) / size[:, :, None]
+            grad = quad_w * u.ravel()
+            hess = np.einsum("xy,xab->xayb", diagonal, blocks).reshape(unknowns, unknowns)
+            if basis is None:
+                res = sob @ y - target[active]
+                length = np.linalg.norm(res)
+                normal = sob.T @ res / length
+                hess += (gram - np.outer(normal, normal)) / length
+                grad += normal
+            kkt = np.block([[hess, cons.T], [cons, np.zeros((len(cons),) * 2)]])
+            step = np.linalg.lstsq(kkt, np.concatenate([-grad, bound - cons @ y]))[0]
+            y = y + step[:unknowns]
+            if basis is None:
+                nu = np.where(active, jac @ y - target, 0.0)
+                nu = nu / np.linalg.norm(nu)
+                nu[~active] = step[unknowns:]
+            else:
+                nu = basis @ step[unknowns:]
+            p = masked_weight[:, None] * nu.view(complex).reshape(-1, nblades)
+            if not (np.isfinite(y).all() and np.isfinite(p).all()):
+                return
+            out = np.zeros_like(flat)
+            out[:, support] = y.view(complex).reshape(cells, nblades).T
+            yield out.reshape(g.shape), p.T
+
+    yield from newton(jac[~active], target[~active])
+    basis, singular, right = np.linalg.svd(jac, full_matrices=False)
+    yield from newton(singular[:, None] * right, basis.T @ target, basis)
+
+
 #: How far, in units in the last place of the split cost, the lower bound
 #: may exceed it through roundoff before the certificate counts as broken,
 #: and how large a closed-form gap may be and still count as roundoff.
@@ -552,26 +648,19 @@ def sum_space_norm(
 
     ``s`` defaults to ``-dim/2``.  The homogeneous variant requires a
     zero-mean field.  The pure-Sobolev split ``g = 0, h = f`` is checked in
-    closed form first: with ``p0 = -W**2 f_hat / ||W f_hat||`` (zero on an
-    excluded mean mode) it is optimal when ``max_x |A* p0|(x) <= w``, the
-    KKT condition of the infimal convolution, and then it is returned with
-    ``iterations == 0``.  Otherwise, up to ``_INTERIOR_POINT_MAX_UNKNOWNS``
-    real dual unknowns, interior-point Newton steps on the dual
-    second-order-cone program run first, each certified; if they stall, the
-    Chambolle-Pock iteration continues from the best certified split.
-    Larger problems run Chambolle-Pock from zero (step ratio 1 up to a
-    quarter of ``max_iterations``, then ``sqrt(grid size)``).  The solve
-    stops once the duality-gap certificate drops below ``tol``.  The
-    closed-form split is also accepted when its gap is within
+    closed form first (see the module docstring) and returned with
+    ``iterations == 0`` when its gap is within ``tol``, or within
     ``_GAP_ROUNDOFF_ULPS`` units in the last place of its value, since
-    roundoff alone leaves such a gap on large fields whatever ``tol`` is;
-    the gap is reported as computed.  ``max_iterations`` caps Newton steps
-    plus first-order iterations; when it runs out first,
-    :class:`ConvergenceError` carries the best certified split seen.
-    ``path`` names the method that produced the split: ``"closed-form"``,
-    ``"interior-point"`` or ``"first-order"``.  The reported gap is never
-    negative: bounds that cross by roundoff report 0, and a larger crossing
-    raises :class:`InvariantViolation`.
+    roundoff alone leaves such a gap on large fields whatever ``tol`` is; the
+    gap is reported as computed.  Otherwise interior-point Newton steps run,
+    then a polish if they stall, each step certified, until the gap drops
+    below ``tol``.  ``max_iterations`` caps the Newton steps; when it runs
+    out or the steps stall, :class:`ConvergenceError` carries the best
+    certified split seen, the closed-form one included.  ``path`` names the
+    method that produced the split: ``"closed-form"`` or
+    ``"interior-point"``.  The reported gap is never negative: bounds that
+    cross by roundoff report 0, and a larger crossing raises
+    :class:`InvariantViolation`.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tolerance must be finite and positive, got {tol!r}")
@@ -591,7 +680,6 @@ def sum_space_norm(
     nblades = len(masks)
     shape = (P,) * dim
     quad_w = (TWO_PI / P) ** dim
-    cell_count = P**dim
 
     weight, h_mask, masked_weight, masked_weight_sq = _weights_for(
         dim, band, s, homogeneous, weights
@@ -661,86 +749,36 @@ def sum_space_norm(
         )
 
     # Only the maximizer p0 of the Sobolev dual term can certify g = 0, so one
-    # certificate at p0 settles that split.  ||W f|| can underflow to 0 for a
-    # nonzero field; then only the iteration is left.
+    # certificate at p0 settles that split, and it seeds the best one seen.
+    # ||W f|| can underflow to 0 for a nonzero field; then p = 0 gives the
+    # seed, and only the iteration is left.
     weighted = np.where(h_mask, masked_weight * fvec, 0.0)
     weighted_norm = math.sqrt(float((np.abs(weighted) ** 2).sum()))
-    if weighted_norm > 0:
-        upper, gap, g_adj, h_rep = certificate(None, -masked_weight * weighted / weighted_norm)
-        roundoff = _GAP_ROUNDOFF_ULPS * math.ulp(upper) if math.isfinite(upper) else 0.0
-        if gap <= max(tol, roundoff):
-            return finish(upper, gap, g_adj, h_rep, 0, "closed-form")
+    p0 = -masked_weight * weighted / weighted_norm if weighted_norm > 0 else np.zeros_like(fvec)
+    upper, gap, g_adj, h_rep = certificate(None, p0)
+    roundoff = _GAP_ROUNDOFF_ULPS * math.ulp(upper) if math.isfinite(upper) else 0.0
+    if weighted_norm > 0 and gap <= max(tol, roundoff):
+        return finish(upper, gap, g_adj, h_rep, 0, "closed-form")
 
     # The best certificate seen, (gap, upper, g_adj, h_rep, path), and the
-    # dual point of the best interior-point one.
-    best = best_p = None
+    # g of the best Newton step, where the polish starts.
+    best, best_g = (gap, upper, g_adj, h_rep, "closed-form"), None
+
+    def polish():
+        if best_g is not None:
+            yield from _polish(best_g, fvec, band, masked_weight, h_mask, quad_w)
+
+    newton = _interior_point(fvec, band, weight, h_mask, quad_w, shape, forward, adjoint)
     iterations = 0
-    if 2 * fvec.size <= _INTERIOR_POINT_MAX_UNKNOWNS:
-        steps = _interior_point(fvec, band, weight, h_mask, quad_w, shape, forward, adjoint)
-        for gq, pq in steps:
-            iterations += 1
-            upper, gap, g_adj, h_rep = certificate(gq, pq)
-            if gap <= tol:
-                return finish(upper, gap, g_adj, h_rep, iterations, "interior-point")
-            if best is None or gap < best[0]:
-                best, best_p = (gap, upper, g_adj, h_rep, "interior-point"), pq
-            if iterations == max_iterations:
-                break
-
-    # Step sizes from a block bound on the coupling operator norm.  The best
-    # primal/dual step ratio depends on the instance: a quarter of the budget
-    # runs at ratio 1, the rest at sqrt(grid size), which is what instances
-    # with an active integrable part mostly need.
-    a = cell_count**-0.5
-    wmax = float(weight[h_mask].max()) if np.any(h_mask) else 1.0
-    block = np.array([[a, 1.0], [0.0, wmax]])
-    K_bound = float(np.linalg.svd(block, compute_uv=False)[0])
-    base = 0.95 / K_bound
-    phases = [(1.0, max_iterations // 4), (math.sqrt(cell_count), max_iterations)]
-
-    g = np.zeros((nblades,) + shape, dtype=complex)
-    h = np.zeros_like(fvec)
-    p = np.zeros_like(h)
-    q = np.zeros_like(h)
-    if best_p is not None:
-        # Warm start from the best interior-point split, with the Sobolev
-        # dual q = -p/W that the optimality conditions pair with p.
-        _, _, g, h, _ = best
-        p = best_p.copy()
-        q = np.where(h_mask, -p / masked_weight, 0.0)
-        q /= max(1.0, math.sqrt(np.vdot(q, q).real))
-    for ratio, phase_end in phases:
-        tau = base * ratio
-        sigma = base / ratio
-        sigma_w = sigma * masked_weight
-        tau_m = tau * h_mask
-        threshold = tau * quad_w
-        # A phase change restarts the step sizes but keeps the iterates, so
-        # earlier progress warm-starts the rebalanced run.
-        g_bar, h_bar = g.copy(), h.copy()
-        while iterations < phase_end:
-            for _ in range(min(_CHECK_EVERY, max_iterations - iterations)):
-                iterations += 1
-                # Dual ascent on the coupling and Sobolev blocks.
-                p += sigma * (forward(g_bar) + h_bar - fvec)
-                y2 = q + sigma_w * h_bar
-                y2_norm = math.sqrt(np.vdot(y2, y2).real)
-                q = y2 / y2_norm if y2_norm > 1.0 else y2
-                # Primal descent: block shrinkage on the grid (the factor is
-                # max(0, 1 - threshold/mag), exactly), linear step on
-                # coefficients.
-                v = g - tau * adjoint(p)
-                mag = np.sqrt((np.abs(v) ** 2).sum(axis=0))
-                g_new = v * (1.0 - threshold / np.maximum(mag, threshold))
-                h_new = h - tau_m * (p + masked_weight * q)
-                g_bar = 2.0 * g_new - g
-                h_bar = 2.0 * h_new - h
-                g, h = g_new, h_new
-            upper, gap, g_adj, h_rep = certificate(g, p)
-            if gap <= tol:
-                return finish(upper, gap, g_adj, h_rep, iterations, "first-order")
-            if best is None or gap < best[0]:
-                best = (gap, upper, g_adj, h_rep, "first-order")
+    for gq, pq in itertools.chain(newton, polish()):
+        iterations += 1
+        upper, gap, g_adj, h_rep = certificate(gq, pq)
+        if gap <= tol:
+            return finish(upper, gap, g_adj, h_rep, iterations, "interior-point")
+        if gap < best[0]:
+            best, best_g = (gap, upper, g_adj, h_rep, "interior-point"), gq
+        if iterations == max_iterations:
+            break
     gap, upper, g_adj, h_rep, path = best
     raise ConvergenceError(
         f"sum-space optimizer stopped at gap {gap:.3e} after "

@@ -267,11 +267,13 @@ def mixed_flat_8(**kwargs) -> SumSpaceSplit:
     return sum_space_norm(all_ones(8), weights=scaled_weights(8, 5.0), **kwargs)
 
 
-def test_hard_mixed_inputs_certify_in_few_steps():
-    # Inputs on which the first-order method needs 15k-93k iterations or
-    # stops at its 100k cap: all-ones fields at positive exponents, an h = 0
-    # optimum, a two-blade field whose count grew with the grid, and a 2-D
-    # all-ones field under weights 20 |m|^-1.
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+def test_hard_mixed_inputs_certify_in_few_steps(tol):
+    # Inputs on which a first-order method needed 13k-93k iterations or
+    # stopped at a 100k cap: all-ones fields at positive exponents, an h = 0
+    # optimum, a two-blade field whose count grew with the grid, a 2-D
+    # all-ones field under weights 20 |m|^-1, and the frozen mixed instances.
+    # At 1e-12 the Newton steps stall on roundoff and the polish certifies.
     cases = [
         (all_ones(16), dict(s=0.5)),
         (all_ones(24), dict(s=0.5)),
@@ -289,21 +291,35 @@ def test_hard_mixed_inputs_certify_in_few_steps():
     norm = np.sqrt((mm**2).sum(axis=1))
     ones_2d = SpectralField(2, 3, {tuple(m): 1.0 for m in mm if any(m)}, zero_mean=True)
     cases.append((ones_2d, dict(weights=np.where(norm > 0, 20.0 / np.maximum(norm, 1.0), 1.0))))
+    cases += [
+        (instance_field(inst), dict(s=inst["s"], homogeneous=inst["homogeneous"],
+                                    weights=instance_weight_array(inst),
+                                    points_per_axis=inst["points"]))
+        for inst in oracle_instances()
+        if inst["name"].startswith("mixed")
+    ]
     for f, kwargs in cases:
-        split = sum_space_norm(f, tol=1e-6, **kwargs)
-        assert 0.0 <= split.gap <= 1e-6, (f.band, kwargs)
-        assert 0 < split.iterations <= 50, (f.band, kwargs)
+        split = sum_space_norm(f, tol=tol, **kwargs)
+        assert split.path == "interior-point", (f.band, kwargs)
+        assert 0.0 <= split.gap <= tol, (f.band, kwargs)
+        assert 0 < split.iterations <= 30, (f.band, kwargs)
 
 
 def test_nonconvergence_carries_the_best_certificate_seen():
-    # Below the interior-point method's reach the first-order tail takes
-    # over and first moves away; a larger cap never reports a worse split.
+    # Below the reach of roundoff the interior-point steps stall after 17
+    # steps and the polish takes 8 + 8 more; caps on both sides are reached
+    # exactly, and a larger cap never reports a worse split.
     gaps = []
-    for cap in (10, 14, 20, 120, 400):
+    for cap in (10, 14, 20, 25, 30):
         with pytest.raises(ConvergenceError) as err:
             mixed_flat_8(tol=1e-15, max_iterations=cap)
         assert err.value.partial.iterations == cap
         gaps.append(err.value.partial.gap)
+    # Without a cap the steps stop by themselves.
+    with pytest.raises(ConvergenceError) as err:
+        mixed_flat_8(tol=1e-15)
+    assert err.value.partial.iterations == 33
+    gaps.append(err.value.partial.gap)
     assert all(0.0 < later <= earlier for earlier, later in zip(gaps, gaps[1:])), gaps
 
 
@@ -320,25 +336,73 @@ def test_interior_point_path_is_named():
     assert 0 < split.iterations <= 50 and split.gap <= 1e-6
 
 
-def test_first_order_path_is_named_after_a_stall():
-    # At 1e-12 the Newton steps stall on roundoff first; the first-order
-    # method continues from their best split and certifies.
+def test_interior_point_path_certifies_after_a_stall():
+    # At 1e-12 the Newton steps stall on roundoff first; the polish on the
+    # support of their best split certifies.
     split = mixed_flat_8(tol=1e-12)
-    assert split.path == "first-order"
-    assert 50 < split.iterations < 100_000 and split.gap <= 1e-12
+    assert split.path == "interior-point"
+    assert 12 <= split.iterations <= 30 and split.gap <= 1e-12
 
 
-def test_first_order_path_above_the_size_cap(monkeypatch):
-    # Past the cap the first-order method runs alone from zero, so its count
-    # is that of the two-phase schedule; 34 unknowns is the instance's size.
+def test_conjugate_gradient_steps_above_the_dense_size(monkeypatch):
+    # Past the dense size conjugate gradients solve the same Newton systems,
+    # so the step count is the dense one; 34 unknowns is the instance's size.
     from fracbb import norms
 
-    monkeypatch.setattr(norms, "_INTERIOR_POINT_MAX_UNKNOWNS", 33)
-    split = mixed_flat_8(tol=1e-6)
-    assert split.path == "first-order" and split.iterations == 13_550
+    dense = mixed_flat_8(tol=1e-6)
+    monkeypatch.setattr(norms, "_DENSE_NEWTON_MAX_UNKNOWNS", 33)
+    with monkeypatch.context() as m:
+        m.setattr(norms, "_newton_matrix", None)  # never built above the dense size
+        split = mixed_flat_8(tol=1e-6)
+    assert split.path == "interior-point" and split.iterations == 11
     assert split.value == pytest.approx(SUBGRADIENT_VALUES["mixed_flat_8"], abs=1e-4)
-    monkeypatch.setattr(norms, "_INTERIOR_POINT_MAX_UNKNOWNS", 34)
-    assert mixed_flat_8(tol=1e-6).path == "interior-point"
+    assert split.value == pytest.approx(dense.value, abs=1e-10)
+    monkeypatch.setattr(norms, "_DENSE_NEWTON_MAX_UNKNOWNS", 34)
+    again = mixed_flat_8(tol=1e-6)
+    assert (again.value.hex(), again.gap.hex(), again.iterations) == (
+        dense.value.hex(), dense.gap.hex(), dense.iterations)
+    assert np.array_equal(again.g.data, dense.g.data) and np.array_equal(again.h.data, dense.h.data)
+
+
+def _flat_point_mass(band):
+    """The flat point mass at ``x0 = 0``, mean included: every coefficient 1."""
+    return SpectralField.from_blade_vectors(1, band, (0,), np.ones((1, 2 * band + 1)))
+
+
+@pytest.mark.parametrize("c, band", [(3.0, b) for b in range(1, 7)] + [(4.0, 1)])
+def test_weights_below_the_threshold_certify_in_closed_form(c, band):
+    # Under ||W||_2 <= 2 pi every field certifies in closed form, the flat
+    # point mass, which attains the bound, included.
+    weights = c * (1.0 + np.abs(mode_matrix(1, band)[:, 0])) ** -0.5
+    split = sum_space_norm(_flat_point_mass(band), homogeneous=False, weights=weights, tol=1e-12)
+    assert (split.path, split.iterations) == ("closed-form", 0)
+    assert split.value == pytest.approx(math.sqrt((weights**2).sum()), rel=1e-12)
+
+
+@pytest.mark.parametrize("band", range(2, 7))
+def test_flat_point_mass_above_the_threshold_iterates_below_its_sobolev_norm(band):
+    weights = 4.0 * (1.0 + np.abs(mode_matrix(1, band)[:, 0])) ** -0.5
+    split = sum_space_norm(_flat_point_mass(band), homogeneous=False, weights=weights, tol=1e-12)
+    assert split.path == "interior-point" and 0 < split.iterations <= 20
+    assert 0.0 <= split.gap <= 1e-12
+    ratio = split.value / math.sqrt((weights**2).sum())
+    assert ratio < 1.0
+    if band == 2:
+        assert ratio == pytest.approx(0.961912, abs=5e-7)
+
+
+def test_solve_above_the_old_size_cap(monkeypatch):
+    # The 2-D all-ones field at band 12 has 1,250 real dual unknowns.
+    from fracbb import norms
+
+    monkeypatch.setattr(norms, "_newton_matrix", None)  # never built above the dense size
+    mm = mode_matrix(2, 12)
+    ones_2d = SpectralField(2, 12, {tuple(m): 1.0 for m in mm if any(m)}, zero_mean=True)
+    split = sum_space_norm(ones_2d, s=0.5)
+    assert 2 * ones_2d.data.size == 1250
+    assert split.path == "interior-point" and 0 < split.iterations <= 30
+    assert 0.0 <= split.gap <= 1e-6
+    assert split.value < sobolev_norm(ones_2d, 0.5)
 
 
 def test_cone_algebra_of_the_interior_point_method():
@@ -610,12 +674,13 @@ def test_iteration_cap_is_validated_and_kept():
     f = SpectralField(1, 8, {(n,): 1.0 for n in range(-8, 9) if n}, zero_mean=True)
     with pytest.raises(InputError):
         sum_space_norm(f, s=0.5, max_iterations=0)
-    # A cap that is not a multiple of the check cadence is not overrun.  The
-    # weights of mixed_flat_8 and a tolerance below the interior-point
-    # method's reach make the first-order tail run into the cap.
-    with pytest.raises(ConvergenceError) as err:
-        sum_space_norm(f, tol=1e-15, weights=scaled_weights(8, 5.0), max_iterations=120)
-    assert err.value.partial.iterations == 120
+    # The weights of mixed_flat_8 and a tolerance below the reach of
+    # roundoff make the Newton steps run into the cap, once among the
+    # interior-point steps and once in the polish.
+    for cap in (7, 25):
+        with pytest.raises(ConvergenceError) as err:
+            sum_space_norm(f, tol=1e-15, weights=scaled_weights(8, 5.0), max_iterations=cap)
+        assert err.value.partial.iterations == cap
 
 
 def test_triangle_inequality_and_homogeneity():
