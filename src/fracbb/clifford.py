@@ -20,6 +20,7 @@ scalar projection ``p0`` to produce the coefficient norm:
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -107,7 +108,8 @@ class CliffordElement:
 
     Components are held sparsely: blades absent from ``comps`` are exactly
     zero.  Instances are treated as immutable values; no method mutates its
-    operands.
+    operands.  The constructor checks its input; :meth:`_of` takes ``comps``
+    as it is, for callers that hold valid masks to nonzero Python ``complex``.
     """
 
     __slots__ = ("n", "comps")
@@ -128,6 +130,13 @@ class CliffordElement:
         self.comps = cleaned
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _of(cls, n: int, comps: dict[int, complex]) -> "CliffordElement":
+        """Element owning ``comps``, which must already be clean; unchecked."""
+        element = cls.__new__(cls)
+        element.n, element.comps = n, comps
+        return element
 
     @classmethod
     def zero(cls, n: int) -> "CliffordElement":
@@ -167,7 +176,7 @@ class CliffordElement:
 
     def norm(self) -> float:
         """Coefficient norm ``sqrt(sum(|x_a|**2))``."""
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self.comps.values())))
+        return math.sqrt(sum(abs(v) ** 2 for v in self.comps.values()))
 
     def is_zero(self, tol: float = 0.0) -> bool:
         if not self.comps:
@@ -277,10 +286,8 @@ def _dense_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     prod = (a[:, None] * b[None, :]) * sign
     flat_re = np.bincount(target, weights=prod.real.ravel(), minlength=dim)
     flat_im = np.bincount(target, weights=prod.imag.ravel(), minlength=dim)
-    comps = {}
-    for mask in np.nonzero(flat_re + 1j * flat_im)[0]:
-        comps[int(mask)] = complex(flat_re[mask], flat_im[mask])
-    return CliffordElement(x.n, comps)
+    nonzero = np.nonzero(flat_re + 1j * flat_im)[0].tolist()
+    return CliffordElement._of(x.n, {k: complex(flat_re[k], flat_im[k]) for k in nonzero})
 
 
 def conjugate(x: CliffordElement) -> CliffordElement:

@@ -71,7 +71,7 @@ def solve_decomposition(
     ``fj_hat = (i m_j / |m|) * g_hat / (2 |m|**(n/2))``; the plain flavor
     flips the sign of the Riesz parts.  Reconstruction is exact on the band.
     """
-    if not g.mean_coefficient().is_zero():
+    if (abs(g.data[:, g.data.shape[1] // 2]) ** 2).sum() != 0:  # |g_hat(0)|**2
         raise InputError("decomposition requires a zero-mean field")
     if not g.is_scalar():
         raise InputError("decomposition expects a complex scalar field")

@@ -88,17 +88,11 @@ def write_json(path, value) -> None:
 
 
 def field_to_jsonable(field: SpectralField) -> dict:
-    entries = []
-    for m, element in field.coeffs.items():
-        for subset, value in element.items_by_subset():
-            entries.append(
-                {
-                    "m": list(m),
-                    "alpha": list(subset),
-                    "re": float(value.real),
-                    "im": float(value.imag),
-                }
-            )
+    entries = [
+        {"m": list(m), "alpha": list(subset), "re": float(v.real), "im": float(v.imag)}
+        for m, element in field.coeffs.items()
+        for subset, v in element.items_by_subset()
+    ]
     return {"dim": field.dim, "band": field.band, "entries": entries}
 
 

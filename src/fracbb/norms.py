@@ -104,18 +104,30 @@ def sobolev_norm(u: SpectralField, s: float, homogeneous: bool = True) -> float:
     """
     if not math.isfinite(s):
         raise InputError(f"Sobolev exponent must be finite, got {s!r}")
-    norm_sq = (mode_matrix(u.dim, u.band) ** 2).sum(axis=1).astype(float)
     power = (np.abs(u.data) ** 2).sum(axis=0)
-    if homogeneous and s < 0 and not u.mean_coefficient().is_zero():
+    # power at the centre column m = 0 is zero exactly when the mean is.
+    if homogeneous and s < 0 and power[len(power) // 2] != 0:
         raise InputError(
             "homogeneous norm with negative exponent needs a zero-mean field"
         )
-    base, active = (norm_sq, norm_sq > 0) if homogeneous else (1.0 + norm_sq, slice(None))
+    weights, active = _sobolev_weights(u.dim, u.band, s, homogeneous)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float((base[active] ** s * power[active]).sum())
+        total = float((weights * power[active]).sum())
     if not math.isfinite(total):
         raise InputError(f"Sobolev norm with exponent {s!r} overflows on band {u.band}")
     return math.sqrt(total)
+
+
+@lru_cache(maxsize=32, typed=True)  # numpy's ``x ** s`` shortcuts depend on type(s)
+def _sobolev_weights(dim: int, band: int, s: float, homogeneous: bool) -> tuple:
+    """``(|m|**(2s) or (1 + |m|**2)**s on the active modes, active)``; read-only."""
+    norm_sq = (mode_matrix(dim, band) ** 2).sum(axis=1).astype(float)
+    base, active = (norm_sq, norm_sq > 0) if homogeneous else (1.0 + norm_sq, slice(None))
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = base[active] ** s
+    for table in (weights, active) if homogeneous else (weights,):
+        table.flags.writeable = False
+    return weights, active
 
 
 @dataclass

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping, ValuesView
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -143,19 +143,22 @@ class SpectralField:
         positions = _mode_positions(dim, band)
         entries: dict[int, Mapping[int, complex]] = {}
         for m, value in (coeffs or {}).items():
-            m = normalize_index(m, dim)
-            if any(abs(mj) > band for mj in m):
-                raise InputError(f"frequency {m} outside band {band}")
+            # A key equal to a mode tuple finds its column; others are normalized.
+            col = positions.get(m) if isinstance(m, tuple) else None
+            if col is None:
+                m = normalize_index(m, dim)
+                if any(abs(mj) > band for mj in m):
+                    raise InputError(f"frequency {m} outside band {band}")
+                col = positions[m]
             if not isinstance(value, CliffordElement):
                 value = complex(value)
                 if value:
-                    entries[positions[m]] = {0: value}
+                    entries[col] = {0: value}
             elif value.n != dim:
-                raise InputError(
-                    f"coefficient at {m} lives in C_{value.n}, field needs C_{dim}"
-                )
+                raise InputError(f"coefficient at {mode_list(dim, band)[col]} lives in "
+                                 f"C_{value.n}, field needs C_{dim}")
             elif value.comps:
-                entries[positions[m]] = value.comps
+                entries[col] = value.comps
         masks = sorted({mask for comps in entries.values() for mask in comps})
         row = {mask: r for r, mask in enumerate(masks)}
         data = np.zeros((len(masks), len(positions)), dtype=complex)
@@ -212,14 +215,15 @@ class SpectralField:
         """Mapping from each nonzero mode to its Clifford coefficient."""
         return _CoefficientView(self)
 
-    def _element(self, col: int) -> CliffordElement:
-        return CliffordElement(self.dim, dict(zip(self.masks, self.data[:, col].tolist())))
+    def _element(self, column: list[complex]) -> CliffordElement:
+        """The element of one listed coefficient column, zero (and ``-0.0``) blades dropped."""
+        return CliffordElement._of(self.dim, {mask: z for mask, z in zip(self.masks, column) if z})
 
     def get(self, m) -> CliffordElement:
         col = _mode_positions(self.dim, self.band).get(normalize_index(m, self.dim))
         if col is None:
             return CliffordElement.zero(self.dim)
-        return self._element(col)
+        return self._element(self.data[:, col].tolist())
 
     def mean_coefficient(self) -> CliffordElement:
         return self.get((0,) * self.dim)
@@ -289,7 +293,8 @@ class _CoefficientView(Mapping):
     """Read-only ``mode -> CliffordElement`` view of a field's nonzero modes.
 
     Iterates in canonical (lexicographic) mode order; within a mode only the
-    nonzero blades appear.  Elements are built on access.
+    nonzero blades appear.  Elements are built when read; ``values()`` and
+    ``items()`` build them all from one ``tolist`` of the nonzero columns.
     """
 
     __slots__ = ("field", "cols")
@@ -310,7 +315,28 @@ class _CoefficientView(Mapping):
         col = _mode_positions(field.dim, field.band).get(m)
         if col is None or not field.data[:, col].any():
             raise KeyError(m)
-        return field._element(col)
+        return field._element(field.data[:, col].tolist())
+
+    def values(self) -> ValuesView:
+        return _CoefficientValues(self)
+
+    def items(self) -> ItemsView:
+        return _CoefficientItems(self)
+
+
+class _CoefficientValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[CliffordElement]:
+        view = self._mapping
+        return map(view.field._element, view.field.data[:, view.cols].T.tolist())
+
+
+class _CoefficientItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple[Index, CliffordElement]]:
+        return zip(self._mapping, self._mapping.values())
 
 
 class GridField:

@@ -3,6 +3,8 @@
 import math
 
 import numpy as np
+from collections.abc import ItemsView, ValuesView
+
 from hypothesis import example, given, settings, strategies as st
 
 from fracbb.clifford import (
@@ -29,23 +31,48 @@ from fracbb.spectral import (
     default_points,
     forward_transform,
     inverse_transform,
+    mode_list,
     mode_matrix,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 values = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+signed_zero_parts = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3)
+signed_zero_values = st.builds(complex, signed_zero_parts, signed_zero_parts)
 
 
 @st.composite
-def coefficient_tables(draw, zero_mean=False, shape=None):
+def coefficient_tables(draw, zero_mean=False, shape=None, entries=values):
     """``(dim, band, {mode: {blade: value}})`` with Clifford values, zeros included."""
     dim = shape[0] if shape else draw(st.integers(1, 3))
     band = shape[1] if shape else draw(st.integers(1, 3 if dim < 3 else 2))
     modes = [m for m in band_indices(dim, band) if any(m) or not zero_mean]
     chosen = draw(st.lists(st.sampled_from(modes), unique=True, max_size=12))
-    blades = st.dictionaries(st.integers(0, (1 << dim) - 1), values, max_size=4)
+    blades = st.dictionaries(st.integers(0, (1 << dim) - 1), entries, max_size=4)
     return dim, band, {m: draw(blades) for m in chosen}
+
+
+def signed_zero_fields():
+    """Fields built from blade rows, so ``data`` keeps ``-0.0`` parts and entries."""
+
+    def build(table):
+        dim, band, raw = table
+        masks = sorted({mask for comps in raw.values() for mask in comps}) or [0]
+        modes = mode_list(dim, band)
+        data = np.zeros((len(masks), len(modes)), dtype=complex)
+        for m, comps in raw.items():
+            for mask, z in comps.items():
+                data[masks.index(mask), modes.index(m)] = z
+        return SpectralField.from_blade_vectors(dim, band, masks, data)
+
+    return coefficient_tables(entries=signed_zero_values).map(build)
+
+
+def bits(element: CliffordElement) -> list:
+    """An element's components in order, each part as ``float.hex``."""
+    assert all(type(z) is complex for z in element.comps.values())
+    return [(mask, z.real.hex(), z.imag.hex()) for mask, z in element.comps.items()]
 
 
 def clifford_fields(zero_mean=False, shape=None):
@@ -87,6 +114,34 @@ def test_dict_array_and_coeffs_round_trip(table):
     via_dict = SpectralField(dim, band, dict(via_array.coeffs))
     assert via_dict.blade_masks() == masks
     assert np.array_equal(via_dict.blade_vectors()[1], data)
+
+
+@PROPERTY_SETTINGS
+@given(signed_zero_fields())
+def test_coefficient_views_match_per_mode_access(field):
+    view = field.coeffs
+    items, values = view.items(), view.values()
+    assert isinstance(items, ItemsView) and isinstance(values, ValuesView)
+    one_by_one = [(m, bits(view[m])) for m in view]
+    assert [(m, bits(element)) for m, element in items] == one_by_one
+    assert [bits(element) for element in values] == [b for _, b in one_by_one]
+    assert len(items) == len(values) == len(one_by_one)
+    # Each element is what the checked constructor makes of its column: only
+    # nonzero blades, -0.0 entries dropped, in mask order, bits unchanged.
+    modes = mode_list(field.dim, field.band)
+    for col, m in enumerate(modes):
+        checked = CliffordElement(field.dim, dict(zip(field.masks, field.data[:, col].tolist())))
+        assert bits(field.get(m)) == bits(checked)
+        assert (m in view) == bool(checked.comps)
+    assert bits(field.mean_coefficient()) == bits(field.get(modes[len(modes) // 2]))
+
+
+@PROPERTY_SETTINGS
+@given(signed_zero_fields())
+def test_element_norm_is_the_numpy_square_root_bit_for_bit(field):
+    for element in field.coeffs.values():
+        expected = float(np.sqrt(sum(abs(v) ** 2 for v in element.comps.values())))
+        assert element.norm().hex() == expected.hex()
 
 
 @PROPERTY_SETTINGS

@@ -202,3 +202,64 @@ def test_zero_mean_flag_survives_addition():
     assert (a - b).zero_mean
     assert not (a + SpectralField(1, 2, {(0,): 1.0})).zero_mean
     assert not (a - SpectralField(1, 2, {(1,): 1.0})).zero_mean
+
+
+def test_dict_keys_of_other_types_build_the_normalized_field():
+    values = {(-2,): 1.0, (0,): 2j, (1,): -3.0}
+    plain = SpectralField(1, 2, values).data
+    for keys in (
+        [(np.int64(-2),), (np.int64(0),), (np.int64(1),)],
+        [-2, 0, 1],
+        [np.int64(-2), np.int64(0), np.int64(1)],
+        [(-2.0,), (0.0,), (1.0,)],
+        [(-2.5,), (0.5,), (1.5,)],  # normalized by int(), toward zero
+    ):
+        field = SpectralField(1, 2, dict(zip(keys, values.values())))
+        assert np.array_equal(field.data, plain)
+    entries = {(1, -1): 1.0, (0, 2): CliffordElement(2, {3: 1j})}
+    plain = SpectralField(2, 2, entries)
+    for keys in (
+        [(np.int64(1), np.int64(-1)), (np.int64(0), np.int64(2))],
+        [(1.0, -1.0), (0.9, 2.2)],
+    ):
+        field = SpectralField(2, 2, dict(zip(keys, entries.values())))
+        assert field.masks == plain.masks and np.array_equal(field.data, plain.data)
+
+
+@pytest.mark.parametrize(
+    "dim, key, message",
+    [
+        (1, (1, 2), "frequency index (1, 2) has wrong dimension (expected 1)"),
+        (2, (1,), "frequency index (1,) has wrong dimension (expected 2)"),
+        (2, 1, "frequency index (1,) has wrong dimension (expected 2)"),
+        (1, (3,), "frequency (3,) outside band 2"),
+        (1, -3, "frequency (-3,) outside band 2"),
+        (2, (np.int64(0), np.int64(-3)), "frequency (0, -3) outside band 2"),
+        (2, (2.0, 3.5), "frequency (2, 3) outside band 2"),
+    ],
+)
+def test_dict_key_errors_name_the_normalized_key(dim, key, message):
+    with pytest.raises(InputError) as info:
+        SpectralField(dim, 2, {key: 1.0})
+    assert str(info.value) == message
+
+
+def test_dict_value_of_another_algebra_names_the_normalized_key():
+    for key in ((1, 1), (np.int64(1), 1.0), (1.5, 1)):
+        with pytest.raises(InputError) as info:
+            SpectralField(2, 2, {key: CliffordElement(1, {0: 1.0})})
+        assert str(info.value) == "coefficient at (1, 1) lives in C_1, field needs C_2"
+
+
+def test_dict_keys_of_one_mode_keep_the_last_nonzero_value():
+    def value_at_one(coeffs):
+        return SpectralField(1, 2, coeffs).get((1,)).p0()
+
+    assert value_at_one({(1,): 2.0, (1.5,): 3.0}) == 3.0
+    assert value_at_one({(1.5,): 3.0, (1,): 2.0}) == 2.0
+    assert value_at_one({1: 3.0, (np.int64(1),): 2.0}) == 2.0
+    assert value_at_one({(1,): 2.0, (1.5,): 0.0}) == 2.0  # a zero does not overwrite
+    assert value_at_one({(1.5,): 0.0, (1,): 2.0}) == 2.0
+    element = CliffordElement(1, {1: 4.0})
+    assert SpectralField(1, 2, {(1,): element, 1: 5.0}).get((1,)) == CliffordElement(1, {0: 5.0})
+    assert SpectralField(1, 2, {1: 5.0, (1,): element}).get((1,)) == element
