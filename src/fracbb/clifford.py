@@ -103,6 +103,12 @@ def subset_to_mask(subset: Iterable[int], n: int) -> int:
     return mask
 
 
+def _scaled_norm(values) -> float:
+    """``sqrt(sum(|v|**2))`` over ``values`` divided by their largest part, scaled back."""
+    top = max(max(abs(v.real), abs(v.imag)) for v in values)
+    return top * math.sqrt(sum(abs(v / top) ** 2 for v in values))
+
+
 class CliffordElement:
     """Element of the complex Clifford algebra on ``n`` generators.
 
@@ -175,12 +181,20 @@ class CliffordElement:
         return self.comps.get(0, 0j)
 
     def norm(self) -> float:
-        """Coefficient norm ``sqrt(sum(|x_a|**2))``."""
-        return math.sqrt(sum(abs(v) ** 2 for v in self.comps.values()))
+        """Coefficient norm ``sqrt(sum(|x_a|**2))``.
+
+        When a square overflows (a part above about 1e154), the sum is taken
+        over the components divided by the largest part and scaled back.
+        """
+        try:
+            return math.sqrt(sum(abs(v) ** 2 for v in self.comps.values()))
+        except OverflowError:
+            return _scaled_norm(self.comps.values())
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        if not self.comps:
-            return True
+        """Whether the norm is at most ``tol``; at 0, each component is tested exactly."""
+        if tol == 0:
+            return not any(self.comps.values())
         return self.norm() <= tol
 
     # -- algebra -----------------------------------------------------------

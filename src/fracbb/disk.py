@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .norms import SumSpaceSplit, l1_norm, sobolev_norm, sum_space_norm
-from .spectral import SpectralField, inverse_transform, mode_matrix
+from .norms import SumSpaceSplit, _l1_norms, _sobolev_norms, sum_space_norms
+from .spectral import SpectralField, _synthesis, default_points, mode_matrix
 
 #: Radius ladder approximating the r -> 1 boundary limit.
 RADIUS_LADDER = (0.9, 0.99, 0.999, 0.9999)
@@ -58,8 +58,13 @@ class PowerSeries:
 
 def bergman_norm(f: PowerSeries) -> float:
     """Exact disk L2 norm: ``sqrt(2*pi * sum |a_n|**2 / (2n + 2))``."""
-    n = np.arange(len(f.coeffs))
-    return math.sqrt(2.0 * math.pi * float(((np.abs(f.coeffs) ** 2) / (2 * n + 2)).sum()))
+    return float(_bergman_norms(f.coeffs))
+
+
+def _bergman_norms(coeffs: np.ndarray) -> np.ndarray:
+    """:func:`bergman_norm` of the Taylor coefficients in each row of ``coeffs``."""
+    n = np.arange(coeffs.shape[-1])
+    return np.sqrt(2.0 * math.pi * ((np.abs(coeffs) ** 2) / (2 * n + 2)).sum(axis=-1))
 
 
 def _check_radius(r: float) -> float:
@@ -69,29 +74,70 @@ def _check_radius(r: float) -> float:
     return r
 
 
+def _radii(radii: Sequence[float]) -> np.ndarray:
+    """The checked radii as one float array."""
+    return np.array([_check_radius(r) for r in radii], dtype=float)
+
+
+# The radius ladder's formulas.  Each takes the radii as one array and gives
+# one row per radius, bit for bit what a single radius gives: the rows are
+# elementwise results, so each reduction runs over one contiguous row.
+
+
+def _dilations(f: PowerSeries, radii: np.ndarray) -> np.ndarray:
+    """Coefficients ``a_n r**n`` of each ``f_r``, ``(radii, order + 1)``."""
+    return f.coeffs * radii[:, None] ** np.arange(len(f.coeffs))
+
+
+def _trace_rows(f: PowerSeries, radii: np.ndarray) -> np.ndarray:
+    """Circle spectra of each ``f(r e^{i theta})``, ``(radii, 1, 2 * band + 1)``."""
+    band = max(f.order, 1)
+    rows = np.zeros((len(radii), 1, 2 * band + 1), dtype=complex)
+    # One scalar pow per coefficient: numpy's vectorized power can differ in
+    # the last place, which would change every trace-based report.
+    powers = [[r**n for n in range(len(f.coeffs))] for r in radii.tolist()]
+    rows[:, 0, band : band + len(f.coeffs)] = f.coeffs * np.array(powers)
+    rows[rows == 0] = 0  # no negative zeros
+    return rows
+
+
+def _traces(rows: np.ndarray) -> list[SpectralField]:
+    """The boundary traces whose spectra are ``rows``."""
+    band = (rows.shape[-1] - 1) // 2
+    return [SpectralField.from_blade_vectors(1, band, (0,), row) for row in rows]
+
+
+def _hminus_half_norms(f: PowerSeries, radii: np.ndarray) -> np.ndarray:
+    """:func:`hminus_half_boundary_norm` at each radius."""
+    n = np.arange(len(f.coeffs))
+    weighted = (np.abs(f.coeffs) ** 2) * radii[:, None] ** (2 * n) / (1 + n)
+    return np.sqrt(weighted.sum(axis=-1))
+
+
+def _mixed_norms(traces: list[SpectralField], tol: float) -> list[SumSpaceSplit]:
+    """Sum-space norms ``L1 + H^{-1/2}`` of boundary traces, in one stacked solve."""
+    return sum_space_norms(
+        traces,
+        s=-0.5,
+        homogeneous=False,
+        tol=tol,
+        weights=disk_boundary_weights(traces[0].band),
+    )
+
+
 def dilate(f: PowerSeries, r: float) -> PowerSeries:
     """``f_r(z) = f(r*z)``: coefficients scaled by ``r**n``."""
-    r = _check_radius(r)
-    n = np.arange(len(f.coeffs))
-    return PowerSeries(f.coeffs * r**n)
+    return PowerSeries(_dilations(f, _radii([r]))[0])
 
 
 def boundary_trace(f: PowerSeries, r: float) -> SpectralField:
     """One-sided circle spectrum of ``f(r e^{i theta})``: ``a_n r**n`` at n >= 0."""
-    r = _check_radius(r)
-    band = max(f.order, 1)
-    row = np.zeros((1, 2 * band + 1), dtype=complex)
-    powers = np.array([r**n for n in range(len(f.coeffs))])
-    row[0, band : band + len(f.coeffs)] = f.coeffs * powers
-    row[row == 0] = 0  # no negative zeros
-    return SpectralField.from_blade_vectors(1, band, (0,), row)
+    return _traces(_trace_rows(f, _radii([r])))[0]
 
 
 def hminus_half_boundary_norm(f: PowerSeries, r: float) -> float:
     """Area-matched boundary norm ``sqrt(sum |a_n|**2 r**(2n) / (1 + n))``."""
-    r = _check_radius(r)
-    n = np.arange(len(f.coeffs))
-    return math.sqrt(float(((np.abs(f.coeffs) ** 2) * r ** (2 * n) / (1 + n)).sum()))
+    return float(_hminus_half_norms(f, _radii([r]))[0])
 
 
 @lru_cache(maxsize=32)
@@ -108,17 +154,7 @@ def disk_boundary_weights(band: int) -> np.ndarray:
 
 def mixed_boundary_norm(f: PowerSeries, r: float, tol: float = 1e-6) -> SumSpaceSplit:
     """Sum-space norm ``L1 + H^{-1/2}`` of the boundary trace at radius ``r``."""
-    return _mixed_trace_norm(boundary_trace(f, r), tol)
-
-
-def _mixed_trace_norm(trace: SpectralField, tol: float) -> SumSpaceSplit:
-    return sum_space_norm(
-        trace,
-        s=-0.5,
-        homogeneous=False,
-        tol=tol,
-        weights=disk_boundary_weights(trace.band),
-    )
+    return _mixed_norms(_traces(_trace_rows(f, _radii([r]))), tol)[0]
 
 
 @dataclass(frozen=True)
@@ -144,31 +180,34 @@ def bbb_ratio(
 ) -> RatioReport:
     """Per-radius ratio ``bergman(f_r) / mixed_boundary_norm(f, r)``.
 
-    The running max over a corpus estimates the constant of the disk
-    inequality; no reference value exists, so it is reported, not asserted.
+    The radius ladder is one stack: the traces, the dilated Bergman norms,
+    the ``H^{-1/2}`` norms, the traces' L1 norms and their Sobolev section
+    norms are ``(radii, ...)`` arrays from one pass, and the mixed norms come
+    from one :func:`sum_space_norms` call, each row bit for bit the value of
+    the single-radius functions.  The running max over a corpus estimates
+    the constant of the disk inequality; no reference value exists, so it is
+    reported, not asserted.
     """
-    rows = []
+    radii = _radii(radii)
+    if not len(radii):
+        return RatioReport(rows=(), max_ratio=0.0, weight_convention_ratio=1.0)
+    rows = _trace_rows(f, radii)
+    band = (rows.shape[-1] - 1) // 2
+    bergman = _bergman_norms(_dilations(f, radii)).tolist()
+    l1 = _l1_norms(_synthesis(rows, 1, band, default_points(band)), 1)
+    hminus = _hminus_half_norms(f, radii).tolist()
+    mixed = [split.value for split in _mixed_norms(_traces(rows), tol)]
     convention_ratios = []
-    for r in radii:
-        r = _check_radius(r)
-        fr = dilate(f, r)
-        berg = bergman_norm(fr)
-        trace = boundary_trace(f, r)
-        grid = inverse_transform(trace)
-        l1 = l1_norm(grid)
-        hm = hminus_half_boundary_norm(f, r)
-        split = _mixed_trace_norm(trace, tol)
-        ratio = berg / split.value if split.value > 0 else math.inf
-        if not f.is_zero():
-            section_norm = sobolev_norm(trace, -0.5, homogeneous=False)
-            if section_norm > 0:
-                convention_ratios.append(hm / section_norm)
-        rows.append(
-            RatioRow(r=r, bergman=berg, l1=l1, hminushalf=hm, mixed=split.value, ratio=ratio)
-        )
-    finite = [row.ratio for row in rows if math.isfinite(row.ratio)]
+    if not f.is_zero():
+        sections = _sobolev_norms(rows, 1, band, -0.5, homogeneous=False)
+        convention_ratios = [hm / sn for hm, sn in zip(hminus, sections) if sn > 0]
+    report_rows = tuple(
+        RatioRow(r=r, bergman=b, l1=g, hminushalf=hm, mixed=m, ratio=b / m if m > 0 else math.inf)
+        for r, b, g, hm, m in zip(radii.tolist(), bergman, l1, hminus, mixed)
+    )
+    finite = [row.ratio for row in report_rows if math.isfinite(row.ratio)]
     return RatioReport(
-        rows=tuple(rows),
+        rows=report_rows,
         max_ratio=max(finite) if finite else 0.0,
         weight_convention_ratio=float(np.mean(convention_ratios)) if convention_ratios else 1.0,
     )

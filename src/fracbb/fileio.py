@@ -110,8 +110,7 @@ def field_from_jsonable(data: dict) -> SpectralField:
     coeffs: dict[tuple[int, ...], dict[int, complex]] = {}
     for entry in raw_entries:
         try:
-            m = tuple(int(v) for v in entry["m"])
-            subset = tuple(int(v) for v in entry["alpha"])
+            m, subset = _integers(entry["m"]), _integers(entry["alpha"])
             value = complex(float(entry["re"]), float(entry["im"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed coefficient entry {entry!r}") from exc
@@ -125,6 +124,13 @@ def field_from_jsonable(data: dict) -> SpectralField:
         band,
         {m: CliffordElement(dim, comps) for m, comps in coeffs.items()},
     )
+
+
+def _integers(values) -> tuple[int, ...]:
+    """The entries of a frequency or blade list; a non-integral number is a ValueError."""
+    if any(isinstance(v, float) and not v.is_integer() for v in values):
+        raise ValueError(f"non-integral index in {values!r}")
+    return tuple(int(v) for v in values)
 
 
 def _json_int(text: str):

@@ -28,6 +28,17 @@ of zero, kept once per shape, so no forward map and no mean repair run, and
 the default weights, their mask and their square are kept once per ``(dim,
 band, s, homogeneous)``.
 
+:func:`sum_space_norms` runs this check for many fields at once: fields that
+share ``dim``, band, grid and weights stack into one ``p0`` table ``(fields,
+blades, modes)`` with one adjoint, then give per-field ``s1``, ``s2``,
+``mu``, lower bound, ``h`` and upper bound.  Each field keeps the bits of its
+own check.  Every per-field sum runs over one C-contiguous row, in the
+order a single field's sum takes (its masked columns mode by mode, as numpy
+lays them out).  The transform pair applies one matrix product per field,
+because BLAS rounds a one-row product (its matrix-vector kernel) differently
+from a many-row one.  Fields with different blade counts stack apart, and
+:func:`sum_space_norm` is the stack of one field.
+
 Otherwise a primal-dual interior-point method solves the dual as a
 second-order-cone program: minimize ``Re<p, f_hat>`` subject to ``(1, A*
 p(x) / w)`` in a Lorentz cone at every grid point (dividing by ``w`` keeps
@@ -59,7 +70,9 @@ Without the mean mode both keep ``(A_S g)_0 = 0``.  ``iterations`` counts
 every Newton step against one cap.
 
 The coupling pair ``A``/``A*`` is :func:`spectral._coupling`, the package's
-one transform pair, built once per solve.
+one transform pair, built once per stack and once per field that iterates.
+Each Newton step's certificate and the next step's residual share one
+``A* p``.
 """
 
 from __future__ import annotations
@@ -68,7 +81,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,7 +99,13 @@ from .spectral import (  # noqa: F401  (_DENSE_MAX_ENTRIES is re-exported with _
 
 def l1_norm(u: GridField) -> float:
     """Uniform-grid quadrature of ``integral ||u(x)|| dx``."""
-    return float(u.quadrature_weight() * u.magnitude().sum())
+    return _l1_norms(u.data[None], u.dim)[0]
+
+
+def _l1_norms(planes: np.ndarray, dim: int) -> list[float]:
+    """:func:`l1_norm` of each field of grid planes ``(fields, blades) + (P,)*dim``."""
+    magnitude = np.sqrt((np.abs(planes) ** 2).sum(axis=1))
+    return (((TWO_PI / planes.shape[-1]) ** dim) * _row_sums(magnitude)).tolist()
 
 
 def l2_norm(u: GridField) -> float:
@@ -102,32 +121,53 @@ def sobolev_norm(u: SpectralField, s: float, homogeneous: bool = True) -> float:
     A non-finite ``s``, or one whose weights or weighted sum overflow on the
     band, is an input error.
     """
+    return _sobolev_norms(u.data[None], u.dim, u.band, s, homogeneous)[0]
+
+
+def _sobolev_norms(
+    rows: np.ndarray, dim: int, band: int, s: float, homogeneous: bool
+) -> list[float]:
+    """:func:`sobolev_norm` of each field of coefficient rows ``(fields, blades, modes)``."""
     if not math.isfinite(s):
         raise InputError(f"Sobolev exponent must be finite, got {s!r}")
-    power = (np.abs(u.data) ** 2).sum(axis=0)
+    power = (np.abs(rows) ** 2).sum(axis=1)
     # power at the centre column m = 0 is zero exactly when the mean is.
-    if homogeneous and s < 0 and power[len(power) // 2] != 0:
+    if homogeneous and s < 0 and power[:, power.shape[1] // 2].any():
         raise InputError(
             "homogeneous norm with negative exponent needs a zero-mean field"
         )
-    weights, active = _sobolev_weights(u.dim, u.band, s, homogeneous)
+    weights, active = _sobolev_weights(dim, band, s, homogeneous)
+    if active is not None:
+        power = np.compress(active, power, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float((weights * power[active]).sum())
-    if not math.isfinite(total):
-        raise InputError(f"Sobolev norm with exponent {s!r} overflows on band {u.band}")
-    return math.sqrt(total)
+        totals = _row_sums(weights * power).tolist()
+    if not all(map(math.isfinite, totals)):
+        raise InputError(f"Sobolev norm with exponent {s!r} overflows on band {band}")
+    return [math.sqrt(total) for total in totals]
 
 
 @lru_cache(maxsize=32, typed=True)  # numpy's ``x ** s`` shortcuts depend on type(s)
 def _sobolev_weights(dim: int, band: int, s: float, homogeneous: bool) -> tuple:
-    """``(|m|**(2s) or (1 + |m|**2)**s on the active modes, active)``; read-only."""
+    """``(|m|**(2s) or (1 + |m|**2)**s on the active modes, active)``; read-only.
+
+    ``active`` masks the modes without the mean, or is None when all are active.
+    """
     norm_sq = (mode_matrix(dim, band) ** 2).sum(axis=1).astype(float)
-    base, active = (norm_sq, norm_sq > 0) if homogeneous else (1.0 + norm_sq, slice(None))
+    base, active = (norm_sq, norm_sq > 0) if homogeneous else (1.0 + norm_sq, None)
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = base[active] ** s
+        weights = (base if active is None else base[active]) ** s
     for table in (weights, active) if homogeneous else (weights,):
         table.flags.writeable = False
     return weights, active
+
+
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sum of each ``x[i]`` over one C-contiguous row, as ``x[i].sum()`` adds it.
+
+    numpy sums a contiguous row pairwise; a strided or transposed layout can
+    add in another order and move the last bit.
+    """
+    return np.ascontiguousarray(x).reshape(len(x), -1).sum(axis=1)
 
 
 @dataclass
@@ -448,8 +488,8 @@ def _interior_point(
     shape: tuple[int, ...],
     forward,
     adjoint,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the split's ``g`` and the dual point ``p`` after each Newton step.
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield the split's ``g``, the dual point ``p`` and ``A* p`` after each Newton step.
 
     The dual problem as a second-order-cone program: minimize
     ``Re<p, f_hat>`` subject to ``(1, A* p(x) / w)`` in a Lorentz cone at
@@ -476,11 +516,10 @@ def _interior_point(
     if dense:
         newton_matrix = _newton_matrix(dim, band, points, nblades, weight, h_mask, quad_w)
 
-    def couple(p):
-        """Vector parts of ``G p``; its scalar parts are zero."""
-        return np.concatenate(
-            [adjoint(p).ravel() / -quad_w, (p[:, h_mask] * -inv_w).ravel()]
-        ).view(float)
+    def couple(p, Ap=None):
+        """Vector parts of ``G p``, from ``Ap = adjoint(p)`` if given; scalar parts are zero."""
+        Ap = adjoint(p) if Ap is None else Ap
+        return np.concatenate([Ap.ravel() / -quad_w, (p[:, h_mask] * -inv_w).ravel()]).view(float)
 
     def couple_t(u):
         """``G^T`` of a point with vector parts ``u``."""
@@ -491,6 +530,7 @@ def _interior_point(
 
     identity = (np.ones(cones.count), np.zeros(len(cones.ids)))
     p, s, z = np.zeros_like(fvec), identity, identity
+    Ap = adjoint(p)
     for _ in range(_INTERIOR_POINT_MAX_STEPS):
         if not (np.all(cones.lorentz(s) > 0) and np.all(cones.lorentz(z) > 0)):
             return
@@ -502,7 +542,7 @@ def _interior_point(
             except np.linalg.LinAlgError:
                 return
         r_x = couple_t(z[1]) + fvec
-        r_z = (s[0] - 1.0, couple(p) + s[1])
+        r_z = (s[0] - 1.0, couple(p, Ap) + s[1])
         scaled_r_z = scaling.inverse(r_z)
 
         def direction(r_c):
@@ -537,7 +577,9 @@ def _interior_point(
         if not (alpha > 0 and all(np.isfinite(a).all() for a in (dp, *ds, *dz))):
             return
         p, s, z = p + alpha * dp, _moved(s, alpha, ds), _moved(z, alpha, dz)
-        yield z[1].view(complex)[:cut].reshape(planes) / quad_w, p
+        # The step's certificate and the next step's residual share A* p.
+        Ap = adjoint(p)
+        yield z[1].view(complex)[:cut].reshape(planes) / quad_w, p, Ap
 
 
 #: Relative residual at which conjugate gradients accept a Newton direction.
@@ -646,6 +688,81 @@ def _polish(g, fvec, band, masked_weight, h_mask, quad_w) -> Iterator[tuple]:
 _GAP_ROUNDOFF_ULPS = 16
 
 
+def _duality_gap(upper, s1: float, s2: float, dot: float) -> float:
+    """The gap between a split's cost ``upper`` and a dual point's lower bound.
+
+    ``s1`` and ``s2`` are the dual point's grid and Sobolev scales and ``dot``
+    is ``Re<p, f_hat>``.  Bounds that cross by roundoff give 0; a larger
+    crossing raises :class:`InvariantViolation`.
+    """
+    # Dual feasibility also needs p = -W*q on active modes, so the scaled
+    # dual objective is -<p, f_hat>; weak duality gives the lower bound.
+    lower = -dot / max(s1, s2, 1.0)
+    gap = float(upper - lower)
+    if gap < 0:
+        # Bounds that meet can cross by roundoff; more means a broken bound.
+        if gap < -_GAP_ROUNDOFF_ULPS * math.ulp(upper):
+            raise InvariantViolation(
+                f"sum-space lower bound {lower!r} exceeds the split cost {upper!r}"
+            )
+        gap = 0.0
+    return gap
+
+
+def _closed_form(fvecs, dim, band, points, tol, h_mask, masked_weight, masked_weight_sq):
+    """The certificates of the splits ``g = 0`` of stacked fields, in one check.
+
+    ``fvecs`` holds the coefficient rows ``(fields, blades, modes)``.  Only
+    ``p0 = -W**2 f / ||W f||`` can certify ``g = 0`` (zero when ``||W f||``
+    is not positive, say by underflow), so each field gets one certificate
+    there, ``(upper, gap, g, h)``, and whether it settles the split.  Every
+    reduction runs over one contiguous row per field, as a single field's
+    would, and the transforms run per field, so each field keeps the bits of
+    its own check.
+    """
+    count, nblades = fvecs.shape[:2]
+    weighted = np.where(h_mask, masked_weight * fvecs, 0.0)
+    weighted_norms = np.sqrt(_row_sums(np.abs(weighted) ** 2))
+    positive = weighted_norms > 0
+    p0 = -masked_weight * weighted / np.where(positive, weighted_norms, 1.0)[:, None, None]
+    p0[~positive] = 0.0
+    # A 0 is zero up to signs of zero that h keeps, so it comes from a
+    # cached table; the L1 term of g = 0 is 0.0, and 0.0 + x == x.
+    h = np.where(h_mask, fvecs - _zero_image(dim, band, points, nblades), 0.0)
+    uppers = np.sqrt(_row_sums(masked_weight_sq * (np.abs(h) ** 2)))
+    _, adjoint = _coupling(dim, band, points, count, nblades)
+    point_norms = np.sqrt((np.abs(adjoint(p0)) ** 2).sum(axis=1))
+    s1 = point_norms.reshape(count, -1).max(axis=1) / (TWO_PI / points) ** dim
+    # numpy lays a single field's masked columns (blades, active) out mode
+    # by mode, and sums them in that order; so does each row here.
+    scaled = np.compress(h_mask, (np.abs(p0) ** 2) / masked_weight_sq, axis=2)
+    s2 = np.sqrt(_row_sums(np.swapaxes(scaled, 1, 2)))
+    dots = _row_sums(np.real(np.conj(p0) * fvecs))
+    g = np.zeros((count, nblades) + (points,) * dim, dtype=complex)
+    checks = []
+    for i, (upper, s1_i, s2_i, dot, norm) in enumerate(
+        zip(uppers.tolist(), s1.tolist(), s2.tolist(), dots.tolist(), weighted_norms.tolist())
+    ):
+        gap = _duality_gap(upper, s1_i, s2_i, dot)
+        roundoff = _GAP_ROUNDOFF_ULPS * math.ulp(upper) if math.isfinite(upper) else 0.0
+        checks.append((norm > 0 and gap <= max(tol, roundoff), (upper, gap, g[i], h[i])))
+    return checks
+
+
+def _split(f: SpectralField, points: int, homogeneous: bool, certificate, iterations, path):
+    """The :class:`SumSpaceSplit` of ``f`` from a certificate ``(upper, gap, g, h)``."""
+    upper, gap, g_adj, h_rep = certificate
+    return SumSpaceSplit(
+        # f's masks are checked and sorted; g_adj and h_rep are the split's own.
+        g=GridField._of(f.dim, points, f.masks, g_adj),
+        h=f._with(f.masks, h_rep, homogeneous),
+        value=upper,
+        gap=gap,
+        iterations=iterations,
+        path=path,
+    )
+
+
 def sum_space_norm(
     f: SpectralField,
     s: float | None = None,
@@ -672,54 +789,77 @@ def sum_space_norm(
     method that produced the split: ``"closed-form"`` or
     ``"interior-point"``.  The reported gap is never negative: bounds that
     cross by roundoff report 0, and a larger crossing raises
-    :class:`InvariantViolation`.
+    :class:`InvariantViolation`.  This is :func:`sum_space_norms` of ``[f]``.
+    """
+    return sum_space_norms([f], s, homogeneous, tol, weights=weights,
+                           points_per_axis=points_per_axis, max_iterations=max_iterations)[0]
+
+
+def sum_space_norms(
+    fields: Sequence[SpectralField],
+    s: float | None = None,
+    homogeneous: bool = True,
+    tol: float = 1e-6,
+    *,
+    weights: np.ndarray | Callable | None = None,
+    points_per_axis: int | None = None,
+    max_iterations: int = 100_000,
+) -> list[SumSpaceSplit]:
+    """:func:`sum_space_norm` of each field, with one closed-form check for all.
+
+    The fields share ``dim`` and ``band``, so one grid and one weight table
+    serve them all.  Their closed-form checks run stacked, one per blade
+    count (see the module docstring); each field's split, value and gap are
+    those of its own :func:`sum_space_norm` call, bit for bit.  The fields
+    that the check does not settle then iterate one after another, in
+    order, each seeded with its own closed-form certificate as the best one
+    seen; the first that fails raises its :class:`ConvergenceError`.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tolerance must be finite and positive, got {tol!r}")
     if max_iterations < 1:
         raise InputError(f"iteration cap must be at least 1, got {max_iterations!r}")
-    dim, band = f.dim, f.band
+    fields = list(fields)
+    if not fields:
+        return []
+    dim, band = fields[0].dim, fields[0].band
+    if any((f.dim, f.band) != (dim, band) for f in fields):
+        raise InputError("stacked fields must share their dimension and band")
     if s is None:
         s = -dim / 2.0
-    masks, fvec = f.masks, f.data
     # The mean coefficient sits at the centre of the band cube.
-    if homogeneous and fvec[:, fvec.shape[1] // 2].any():
+    if homogeneous and any(f.data[:, f.data.shape[1] // 2].any() for f in fields):
         raise InputError("homogeneous sum-space norm requires a zero-mean field")
     P = default_points(band) if points_per_axis is None else int(points_per_axis)
     if P < 2 * band + 1:
         raise InputError(f"grid of {P} points per axis is too coarse for band {band}")
-
-    nblades = len(masks)
     shape = (P,) * dim
     quad_w = (TWO_PI / P) ** dim
-
     weight, h_mask, masked_weight, masked_weight_sq = _weights_for(
         dim, band, s, homogeneous, weights
     )
-    if not fvec.any():
-        return SumSpaceSplit(
-            g=GridField._of(dim, P, masks, np.zeros((nblades,) + shape, complex)),
-            h=SpectralField(dim, band, {}, zero_mean=homogeneous),
-            value=0.0,
-            gap=0.0,
-            iterations=0,
-            path="closed-form",
-        )
 
-    forward, adjoint = _coupling(dim, band, P, nblades)
+    # Rows of one field stack only with rows of as many blades.
+    stacks: dict[int, list[int]] = {}
+    for i, f in enumerate(fields):
+        stacks.setdefault(len(f.masks), []).append(i)
+    checks = [None] * len(fields)
+    for members in stacks.values():
+        fvecs = np.stack([fields[i].data for i in members])
+        found = _closed_form(fvecs, dim, band, P, tol, h_mask, masked_weight, masked_weight_sq)
+        for i, check in zip(members, found):
+            checks[i] = check
 
-    def certificate(gq, pq):
-        """Feasible primal cost, duality gap, and the repaired split.
+    def iterate(f: SpectralField, seed) -> SumSpaceSplit:
+        """Newton steps, then a polish, from the closed-form certificate ``seed``."""
+        fvec, nblades = f.data, len(f.masks)
+        forward, adjoint = _coupling(dim, band, P, nblades)
 
-        ``gq`` is None for the split ``g = 0``.
-        """
-        if gq is None:
-            # A homogeneous f is zero-mean, so no mean repair is due, and the
-            # L1 term is 0.0 (0.0 + x == x).  A 0 is zero up to signs of
-            # zero that h keeps, so it comes from a cached table.
-            g_adj = np.zeros((nblades,) + shape, dtype=complex)
-            Ag, l1 = _zero_image(dim, band, P, nblades), 0.0
-        else:
+        def certificate(gq, pq, Ap):
+            """Feasible primal cost, duality gap, and the repaired split.
+
+            ``Ap`` is ``adjoint(pq)``.
+            """
             Ag = forward(gq)
             g_adj = gq
             if homogeneous:
@@ -729,71 +869,44 @@ def sum_space_norm(
                     g_adj = gq + rho.sum(axis=1).reshape((nblades,) + (1,) * dim)
                     Ag = forward(g_adj)
             l1 = quad_w * np.sqrt((np.abs(g_adj) ** 2).sum(axis=0)).sum()
-        h_rep = np.where(h_mask, fvec - Ag, 0.0)
-        upper = l1 + math.sqrt((masked_weight_sq * (np.abs(h_rep) ** 2)).sum())
-        Ap = adjoint(pq)
-        point_norms = np.sqrt((np.abs(Ap) ** 2).sum(axis=0))
-        s1 = float(point_norms.max()) / quad_w
-        s2 = math.sqrt(((np.abs(pq) ** 2) / masked_weight_sq)[:, h_mask].sum())
-        mu = max(s1, s2, 1.0)
-        # Dual feasibility also needs p = -W*q on active modes, so the scaled
-        # dual objective is -<p, f_hat>; weak duality gives the lower bound.
-        lower = -float(np.real(np.conj(pq) * fvec).sum()) / mu
-        gap = float(upper - lower)
-        if gap < 0:
-            # Bounds that meet can cross by roundoff; more means a broken bound.
-            if gap < -_GAP_ROUNDOFF_ULPS * math.ulp(upper):
-                raise InvariantViolation(
-                    f"sum-space lower bound {lower!r} exceeds the split cost {upper!r}"
-                )
-            gap = 0.0
-        return float(upper), gap, g_adj, h_rep
+            h_rep = np.where(h_mask, fvec - Ag, 0.0)
+            upper = l1 + math.sqrt((masked_weight_sq * (np.abs(h_rep) ** 2)).sum())
+            s1 = float(np.sqrt((np.abs(Ap) ** 2).sum(axis=0)).max()) / quad_w
+            s2 = math.sqrt(((np.abs(pq) ** 2) / masked_weight_sq)[:, h_mask].sum())
+            dot = float(np.real(np.conj(pq) * fvec).sum())
+            return float(upper), _duality_gap(upper, s1, s2, dot), g_adj, h_rep
 
-    def finish(upper, gap, g_adj, h_rep, iterations, path) -> SumSpaceSplit:
-        return SumSpaceSplit(
-            # f's masks are checked and sorted; g_adj and h_rep are the split's own.
-            g=GridField._of(dim, P, masks, g_adj),
-            h=f._with(masks, h_rep, homogeneous),
-            value=upper,
-            gap=gap,
-            iterations=iterations,
-            path=path,
+        # The best certificate seen and its path, and the g of the best
+        # Newton step, where the polish starts.
+        best, best_path, best_g = seed, "closed-form", None
+
+        def polish():
+            if best_g is not None:
+                for gq, pq in _polish(best_g, fvec, band, masked_weight, h_mask, quad_w):
+                    yield gq, pq, adjoint(pq)
+
+        newton = _interior_point(fvec, band, weight, h_mask, quad_w, shape, forward, adjoint)
+        iterations = 0
+        for gq, pq, Ap in itertools.chain(newton, polish()):
+            iterations += 1
+            found = certificate(gq, pq, Ap)
+            if found[1] <= tol:
+                return _split(f, P, homogeneous, found, iterations, "interior-point")
+            if found[1] < best[1]:
+                best, best_path, best_g = found, "interior-point", gq
+            if iterations == max_iterations:
+                break
+        raise ConvergenceError(
+            f"sum-space optimizer stopped at gap {best[1]:.3e} after "
+            f"{iterations} iterations (tol {tol:g})",
+            partial=_split(f, P, homogeneous, best, iterations, best_path),
         )
 
-    # Only the maximizer p0 of the Sobolev dual term can certify g = 0, so one
-    # certificate at p0 settles that split, and it seeds the best one seen.
-    # ||W f|| can underflow to 0 for a nonzero field; then p = 0 gives the
-    # seed, and only the iteration is left.
-    weighted = np.where(h_mask, masked_weight * fvec, 0.0)
-    weighted_norm = math.sqrt(float((np.abs(weighted) ** 2).sum()))
-    p0 = -masked_weight * weighted / weighted_norm if weighted_norm > 0 else np.zeros_like(fvec)
-    upper, gap, g_adj, h_rep = certificate(None, p0)
-    roundoff = _GAP_ROUNDOFF_ULPS * math.ulp(upper) if math.isfinite(upper) else 0.0
-    if weighted_norm > 0 and gap <= max(tol, roundoff):
-        return finish(upper, gap, g_adj, h_rep, 0, "closed-form")
-
-    # The best certificate seen, (gap, upper, g_adj, h_rep, path), and the
-    # g of the best Newton step, where the polish starts.
-    best, best_g = (gap, upper, g_adj, h_rep, "closed-form"), None
-
-    def polish():
-        if best_g is not None:
-            yield from _polish(best_g, fvec, band, masked_weight, h_mask, quad_w)
-
-    newton = _interior_point(fvec, band, weight, h_mask, quad_w, shape, forward, adjoint)
-    iterations = 0
-    for gq, pq in itertools.chain(newton, polish()):
-        iterations += 1
-        upper, gap, g_adj, h_rep = certificate(gq, pq)
-        if gap <= tol:
-            return finish(upper, gap, g_adj, h_rep, iterations, "interior-point")
-        if gap < best[0]:
-            best, best_g = (gap, upper, g_adj, h_rep, "interior-point"), gq
-        if iterations == max_iterations:
-            break
-    gap, upper, g_adj, h_rep, path = best
-    raise ConvergenceError(
-        f"sum-space optimizer stopped at gap {gap:.3e} after "
-        f"{iterations} iterations (tol {tol:g})",
-        partial=finish(upper, gap, g_adj, h_rep, iterations, path),
-    )
+    splits = []
+    for f, (certified, certificate) in zip(fields, checks):
+        # A zero field's split g = h = 0 is optimal with gap 0.
+        if certified or not f.data.any():
+            splits.append(_split(f, P, homogeneous, certificate, 0, "closed-form"))
+        else:
+            splits.append(iterate(f, certificate))
+    return splits

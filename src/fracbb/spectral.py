@@ -60,7 +60,10 @@ def normalize_index(m, dim: int) -> Index:
     if isinstance(m, (int, np.integer)):
         m = (int(m),)
     else:
-        m = tuple(int(mj) for mj in m)
+        try:
+            m = tuple(int(mj) for mj in m)
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(f"frequency index {m!r} is not an integer tuple") from None
     if len(m) != dim:
         raise InputError(f"frequency index {m} has wrong dimension (expected {dim})")
     return m
@@ -446,42 +449,48 @@ def _dft_matrices(band: int, points: int) -> tuple[np.ndarray, np.ndarray]:
     return analysis, synthesis
 
 
-def _coupling(dim: int, band: int, points: int, blades: int):
+def _coupling(dim: int, band: int, points: int, *lead: int):
     """The transform pair: the analysis map ``A`` and its adjoint ``A*``.
 
-    ``A`` maps grid planes ``(blades, P, ..., P)`` to coefficient rows
-    ``(blades, modes)``: the uniform-grid quadrature ``fftn / P**n``
-    restricted to the band.  ``A*`` is its adjoint, ``P**-n`` times the
-    synthesis.  Up to ``_DENSE_MAX_ENTRIES`` entries of the per-axis DFT
-    matrix both apply the cached matrices, one matmul per axis; larger grids
-    run one FFT per axis, in the order ``fftn`` uses, and scatter into one
-    zero cube owned by the pair.
+    ``A`` maps grid planes ``lead + (P,)*dim`` to coefficient rows ``lead +
+    (modes,)``: the uniform-grid quadrature ``fftn / P**n`` restricted to the
+    band.  ``A*`` is its adjoint, ``P**-n`` times the synthesis.  ``lead`` is
+    ``(blades,)`` for one field and ``(fields, blades)`` for a stack of
+    fields, which runs as one batch of the single-field products, so every
+    field gets the bits of its own call.  Up to ``_DENSE_MAX_ENTRIES`` entries
+    of the per-axis DFT matrix both apply the cached matrices, one matmul per
+    axis; larger grids run one FFT per axis, in the order ``fftn`` uses, and
+    scatter into one zero cube owned by the pair.
     """
     shape = (points,) * dim
     width = 2 * band + 1
     if points * width <= _DENSE_MAX_ENTRIES:
         analysis, synthesis = _dft_matrices(band, points)
+        # One matrix product per field: a field's first product is a
+        # matrix-vector one when it has one row, and BLAS rounds that kernel
+        # differently from the matrix-matrix one.
+        per_field = lead[:-1] + (-1,)
 
         def forward(planes: np.ndarray) -> np.ndarray:
             # The last axis first; then each earlier axis, with the modes of
             # the axes already done as a trailing block.
-            out = planes.reshape(-1, points) @ analysis
+            out = planes.reshape(per_field + (points,)) @ analysis
             for done in range(1, dim):
                 out = analysis.T @ out.reshape(-1, points, width**done)
-            return out.reshape(blades, -1)
+            return out.reshape(lead + (-1,))
 
         def adjoint(rows: np.ndarray) -> np.ndarray:
-            out = rows.reshape(-1, width) @ synthesis
+            out = rows.reshape(per_field + (width,)) @ synthesis
             for done in range(1, dim):
                 out = synthesis.T @ out.reshape(-1, width, points**done)
-            return out.reshape((blades,) + shape)
+            return out.reshape(lead + shape)
 
         return forward, adjoint
 
-    index = (slice(None),) + _wrapped_index_arrays(dim, band, points)
-    axes = range(dim, 0, -1)
+    index = (slice(None),) * len(lead) + _wrapped_index_arrays(dim, band, points)
+    axes = range(-1, -dim - 1, -1)
     cell_count = points**dim
-    cube = np.zeros((blades,) + shape, dtype=complex)
+    cube = np.zeros(lead + shape, dtype=complex)
 
     def forward(planes: np.ndarray) -> np.ndarray:
         for axis in axes:
@@ -516,8 +525,18 @@ def inverse_transform(field: SpectralField, points_per_axis: int | None = None) 
     """Synthesis ``u(x_k) = sum_m u_hat(m) exp(i<m, x_k>)`` on the uniform grid."""
     P = default_points(field.band) if points_per_axis is None else int(points_per_axis)
     _check_grid_band(P, field.band)
-    _, adjoint = _coupling(field.dim, field.band, P, len(field.masks))
-    return GridField._of(field.dim, P, field.masks, adjoint(field.data) * P**field.dim)
+    planes = _synthesis(field.data, field.dim, field.band, P)
+    return GridField._of(field.dim, P, field.masks, planes)
+
+
+def _synthesis(rows: np.ndarray, dim: int, band: int, points: int) -> np.ndarray:
+    """Grid planes ``lead + (P,)*dim`` of coefficient rows ``lead + (modes,)``.
+
+    ``lead`` is ``(blades,)`` for one field or ``(fields, blades)`` for a
+    stack (see :func:`_coupling`).
+    """
+    _, adjoint = _coupling(dim, band, points, *rows.shape[:-1])
+    return adjoint(rows) * points**dim
 
 
 def _mode_product(f: SpectralField, g: SpectralField, zero_mean: bool = False) -> SpectralField:

@@ -376,6 +376,9 @@ BAD_INPUT_FILES = [
      ["transform", "--direction", "forward", "--dim", 1, "--band", 1]),
     ("repeated_blade.csv", "re_1,im_1,re_1,im_1\n" + "1,0,2,0\n" * 3,
      ["transform", "--direction", "forward", "--dim", 1, "--band", 1]),
+    ("fractional_m.json",
+     '{"dim": 1, "band": 2, "entries": [{"m": [1.5], "alpha": [], "re": 1, "im": 0}]}',
+     ["norm", "--kind", "sobolev", "--s", 0.5, "--homogeneous"]),
 ]
 
 
@@ -385,6 +388,16 @@ def test_bad_input_files_exit_with_input_error(name, text, args, tmp_path, capsy
     path.write_text(text)
     out = ["--out", tmp_path / "out.json"] if args[0] == "transform" else []
     assert run_cli(args + ["--in", path] + out) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
+@pytest.mark.parametrize("mean", [1e200, 1e-170])
+def test_inverting_D_rejects_a_huge_or_tiny_mean(mean, tmp_path, capsys):
+    # A square of 1e200 overflows and one of 1e-170 underflows; neither may
+    # decide whether the mean is zero.
+    src = tmp_path / "mean.json"
+    save_coefficients(SpectralField(1, 2, {(0,): mean, (1,): 1.0}), src)
+    assert run_cli(["apply-op", "--op", "invD", "--in", src, "--out", tmp_path / "o.json"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "input"
 
 

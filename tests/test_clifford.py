@@ -171,3 +171,13 @@ def test_basis_conjugate_times_self_is_one():
             blade = CliffordElement(n, {mask: 1.0})
             prod = blade.conjugate() * blade
             assert (prod - CliffordElement.scalar(n, 1.0)).norm() < 1e-14
+
+
+def test_norm_and_zero_test_of_parts_whose_squares_overflow_or_underflow():
+    huge = CliffordElement(2, {0: 1e200, 3: -1e200j})
+    assert huge.norm() == 1e200 * math.sqrt(2.0) and not huge.is_zero()
+    assert huge.isclose(huge) and huge.is_zero(tol=1e201) and not huge.is_zero(tol=1e200)
+    tiny = CliffordElement(1, {0: 1e-170})
+    assert tiny.norm() == 0.0  # the square underflows
+    assert not tiny.is_zero() and tiny.is_zero(tol=1e-300)
+    assert CliffordElement.zero(3).is_zero() and CliffordElement(1, {1: 0.0}).is_zero()

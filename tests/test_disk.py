@@ -18,7 +18,7 @@ from fracbb.disk import (
     verify_bergman,
 )
 from fracbb.errors import InputError
-from fracbb.norms import l1_norm, sum_space_norm
+from fracbb.norms import l1_norm, sobolev_norm, sum_space_norm
 from fracbb.spectral import SpectralField, inverse_transform
 
 from oracles import bergman_norm_quadrature
@@ -132,6 +132,55 @@ def test_bbb_ratio_constant_series():
     row = report.rows[0]
     # Pure-Sobolev split is optimal for a constant, so the ratio is sqrt(pi).
     assert row.ratio == pytest.approx(SQRT_PI, abs=1e-6)
+
+
+def _ratio_row_reference(f, r, tol):
+    """One radius's row and convention ratio, from one-radius formulas written out."""
+    n = np.arange(len(f.coeffs))
+    dilated = f.coeffs * r**n
+    bergman = math.sqrt(2.0 * math.pi * float(((np.abs(dilated) ** 2) / (2 * n + 2)).sum()))
+    band = max(f.order, 1)
+    row = np.zeros((1, 2 * band + 1), dtype=complex)
+    row[0, band : band + len(f.coeffs)] = f.coeffs * np.array([r**k for k in range(len(n))])
+    row[row == 0] = 0
+    trace = SpectralField.from_blade_vectors(1, band, (0,), row)
+    hm = math.sqrt(float(((np.abs(f.coeffs) ** 2) * r ** (2 * n) / (1 + n)).sum()))
+    mixed = sum_space_norm(
+        trace, s=-0.5, homogeneous=False, tol=tol, weights=disk_boundary_weights(band)
+    ).value
+    section = sobolev_norm(trace, -0.5, homogeneous=False)
+    values = (r, bergman, l1_norm(inverse_transform(trace)), hm, mixed)
+    return values + (bergman / mixed if mixed > 0 else math.inf,), hm / section
+
+
+@pytest.mark.parametrize("order, decay", [(0, 1.0), (8, 0.5), (24, 1.0), (40, -1.0)])
+def test_bbb_ratio_ladder_matches_each_radius_alone(order, decay):
+    # The stacked ladder gives every row, bit for bit, what the formulas of
+    # one radius give it.
+    f = random_series(order, decay, np.random.default_rng([order, 3]))
+    radii = RADIUS_LADDER + (1.0, 0.3)
+    report = bbb_ratio(f, radii=radii)
+    expected = [_ratio_row_reference(f, r, 1e-6) for r in radii]
+    for row, (values, _) in zip(report.rows, expected):
+        got = (row.r, row.bergman, row.l1, row.hminushalf, row.mixed, row.ratio)
+        assert [float(v).hex() for v in got] == [v.hex() for v in values]
+    assert report.weight_convention_ratio == float(np.mean([c for _, c in expected]))
+    assert report.max_ratio == max(row.ratio for row in report.rows)
+    # The one-radius functions are one-radius calls of the same ladder.
+    for r, (values, _) in zip(radii, expected):
+        assert bergman_norm(dilate(f, r)).hex() == values[1].hex()
+        assert hminus_half_boundary_norm(f, r).hex() == values[3].hex()
+        assert mixed_boundary_norm(f, r).value.hex() == values[4].hex()
+
+
+def test_bbb_ratio_of_no_radii_and_of_a_bad_radius():
+    f = random_series(8, 1.0, np.random.default_rng(2))
+    report = bbb_ratio(f, radii=())
+    assert report.rows == () and report.max_ratio == 0.0
+    assert report.weight_convention_ratio == 1.0
+    for radii in ((0.9, 1.5), (0.0,), (0.9, -0.5, 0.99), (math.nan,)):
+        with pytest.raises(InputError, match="radius must lie in"):
+            bbb_ratio(f, radii=radii)
 
 
 def test_szego_type_growth_finite_ratio():

@@ -231,7 +231,7 @@ def test_verify_bb_failure_strictness(monkeypatch):
     def non_converging(*args, **kwargs):
         raise ConvergenceError("cap hit", partial=object())
 
-    monkeypatch.setattr("fracbb.experiments.sum_space_norm", non_converging)
+    monkeypatch.setattr("fracbb.experiments.sum_space_norms", non_converging)
     cfg = ExperimentConfig(
         dim=1, band=8, samples=2, seed=8, tol=1e-14, max_iterations=100
     )
@@ -281,7 +281,7 @@ def test_decays_that_overflow_are_rejected_before_any_solve(decay, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solver reached")
 
-    monkeypatch.setattr(experiments, "sum_space_norm", no_solve)
+    monkeypatch.setattr(experiments, "sum_space_norms", no_solve)
     cfg = ExperimentConfig(dim=1, band=8, samples=2, decay=decay)
     with pytest.raises(InputError, match="overflows"):
         verify_bb(cfg)

@@ -149,3 +149,14 @@ def test_dumps_json_rejects_non_finite_floats(bad, tmp_path):
     with pytest.raises(InvariantViolation):
         write_json(path, {"x": bad})
     assert not path.exists()
+
+
+def test_coefficient_indices_must_be_integral():
+    def entry(m, alpha):
+        return {"dim": 2, "band": 2, "entries": [{"m": m, "alpha": alpha, "re": 1.0, "im": 0.0}]}
+
+    field = field_from_jsonable(entry([1.0, -2.0], [2.0]))
+    assert field.masks == (2,) and field.get((1, -2)).component([2]) == 1.0
+    for m, alpha in (([1.5, 0], []), ([0.9, 0], []), ([1, 0], [1.5]), ([math.inf, 0], [])):
+        with pytest.raises(InputError, match="malformed coefficient entry"):
+            field_from_jsonable(entry(m, alpha))

@@ -11,6 +11,7 @@ from fracbb.norms import (
     l2_norm,
     sobolev_norm,
     sum_space_norm,
+    sum_space_norms,
 )
 from fracbb.spectral import (
     GridField,
@@ -668,6 +669,113 @@ def test_closed_form_split_matches_the_reference_bit_for_bit(
         weights[1] = -1.0
         with pytest.raises(InputError):
             sum_space_norm(f, s=s, homogeneous=homogeneous, weights=weights)
+
+
+def _assert_same_split(split, expected):
+    """Equal value and gap bits, path, iterations, and split planes bit for bit."""
+    assert (split.value.hex(), split.gap.hex(), split.path, split.iterations) == (
+        expected.value.hex(), expected.gap.hex(), expected.path, expected.iterations)
+    assert (split.h.masks, split.h.zero_mean, split.g.masks) == (
+        expected.h.masks, expected.h.zero_mean, expected.g.masks)
+    for ours, theirs in ((split.h.data, expected.h.data), (split.g.data, expected.g.data)):
+        assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+
+
+def _stack_member(rng, dim, band, masks, homogeneous):
+    """A decaying field with ``-0.0`` real parts at every other mode, or zero."""
+    mm = mode_matrix(dim, band)
+    if not masks:
+        return SpectralField(dim, band, {}, zero_mean=homogeneous)
+    norm_sq = np.maximum((mm.astype(float) ** 2).sum(axis=1), 1.0)
+    data = rng.normal(size=(len(masks), len(mm))) + 1j * rng.normal(size=(len(masks), len(mm)))
+    data /= norm_sq ** rng.uniform(0.5, 1.0)
+    data[:, ::2] = -0.0 + 1j * data[:, ::2].imag
+    if homogeneous:
+        data[:, len(mm) // 2] = 0.0
+    return SpectralField.from_blade_vectors(dim, band, masks, data, zero_mean=homogeneous)
+
+
+@pytest.mark.parametrize(
+    "dim, band, homogeneous, weight_kind, members, seed",
+    [
+        # 1-D dense side (P 64): one-blade rows take BLAS's matrix-vector kernel.
+        (1, 16, True, "default", [(0,), (0, 1), (), (1,), (0, 1)], 22),
+        # 1-D FFT side (P 256).
+        (1, 64, False, "array", [(0,), (), (0, 1), (1,), (0, 1)], 3),
+        (2, 6, True, "callable", [(0,), (0, 3), (1, 2, 3), (), (3,)], 27),
+        (3, 2, False, "default", [(0,), (0, 5), tuple(range(8)), (3,), ()], 3),
+    ],
+)
+def test_stacked_closed_form_matches_one_at_a_time(
+    dim, band, homogeneous, weight_kind, members, seed
+):
+    # Each member of a stack gets, bit for bit, what the single-field
+    # formulas give it: the written-out closed-form certificate, and the
+    # zero split for a zero field.  The dual scales reach the gap only where
+    # they exceed 1: the grid scale under 4 times the weights (at a loose
+    # tolerance, so every member still certifies), and the Sobolev scale of
+    # a multi-blade member where it rounds above 1.  Each seed gives a stack
+    # where summing that scale blade by blade instead of mode by mode
+    # changes a gap, and the 1-D dense one a stack where one matrix product
+    # for all rows does.
+    from fracbb.norms import _weights_for
+
+    rng = np.random.default_rng([dim, band, seed])
+    s = -dim / 2.0
+    norm_sq = (mode_matrix(dim, band).astype(float) ** 2).sum(axis=1)
+    weights = {
+        "default": None,
+        "array": 1.01 * np.where(norm_sq > 0, np.maximum(norm_sq, 1.0) ** (s / 2.0), 1.0),
+        "callable": lambda m: (1.0 + sum(x * x for x in m)) ** (s / 2.0),
+    }[weight_kind]
+    fields = [_stack_member(rng, dim, band, masks, homogeneous) for masks in members]
+    points = 4 * band
+    loose = 4.0 * _weights_for(dim, band, s, homogeneous, weights)[0]
+    for weights, tol in ((weights, 1e-6), (loose, 10.0)):
+        splits = sum_space_norms(fields, s=s, homogeneous=homogeneous, tol=tol, weights=weights)
+        assert len(splits) == len(fields)
+        for f, split in zip(fields, splits):
+            assert (split.path, split.iterations) == ("closed-form", 0)
+            if f.data.any():
+                value, gap, h = _closed_form_reference(f, s, homogeneous, weights, points)
+            else:
+                value, gap, h = 0.0, 0.0, np.zeros((1, len(norm_sq)), dtype=complex)
+            assert split.value.hex() == value.hex() and split.gap.hex() == gap.hex()
+            assert split.h.masks == f.masks and split.h.zero_mean == homogeneous
+            assert np.array_equal(split.h.data.view(np.uint64), h.view(np.uint64))
+            assert split.g.masks == f.masks and not np.any(split.g.data.view(np.uint64))
+            assert split.g.data.shape == (len(f.masks),) + (points,) * dim
+
+
+def test_stacked_solve_iterates_its_uncertified_members_alone():
+    # mixed_flat_8 between two fields that certify under its weights: the
+    # stack iterates it alone and reports what its own call reports, and
+    # when it cannot converge, the stack raises its error and partial split.
+    weights = scaled_weights(8, 5.0)
+    stack = [
+        SpectralField(1, 8, {(1,): 1.0, (-2,): 0.5j}, zero_mean=True),
+        all_ones(8),
+        SpectralField(1, 8, {(3,): 0.7 - 0.1j, (-1,): 0.2}, zero_mean=True),
+    ]
+    splits = sum_space_norms(stack, weights=weights)
+    assert [split.path for split in splits] == ["closed-form", "interior-point", "closed-form"]
+    for f, split in zip(stack, splits):
+        _assert_same_split(split, sum_space_norm(f, weights=weights))
+    with pytest.raises(ConvergenceError) as stacked:
+        sum_space_norms(stack, weights=weights, tol=1e-10, max_iterations=3)
+    with pytest.raises(ConvergenceError) as alone:
+        mixed_flat_8(tol=1e-10, max_iterations=3)
+    assert str(stacked.value) == str(alone.value)
+    _assert_same_split(stacked.value.partial, alone.value.partial)
+
+
+def test_stacked_fields_share_dimension_and_band():
+    assert sum_space_norms([]) == []
+    for other in (all_ones(4), SpectralField(2, 8, {}, zero_mean=True)):
+        with pytest.raises(InputError):
+            sum_space_norms([all_ones(8), other])
+    with pytest.raises(InputError):
+        sum_space_norms([all_ones(8), SpectralField(1, 8, {(0,): 1.0})])
 
 
 def test_iteration_cap_is_validated_and_kept():

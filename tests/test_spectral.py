@@ -236,6 +236,8 @@ def test_dict_keys_of_other_types_build_the_normalized_field():
         (1, -3, "frequency (-3,) outside band 2"),
         (2, (np.int64(0), np.int64(-3)), "frequency (0, -3) outside band 2"),
         (2, (2.0, 3.5), "frequency (2, 3) outside band 2"),
+        (1, 1.5, "frequency index 1.5 is not an integer tuple"),
+        (1, (1j,), "frequency index (1j,) is not an integer tuple"),
     ],
 )
 def test_dict_key_errors_name_the_normalized_key(dim, key, message):
