@@ -183,13 +183,20 @@ class CliffordElement:
     def norm(self) -> float:
         """Coefficient norm ``sqrt(sum(|x_a|**2))``.
 
+        Up to two squares add in a plain loop, which gives ``sum``'s bits on
+        every Python version (from 3.12 ``sum`` compensates three or more).
         When a square overflows (a part above about 1e154), the sum is taken
         over the components divided by the largest part and scaled back.
         """
+        comps, total = self.comps, 0.0
         try:
-            return math.sqrt(sum(abs(v) ** 2 for v in self.comps.values()))
+            if len(comps) > 2:
+                return math.sqrt(sum(abs(v) ** 2 for v in comps.values()))
+            for v in comps.values():
+                total += abs(v) ** 2
         except OverflowError:
-            return _scaled_norm(self.comps.values())
+            return _scaled_norm(comps.values())
+        return math.sqrt(total)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         """Whether the norm is at most ``tol``; at 0, each component is tested exactly."""

@@ -14,22 +14,24 @@ realizes the norm bound with an explicit constant:
 so the aggregate ratio is exactly ``1/sqrt(2)``; the summed ratio is bounded
 by ``sqrt(n+1)/sqrt(2)`` via Cauchy-Schwarz (diagonal single modes attain
 ``(1 + sqrt(n))/2``).
+
+The solve works on the ``(n + 1, modes)`` stack of the parts' coefficient rows
+in the public operators' order, so every number keeps their bits; the sup norms
+synthesize one part's grid at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+
+import numpy as np
 
 from .errors import InputError
-from .norms import sobolev_norm
+from .norms import _sobolev_norms
 from .operators import _symbol_table, fractional_laplacian, riesz
-from .spectral import (
-    SpectralField,
-    _mode_product,
-    inverse_transform,
-    project_zero_mean,
-)
+from .spectral import SpectralField, _synthesis, default_points, project_zero_mean
 
 @dataclass(frozen=True)
 class DecompositionResult:
@@ -51,16 +53,6 @@ class DecompositionResult:
         return self.parts[0].dim
 
 
-def _reconstruct(parts: tuple[SpectralField, ...], conjugated: bool) -> SpectralField:
-    dim = parts[0].dim
-    total = fractional_laplacian(parts[0], dim / 4.0)
-    for j in range(1, dim + 1):
-        total = total + fractional_laplacian(
-            riesz(parts[j], j, conjugated=conjugated), dim / 4.0
-        )
-    return total
-
-
 def solve_decomposition(
     g: SpectralField, conjugated_riesz: bool = True
 ) -> DecompositionResult:
@@ -75,18 +67,25 @@ def solve_decomposition(
         raise InputError("decomposition requires a zero-mean field")
     if not g.is_scalar():
         raise InputError("decomposition expects a complex scalar field")
-    dim = g.dim
-    # Half the symbol |m|**(-n/2) of (-Lap)^{-n/4}, which the public operator
-    # does not offer (it takes positive exponents only).
-    half_inverse = _symbol_table(dim, g.band, "fraclap", -dim / 4.0).scale(0.5)
-    f0 = _mode_product(half_inverse, g, zero_mean=True)
-    parts = (f0,) + tuple(
-        riesz(f0, j, conjugated=not conjugated_riesz) for j in range(1, dim + 1)
+    dim, band, s = g.dim, g.band, g.dim / 4.0
+    table = partial(_symbol_table, dim, band)
+    # Products are added to 0 as in the per-mode product (-0.0 becomes 0.0).
+    rows = np.empty((dim + 1, g.data.shape[1]), dtype=complex)
+    rows[0] = 0.5 * table("fraclap", -s).data[0] * g.data[0] + 0
+    images = rows.copy()  # f_0 and R~_j f_j, the inputs of (-Lap)^{n/4}
+    for j in range(1, dim + 1):
+        rows[j] = table("riesz", (j, not conjugated_riesz)).data[0] * rows[0] + 0
+        images[j] = table("riesz", (j, conjugated_riesz)).data[0] * rows[j] + 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = table("fraclap", s).data[0] * images + 0
+    if not np.isfinite(terms).all():
+        raise InputError(f"fractional Laplacian with exponent {s} overflows on band {band}")
+    residual = float(np.linalg.norm(sum(terms[1:], terms[0]) - g.data[0]))
+    sob = tuple(_sobolev_norms(rows[:, None], dim, band, dim / 2.0, True))
+    points = default_points(band)  # one part's grid at a time; sqrt commutes with max
+    sups = tuple(
+        math.sqrt((np.abs(_synthesis(row[None], dim, band, points)) ** 2).max()) for row in rows
     )
-    reconstruction = _reconstruct(parts, conjugated_riesz)
-    residual = (reconstruction - g).l2_coefficient_norm()
-    sob = tuple(sobolev_norm(part, dim / 2.0, homogeneous=True) for part in parts)
-    sups = tuple(float(inverse_transform(part).magnitude().max()) for part in parts)
     g_norm = g.l2_coefficient_norm()
     if g_norm > 0:
         bound_ratio = math.sqrt(sum(v * v for v in sob)) / g_norm
@@ -95,7 +94,7 @@ def solve_decomposition(
         bound_ratio = 0.0
         sum_ratio = 0.0
     return DecompositionResult(
-        parts=parts,
+        parts=tuple(g._with((0,), rows[j : j + 1], True) for j in range(dim + 1)),
         residual=residual,
         sobolev_norms=sob,
         sup_norms=sups,

@@ -348,9 +348,10 @@ class _NTScaling:
     ``(I + 2 wu wu^T) / beta**2``.
     """
 
-    def __init__(self, cones: _LorentzCones, s, z):
+    def __init__(self, cones: _LorentzCones, s, z, lorentz=None):
+        """``lorentz``, if given, is ``(cones.lorentz(s), cones.lorentz(z))``."""
         ids = cones.ids
-        ns, nz = np.sqrt(cones.lorentz(s)), np.sqrt(cones.lorentz(z))
+        ns, nz = map(np.sqrt, (cones.lorentz(s), cones.lorentz(z)) if lorentz is None else lorentz)
         st, su = s[0] / ns, s[1] / ns[ids]
         zt, zu = z[0] / nz, z[1] / nz[ids]
         gamma = np.sqrt((1.0 + st * zt + cones.dot(su, zu)) / 2.0)
@@ -532,9 +533,10 @@ def _interior_point(
     p, s, z = np.zeros_like(fvec), identity, identity
     Ap = adjoint(p)
     for _ in range(_INTERIOR_POINT_MAX_STEPS):
-        if not (np.all(cones.lorentz(s) > 0) and np.all(cones.lorentz(z) > 0)):
+        lorentz = cones.lorentz(s), cones.lorentz(z)
+        if not (np.all(lorentz[0] > 0) and np.all(lorentz[1] > 0)):
             return
-        scaling = _NTScaling(cones, s, z)
+        scaling = _NTScaling(cones, s, z, lorentz)
         if dense:
             matrix = newton_matrix(scaling)
             try:

@@ -82,27 +82,23 @@ def mode_list(dim: int, band: int) -> tuple[Index, ...]:
 
 
 @lru_cache(maxsize=128)
-def _mode_matrix(dim: int, band: int) -> np.ndarray:
-    return np.array(mode_list(dim, band), dtype=np.int64).reshape(-1, dim)
-
-
-@lru_cache(maxsize=128)
 def _mode_positions(dim: int, band: int) -> dict[Index, int]:
     return {m: i for i, m in enumerate(mode_list(dim, band))}
 
 
+@lru_cache(maxsize=128)
 def mode_matrix(dim: int, band: int) -> np.ndarray:
     """Integer (modes, dim) array of the band cube in canonical order.
 
     Shared cached storage; treat as read-only.
     """
-    return _mode_matrix(dim, band)
+    return np.array(mode_list(dim, band), dtype=np.int64).reshape(-1, dim)
 
 
 @lru_cache(maxsize=128)
 def _wrapped_index_arrays(dim: int, band: int, points: int) -> tuple[np.ndarray, ...]:
     """Per-axis FFT-cube positions of each band mode, for gather/scatter."""
-    mm = _mode_matrix(dim, band)
+    mm = mode_matrix(dim, band)
     return tuple(np.mod(mm[:, ax], points).astype(np.intp) for ax in range(dim))
 
 
@@ -298,6 +294,8 @@ class _CoefficientView(Mapping):
     Iterates in canonical (lexicographic) mode order; within a mode only the
     nonzero blades appear.  Elements are built when read; ``values()`` and
     ``items()`` build them all from one ``tolist`` of the nonzero columns.
+    A single blade's entries there are nonzero and make ``{mask: z}`` as they
+    stand; with more blades each column drops its zero (and ``-0.0``) entries.
     """
 
     __slots__ = ("field", "cols")
@@ -331,8 +329,11 @@ class _CoefficientValues(ValuesView):
     __slots__ = ()
 
     def __iter__(self) -> Iterator[CliffordElement]:
-        view = self._mapping
-        return map(view.field._element, view.field.data[:, view.cols].T.tolist())
+        field, cols = self._mapping.field, self._mapping.cols
+        if len(field.masks) > 1:
+            return map(field._element, field.data[:, cols].T.tolist())
+        of, dim, mask = CliffordElement._of, field.dim, field.masks[0]
+        return (of(dim, {mask: z}) for z in field.data[0, cols].tolist())
 
 
 class _CoefficientItems(ItemsView):

@@ -6,6 +6,7 @@ import pytest
 from fracbb.clifford import (
     CliffordElement,
     _blade_product,
+    _scaled_norm,
     invert_vector,
     mask_to_subset,
     multiply,
@@ -171,6 +172,23 @@ def test_basis_conjugate_times_self_is_one():
             blade = CliffordElement(n, {mask: 1.0})
             prod = blade.conjugate() * blade
             assert (prod - CliffordElement.scalar(n, 1.0)).norm() < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_norm_falls_back_to_the_scaled_sum_where_a_square_overflows(n):
+    rng = np.random.default_rng(50 + n)
+    for count in range(1, (1 << n) + 1):
+        parts = rng.normal(size=(count, 2)) * np.geomspace(1.0, 1e200, count)[:, None]
+        parts[-1] = (1e200, -2e200)  # the last square always overflows
+        comps = dict(zip(rng.permutation(1 << n).tolist(), (complex(*p) for p in parts.tolist())))
+        element = CliffordElement(n, comps)
+        values = list(element.comps.values())
+        with pytest.raises(OverflowError):
+            sum(abs(v) ** 2 for v in values)
+        assert element.norm() == _scaled_norm(values)
+        assert element.norm() == pytest.approx(
+            2e200 * math.sqrt(sum(abs(v / 2e200) ** 2 for v in values)), rel=1e-15
+        )
 
 
 def test_norm_and_zero_test_of_parts_whose_squares_overflow_or_underflow():

@@ -5,8 +5,16 @@ import pytest
 
 from fracbb.decomposition import smooth_complement, solve_decomposition
 from fracbb.errors import InputError
-from fracbb.operators import fractional_laplacian, riesz
-from fracbb.spectral import SpectralField, band_indices, freq_norm
+from fracbb.norms import sobolev_norm
+from fracbb.operators import _symbol_table, fractional_laplacian, riesz
+from fracbb.spectral import (
+    SpectralField,
+    _mode_product,
+    band_indices,
+    freq_norm,
+    inverse_transform,
+    mode_matrix,
+)
 
 
 def random_zero_mean(rng, dim, band):
@@ -99,6 +107,65 @@ def test_per_frequency_minimality():
         null_vec = rng.normal(size=dim + 1) + 1j * rng.normal(size=dim + 1)
         null_vec -= (row.conj() @ null_vec) / (row.conj() @ row) * row
         assert np.linalg.norm(x + null_vec) >= np.linalg.norm(x) - 1e-12
+
+
+def reference_decomposition(g, conjugated):
+    """The solve written out with the public operators, one part at a time."""
+    dim = g.dim
+    half_inverse = _symbol_table(dim, g.band, "fraclap", -dim / 4.0).scale(0.5)
+    f0 = _mode_product(half_inverse, g, zero_mean=True)
+    parts = (f0,) + tuple(riesz(f0, j, conjugated=not conjugated) for j in range(1, dim + 1))
+    total = fractional_laplacian(parts[0], dim / 4.0)
+    for j in range(1, dim + 1):
+        total = total + fractional_laplacian(riesz(parts[j], j, conjugated=conjugated), dim / 4.0)
+    sob = [sobolev_norm(part, dim / 2.0, homogeneous=True) for part in parts]
+    sups = [float(inverse_transform(part).magnitude().max()) for part in parts]
+    return parts, (total - g).l2_coefficient_norm(), sob, sups
+
+
+@pytest.mark.parametrize("conjugated", [True, False])
+@pytest.mark.parametrize(
+    "dim,band", [(1, 1), (1, 16), (1, 40), (2, 1), (2, 6), (2, 33), (3, 1), (3, 3)]
+)
+def test_stacked_solve_matches_the_public_operators_bit_for_bit(dim, band, conjugated):
+    # (1, 40) and (2, 33) synthesize on FFTs, the others on dense matrices.
+    rng = np.random.default_rng(100 * dim + band)
+    modes = mode_matrix(dim, band)
+    for kind in ("random", "signed zeros", "first axis only", "wide range"):
+        parts = rng.normal(size=(len(modes), 2))
+        if kind == "signed zeros":
+            parts[rng.random(parts.shape) < 0.4] = -0.0
+            parts[rng.random(parts.shape) < 0.2] = 0.0
+        elif kind == "first axis only":  # the other Riesz parts vanish
+            parts[(modes[:, 1:] != 0).any(axis=1)] = 0.0
+        elif kind == "wide range":
+            parts *= 10.0 ** rng.uniform(-150, 150, size=(len(modes), 1))
+        parts[len(modes) // 2] = 0.0
+        g = SpectralField.from_blade_vectors(dim, band, (0,), parts.view(complex).T, True)
+        result = solve_decomposition(g, conjugated_riesz=conjugated)
+        want_parts, residual, sob, sups = reference_decomposition(g, conjugated)
+        for got, want in zip(result.parts, want_parts, strict=True):
+            assert got.masks == want.masks and got.zero_mean and not got.data.flags.writeable
+            assert got.data.tobytes() == want.data.tobytes()
+        assert result.residual.hex() == residual.hex()
+        assert [v.hex() for v in result.sobolev_norms] == [v.hex() for v in sob]
+        assert [v.hex() for v in result.sup_norms] == [v.hex() for v in sups]
+        g_norm = g.l2_coefficient_norm()
+        assert result.bound_ratio == math.sqrt(sum(v * v for v in sob)) / g_norm
+        assert result.sum_ratio == sum(sob) / g_norm
+
+
+def test_decomposition_that_overflows_is_an_input_error():
+    g = SpectralField.from_blade_vectors(2, 1, (0,), [[0, 0, 1, 2, 0, 3, np.inf, 1, 1]], True)
+    with np.errstate(invalid="ignore"), pytest.raises(
+        InputError, match="fractional Laplacian with exponent 0.5 overflows"
+    ):
+        solve_decomposition(g)
+    g = SpectralField(1, 2, {1: 1e300}, zero_mean=True)
+    with np.errstate(over="ignore"), pytest.raises(
+        InputError, match="Sobolev norm with exponent 0.5 overflows"
+    ):
+        solve_decomposition(g)
 
 
 def test_sup_norms_reported_finite():

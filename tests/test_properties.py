@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from collections.abc import ItemsView, ValuesView
 
 from hypothesis import example, given, settings, strategies as st
@@ -136,10 +137,53 @@ def test_coefficient_views_match_per_mode_access(field):
     assert bits(field.mean_coefficient()) == bits(field.get(modes[len(modes) // 2]))
 
 
+@pytest.mark.parametrize(
+    "dim,masks",
+    [(1, (0,)), (2, (2,)), (3, (1, 2, 4)), (1, (0, 1)), (2, (0, 1, 2, 3)), (3, tuple(range(8)))],
+    ids=["scalar", "one-vector-blade", "vector", "full-1d", "full-2d", "full-3d"],
+)
+def test_view_elements_have_the_components_of_get(dim, masks):
+    rng = np.random.default_rng(len(masks) + 8 * dim)
+    modes = mode_list(dim, 2)
+    parts = rng.normal(size=(len(masks), len(modes), 2))
+    # Each entry is kept, zeroed or made -0.0 per part; some columns vanish.
+    choice = rng.integers(0, 3, size=parts.shape)
+    parts = np.where(choice == 0, parts, np.where(choice == 1, 0.0, -0.0))
+    parts[:, :3] = -0.0
+    data = np.ascontiguousarray(parts).view(complex)[..., 0]
+    assert (np.signbit(data.imag) & (data.imag == 0)).any()
+    field = SpectralField.from_blade_vectors(dim, 2, masks, data)
+    assert field.masks == masks
+    view = field.coeffs
+    expected = [(m, bits(field.get(m))) for m in modes if field.get(m).comps]
+    assert [(m, bits(element)) for m, element in view.items()] == expected
+    assert [bits(element) for element in view.values()] == [b for _, b in expected]
+    assert len(view) == len(expected) < len(modes)
+
+
+@st.composite
+def wide_elements(draw):
+    """Elements of 1 to 2**n components, n = 1..3, with parts near ``10**exponent``."""
+    n, exponent = draw(st.integers(1, 3)), draw(st.integers(-150, 150))
+    scaled = st.floats(-10, 10).map(lambda x: x * 10.0**exponent)
+    parts = st.sampled_from([0.0, -0.0]) | scaled
+    comps = st.dictionaries(
+        st.integers(0, (1 << n) - 1), st.builds(complex, scaled, parts), min_size=1
+    )
+    return CliffordElement(n, draw(comps))
+
+
+def full_element(n, magnitude):
+    return CliffordElement(n, {mask: complex(mask + 1, -0.5) * magnitude for mask in range(1 << n)})
+
+
 @PROPERTY_SETTINGS
-@given(signed_zero_fields())
-def test_element_norm_is_the_numpy_square_root_bit_for_bit(field):
-    for element in field.coeffs.values():
+@given(signed_zero_fields(), wide_elements())
+@example(SpectralField(1, 1), full_element(3, 1e-150))
+@example(SpectralField(1, 1), full_element(3, 1e150))
+def test_element_norm_is_the_numpy_square_root_bit_for_bit(field, element):
+    # The reference is ``sum``'s, so it holds on every Python version.
+    for element in [*field.coeffs.values(), element]:
         expected = float(np.sqrt(sum(abs(v) ** 2 for v in element.comps.values())))
         assert element.norm().hex() == expected.hex()
 
