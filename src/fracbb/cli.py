@@ -383,6 +383,8 @@ def _cmd_bilinear_a(args) -> int:
     if args.in1 or args.in2:
         if not (args.in1 and args.in2):
             raise InputError("sequence mode needs both --in1 and --in2")
+        if not args.truncations or min(args.truncations) < 1:
+            raise InputError("truncations must be positive integers")
         f1 = load_coefficients(args.in1)
         f2 = load_coefficients(args.in2)
         if f1.dim != 1 or f2.dim != 1:

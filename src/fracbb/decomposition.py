@@ -31,7 +31,7 @@ import numpy as np
 from .errors import InputError
 from .norms import _sobolev_norms
 from .operators import _symbol_table, fractional_laplacian, riesz
-from .spectral import SpectralField, _synthesis, default_points, project_zero_mean
+from .spectral import SpectralField, _mean_column, _synthesis, default_points, project_zero_mean
 
 @dataclass(frozen=True)
 class DecompositionResult:
@@ -63,7 +63,7 @@ def solve_decomposition(
     ``fj_hat = (i m_j / |m|) * g_hat / (2 |m|**(n/2))``; the plain flavor
     flips the sign of the Riesz parts.  Reconstruction is exact on the band.
     """
-    if (abs(g.data[:, g.data.shape[1] // 2]) ** 2).sum() != 0:  # |g_hat(0)|**2
+    if _mean_column(g.data).any():
         raise InputError("decomposition requires a zero-mean field")
     if not g.is_scalar():
         raise InputError("decomposition expects a complex scalar field")

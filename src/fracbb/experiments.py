@@ -240,12 +240,12 @@ def bilinear_A_diracs(a: float, b: float, truncations: Sequence[int]) -> DiracSe
     ``2 sum_{n > 0} sin(n (a - b)) / n``.  Tracks every partial sum up to the
     largest requested truncation so uniform-boundedness claims are checkable.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise InputError(f"point-mass angles must be finite, got a={a!r}, b={b!r}")
+    theta = a - b  # not finite when a or b is not, or when it overflows
+    if not math.isfinite(theta):
+        raise InputError(f"point-mass angles and a - b must be finite, got a={a!r}, b={b!r}")
     truncations = sorted({int(t) for t in truncations})
     if not truncations or truncations[0] < 1:
         raise InputError("truncations must be positive integers")
-    theta = a - b
     top = truncations[-1]
     wanted = dict.fromkeys(truncations, 0.0)
     running = 0.0

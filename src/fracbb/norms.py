@@ -13,7 +13,8 @@ point ``p`` on the coefficients bounds the optimum from below by
 point and ``||p / W|| <= 1``.  Every answer carries this duality-gap
 certificate: the reported value is the cost of a feasible split, a dual point
 scaled into feasibility gives the lower bound, and ``gap >= 0`` is their
-difference.
+difference.  One routine computes it for every split, the closed-form one
+and each Newton or polish step's, so one certificate judges them all.
 
 The pure-Sobolev split ``g = 0, h = f`` is checked first, in closed form.
 The only dual point that can certify it maximizes the Sobolev dual term:
@@ -29,15 +30,14 @@ the default weights, their mask and their square are kept once per ``(dim,
 band, s, homogeneous)``.
 
 :func:`sum_space_norms` runs this check for many fields at once: fields that
-share ``dim``, band, grid and weights stack into one ``p0`` table ``(fields,
-blades, modes)`` with one adjoint, then give per-field ``s1``, ``s2``,
-``mu``, lower bound, ``h`` and upper bound.  Each field keeps the bits of its
-own check.  Every per-field sum runs over one C-contiguous row, in the
-order a single field's sum takes (its masked columns mode by mode, as numpy
-lays them out).  The transform pair applies one matrix product per field,
-because BLAS rounds a one-row product (its matrix-vector kernel) differently
-from a many-row one.  Fields with different blade counts stack apart, and
-:func:`sum_space_norm` is the stack of one field.
+share ``dim``, band, grid, weights and blade count stack into one ``p0``
+table ``(fields, blades, modes)``, with one adjoint and one certificate call;
+a Newton or polish step is a stack of one.  Each field keeps the bits of its
+own check: every per-field sum runs over one C-contiguous row, in the order a
+single field's sum takes (its masked columns mode by mode, as numpy lays them
+out), and the transform pair applies one matrix product per field, because
+BLAS rounds a one-row product (its matrix-vector kernel) differently from a
+many-row one.
 
 Otherwise a primal-dual interior-point method solves the dual as a
 second-order-cone program: minimize ``Re<p, f_hat>`` subject to ``(1, A*
@@ -56,8 +56,8 @@ blades * modes``) conjugate gradients solve the Newton systems instead, as
 in Gondzio's matrix-free interior-point method (Comput. Optim. Appl. 51,
 2012); a product is one adjoint and one forward transform.  The primal
 split is an output: the vector part of grid cone ``x``'s multiplier,
-divided by ``w``, is ``g(x)``, and every step's ``(g, p)`` goes to the same
-certificate.  The frozen mixed instances certify at tol 1e-6 in 11-12 steps.
+divided by ``w``, is ``g(x)``.  The frozen mixed instances certify at tol
+1e-6 in 11-12 steps.
 
 When the Newton steps stall before the gap reaches ``tol`` (on roundoff,
 typically at an absolute gap of 1e-11 to 1e-8), a polish in the manner of
@@ -86,12 +86,12 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, InputError, InvariantViolation
-from .spectral import (  # noqa: F401  (_DENSE_MAX_ENTRIES is re-exported with _coupling)
-    _DENSE_MAX_ENTRIES,
+from .spectral import (
     GridField,
     SpectralField,
     TWO_PI,
     _coupling,
+    _mean_column,
     default_points,
     mode_matrix,
 )
@@ -130,14 +130,13 @@ def _sobolev_norms(
     """:func:`sobolev_norm` of each field of coefficient rows ``(fields, blades, modes)``."""
     if not math.isfinite(s):
         raise InputError(f"Sobolev exponent must be finite, got {s!r}")
-    power = (np.abs(rows) ** 2).sum(axis=1)
-    # power at the centre column m = 0 is zero exactly when the mean is.
-    if homogeneous and s < 0 and power[:, power.shape[1] // 2].any():
+    if homogeneous and s < 0 and _mean_column(rows).any():
         raise InputError(
             "homogeneous norm with negative exponent needs a zero-mean field"
         )
+    power = (np.abs(rows) ** 2).sum(axis=1)
     weights, active = _sobolev_weights(dim, band, s, homogeneous)
-    if active is not None:
+    if homogeneous:
         power = np.compress(active, power, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         totals = _row_sums(weights * power).tolist()
@@ -150,13 +149,14 @@ def _sobolev_norms(
 def _sobolev_weights(dim: int, band: int, s: float, homogeneous: bool) -> tuple:
     """``(|m|**(2s) or (1 + |m|**2)**s on the active modes, active)``; read-only.
 
-    ``active`` masks the modes without the mean, or is None when all are active.
+    ``active`` masks the modes other than a homogeneous norm's mean.
     """
     norm_sq = (mode_matrix(dim, band) ** 2).sum(axis=1).astype(float)
-    base, active = (norm_sq, norm_sq > 0) if homogeneous else (1.0 + norm_sq, None)
+    base = norm_sq if homogeneous else 1.0 + norm_sq
+    active = base > 0
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = (base if active is None else base[active]) ** s
-    for table in (weights, active) if homogeneous else (weights,):
+        weights = base[active] ** s
+    for table in (weights, active):
         table.flags.writeable = False
     return weights, active
 
@@ -194,12 +194,12 @@ def _weights_for(
     s: float,
     homogeneous: bool,
     weights: np.ndarray | Callable | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The weight tables of a solve: ``(W, mask, masked, masked**2)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The weight tables of a solve: ``(mask, W, W**2)``.
 
-    ``W`` holds the per-mode Sobolev weights, ``mask`` the modes ``h`` may
-    occupy, and ``masked`` is ``W`` with 1 off the mask.  The default weights
-    come from a cache; array and callable weights are checked on every call.
+    ``mask`` marks the modes ``h`` may occupy, where the Sobolev weights
+    ``W`` are checked; ``W`` is 1 off it.  The default weights' tables are
+    cached; array and callable weights are checked on every call.
     """
     if weights is None:
         return _default_weights(dim, band, float(s), homogeneous)
@@ -212,36 +212,27 @@ def _weights_for(
             raise InputError(
                 f"weights must have one entry per mode ({len(mm)}), got {w.shape}"
             )
-    return _weight_tables(w, homogeneous)
+    mask = np.ones(len(w), dtype=bool)
+    if homogeneous:
+        _mean_column(mask)[...] = False
+    if np.any(w[mask] <= 0) or not np.all(np.isfinite(w[mask])):
+        raise InputError("Sobolev weights must be positive and finite on active modes")
+    masked = np.where(mask, w, 1.0)
+    return mask, masked, masked**2
 
 
 @lru_cache(maxsize=32)
 def _default_weights(dim: int, band: int, s: float, homogeneous: bool) -> tuple:
     """:func:`_weights_for` of the ``H^s`` weights.  Shared cached storage, read-only."""
-    norm_sq = (mode_matrix(dim, band).astype(float) ** 2).sum(axis=1)
     # W multiplies h_hat inside an l2 norm, so W**2 must be the Sobolev
-    # weight: |m|**(2s), resp. (1 + |m|**2)**s.
-    if homogeneous:
-        w = np.ones(len(norm_sq))
-        active = norm_sq > 0
-        w[active] = norm_sq[active] ** (s / 2.0)
-    else:
-        w = (1.0 + norm_sq) ** (s / 2.0)
-    tables = _weight_tables(w, homogeneous)
+    # weight |m|**(2s), resp. (1 + |m|**2)**s: W is the weight of H^(s/2).
+    half, active = _sobolev_weights(dim, band, s / 2.0, homogeneous)
+    w = np.ones(len(active))
+    w[active] = half
+    tables = _weights_for(dim, band, s, homogeneous, w)
     for table in tables:
         table.flags.writeable = False
     return tables
-
-
-def _weight_tables(w: np.ndarray, homogeneous: bool) -> tuple:
-    """Check ``w`` where ``h`` may be nonzero and derive the tables from it."""
-    mask = np.ones(len(w), dtype=bool)
-    if homogeneous:
-        mask[len(w) // 2] = False  # m = 0, the centre of the band cube
-    if np.any(w[mask] <= 0) or not np.all(np.isfinite(w[mask])):
-        raise InputError("Sobolev weights must be positive and finite on active modes")
-    masked = np.where(mask, w, 1.0)
-    return w, mask, masked, masked**2
 
 
 @lru_cache(maxsize=32)
@@ -617,8 +608,8 @@ _POLISH_SUPPORT = 1e-6
 _POLISH_MAX_STEPS = 8
 
 
-def _polish(g, fvec, band, masked_weight, h_mask, quad_w) -> Iterator[tuple]:
-    """Yield ``g`` and a dual point ``p`` after each Newton step on a fixed support.
+def _polish(g, fvec, band, weight, h_mask, quad_w, adjoint) -> Iterator[tuple]:
+    """Yield ``g``, a dual point ``p`` and ``A* p`` after each Newton step on a fixed support.
 
     On the support ``S`` of ``g`` the cost is smooth while no ``g(x)`` and no
     ``h`` vanish.  Each model (see the module docstring) takes up to
@@ -639,10 +630,10 @@ def _polish(g, fvec, band, masked_weight, h_mask, quad_w) -> Iterator[tuple]:
     # matrix of g -> W A_S g, with unknowns ordered (cell, blade, re/im) and
     # rows (mode, blade, re/im).
     phase = (mode_matrix(dim, band) @ np.array(np.unravel_index(support, shape))) % points
-    rows = masked_weight[:, None] * np.exp(phase * (-2j * math.pi / points)) / points**dim
+    rows = weight[:, None] * np.exp(phase * (-2j * math.pi / points)) / points**dim
     eye, rotate = np.eye(2 * nblades), np.kron(np.eye(nblades), [[0.0, -1.0], [1.0, 0.0]])
     jac = np.kron(rows.real, eye) + np.kron(rows.imag, rotate)
-    target = (masked_weight * fvec).T.ravel().view(float)
+    target = (weight * fvec).T.ravel().view(float)
     active = np.repeat(h_mask, 2 * nblades)
     sob = jac[active]
     gram, diagonal = sob.T @ sob, np.eye(cells)
@@ -672,12 +663,12 @@ def _polish(g, fvec, band, masked_weight, h_mask, quad_w) -> Iterator[tuple]:
                 nu[~active] = step[unknowns:]
             else:
                 nu = basis @ step[unknowns:]
-            p = masked_weight[:, None] * nu.view(complex).reshape(-1, nblades)
+            p = weight[:, None] * nu.view(complex).reshape(-1, nblades)
             if not (np.isfinite(y).all() and np.isfinite(p).all()):
                 return
             out = np.zeros_like(flat)
             out[:, support] = y.view(complex).reshape(cells, nblades).T
-            yield out.reshape(g.shape), p.T
+            yield out.reshape(g.shape), p.T, adjoint(p.T)
 
     yield from newton(jac[~active], target[~active])
     basis, singular, right = np.linalg.svd(jac, full_matrices=False)
@@ -711,43 +702,56 @@ def _duality_gap(upper, s1: float, s2: float, dot: float) -> float:
     return gap
 
 
-def _closed_form(fvecs, dim, band, points, tol, h_mask, masked_weight, masked_weight_sq):
+def _certificates(fvecs, g, Ag, p, Ap, h_mask, weight, weight_sq) -> list[tuple]:
+    """The certificate ``(upper, gap, g, h)`` of each split of a stack of fields.
+
+    ``fvecs`` holds coefficient rows ``(fields, blades, modes)``, ``g`` the
+    splits' mean-repaired grid parts (None for zero grids), ``Ag`` their
+    forward maps, ``p`` dual points shaped as ``fvecs`` and ``Ap`` their
+    adjoints.  Each field's sums run over one row, in a single field's order.
+    """
+    count, dim = len(fvecs), Ap.ndim - 2
+    h = np.where(h_mask, fvecs - Ag, 0.0)
+    uppers = np.sqrt(_row_sums(weight_sq * (np.abs(h) ** 2)))
+    if g is None:  # the L1 term of a zero grid is 0.0, and 0.0 + x == x
+        g = np.zeros(Ap.shape, dtype=complex)
+    else:
+        uppers = np.add(_l1_norms(g, dim), uppers)
+    point_norms = np.sqrt((np.abs(Ap) ** 2).sum(axis=1))
+    s1 = point_norms.reshape(count, -1).max(axis=1) / (TWO_PI / Ap.shape[-1]) ** dim
+    # numpy lays a single field's masked columns (blades, active) out mode
+    # by mode, and sums them in that order; so does each row here.
+    scaled = np.compress(h_mask, (np.abs(p) ** 2) / weight_sq, axis=2)
+    s2 = np.sqrt(_row_sums(np.swapaxes(scaled, 1, 2)))
+    dots = _row_sums(np.real(np.conj(p) * fvecs))
+    uppers = uppers.tolist()
+    gaps = map(_duality_gap, uppers, s1.tolist(), s2.tolist(), dots.tolist())
+    return list(zip(uppers, gaps, g, h))
+
+
+def _closed_form(fvecs, dim, band, points, tol, h_mask, weight, weight_sq):
     """The certificates of the splits ``g = 0`` of stacked fields, in one check.
 
     ``fvecs`` holds the coefficient rows ``(fields, blades, modes)``.  Only
     ``p0 = -W**2 f / ||W f||`` can certify ``g = 0`` (zero when ``||W f||``
     is not positive, say by underflow), so each field gets one certificate
-    there, ``(upper, gap, g, h)``, and whether it settles the split.  Every
-    reduction runs over one contiguous row per field, as a single field's
-    would, and the transforms run per field, so each field keeps the bits of
-    its own check.
+    there, ``(upper, gap, g, h)``, and whether it settles the split.  The
+    adjoint runs per field, so each field keeps the bits of its own check.
     """
     count, nblades = fvecs.shape[:2]
-    weighted = np.where(h_mask, masked_weight * fvecs, 0.0)
+    weighted = np.where(h_mask, weight * fvecs, 0.0)
     weighted_norms = np.sqrt(_row_sums(np.abs(weighted) ** 2))
     positive = weighted_norms > 0
-    p0 = -masked_weight * weighted / np.where(positive, weighted_norms, 1.0)[:, None, None]
+    p0 = -weight * weighted / np.where(positive, weighted_norms, 1.0)[:, None, None]
     p0[~positive] = 0.0
-    # A 0 is zero up to signs of zero that h keeps, so it comes from a
-    # cached table; the L1 term of g = 0 is 0.0, and 0.0 + x == x.
-    h = np.where(h_mask, fvecs - _zero_image(dim, band, points, nblades), 0.0)
-    uppers = np.sqrt(_row_sums(masked_weight_sq * (np.abs(h) ** 2)))
     _, adjoint = _coupling(dim, band, points, count, nblades)
-    point_norms = np.sqrt((np.abs(adjoint(p0)) ** 2).sum(axis=1))
-    s1 = point_norms.reshape(count, -1).max(axis=1) / (TWO_PI / points) ** dim
-    # numpy lays a single field's masked columns (blades, active) out mode
-    # by mode, and sums them in that order; so does each row here.
-    scaled = np.compress(h_mask, (np.abs(p0) ** 2) / masked_weight_sq, axis=2)
-    s2 = np.sqrt(_row_sums(np.swapaxes(scaled, 1, 2)))
-    dots = _row_sums(np.real(np.conj(p0) * fvecs))
-    g = np.zeros((count, nblades) + (points,) * dim, dtype=complex)
+    # A 0 is zero up to signs of zero that h keeps; a cached table holds it.
+    Ag = _zero_image(dim, band, points, nblades)
+    found = _certificates(fvecs, None, Ag, p0, adjoint(p0), h_mask, weight, weight_sq)
     checks = []
-    for i, (upper, s1_i, s2_i, dot, norm) in enumerate(
-        zip(uppers.tolist(), s1.tolist(), s2.tolist(), dots.tolist(), weighted_norms.tolist())
-    ):
-        gap = _duality_gap(upper, s1_i, s2_i, dot)
+    for norm, (upper, gap, g_i, h_i) in zip(weighted_norms.tolist(), found):
         roundoff = _GAP_ROUNDOFF_ULPS * math.ulp(upper) if math.isfinite(upper) else 0.0
-        checks.append((norm > 0 and gap <= max(tol, roundoff), (upper, gap, g[i], h[i])))
+        checks.append((norm > 0 and gap <= max(tol, roundoff), (upper, gap, g_i, h_i)))
     return checks
 
 
@@ -829,17 +833,14 @@ def sum_space_norms(
         raise InputError("stacked fields must share their dimension and band")
     if s is None:
         s = -dim / 2.0
-    # The mean coefficient sits at the centre of the band cube.
-    if homogeneous and any(f.data[:, f.data.shape[1] // 2].any() for f in fields):
+    if homogeneous and any(_mean_column(f.data).any() for f in fields):
         raise InputError("homogeneous sum-space norm requires a zero-mean field")
     P = default_points(band) if points_per_axis is None else int(points_per_axis)
     if P < 2 * band + 1:
         raise InputError(f"grid of {P} points per axis is too coarse for band {band}")
     shape = (P,) * dim
     quad_w = (TWO_PI / P) ** dim
-    weight, h_mask, masked_weight, masked_weight_sq = _weights_for(
-        dim, band, s, homogeneous, weights
-    )
+    h_mask, weight, weight_sq = _weights_for(dim, band, s, homogeneous, weights)
 
     # Rows of one field stack only with rows of as many blades.
     stacks: dict[int, list[int]] = {}
@@ -848,7 +849,7 @@ def sum_space_norms(
     checks = [None] * len(fields)
     for members in stacks.values():
         fvecs = np.stack([fields[i].data for i in members])
-        found = _closed_form(fvecs, dim, band, P, tol, h_mask, masked_weight, masked_weight_sq)
+        found = _closed_form(fvecs, dim, band, P, tol, h_mask, weight, weight_sq)
         for i, check in zip(members, found):
             checks[i] = check
 
@@ -858,25 +859,17 @@ def sum_space_norms(
         forward, adjoint = _coupling(dim, band, P, nblades)
 
         def certificate(gq, pq, Ap):
-            """Feasible primal cost, duality gap, and the repaired split.
-
-            ``Ap`` is ``adjoint(pq)``.
-            """
+            """The certificate of ``gq``'s split, mean repaired; ``Ap`` is ``adjoint(pq)``."""
             Ag = forward(gq)
-            g_adj = gq
             if homogeneous:
                 # Repair the mean constraint by adding a constant per blade.
-                rho = fvec[:, ~h_mask] - Ag[:, ~h_mask]
-                if rho.size and np.any(rho):
-                    g_adj = gq + rho.sum(axis=1).reshape((nblades,) + (1,) * dim)
-                    Ag = forward(g_adj)
-            l1 = quad_w * np.sqrt((np.abs(g_adj) ** 2).sum(axis=0)).sum()
-            h_rep = np.where(h_mask, fvec - Ag, 0.0)
-            upper = l1 + math.sqrt((masked_weight_sq * (np.abs(h_rep) ** 2)).sum())
-            s1 = float(np.sqrt((np.abs(Ap) ** 2).sum(axis=0)).max()) / quad_w
-            s2 = math.sqrt(((np.abs(pq) ** 2) / masked_weight_sq)[:, h_mask].sum())
-            dot = float(np.real(np.conj(pq) * fvec).sum())
-            return float(upper), _duality_gap(upper, s1, s2, dot), g_adj, h_rep
+                rho = _mean_column(fvec) - _mean_column(Ag)
+                if np.any(rho):
+                    gq = gq + rho.reshape((nblades,) + (1,) * dim)
+                    Ag = forward(gq)
+            return _certificates(
+                fvec[None], gq[None], Ag[None], pq[None], Ap[None], h_mask, weight, weight_sq
+            )[0]
 
         # The best certificate seen and its path, and the g of the best
         # Newton step, where the polish starts.
@@ -884,8 +877,7 @@ def sum_space_norms(
 
         def polish():
             if best_g is not None:
-                for gq, pq in _polish(best_g, fvec, band, masked_weight, h_mask, quad_w):
-                    yield gq, pq, adjoint(pq)
+                yield from _polish(best_g, fvec, band, weight, h_mask, quad_w, adjoint)
 
         newton = _interior_point(fvec, band, weight, h_mask, quad_w, shape, forward, adjoint)
         iterations = 0

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .spectral import SpectralField, _mode_product, mode_matrix
+from .spectral import SpectralField, _mean_column, _mode_product, mode_matrix
 
 
 @lru_cache(maxsize=64)
@@ -108,7 +108,7 @@ def dirac_Dbar(u: SpectralField) -> SpectralField:
 
 
 def _require_zero_mean(f: SpectralField, what: str) -> None:
-    if not f.mean_coefficient().is_zero():
+    if _mean_column(f.data).any():
         raise InputError(f"{what} requires a zero-mean field (nonzero coefficient at m = 0)")
 
 

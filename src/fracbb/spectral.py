@@ -95,6 +95,11 @@ def mode_matrix(dim: int, band: int) -> np.ndarray:
     return np.array(mode_list(dim, band), dtype=np.int64).reshape(-1, dim)
 
 
+def _mean_column(rows: np.ndarray) -> np.ndarray:
+    """View of rows' ``m = 0`` entries, the band cube's centre; a mean's square can underflow."""
+    return rows[..., rows.shape[-1] // 2]
+
+
 @lru_cache(maxsize=128)
 def _wrapped_index_arrays(dim: int, band: int, points: int) -> tuple[np.ndarray, ...]:
     """Per-axis FFT-cube positions of each band mode, for gather/scatter."""
@@ -173,8 +178,7 @@ class SpectralField:
             masks, data = (0,), np.zeros((1, data.shape[1]), dtype=complex)
         elif len(keep) < len(masks):
             masks, data = tuple(masks[r] for r in keep), data[keep]
-        # The origin m = 0 sits at the centre of the symmetric band cube.
-        if zero_mean and data[:, data.shape[1] // 2].any():
+        if zero_mean and _mean_column(data).any():
             raise InputError("field flagged zero_mean has a nonzero coefficient at 0")
         data.flags.writeable = False
         self.dim, self.band, self.masks, self.data = dim, band, masks, data
@@ -569,5 +573,5 @@ def convolve(f: SpectralField, g: SpectralField) -> SpectralField:
 def project_zero_mean(f: SpectralField) -> SpectralField:
     """Drop the ``m = 0`` coefficient and flag the result as zero-mean."""
     data = f.data.copy()
-    data[:, data.shape[1] // 2] = 0
+    _mean_column(data)[...] = 0
     return f._with(f.masks, data, True)

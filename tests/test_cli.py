@@ -338,6 +338,7 @@ def test_mixed_norm_rejects_iteration_cap_below_one(tmp_path, capsys):
         ["verify-bergman", "--corpus-size", 1, "--order", 4, "--decay", "inf"],
         ["bilinear-a", "--a", "nan", "--b", 0.5],
         ["bilinear-a", "--a", 0.5, "--b=-inf"],
+        ["bilinear-a", "--a", 1e308, "--b=-1e308"],  # finite angles, a - b overflows
     ],
 )
 def test_non_finite_settings_exit_with_input_error(args, tmp_path, capsys):
@@ -398,6 +399,36 @@ def test_inverting_D_rejects_a_huge_or_tiny_mean(mean, tmp_path, capsys):
     src = tmp_path / "mean.json"
     save_coefficients(SpectralField(1, 2, {(0,): mean, (1,): 1.0}), src)
     assert run_cli(["apply-op", "--op", "invD", "--in", src, "--out", tmp_path / "o.json"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["decompose", "--out-prefix", "parts"],
+        ["norm", "--kind", "sobolev", "--s", -0.5, "--homogeneous"],
+        ["mixed-norm", "--homogeneous"],
+        ["apply-op", "--op", "invD", "--out", "o.json"],
+    ],
+    ids=["decompose", "sobolev-norm", "mixed-norm", "invert-D"],
+)
+def test_a_tiny_mean_is_a_mean_for_every_zero_mean_command(args, tmp_path, monkeypatch, capsys):
+    # 1e-170 squares to 0.0, so only the entry itself can tell that the
+    # mean is not zero; every command that needs a zero mean must see it.
+    src = tmp_path / "mean.json"
+    save_coefficients(SpectralField(1, 2, {(0,): 1e-170, (1,): 1.0}), src)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(args[:1] + ["--in", src] + args[1:]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mean.json"]
+
+
+@pytest.mark.parametrize("truncations", ["", "0,5"], ids=["empty", "below-one"])
+def test_bilinear_a_sequence_mode_rejects_bad_truncations(truncations, tmp_path, capsys):
+    pair = tmp_path / "pair.json"
+    save_coefficients(SpectralField(1, 2, {(1,): 1.0, (-1,): 1.0}), pair)
+    args = ["bilinear-a", "--in1", pair, "--in2", pair, "--truncations", truncations]
+    assert run_cli(args) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "input"
 
 

@@ -525,7 +525,8 @@ def test_structured_newton_matrix_matches_the_dense_reference(
     ],
 )
 def test_solver_coupling_matches_the_transforms(dim, band, points, masks, dense):
-    from fracbb.norms import _DENSE_MAX_ENTRIES, _coupling
+    from fracbb.norms import _coupling
+    from fracbb.spectral import _DENSE_MAX_ENTRIES
 
     rng = np.random.default_rng(dim * 1000 + points)
     forward, adjoint = _coupling(dim, band, points, len(masks))
@@ -620,7 +621,8 @@ def _closed_form_reference(f, s, homogeneous, weights, points):
 def test_closed_form_split_matches_the_reference_bit_for_bit(
     dim, band, masks, homogeneous, weight_kind
 ):
-    from fracbb.norms import _DENSE_MAX_ENTRIES, _weights_for, _zero_image
+    from fracbb.norms import _weights_for, _zero_image
+    from fracbb.spectral import _DENSE_MAX_ENTRIES
 
     rng = np.random.default_rng([dim, band, len(masks)])
     s = -dim / 2.0
@@ -730,7 +732,7 @@ def test_stacked_closed_form_matches_one_at_a_time(
     }[weight_kind]
     fields = [_stack_member(rng, dim, band, masks, homogeneous) for masks in members]
     points = 4 * band
-    loose = 4.0 * _weights_for(dim, band, s, homogeneous, weights)[0]
+    loose = 4.0 * _weights_for(dim, band, s, homogeneous, weights)[1]
     for weights, tol in ((weights, 1e-6), (loose, 10.0)):
         splits = sum_space_norms(fields, s=s, homogeneous=homogeneous, tol=tol, weights=weights)
         assert len(splits) == len(fields)
@@ -745,6 +747,80 @@ def test_stacked_closed_form_matches_one_at_a_time(
             assert np.array_equal(split.h.data.view(np.uint64), h.view(np.uint64))
             assert split.g.masks == f.masks and not np.any(split.g.data.view(np.uint64))
             assert split.g.data.shape == (len(f.masks),) + (points,) * dim
+
+
+@pytest.mark.parametrize(
+    "dim, band, blades, homogeneous, weight_kind",
+    [
+        (1, 16, 1, True, "default"),  # dense DFT side (P 64)
+        (1, 64, 2, False, "array"),  # FFT side (P 256)
+        (2, 6, 1, False, "callable"),
+        (2, 6, 3, True, "array"),
+        (3, 2, 8, True, "default"),
+    ],
+)
+def test_stacked_certificates_match_one_field_at_a_time(
+    dim, band, blades, homogeneous, weight_kind
+):
+    # Nonzero splits g and dual points p, as a Newton or polish step has
+    # them: each field of a stack gets from _certificates, bit for bit, the
+    # certificate it gets as a stack of one.
+    from fracbb.norms import _certificates, _coupling, _weights_for
+
+    rng = np.random.default_rng([dim, band, blades])
+    s, points, count = -dim / 2.0, 4 * band, 8
+    norm_sq = (mode_matrix(dim, band).astype(float) ** 2).sum(axis=1)
+    weights = {
+        "default": None,
+        "array": 3.0 * np.where(norm_sq > 0, np.maximum(norm_sq, 1.0) ** (s / 2.0), 1.0),
+        "callable": lambda m: (1.0 + sum(x * x for x in m)) ** (s / 2.0),
+    }[weight_kind]
+    mask, weight, weight_sq = _weights_for(dim, band, s, homogeneous, weights)
+
+    def draw(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    fvecs = draw(count, blades, len(norm_sq)) / np.maximum(norm_sq, 1.0)
+    grid_axes = tuple(range(2, 2 + dim))
+    g = draw(count, blades, *(points,) * dim) * rng.uniform(1e-3, 1e-2, (count, 1) + (1,) * dim)
+    if homogeneous:
+        # Zero-mean fields and grid parts, as the mean repair leaves a split.
+        fvecs[:, :, len(norm_sq) // 2] = 0.0
+        g -= g.mean(axis=grid_axes, keepdims=True)
+    # Near the dual point of g = 0 and scaled out of the Sobolev ball, so
+    # the lower bound is as large as the cost and its last bits reach the gap.
+    weighted = np.where(mask, weight * fvecs, 0.0)
+    p = -weight * weighted / np.sqrt((np.abs(weighted) ** 2).sum(axis=(1, 2), keepdims=True))
+    p = p * rng.uniform(1.0, 2.0, (count, 1, 1)) + 1e-3 * weight * draw(*p.shape)
+    forward, adjoint = _coupling(dim, band, points, blades)
+    Ag = np.stack([forward(plane) for plane in g])
+    Ap = np.stack([adjoint(row) for row in p])
+
+    stacked = _certificates(fvecs, g, Ag, p, Ap, mask, weight, weight_sq)
+    assert len(stacked) == count
+    quad_w = (TWO_PI / points) ** dim
+    gaps = []
+    for i, (upper, gap, g_i, h_i) in enumerate(stacked):
+        rows = [x[i : i + 1] for x in (fvecs, g, Ag, p, Ap)]
+        [alone] = _certificates(*rows, mask, weight, weight_sq)
+        assert (upper.hex(), gap.hex()) == (alone[0].hex(), alone[1].hex())
+        # The single-field formulas, written out in a single field's order.
+        h = np.where(mask, fvecs[i] - Ag[i], 0.0)
+        l1 = quad_w * np.sqrt((np.abs(g[i]) ** 2).sum(axis=0)).sum()
+        expected = float(l1 + math.sqrt((weight_sq * (np.abs(h) ** 2)).sum()))
+        s1 = float(np.sqrt((np.abs(Ap[i]) ** 2).sum(axis=0)).max()) / quad_w
+        s2 = math.sqrt(((np.abs(p[i]) ** 2) / weight_sq)[:, mask].sum())
+        lower = -float(np.real(np.conj(p[i]) * fvecs[i]).sum()) / max(s1, s2, 1.0)
+        assert (upper.hex(), gap.hex()) == (expected.hex(), float(expected - lower).hex())
+        # Bit patterns, so signed zeros and last-place differences count.
+        for ours in (h_i, alone[3]):
+            assert np.array_equal(ours.view(np.uint64), h.view(np.uint64))
+        for ours in (g_i, alone[2]):
+            assert np.array_equal(ours.view(np.uint64), g[i].view(np.uint64))
+        assert upper > 0 and gap > 0
+        gaps.append(gap)
+    # Distinct gaps: each field's certificate is its own.
+    assert len(set(gaps)) == count
 
 
 def test_stacked_solve_iterates_its_uncertified_members_alone():

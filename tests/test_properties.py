@@ -16,15 +16,10 @@ from fracbb.clifford import (
     multiply,
 )
 from fracbb.fileio import load_coefficients, load_grid_csv, save_coefficients, save_grid_csv
-from fracbb.norms import (
-    _DENSE_MAX_ENTRIES,
-    _coupling,
-    l1_norm,
-    sobolev_norm,
-    sum_space_norm,
-)
+from fracbb.norms import _coupling, l1_norm, sobolev_norm, sum_space_norm
 from fracbb.operators import dirac_D, invert_D, invert_D2
 from fracbb.spectral import (
+    _DENSE_MAX_ENTRIES,
     GridField,
     SpectralField,
     band_indices,
