@@ -20,6 +20,7 @@ scalar projection ``p0`` to produce the coefficient norm:
 
 from __future__ import annotations
 
+import itertools
 import math
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -114,8 +115,9 @@ class CliffordElement:
 
     Components are held sparsely: blades absent from ``comps`` are exactly
     zero.  Instances are treated as immutable values; no method mutates its
-    operands.  The constructor checks its input; :meth:`_of` takes ``comps``
-    as it is, for callers that hold valid masks to nonzero Python ``complex``.
+    operands.  The constructor checks its input; :meth:`_of_each` takes
+    dicts as they are, for callers that hold valid masks to nonzero Python
+    ``complex``.
     """
 
     __slots__ = ("n", "comps")
@@ -138,11 +140,16 @@ class CliffordElement:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _of(cls, n: int, comps: dict[int, complex]) -> "CliffordElement":
-        """Element owning ``comps``, which must already be clean; unchecked."""
-        element = cls.__new__(cls)
-        element.n, element.comps = n, comps
-        return element
+    def _of_each(cls, n: int, comps: list[dict[int, complex]]) -> list["CliffordElement"]:
+        """One element owning each dict of ``comps``, which must already be clean; unchecked.
+
+        The instances come from one ``map`` of ``__new__`` and a plain loop
+        fills their slots, so no element costs a call of its own.
+        """
+        elements = list(map(cls.__new__, itertools.repeat(cls, len(comps))))
+        for element, clean in zip(elements, comps):
+            element.n, element.comps = n, clean
+        return elements
 
     @classmethod
     def zero(cls, n: int) -> "CliffordElement":
@@ -181,22 +188,26 @@ class CliffordElement:
         return self.comps.get(0, 0j)
 
     def norm(self) -> float:
-        """Coefficient norm ``sqrt(sum(|x_a|**2))``.
+        """Coefficient norm ``sqrt(sum(|x_a|**2))`` of the squares ``abs(v) ** 2``.
 
-        Up to two squares add in a plain loop, which gives ``sum``'s bits on
-        every Python version (from 3.12 ``sum`` compensates three or more).
-        When a square overflows (a part above about 1e154), the sum is taken
-        over the components divided by the largest part and scaled back.
+        One or two squares add directly, left to right from ``0.0`` (which
+        leaves a square as it is); that is ``sum``'s result on every Python
+        version, since the compensation ``sum`` uses from 3.12 changes only
+        sums of three or more.  Those still go through ``sum``.  When a
+        square overflows (a part above about 1e154), the sum is taken over
+        the components divided by the largest part and scaled back.
         """
-        comps, total = self.comps, 0.0
+        comps = self.comps
         try:
-            if len(comps) > 2:
-                return math.sqrt(sum(abs(v) ** 2 for v in comps.values()))
-            for v in comps.values():
-                total += abs(v) ** 2
+            if len(comps) == 1:
+                (v,) = comps.values()
+                return math.sqrt(abs(v) ** 2)
+            if len(comps) == 2:
+                u, v = comps.values()
+                return math.sqrt(abs(u) ** 2 + abs(v) ** 2)
+            return math.sqrt(sum(abs(v) ** 2 for v in comps.values()))
         except OverflowError:
             return _scaled_norm(comps.values())
-        return math.sqrt(total)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         """Whether the norm is at most ``tol``; at 0, each component is tested exactly."""
@@ -308,7 +319,8 @@ def _dense_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     flat_re = np.bincount(target, weights=prod.real.ravel(), minlength=dim)
     flat_im = np.bincount(target, weights=prod.imag.ravel(), minlength=dim)
     nonzero = np.nonzero(flat_re + 1j * flat_im)[0].tolist()
-    return CliffordElement._of(x.n, {k: complex(flat_re[k], flat_im[k]) for k in nonzero})
+    comps = {k: complex(flat_re[k], flat_im[k]) for k in nonzero}
+    return CliffordElement._of_each(x.n, [comps])[0]
 
 
 def conjugate(x: CliffordElement) -> CliffordElement:

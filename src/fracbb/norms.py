@@ -99,13 +99,22 @@ from .spectral import (
 
 def l1_norm(u: GridField) -> float:
     """Uniform-grid quadrature of ``integral ||u(x)|| dx``."""
-    return _l1_norms(u.data[None], u.dim)[0]
+    return _l1_norms(u.data[None], u.dim).tolist()[0]
 
 
-def _l1_norms(planes: np.ndarray, dim: int) -> list[float]:
+def _l1_norms(planes: np.ndarray, dim: int) -> np.ndarray:
     """:func:`l1_norm` of each field of grid planes ``(fields, blades) + (P,)*dim``."""
-    magnitude = np.sqrt((np.abs(planes) ** 2).sum(axis=1))
-    return (((TWO_PI / planes.shape[-1]) ** dim) * _row_sums(magnitude)).tolist()
+    magnitude = np.sqrt(_blade_sums(np.abs(planes) ** 2))
+    return ((TWO_PI / planes.shape[-1]) ** dim) * _row_sums(magnitude)
+
+
+def _blade_sums(x: np.ndarray) -> np.ndarray:
+    """``x.sum(axis=1)``: each field's blade planes, added in blade order.
+
+    One blade's sum is its plane as it stands, so that case skips the
+    reduction (a square is never ``-0.0``, the one value the sum would change).
+    """
+    return x[:, 0] if x.shape[1] == 1 else x.sum(axis=1)
 
 
 def l2_norm(u: GridField) -> float:
@@ -717,13 +726,17 @@ def _certificates(fvecs, g, Ag, p, Ap, h_mask, weight, weight_sq) -> list[tuple]
         g = np.zeros(Ap.shape, dtype=complex)
     else:
         uppers = np.add(_l1_norms(g, dim), uppers)
-    point_norms = np.sqrt((np.abs(Ap) ** 2).sum(axis=1))
-    s1 = point_norms.reshape(count, -1).max(axis=1) / (TWO_PI / Ap.shape[-1]) ** dim
+    # The largest point norm is the root of the largest square: a correctly
+    # rounded square root is monotone.
+    point_sq = _blade_sums(np.abs(Ap) ** 2).reshape(count, -1)
+    s1 = np.sqrt(point_sq.max(axis=1)) / (TWO_PI / Ap.shape[-1]) ** dim
     # numpy lays a single field's masked columns (blades, active) out mode
-    # by mode, and sums them in that order; so does each row here.
+    # by mode, and sums them in that order; so does each row here: the
+    # reshape copies the swapped axes into C order, or is a view of
+    # contiguous rows when a swapped axis has length 1.
     scaled = np.compress(h_mask, (np.abs(p) ** 2) / weight_sq, axis=2)
-    s2 = np.sqrt(_row_sums(np.swapaxes(scaled, 1, 2)))
-    dots = _row_sums(np.real(np.conj(p) * fvecs))
+    s2 = np.sqrt(np.swapaxes(scaled, 1, 2).reshape(count, -1).sum(axis=1))
+    dots = _row_sums((np.conj(p) * fvecs).real)
     uppers = uppers.tolist()
     gaps = map(_duality_gap, uppers, s1.tolist(), s2.tolist(), dots.tolist())
     return list(zip(uppers, gaps, g, h))

@@ -218,15 +218,11 @@ class SpectralField:
         """Mapping from each nonzero mode to its Clifford coefficient."""
         return _CoefficientView(self)
 
-    def _element(self, column: list[complex]) -> CliffordElement:
-        """The element of one listed coefficient column, zero (and ``-0.0``) blades dropped."""
-        return CliffordElement._of(self.dim, {mask: z for mask, z in zip(self.masks, column) if z})
-
     def get(self, m) -> CliffordElement:
         col = _mode_positions(self.dim, self.band).get(normalize_index(m, self.dim))
         if col is None:
             return CliffordElement.zero(self.dim)
-        return self._element(self.data[:, col].tolist())
+        return _elements(self.dim, self.masks, self.data[:, col : col + 1])[0]
 
     def mean_coefficient(self) -> CliffordElement:
         return self.get((0,) * self.dim)
@@ -265,12 +261,21 @@ class SpectralField:
         return self._combine(other, -other.data)
 
     def _combine(self, other: "SpectralField", other_data: np.ndarray) -> "SpectralField":
-        """``self + other`` with ``other``'s rows replaced by ``other_data``."""
+        """``self + other`` with ``other``'s rows replaced by ``other_data``.
+
+        Fields on the same blades add in one array op; otherwise each adds
+        into the rows of its blades in a zero array.  Both add each entry of
+        ``other_data`` to ``self``'s, so ``f - g`` is ``f + (-g)`` bit for bit.
+        """
         self._require_compatible(other)
-        masks = tuple(sorted(set(self.masks) | set(other.masks)))
-        data = np.zeros((len(masks), self.data.shape[1]), dtype=complex)
-        data[[masks.index(mask) for mask in self.masks]] = self.data
-        data[[masks.index(mask) for mask in other.masks]] += other_data
+        masks = self.masks
+        if masks == other.masks:
+            data = self.data + other_data
+        else:
+            masks = tuple(sorted(set(masks) | set(other.masks)))
+            data = np.zeros((len(masks), self.data.shape[1]), dtype=complex)
+            data[[masks.index(mask) for mask in self.masks]] = self.data
+            data[[masks.index(mask) for mask in other.masks]] += other_data
         return self._with(masks, data, self.zero_mean and other.zero_mean)
 
     def _require_compatible(self, other: "SpectralField") -> None:
@@ -296,10 +301,10 @@ class _CoefficientView(Mapping):
     """Read-only ``mode -> CliffordElement`` view of a field's nonzero modes.
 
     Iterates in canonical (lexicographic) mode order; within a mode only the
-    nonzero blades appear.  Elements are built when read; ``values()`` and
-    ``items()`` build them all from one ``tolist`` of the nonzero columns.
-    A single blade's entries there are nonzero and make ``{mask: z}`` as they
-    stand; with more blades each column drops its zero (and ``-0.0``) entries.
+    nonzero blades appear.  Elements are built when read, by
+    :func:`_elements`: ``values()`` and ``items()`` pass it the block of the
+    nonzero columns once, ``view[m]`` (like ``get`` and
+    ``mean_coefficient``) a block of one column.
     """
 
     __slots__ = ("field", "cols")
@@ -320,7 +325,7 @@ class _CoefficientView(Mapping):
         col = _mode_positions(field.dim, field.band).get(m)
         if col is None or not field.data[:, col].any():
             raise KeyError(m)
-        return field._element(field.data[:, col].tolist())
+        return _elements(field.dim, field.masks, field.data[:, col : col + 1])[0]
 
     def values(self) -> ValuesView:
         return _CoefficientValues(self)
@@ -330,14 +335,13 @@ class _CoefficientView(Mapping):
 
 
 class _CoefficientValues(ValuesView):
+    """The elements of the nonzero modes, from one :func:`_elements` call per iteration."""
+
     __slots__ = ()
 
     def __iter__(self) -> Iterator[CliffordElement]:
-        field, cols = self._mapping.field, self._mapping.cols
-        if len(field.masks) > 1:
-            return map(field._element, field.data[:, cols].T.tolist())
-        of, dim, mask = CliffordElement._of, field.dim, field.masks[0]
-        return (of(dim, {mask: z}) for z in field.data[0, cols].tolist())
+        field = self._mapping.field
+        return iter(_elements(field.dim, field.masks, field.data[:, self._mapping.cols]))
 
 
 class _CoefficientItems(ItemsView):
@@ -345,6 +349,23 @@ class _CoefficientItems(ItemsView):
 
     def __iter__(self) -> Iterator[tuple[Index, CliffordElement]]:
         return zip(self._mapping, self._mapping.values())
+
+
+def _elements(dim: int, masks: tuple[int, ...], block: np.ndarray) -> list[CliffordElement]:
+    """The elements of the columns of ``block``, shaped ``(len(masks), k)``, in order.
+
+    Every per-mode read of a field builds its elements here, from one
+    ``tolist`` of the block and one of its nonzero pattern (a cast to
+    ``bool``, false exactly at ``0`` and ``-0.0``).  The dicts fill blade by
+    blade, in mask order; ``compress`` passes each blade only the columns
+    where its entry is nonzero, so no entry is tested in Python.
+    """
+    rows = block.tolist()
+    comps = [{} for _ in rows[0]]
+    for mask, row, nonzero in zip(masks, rows, block.astype(bool).tolist()):
+        for clean, z in itertools.compress(zip(comps, row), nonzero):
+            clean[mask] = z
+    return CliffordElement._of_each(dim, comps)
 
 
 class GridField:

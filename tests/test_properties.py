@@ -13,6 +13,7 @@ from fracbb.clifford import (
     CliffordElement,
     _blade_product,
     _dense_multiply,
+    _scaled_norm,
     multiply,
 )
 from fracbb.fileio import load_coefficients, load_grid_csv, save_coefficients, save_grid_csv
@@ -29,6 +30,7 @@ from fracbb.spectral import (
     inverse_transform,
     mode_list,
     mode_matrix,
+    project_zero_mean,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
@@ -181,6 +183,102 @@ def test_element_norm_is_the_numpy_square_root_bit_for_bit(field, element):
     for element in [*field.coeffs.values(), element]:
         expected = float(np.sqrt(sum(abs(v) ** 2 for v in element.comps.values())))
         assert element.norm().hex() == expected.hex()
+
+
+def view_elements(field: SpectralField) -> list[CliffordElement]:
+    """Every per-mode read of a field: values, items, ``view[m]``, ``get`` and the mean."""
+    view = field.coeffs
+    modes = mode_list(field.dim, field.band)
+    return [
+        *view.values(),
+        *(element for _, element in view.items()),
+        *(view[m] for m in view),
+        *(field.get(m) for m in modes),
+        field.mean_coefficient(),
+    ]
+
+
+@pytest.mark.parametrize("masks", [(0,), (1, 2)], ids=["one-component", "two-component"])
+@pytest.mark.parametrize("magnitude", [2e154, 1e200, 1e300])
+def test_view_elements_with_huge_parts_take_the_scaled_norm(masks, magnitude):
+    rng = np.random.default_rng(len(masks))
+    modes = mode_list(2, 2)
+    # Parts of 1 to 10 times the magnitude, either sign: every square overflows.
+    parts = rng.uniform(1.0, 10.0, size=(len(masks), len(modes), 2)) * magnitude
+    parts *= rng.choice([-1.0, 1.0], size=parts.shape)
+    field = SpectralField.from_blade_vectors(2, 2, masks, parts[..., 0] + 1j * parts[..., 1])
+    elements = view_elements(field)
+    assert len(elements) == 4 * len(modes) + 1
+    for element in elements:
+        values = list(element.comps.values())
+        assert len(values) == len(masks)
+        with pytest.raises(OverflowError):
+            sum(abs(v) ** 2 for v in values)
+        assert element.norm().hex() == _scaled_norm(values).hex()
+
+
+def equal_blade_pairs():
+    """Two fields on the same blades, their entries drawn with signed zeros."""
+
+    def pair(args):
+        f, seed = args
+        rng = np.random.default_rng(seed)
+        shape = f.data.shape + (2,)
+        parts = np.where(rng.random(shape) < 0.5, rng.normal(size=shape), 0.0)
+        parts = np.where(rng.random(shape) < 0.5, parts, -parts)
+        parts[:, 0, 0] = 1.0  # no row of g vanishes, so g keeps f's blades
+        rows = parts[..., 0] + 1j * parts[..., 1]
+        g = SpectralField.from_blade_vectors(f.dim, f.band, f.masks, rows)
+        assert g.masks == f.masks
+        return f, g
+
+    return st.tuples(signed_zero_fields(), st.integers(0, 2**32 - 1)).map(pair)
+
+
+def same_bits(a: SpectralField, b: SpectralField) -> bool:
+    return (a.masks, a.zero_mean, a.data.tobytes()) == (b.masks, b.zero_mean, b.data.tobytes())
+
+
+@PROPERTY_SETTINGS
+@given(equal_blade_pairs())
+def test_sums_on_equal_blades_are_the_array_sums_bit_for_bit(fg):
+    f, g = fg
+    for result, rows in ((f + g, f.data + g.data), (f - g, f.data + -g.data)):
+        expected = SpectralField.from_blade_vectors(f.dim, f.band, f.masks, rows)
+        assert same_bits(result, expected)
+        assert [bits(e) for e in result.coeffs.values()] == [
+            bits(e) for e in expected.coeffs.values()
+        ]
+
+
+@PROPERTY_SETTINGS
+@given(signed_zero_fields(), st.booleans())
+def test_a_field_minus_itself_is_the_zero_field(f, zero_mean):
+    if zero_mean:
+        f = project_zero_mean(f)
+    for zero in (f - f, f + f.scale(-1.0)):
+        assert zero.masks == (0,) and not zero.data.any()
+        assert len(zero.coeffs) == 0 and list(zero.coeffs.values()) == []
+        assert zero.zero_mean == zero_mean
+        assert zero.mean_coefficient() == CliffordElement.zero(f.dim)
+
+
+@pytest.mark.parametrize("masks", [(0,), (1, 2), (0, 1, 2, 3)])
+def test_a_column_of_negative_zeros_reads_as_the_zero_element(masks):
+    modes = mode_list(2, 1)
+    data = np.ones((len(masks), len(modes)), dtype=complex)
+    cols = [0, len(modes) // 2]  # a corner mode and the mean
+    data[:, cols] = complex(-0.0, -0.0)
+    field = SpectralField.from_blade_vectors(2, 1, masks, data)
+    assert field.masks == masks and np.signbit(field.data[:, cols].real).all()
+    view = field.coeffs
+    assert len(view) == len(modes) - len(cols)
+    for m in (modes[col] for col in cols):
+        assert field.get(m).comps == {} and field.get(m) == CliffordElement.zero(2)
+        assert m not in view
+        with pytest.raises(KeyError):
+            view[m]
+    assert field.mean_coefficient().comps == {}
 
 
 @PROPERTY_SETTINGS
