@@ -143,8 +143,7 @@ class CliffordElement:
     def _of_each(cls, n: int, comps: list[dict[int, complex]]) -> list["CliffordElement"]:
         """One element owning each dict of ``comps``, which must already be clean; unchecked.
 
-        The instances come from one ``map`` of ``__new__`` and a plain loop
-        fills their slots, so no element costs a call of its own.
+        One ``map`` of ``__new__`` and a plain loop over the slots: no call per element.
         """
         elements = list(map(cls.__new__, itertools.repeat(cls, len(comps))))
         for element, clean in zip(elements, comps):
@@ -190,24 +189,23 @@ class CliffordElement:
     def norm(self) -> float:
         """Coefficient norm ``sqrt(sum(|x_a|**2))`` of the squares ``abs(v) ** 2``.
 
-        One or two squares add directly, left to right from ``0.0`` (which
-        leaves a square as it is); that is ``sum``'s result on every Python
-        version, since the compensation ``sum`` uses from 3.12 changes only
-        sums of three or more.  Those still go through ``sum``.  When a
-        square overflows (a part above about 1e154), the sum is taken over
-        the components divided by the largest part and scaled back.
+        One or two squares add directly from ``0.0``, which is ``sum``'s result
+        on every Python version (its compensation from 3.12 changes only three
+        or more addends).  When a square overflows (a part above about 1e154),
+        the sum is taken over the components divided by the largest part and
+        scaled back.
         """
-        comps = self.comps
+        values = self.comps.values()
         try:
-            if len(comps) == 1:
-                (v,) = comps.values()
+            if len(values) == 1:
+                (v,) = values
                 return math.sqrt(abs(v) ** 2)
-            if len(comps) == 2:
-                u, v = comps.values()
+            if len(values) == 2:
+                u, v = values
                 return math.sqrt(abs(u) ** 2 + abs(v) ** 2)
-            return math.sqrt(sum(abs(v) ** 2 for v in comps.values()))
+            return math.sqrt(sum(abs(v) ** 2 for v in values))
         except OverflowError:
-            return _scaled_norm(comps.values())
+            return _scaled_norm(values)
 
     def is_zero(self, tol: float = 0.0) -> bool:
         """Whether the norm is at most ``tol``; at 0, each component is tested exactly."""

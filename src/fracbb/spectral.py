@@ -263,9 +263,7 @@ class SpectralField:
     def _combine(self, other: "SpectralField", other_data: np.ndarray) -> "SpectralField":
         """``self + other`` with ``other``'s rows replaced by ``other_data``.
 
-        Fields on the same blades add in one array op; otherwise each adds
-        into the rows of its blades in a zero array.  Both add each entry of
-        ``other_data`` to ``self``'s, so ``f - g`` is ``f + (-g)`` bit for bit.
+        On the same blades this is one array op, with the bits of adding into a zero array.
         """
         self._require_compatible(other)
         masks = self.masks
@@ -354,11 +352,10 @@ class _CoefficientItems(ItemsView):
 def _elements(dim: int, masks: tuple[int, ...], block: np.ndarray) -> list[CliffordElement]:
     """The elements of the columns of ``block``, shaped ``(len(masks), k)``, in order.
 
-    Every per-mode read of a field builds its elements here, from one
-    ``tolist`` of the block and one of its nonzero pattern (a cast to
-    ``bool``, false exactly at ``0`` and ``-0.0``).  The dicts fill blade by
-    blade, in mask order; ``compress`` passes each blade only the columns
-    where its entry is nonzero, so no entry is tested in Python.
+    Every per-mode read builds its elements here, from one ``tolist`` of the
+    block and one of its nonzero pattern (a ``bool`` cast, false at ``-0.0``
+    too).  The dicts fill blade by blade, in mask order, each blade passing
+    ``compress`` only its nonzero entries, so none is tested in Python.
     """
     rows = block.tolist()
     comps = [{} for _ in rows[0]]
