@@ -109,7 +109,10 @@ def _l1_norms(planes: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _blade_sums(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=1)`` of squares; one blade's sum is its plane, with no reduction."""
+    """``x.sum(axis=1)`` of squares; one blade's sum is its plane, with no reduction.
+
+    The sum would turn a ``-0.0`` into ``0.0``; a square is never ``-0.0``.
+    """
     return x[:, 0] if x.shape[1] == 1 else x.sum(axis=1)
 
 
