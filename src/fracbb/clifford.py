@@ -317,8 +317,9 @@ def _dense_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     flat_re = np.bincount(target, weights=prod.real.ravel(), minlength=dim)
     flat_im = np.bincount(target, weights=prod.imag.ravel(), minlength=dim)
     nonzero = np.nonzero(flat_re + 1j * flat_im)[0].tolist()
-    comps = {k: complex(flat_re[k], flat_im[k]) for k in nonzero}
-    return CliffordElement._of_each(x.n, [comps])[0]
+    product = CliffordElement.__new__(CliffordElement)
+    product.n, product.comps = x.n, {k: complex(flat_re[k], flat_im[k]) for k in nonzero}
+    return product
 
 
 def conjugate(x: CliffordElement) -> CliffordElement:

@@ -194,7 +194,7 @@ def bbb_ratio(
     rows = _trace_rows(f, radii)
     band = (rows.shape[-1] - 1) // 2
     bergman = _bergman_norms(_dilations(f, radii)).tolist()
-    l1 = _l1_norms(_synthesis(rows, 1, band, default_points(band)), 1).tolist()
+    l1 = _l1_norms(_synthesis(rows, 1, band, default_points(band)), 1)
     hminus = _hminus_half_norms(f, radii).tolist()
     mixed = [split.value for split in _mixed_norms(_traces(rows), tol)]
     convention_ratios = []

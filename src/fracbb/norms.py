@@ -99,21 +99,13 @@ from .spectral import (
 
 def l1_norm(u: GridField) -> float:
     """Uniform-grid quadrature of ``integral ||u(x)|| dx``."""
-    return _l1_norms(u.data[None], u.dim).tolist()[0]
+    return _l1_norms(u.data[None], u.dim)[0]
 
 
-def _l1_norms(planes: np.ndarray, dim: int) -> np.ndarray:
+def _l1_norms(planes: np.ndarray, dim: int) -> list[float]:
     """:func:`l1_norm` of each field of grid planes ``(fields, blades) + (P,)*dim``."""
-    magnitude = np.sqrt(_blade_sums(np.abs(planes) ** 2))
-    return ((TWO_PI / planes.shape[-1]) ** dim) * _row_sums(magnitude)
-
-
-def _blade_sums(x: np.ndarray) -> np.ndarray:
-    """``x.sum(axis=1)`` of squares; one blade's sum is its plane, with no reduction.
-
-    The sum would turn a ``-0.0`` into ``0.0``; a square is never ``-0.0``.
-    """
-    return x[:, 0] if x.shape[1] == 1 else x.sum(axis=1)
+    magnitude = np.sqrt((np.abs(planes) ** 2).sum(axis=1))
+    return (((TWO_PI / planes.shape[-1]) ** dim) * _row_sums(magnitude)).tolist()
 
 
 def l2_norm(u: GridField) -> float:
@@ -716,29 +708,25 @@ def _certificates(fvecs, g, Ag, p, Ap, h_mask, weight, weight_sq) -> list[tuple]
     ``fvecs`` holds coefficient rows ``(fields, blades, modes)``, ``g`` the
     splits' mean-repaired grid parts (None for zero grids), ``Ag`` their
     forward maps, ``p`` dual points shaped as ``fvecs`` and ``Ap`` their
-    adjoints.  Each field's sums run over one row, in a single field's order;
-    roots, the L1 term and the grid scale apply per field to the listed sums
-    (``math`` and numpy round both alike).
+    adjoints.  Each field's sums run over one row, in a single field's order.
     """
     count, dim = len(fvecs), Ap.ndim - 2
     h = np.where(h_mask, fvecs - Ag, 0.0)
-    uppers = list(map(math.sqrt, _row_sums(weight_sq * (np.abs(h) ** 2)).tolist()))
+    uppers = np.sqrt(_row_sums(weight_sq * (np.abs(h) ** 2)))
     if g is None:  # the L1 term of a zero grid is 0.0, and 0.0 + x == x
         g = np.zeros(Ap.shape, dtype=complex)
     else:
-        uppers = [l1 + upper for l1, upper in zip(_l1_norms(g, dim).tolist(), uppers)]
-    # The largest point norm is the root of the largest square: a correctly
-    # rounded square root is monotone.
-    point_sq = _blade_sums(np.abs(Ap) ** 2).reshape(count, -1).max(axis=1).tolist()
-    cell = (TWO_PI / Ap.shape[-1]) ** dim
-    s1 = [math.sqrt(top) / cell for top in point_sq]
+        uppers = np.add(_l1_norms(g, dim), uppers)
+    point_norms = np.sqrt((np.abs(Ap) ** 2).sum(axis=1))
+    s1 = point_norms.reshape(count, -1).max(axis=1) / (TWO_PI / Ap.shape[-1]) ** dim
     # numpy lays a single field's masked columns (blades, active) out mode
-    # by mode, and sums them in that order; so does each row here (the
-    # reshape copies into C order unless a swapped axis has length 1).
+    # by mode, and sums them in that order; so does each row here.
     scaled = np.compress(h_mask, (np.abs(p) ** 2) / weight_sq, axis=2)
-    s2 = map(math.sqrt, np.swapaxes(scaled, 1, 2).reshape(count, -1).sum(axis=1).tolist())
-    dots = _row_sums((np.conj(p) * fvecs).real).tolist()
-    return list(zip(uppers, map(_duality_gap, uppers, s1, s2, dots), g, h))
+    s2 = np.sqrt(_row_sums(np.swapaxes(scaled, 1, 2)))
+    dots = _row_sums(np.real(np.conj(p) * fvecs))
+    uppers = uppers.tolist()
+    gaps = map(_duality_gap, uppers, s1.tolist(), s2.tolist(), dots.tolist())
+    return list(zip(uppers, gaps, g, h))
 
 
 def _closed_form(fvecs, dim, band, points, tol, h_mask, weight, weight_sq):

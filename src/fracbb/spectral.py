@@ -261,19 +261,12 @@ class SpectralField:
         return self._combine(other, -other.data)
 
     def _combine(self, other: "SpectralField", other_data: np.ndarray) -> "SpectralField":
-        """``self + other`` with ``other``'s rows replaced by ``other_data``.
-
-        On the same blades this is one array op, with the bits of adding into a zero array.
-        """
+        """``self + other`` with ``other``'s rows replaced by ``other_data``."""
         self._require_compatible(other)
-        masks = self.masks
-        if masks == other.masks:
-            data = self.data + other_data
-        else:
-            masks = tuple(sorted(set(masks) | set(other.masks)))
-            data = np.zeros((len(masks), self.data.shape[1]), dtype=complex)
-            data[[masks.index(mask) for mask in self.masks]] = self.data
-            data[[masks.index(mask) for mask in other.masks]] += other_data
+        masks = tuple(sorted(set(self.masks) | set(other.masks)))
+        data = np.zeros((len(masks), self.data.shape[1]), dtype=complex)
+        data[[masks.index(mask) for mask in self.masks]] = self.data
+        data[[masks.index(mask) for mask in other.masks]] += other_data
         return self._with(masks, data, self.zero_mean and other.zero_mean)
 
     def _require_compatible(self, other: "SpectralField") -> None:
@@ -300,8 +293,8 @@ class _CoefficientView(Mapping):
 
     Iterates in canonical (lexicographic) mode order; within a mode only the
     nonzero blades appear.  Elements are built when read, by
-    :func:`_elements`: ``values()`` and ``items()`` pass it the block of the
-    nonzero columns once, ``view[m]`` (like ``get`` and
+    :func:`_elements`: ``values()`` and ``items()`` pass it the nonzero
+    columns in chunks of ``_READ_CHUNK``, ``view[m]`` (like ``get`` and
     ``mean_coefficient``) a block of one column.
     """
 
@@ -333,13 +326,21 @@ class _CoefficientView(Mapping):
 
 
 class _CoefficientValues(ValuesView):
-    """The elements of the nonzero modes, from one :func:`_elements` call per iteration."""
+    """The elements of the nonzero modes, from one :func:`_elements` call per chunk of columns.
+
+    A chunk's elements are built when the first of them is read, so a read
+    that consumes them one by one holds at most ``_READ_CHUNK`` at a time.
+    """
 
     __slots__ = ()
 
     def __iter__(self) -> Iterator[CliffordElement]:
-        field = self._mapping.field
-        return iter(_elements(field.dim, field.masks, field.data[:, self._mapping.cols]))
+        field, cols = self._mapping.field, self._mapping.cols
+        dim, masks, data = field.dim, field.masks, field.data
+        return itertools.chain.from_iterable(
+            _elements(dim, masks, data[:, cols[start : start + _READ_CHUNK]])
+            for start in range(0, len(cols), _READ_CHUNK)
+        )
 
 
 class _CoefficientItems(ItemsView):
@@ -347,6 +348,9 @@ class _CoefficientItems(ItemsView):
 
     def __iter__(self) -> Iterator[tuple[Index, CliffordElement]]:
         return zip(self._mapping, self._mapping.values())
+
+
+_READ_CHUNK = 4096  # columns per _elements call in a values() read
 
 
 def _elements(dim: int, masks: tuple[int, ...], block: np.ndarray) -> list[CliffordElement]:

@@ -21,6 +21,7 @@ from fracbb.norms import _coupling, l1_norm, sobolev_norm, sum_space_norm
 from fracbb.operators import dirac_D, invert_D, invert_D2
 from fracbb.spectral import (
     _DENSE_MAX_ENTRIES,
+    _READ_CHUNK,
     GridField,
     SpectralField,
     band_indices,
@@ -215,6 +216,23 @@ def test_view_elements_with_huge_parts_take_the_scaled_norm(masks, magnitude):
         with pytest.raises(OverflowError):
             sum(abs(v) ** 2 for v in values)
         assert element.norm().hex() == _scaled_norm(values).hex()
+
+
+@pytest.mark.parametrize("masks", [(0,), (1, 2)], ids=["one-blade", "two-blade"])
+def test_a_read_over_several_chunks_matches_the_per_mode_reads(masks):
+    rng = np.random.default_rng(len(masks))
+    modes = mode_list(2, 40)
+    assert len(modes) > _READ_CHUNK
+    shape = (len(masks), len(modes), 2)
+    # Some entries and whole columns vanish, as 0.0 or -0.0.
+    parts = np.where(rng.random(shape) < 0.7, rng.normal(size=shape), 0.0)
+    parts = np.where(rng.random(shape) < 0.5, parts, -parts)
+    field = SpectralField.from_blade_vectors(2, 40, masks, parts[..., 0] + 1j * parts[..., 1])
+    view = field.coeffs
+    assert len(view) > _READ_CHUNK
+    read = [bits(element) for element in view.values()]
+    assert read == [bits(field.get(m)) for m in view]
+    assert read == [bits(element) for _, element in view.items()]
 
 
 def equal_blade_pairs():
