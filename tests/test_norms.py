@@ -17,6 +17,7 @@ from fracbb.spectral import (
     GridField,
     SpectralField,
     band_indices,
+    default_points,
     forward_transform,
     inverse_transform,
     mode_matrix,
@@ -208,7 +209,7 @@ def test_mixed_instances_iterate_and_match_oracle():
 
 def test_mixed_instance_iteration_counts_are_pinned():
     # A cheaper iteration must not cost iterations: at tol 1e-6 these ceilings
-    # are loose bounds on the 11-12 Newton steps the solves take.
+    # are loose bounds on the 8-9 Newton steps the solves take.
     ceilings = {"mixed_flat_8": 13_550, "mixed_jitter_8": 21_800, "mixed_flat_10": 23_550}
     for inst in oracle_instances():
         if inst["name"] not in ceilings:
@@ -227,7 +228,7 @@ def test_mixed_instance_iteration_counts_are_pinned():
 def test_mixed_instance_newton_step_counts_are_pinned():
     # The interior-point method's exact counts at tol 1e-6: a cheaper Newton
     # step must take the same steps.
-    counts = {"mixed_flat_8": 11, "mixed_jitter_8": 11, "mixed_flat_10": 12}
+    counts = {"mixed_flat_8": 8, "mixed_jitter_8": 9, "mixed_flat_10": 9}
     for inst in oracle_instances():
         if inst["name"] not in counts:
             continue
@@ -307,11 +308,11 @@ def test_hard_mixed_inputs_certify_in_few_steps(tol):
 
 
 def test_nonconvergence_carries_the_best_certificate_seen():
-    # Below the reach of roundoff the interior-point steps stall after 17
+    # Below the reach of roundoff the interior-point steps stall after 14
     # steps and the polish takes 8 + 8 more; caps on both sides are reached
     # exactly, and a larger cap never reports a worse split.
     gaps = []
-    for cap in (10, 14, 20, 25, 30):
+    for cap in (10, 14, 20, 25, 29):
         with pytest.raises(ConvergenceError) as err:
             mixed_flat_8(tol=1e-15, max_iterations=cap)
         assert err.value.partial.iterations == cap
@@ -319,7 +320,7 @@ def test_nonconvergence_carries_the_best_certificate_seen():
     # Without a cap the steps stop by themselves.
     with pytest.raises(ConvergenceError) as err:
         mixed_flat_8(tol=1e-15)
-    assert err.value.partial.iterations == 33
+    assert err.value.partial.iterations == 30
     gaps.append(err.value.partial.gap)
     assert all(0.0 < later <= earlier for earlier, later in zip(gaps, gaps[1:])), gaps
 
@@ -355,7 +356,7 @@ def test_conjugate_gradient_steps_above_the_dense_size(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(norms, "_newton_matrix", None)  # never built above the dense size
         split = mixed_flat_8(tol=1e-6)
-    assert split.path == "interior-point" and split.iterations == 11
+    assert split.path == "interior-point" and split.iterations == dense.iterations == 8
     assert split.value == pytest.approx(SUBGRADIENT_VALUES["mixed_flat_8"], abs=1e-4)
     assert split.value == pytest.approx(dense.value, abs=1e-10)
     monkeypatch.setattr(norms, "_DENSE_NEWTON_MAX_UNKNOWNS", 34)
@@ -368,6 +369,93 @@ def test_conjugate_gradient_steps_above_the_dense_size(monkeypatch):
 def _flat_point_mass(band):
     """The flat point mass at ``x0 = 0``, mean included: every coefficient 1."""
     return SpectralField.from_blade_vectors(1, band, (0,), np.ones((1, 2 * band + 1)))
+
+
+@pytest.mark.parametrize("dim, band", [(1, 3), (2, 2), (3, 1)])
+@pytest.mark.parametrize("blades", [1, 2])
+@pytest.mark.parametrize("homogeneous", [True, False])
+def test_newton_matrix_at_the_identity_scaling_is_the_closed_form_diagonal(
+    dim, band, blades, homogeneous
+):
+    # The interior-point start divides by diag(G^T G) = 1 / (w**2 P**n) +
+    # W**-2 on the active modes, which is all of G^T G on any grid of at
+    # least 2N + 1 points per axis.
+    from fracbb.norms import _newton_matrix, _NTScaling, _sum_space_cones, _weights_for
+
+    rng = np.random.default_rng([dim, band, blades])
+    modes = len(mode_matrix(dim, band))
+    for points in (2 * band + 1, default_points(band)):
+        cells, quad_w = points**dim, (TWO_PI / points) ** dim
+        for weights in (None, rng.uniform(0.2, 5.0, modes)):
+            h_mask, weight, _ = _weights_for(dim, band, -dim / 2.0, homogeneous, weights)
+            cones = _sum_space_cones(blades, cells, int(h_mask.sum()))
+            identity = (np.ones(cones.count), np.zeros(len(cones.ids)))
+            build = _newton_matrix(dim, band, points, blades, weight, h_mask, quad_w)
+            matrix = build(_NTScaling(cones, identity, identity))
+            diagonal = 1.0 / (quad_w**2 * cells) + np.where(h_mask, weight**-2.0, 0.0)
+            expected = np.diag(np.tile(np.repeat(diagonal, 2), blades))
+            assert np.abs(matrix - expected).max() <= 1e-13 * diagonal.max(), (points, weights)
+
+
+def _start_cases():
+    mm = mode_matrix(2, 3)
+    norm = np.sqrt((mm**2).sum(axis=1))
+    ones_2d = SpectralField(2, 3, {tuple(m): 1.0 for m in mm if any(m)}, zero_mean=True)
+    weights = 4.0 * (1.0 + np.abs(mode_matrix(1, 4)[:, 0])) ** -0.5
+    return {
+        "mixed_flat_8": (all_ones(8), dict(weights=scaled_weights(8, 5.0))),
+        "two_blades": (two_blade_field(4), dict(weights=scaled_weights(4, 5.5), points_per_axis=16)),
+        "inhomogeneous": (_flat_point_mass(4), dict(homogeneous=False, weights=weights)),
+        "2-D": (ones_2d, dict(weights=np.where(norm > 0, 20.0 / np.maximum(norm, 1.0), 1.0))),
+    }
+
+
+@pytest.mark.parametrize("case", ["mixed_flat_8", "two_blades", "inhomogeneous", "2-D"])
+def test_interior_point_starts_on_both_equality_constraints(monkeypatch, case):
+    # p = 0 and s = (1, 0) solve G p + s = (1, 0); the start's multiplier z
+    # solves G^T z = -f and lies strictly inside every cone.
+    from fracbb import norms
+
+    starts = []
+
+    class Recording(norms._NTScaling):
+        def __init__(self, cones, s, z, lorentz=None):
+            starts.append((cones, s, z))
+            super().__init__(cones, s, z, lorentz)
+
+    monkeypatch.setattr(norms, "_NTScaling", Recording)
+    f, kwargs = _start_cases()[case]
+    split = sum_space_norm(f, tol=1e-6, **kwargs)
+    assert split.path == "interior-point" and 0.0 <= split.gap <= 1e-6
+    cones, s, z = starts[0]
+    assert np.array_equal(s[0], np.ones(cones.count)) and not s[1].any()
+    assert np.all(z[0] > np.sqrt(cones.dot(z[1], z[1])))
+    # G^T z + f from an explicit quadrature matrix, not the solver's transforms.
+    blades, dim = len(f.masks), f.dim
+    points = kwargs.get("points_per_axis", default_points(f.band))
+    cells, quad_w = points**dim, (TWO_PI / points) ** dim
+    mm = mode_matrix(dim, f.band)
+    h_mask, weight, _ = norms._weights_for(
+        dim, f.band, -dim / 2.0, kwargs.get("homogeneous", True), kwargs["weights"]
+    )
+    grid = np.array(np.unravel_index(np.arange(cells), (points,) * dim))
+    analysis = np.exp(-2j * math.pi * ((mm @ grid) % points) / points) / cells
+    u = z[1].view(complex)
+    g_part, sobolev_part = u[: blades * cells], u[blades * cells :]
+    r_x = f.data - (g_part.reshape(blades, cells) @ analysis.T) / quad_w
+    r_x[:, h_mask] -= sobolev_part.reshape(blades, -1) / weight[h_mask]
+    assert np.abs(r_x).max() <= 1e-12 * np.abs(f.data).max()
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e100, 1e150])
+def test_far_scaled_fields_iterate_from_a_start_inside_the_cones(scale):
+    # |z_u| of the start scales with f; far beyond 1 / eps a margin of
+    # 1 + |z_u| rounds onto the cone boundary, a relative one does not.
+    tol = 1e-6 * scale
+    split = sum_space_norm(all_ones(8).scale(scale), tol=tol, weights=scaled_weights(8, 5.0))
+    assert split.path == "interior-point" and split.iterations > 0
+    assert 0.0 <= split.gap <= tol
+    assert split.value == pytest.approx(scale * SUBGRADIENT_VALUES["mixed_flat_8"], rel=1e-5)
 
 
 @pytest.mark.parametrize("c, band", [(3.0, b) for b in range(1, 7)] + [(4.0, 1)])
