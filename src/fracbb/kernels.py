@@ -25,12 +25,16 @@ import numpy as np
 
 from .errors import InputError
 from .operators import _symbol_table
-from .spectral import SpectralField, freq_norm, inverse_transform
+from .spectral import (SpectralField, _check_shape, default_points, freq_norm,
+                       inverse_transform, mode_matrix)
 
 #: Sup-ratio threshold between consecutive bands above which a scan reports
 #: divergence.  No reference constant exists for the sup growth; the
 #: threshold is a toolkit convention.
 DIVERGENCE_RATIO = 1.25
+
+#: Most cells of a kernel's default grid; a complex plane of 2**26 cells is 1 GiB.
+MAX_GRID_CELLS = 2**26
 
 _KINDS = ("sawtooth", "K", "direction")
 
@@ -58,8 +62,11 @@ class KernelSpec:
             axis = self.direction if self.direction is not None else 1
             if not 1 <= axis <= self.dim:
                 raise InputError(f"direction {axis} out of range 1..{self.dim}")
-        if self.band < 1:
-            raise InputError("band must be >= 1")
+        _check_shape(self.dim, self.band)
+        cells = default_points(self.band) ** self.dim
+        if cells > MAX_GRID_CELLS:
+            raise InputError(f"band {self.band} in dimension {self.dim} needs a grid of "
+                             f"{cells} cells, more than {MAX_GRID_CELLS}")
 
     def build(self) -> SpectralField:
         if self.kind == "sawtooth":
@@ -111,15 +118,21 @@ def kernel_K_1d(band: int) -> SpectralField:
 
 
 def kernel_component_nd(dim: int, axis: int, band: int) -> SpectralField:
-    """Directional kernel coefficients ``m_j / |m|**(n+1)`` on the band cube."""
+    """Directional kernel coefficients ``m_j / |m|**(n+1)`` on the band cube.
+
+    The bits of ``2i`` times the ``e_axis`` row of :func:`kernel_K_nd`, which is not built.
+    """
     if dim < 2:
         raise InputError("directional kernel needs dim >= 2 (use the 1-D kernel)")
     if not 1 <= axis <= dim:
         raise InputError(f"axis {axis} out of range 1..{dim}")
-    # The e_axis row of K is -i/2 times the directional coefficients.
-    K = kernel_K_nd(dim, band)
-    row = K.data[K.masks.index(1 << (axis - 1))]
-    return SpectralField.from_blade_vectors(dim, band, (0,), [2j * row], zero_mean=True)
+    mm = mode_matrix(dim, band)
+    norm = np.sqrt((mm**2).sum(axis=1))
+    origin = norm == 0
+    norm[origin] = 1.0  # any positive value; the origin is zeroed below
+    row = 2j * (-0.5j * (mm[:, axis - 1] / norm ** (dim + 1)))
+    row[origin] = 0
+    return SpectralField.from_blade_vectors(dim, band, (0,), row[None], zero_mean=True)
 
 
 def kernel_K_nd(dim: int, band: int) -> SpectralField:
@@ -249,23 +262,23 @@ def sup_norm_scan(spec: KernelSpec, bands: Sequence[int]) -> ScanReport:
     """Empirical sup of truncated kernels on the default grid of each band.
 
     Flags divergence when the sup grows by more than ``DIVERGENCE_RATIO``
-    between consecutive bands.
+    between consecutive bands.  Every band is validated before the first is
+    built, and only one band's coefficients, grid and magnitude are held.
     """
     bands = [int(b) for b in bands]
     if any(b2 <= b1 for b1, b2 in zip(bands, bands[1:])):
         raise InputError("bands must be strictly increasing")
+    specs = [replace(spec, band=band) for band in bands]
     rows: list[ScanRow] = []
     previous: float | None = None
     diverging = False
-    for band in bands:
-        k = replace(spec, band=band).build()
-        grid = inverse_transform(k)
-        sup = float(grid.magnitude().max())
+    for kernel in specs:
+        sup = float(inverse_transform(kernel.build()).magnitude().max())
         ratio = None
         if previous is not None and previous > 0:
             ratio = sup / previous
             if ratio > DIVERGENCE_RATIO:
                 diverging = True
-        rows.append(ScanRow(band=band, sup=sup, ratio=ratio))
+        rows.append(ScanRow(band=kernel.band, sup=sup, ratio=ratio))
         previous = sup
     return ScanReport(spec=spec, rows=tuple(rows), diverging=diverging)

@@ -353,7 +353,10 @@ class _NTScaling:
         ns, nz = map(np.sqrt, (cones.lorentz(s), cones.lorentz(z)) if lorentz is None else lorentz)
         st, su = s[0] / ns, s[1] / ns[ids]
         zt, zu = z[0] / nz, z[1] / nz[ids]
-        gamma = np.sqrt((1.0 + st * zt + cones.dot(su, zu)) / 2.0)
+        gamma_sq = (1.0 + st * zt + cones.dot(su, zu)) / 2.0
+        if not gamma_sq.min() > 0:  # also false on a NaN
+            raise ZeroDivisionError("Nesterov-Todd gamma, at least 1 exactly, rounded to 0")
+        gamma = np.sqrt(gamma_sq)
         self.cones = cones
         self._s, self._z = (ns, st, su), (nz, zt, zu)
         self.beta = np.sqrt(ns / nz)
@@ -503,9 +506,9 @@ def _interior_point(
     = -f`` and the scalar part ``max(1, _START_MARGIN |z_u|)`` per cone.
     Cone vector parts are real; the complex views meet the transforms, and
     above ``_DENSE_NEWTON_MAX_UNKNOWNS`` real unknowns conjugate gradients
-    solve the Newton systems.  The
-    generator returns when a step fails: a point that left the cones'
-    interior, a Newton matrix whose Cholesky factorization breaks down, a
+    solve the Newton systems.  The generator returns when a step fails: a
+    point that left the cones' interior, a pair without a Nesterov-Todd
+    scaling, a Newton matrix whose Cholesky factorization breaks down, a
     non-finite direction or a zero step.
     """
     nblades = len(fvec)
@@ -542,9 +545,12 @@ def _interior_point(
     Ap = adjoint(p)
     for _ in range(_INTERIOR_POINT_MAX_STEPS):
         lorentz = cones.lorentz(s), cones.lorentz(z)
-        if not (np.all(lorentz[0] > 0) and np.all(lorentz[1] > 0)):
+        if not (lorentz[0].min() > 0 and lorentz[1].min() > 0):  # also false on a NaN
             return
-        scaling = _NTScaling(cones, s, z, lorentz)
+        try:
+            scaling = _NTScaling(cones, s, z, lorentz)
+        except ZeroDivisionError:
+            return
         if dense:
             matrix = newton_matrix(scaling)
             try:

@@ -76,7 +76,11 @@ def band_indices(dim: int, band: int) -> Iterator[Index]:
 
 @lru_cache(maxsize=128)
 def mode_list(dim: int, band: int) -> tuple[Index, ...]:
-    """Canonically ordered modes of the band cube (lexicographic)."""
+    """Canonically ordered modes of the band cube (lexicographic).
+
+    Only per-mode keys need these tuples (the dict constructor, ``get``, the
+    coefficient views); array paths use :func:`mode_matrix`.
+    """
     _check_shape(dim, band)
     return tuple(band_indices(dim, band))
 
@@ -90,9 +94,13 @@ def _mode_positions(dim: int, band: int) -> dict[Index, int]:
 def mode_matrix(dim: int, band: int) -> np.ndarray:
     """Integer (modes, dim) array of the band cube in canonical order.
 
-    Shared cached storage; treat as read-only.
+    The rows of :func:`mode_list`, built from ``np.indices`` without its
+    tuples.  Shared cached storage; treat as read-only.
     """
-    return np.array(mode_list(dim, band), dtype=np.int64).reshape(-1, dim)
+    _check_shape(dim, band)
+    modes = np.ascontiguousarray(np.indices((2 * band + 1,) * dim, np.int64).reshape(dim, -1).T)
+    modes -= band
+    return modes
 
 
 def _mean_column(rows: np.ndarray) -> np.ndarray:
@@ -202,7 +210,7 @@ class SpectralField:
         if len(set(masks)) != len(masks) or not all(0 <= mk < 1 << dim for mk in masks):
             raise InputError(f"blade masks {masks} are not distinct masks of C_{dim}")
         data = np.asarray(vectors, dtype=complex)
-        if data.shape != (len(masks), len(mode_list(dim, band))):
+        if data.shape != (len(masks), (2 * band + 1) ** dim):
             raise InputError(f"coefficient array of shape {data.shape} does not fit "
                              f"{len(masks)} blades on band {band}")
         order = sorted(range(len(masks)), key=masks.__getitem__)
@@ -563,7 +571,9 @@ def _synthesis(rows: np.ndarray, dim: int, band: int, points: int) -> np.ndarray
     stack (see :func:`_coupling`).
     """
     _, adjoint = _coupling(dim, band, points, *rows.shape[:-1])
-    return adjoint(rows) * points**dim
+    out = adjoint(rows)
+    out *= points**dim  # in place: the same product, one plane set fewer
+    return out
 
 
 def _mode_product(f: SpectralField, g: SpectralField, zero_mean: bool = False) -> SpectralField:

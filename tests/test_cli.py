@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from fracbb import spectral
+from fracbb import kernels, spectral
 from fracbb.cli import main
 from fracbb.clifford import MAX_GENERATORS
 from fracbb.fileio import load_coefficients, save_coefficients, save_grid_csv
@@ -497,3 +497,22 @@ def test_verify_bergman_certifies_huge_series_in_closed_form(tmp_path):
     rows = out.read_text().splitlines()[3:]
     assert len(rows) == 4
     assert all(float(row.split(",")[-1]) == pytest.approx(math.sqrt(math.pi)) for row in rows)
+
+
+def test_oversized_kernel_bands_exit_before_any_kernel_is_built(tmp_path, monkeypatch, capsys):
+    # With the cap lowered to 2**12 cells, 2-D band 16 (64**2 cells) is the
+    # largest band allowed; the scan fails on band 32 before band 4 is built.
+    def unexpected(*args):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(kernels, "MAX_GRID_CELLS", 2**12)
+    monkeypatch.setattr(kernels.KernelSpec, "build", unexpected)
+    monkeypatch.setattr(kernels, "inverse_transform", unexpected)
+    monkeypatch.chdir(tmp_path)
+    kernels.KernelSpec(dim=2, band=16)
+    for args in (["--band", 4, "--scan-bands", "4,8,16,32,64", "--report", "scan.csv"],
+                 ["--band", 17, "--out", "k.json"]):
+        assert run_cli(["kernel", "--dim", 2, *args]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "input" and "more than 4096" in error["message"]
+    assert not list(tmp_path.iterdir())

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,16 +19,23 @@ from fracbb.kernels import (
     sawtooth_field,
     sup_norm_scan,
 )
-from fracbb.operators import invert_D2
+from fracbb.operators import _symbol_table, invert_D2
 from fracbb.spectral import (
+    _DENSE_MAX_ENTRIES,
     GridField,
     SpectralField,
+    _dft_matrices,
+    _mode_positions,
+    _wrapped_index_arrays,
     band_indices,
     convolve,
+    default_points,
     forward_transform,
     freq_norm,
     grid_coordinates,
     inverse_transform,
+    mode_list,
+    mode_matrix,
 )
 from fracbb.norms import l1_norm
 
@@ -249,3 +257,64 @@ def test_kernel_spec_validation():
         KernelSpec(dim=2, band=4, kind="direction", direction=3)
     with pytest.raises(InputError):
         KernelSpec(dim=1, band=0, kind="K")
+    with pytest.raises(InputError):
+        KernelSpec(dim=3, band=1024)  # 4096**3 grid cells; validation builds nothing
+
+
+def _direction_row_of_K(dim, axis, band):
+    """The directional kernel as ``2i`` times the ``e_axis`` row of the grade-1 table."""
+    K = kernel_K_nd(dim, band)
+    row = 2j * K.data[K.masks.index(1 << (axis - 1))]
+    return SpectralField.from_blade_vectors(dim, band, (0,), row[None], zero_mean=True)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_directional_kernel_is_the_K_row_byte_for_byte(dim):
+    for band in (1, 2, 5, 9):
+        for axis in range(1, dim + 1):
+            _symbol_table.cache_clear()
+            direction = kernel_component_nd(dim, axis, band)
+            assert _symbol_table.cache_info().currsize == 0  # no grade-1 table built or kept
+            expected = _direction_row_of_K(dim, axis, band)
+            assert (direction.masks, direction.zero_mean) == ((0,), True)
+            assert direction.data.tobytes() == expected.data.tobytes()
+
+
+# 1-D and 2-D bands on both sides of the dense/FFT rule (band 32 dense, 33 FFT).
+@pytest.mark.parametrize(
+    "spec, bands",
+    [
+        (KernelSpec(dim=1, band=8, kind="sawtooth"), [8, 32, 33, 64]),
+        (KernelSpec(dim=2, band=4, kind="direction", direction=2), [4, 32, 33, 40]),
+        (KernelSpec(dim=3, band=2, kind="direction", direction=3), [2, 5, 8]),
+    ],
+)
+def test_scan_sups_are_the_synthesized_maxima_bit_for_bit(spec, bands):
+    assert default_points(32) * 65 <= _DENSE_MAX_ENTRIES < default_points(33) * 67
+
+    def reference(band):
+        if spec.kind == "sawtooth":
+            kernel = sawtooth_field(band)
+        else:
+            kernel = _direction_row_of_K(spec.dim, spec.direction, band)
+        return float(inverse_transform(kernel).magnitude().max())
+
+    report = sup_norm_scan(spec, bands)
+    assert [row.sup.hex() for row in report.rows] == [reference(b).hex() for b in bands]
+
+
+def test_two_dimensional_scan_holds_a_few_grid_planes():
+    # Cold caches, so the tables the scan builds count.  The last band's grid
+    # is 256**2 cells, 1 MiB a complex plane; per-mode tuple tables and the
+    # full grade-1 table would take the peak to about 6.6 MiB.
+    for cached in (mode_list, _mode_positions, mode_matrix, _symbol_table, _dft_matrices,
+                   _wrapped_index_arrays):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sup_norm_scan(KernelSpec(dim=2, band=4, kind="direction", direction=1), [4, 8, 16, 32, 64])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 2**20

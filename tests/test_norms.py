@@ -1,9 +1,11 @@
 import math
+import warnings
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from fracbb import norms
 from fracbb.errors import ConvergenceError, InputError
 from fracbb.norms import (
     SumSpaceSplit,
@@ -1049,3 +1051,30 @@ def test_clifford_valued_field_supported():
     split = sum_space_norm(f, tol=1e-7)
     assert split.value > 0
     assert split.value <= sobolev_norm(f, -0.5) + 1e-7
+
+
+def test_a_pair_without_nesterov_todd_scaling_ends_the_newton_steps(monkeypatch):
+    # With a start margin of 8 the Newton steps on this input reach a pair
+    # inside the cones by the Lorentz test whose gamma rounds to 0.  The
+    # steps end there, before anything divides by it, and the polish
+    # certifies.
+    raised = []
+
+    class Recording(norms._NTScaling):
+        def __init__(self, *args):
+            try:
+                super().__init__(*args)
+            except ZeroDivisionError:
+                raised.append(True)
+                raise
+
+    monkeypatch.setattr(norms, "_START_MARGIN", 8.0)
+    monkeypatch.setattr(norms, "_NTScaling", Recording)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        split = sum_space_norm(
+            two_blade_field(4), weights=scaled_weights(4, 5.5), points_per_axis=32, tol=1e-12
+        )
+    assert raised == [True]
+    assert (split.path, split.iterations, split.gap) == ("interior-point", 23, 0.0)
+    assert split.value.hex() == "0x1.7281618ca1191p+4"

@@ -5,17 +5,23 @@ import pytest
 
 from fracbb.clifford import CliffordElement
 from fracbb.errors import AliasingError, InputError
+from fracbb.kernels import KernelSpec, sup_norm_scan
 from fracbb.spectral import (
     GridField,
     SpectralField,
+    _coupling,
+    _mode_positions,
+    _synthesis,
     band_indices,
     convolve,
     forward_transform,
     grid_coordinates,
     inverse_transform,
+    mode_list,
+    mode_matrix,
     project_zero_mean,
 )
-from fracbb.norms import l2_norm
+from fracbb.norms import l2_norm, sum_space_norm
 
 from oracles import brute_convolution, quadrature_coefficient
 
@@ -265,3 +271,55 @@ def test_dict_keys_of_one_mode_keep_the_last_nonzero_value():
     element = CliffordElement(1, {1: 4.0})
     assert SpectralField(1, 2, {(1,): element, 1: 5.0}).get((1,)) == CliffordElement(1, {0: 5.0})
     assert SpectralField(1, 2, {1: 5.0, (1,): element}).get((1,)) == element
+
+
+# -- mode tables and synthesis ---------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_mode_matrix_is_the_mode_list_as_int64_rows(dim):
+    for band in range(1, 7):
+        modes = mode_matrix(dim, band)
+        assert modes.dtype == np.int64 and modes.flags.c_contiguous
+        np.testing.assert_array_equal(modes, np.array(mode_list(dim, band), dtype=np.int64))
+
+
+def test_array_paths_build_no_per_mode_tuples():
+    # mode_list and _mode_positions hold a tuple per mode of the band cube;
+    # only the dict constructor, get and the coefficient views need them.
+    mode_list.cache_clear()
+    _mode_positions.cache_clear()
+    rng = np.random.default_rng(19)
+    for dim, band in ((1, 37), (2, 7), (3, 3)):
+        shape = (2, (2 * band + 1) ** dim)
+        rows = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rows[:, shape[1] // 2] = 0
+        field = SpectralField.from_blade_vectors(dim, band, (0, 1), rows, zero_mean=True)
+        round_trip = forward_transform(inverse_transform(field), band)
+        np.testing.assert_allclose(round_trip.data, field.data, atol=1e-12)
+        assert sum_space_norm(field).path == "closed-form"
+    # An iterating solve: the two-blade 1-D field under 5.5 |m|**-1/2.
+    freq = np.abs(mode_matrix(1, 8)[:, 0])
+    weights = np.where(freq > 0, 5.5 * np.maximum(freq, 1) ** -0.5, 1.0)
+    rows = rng.normal(size=(2, 17)) + 1j * rng.normal(size=(2, 17))
+    rows[:, 8] = 0
+    field = SpectralField.from_blade_vectors(1, 8, (0, 1), rows, zero_mean=True)
+    assert sum_space_norm(field, weights=weights).path == "interior-point"
+    sup_norm_scan(KernelSpec(2, 5, "direction", 2), [5, 9, 35])
+    assert mode_list.cache_info().currsize == 0
+    assert _mode_positions.cache_info().currsize == 0
+
+
+# Dense matmul sizes and, at 256 * 129 and 160 * 81 DFT entries, FFT sizes.
+@pytest.mark.parametrize(
+    "dim, band, points, lead",
+    [(1, 8, 32, (2,)), (1, 64, 256, (3, 1)), (2, 8, 32, (2,)), (2, 40, 160, (1, 2)),
+     (3, 4, 16, (1,))],
+)
+def test_synthesis_scales_the_adjoint_in_place_with_its_bits(dim, band, points, lead):
+    rng = np.random.default_rng([dim, band])
+    shape = lead + ((2 * band + 1) ** dim,)
+    rows = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    _, adjoint = _coupling(dim, band, points, *lead)
+    expected = adjoint(rows) * points**dim
+    assert _synthesis(rows, dim, band, points).tobytes() == expected.tobytes()
