@@ -69,12 +69,13 @@ class KernelSpec:
                              f"{cells} cells, more than {MAX_GRID_CELLS}")
 
     def build(self) -> SpectralField:
+        """The kernel's coefficients; an n-D ``K`` table is built outside the symbol-table cache."""
         if self.kind == "sawtooth":
             return sawtooth_field(self.band)
         if self.kind == "K":
             if self.dim == 1:
                 return kernel_K_1d(self.band)
-            return kernel_K_nd(self.dim, self.band)
+            return _symbol_table.__wrapped__(self.dim, self.band, "invD2")
         axis = self.direction if self.direction is not None else 1
         if self.dim == 1:
             # 1-D direction form m/|m|**2 = 1/m = 2i * K; same magnitudes as the sawtooth.
@@ -263,7 +264,8 @@ def sup_norm_scan(spec: KernelSpec, bands: Sequence[int]) -> ScanReport:
 
     Flags divergence when the sup grows by more than ``DIVERGENCE_RATIO``
     between consecutive bands.  Every band is validated before the first is
-    built, and only one band's coefficients, grid and magnitude are held.
+    built, and only one band's coefficients, grid and magnitude are held:
+    n-D ``K`` tables are built outside the symbol-table cache.
     """
     bands = [int(b) for b in bands]
     if any(b2 <= b1 for b1, b2 in zip(bands, bands[1:])):

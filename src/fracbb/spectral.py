@@ -432,8 +432,11 @@ class GridField:
         return cls.from_scalar(np.asarray(fn(*coords), dtype=complex), dim)
 
     def magnitude(self) -> np.ndarray:
-        """Pointwise Clifford coefficient norm, as a real array."""
-        return np.sqrt((np.abs(self.data) ** 2).sum(axis=0))
+        """Pointwise Clifford coefficient norm, as a real array; squared and rooted in place."""
+        power = np.abs(self.data)
+        power **= 2
+        total = power[0] if len(power) == 1 else power.sum(axis=0)
+        return np.sqrt(total, out=total)
 
     def scalar_values(self) -> np.ndarray:
         if any(mask and plane.any() for mask, plane in zip(self.masks, self.data)):

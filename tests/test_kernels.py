@@ -318,3 +318,15 @@ def test_two_dimensional_scan_holds_a_few_grid_planes():
     finally:
         tracemalloc.stop()
     assert peak <= 4.5 * 2**20
+
+
+@pytest.mark.parametrize("dim, bands", [(2, [4, 8, 12]), (3, [2, 3, 5])])
+def test_K_scans_leave_the_symbol_table_cache_as_they_found_it(dim, bands):
+    # A scan builds each band's grade-1 table outside the cache, which
+    # kernel_K_nd keeps for callers that convolve with the kernel.
+    _symbol_table.cache_clear()
+    report = sup_norm_scan(KernelSpec(dim=dim, band=bands[0], kind="K"), bands)
+    assert _symbol_table.cache_info().currsize == 0
+    want = [float(inverse_transform(kernel_K_nd(dim, b)).magnitude().max()).hex() for b in bands]
+    assert [row.sup.hex() for row in report.rows] == want
+    assert _symbol_table.cache_info().currsize == len(bands)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 from functools import lru_cache
@@ -246,6 +247,73 @@ def test_mixed_instance_newton_step_counts_are_pinned():
         assert split.iterations == counts[inst["name"]], inst["name"]
 
 
+#: ``(value.hex(), gap.hex(), iterations, sha256(g.data), sha256(h.data))`` of
+#: each dense-path input at tol 1e-6, recorded with one BLAS thread.
+DENSE_PATH_PINS = {
+    "mixed_flat_8": (
+        "0x1.630b5238c153ap+3", "0x1.a508ae6000000p-22", 8,
+        "e3eaf8fecc451a3faa15b1b7b8b7ad85881101c953ae17fa6dd2633dc967ae9b",
+        "62c4cf6c3e9206a6539828395404b60da207d7c1c7d1a880495e3f11e934b59e",
+    ),
+    "mixed_jitter_8": (
+        "0x1.73f0c9be861e6p+3", "0x1.2cfae30000000p-24", 9,
+        "18c391e2779bf9601a9995b02cab22578a70e55273b91d6c672d37f706d92c05",
+        "408ecd3c1dd8e6496d5cf1f4ebd3ac6a85c08722df035d965156f4d3345f89e4",
+    ),
+    "mixed_flat_10": (
+        "0x1.6b695c41a7719p+3", "0x1.1a63de0000000p-25", 9,
+        "61b14a79a2675a21809e846dbde5ecfe2cfaa69abf4b763178be7ccb1080b0a6",
+        "268f90b64a55c5c5c6e183e9885d5619e4d7e7ff61f0984928f91f32b1570322",
+    ),
+    "seeded": (
+        "0x1.79e9a6d33deb5p+3", "0x1.d66ed4e000000p-21", 9,
+        "9c7b97ef333d32c530b182bbdced8f91227ac44b3f4ef9cfc07a31c98e905fed",
+        "3cd014fc91da30b66566bf379405d9070c12e445cda6be379a73ecb5e74d59d4",
+    ),
+    "two_blades": (
+        "0x1.728162260fd10p+4", "0x1.7213c46000000p-21", 12,
+        "3b855549586ca5c96ce77c6d524ec121e3e3a757056cf1193ed1af6f2404e7e4",
+        "812345b0c6684454112d32a9ea03a522a39ebefb9a971d08d743e5f6a41c39d3",
+    ),
+    "ones_2d": (
+        "0x1.0b7f30499d96ep+6", "0x1.74fba68000000p-21", 10,
+        "664fa9e7a280a07f41895c6d0cd006e832960c683f79b6ff15532492c4d201d6",
+        "0b3496abbfb6f7188d6734955ee948a3ac7beab18c2e8d42cadb18b250c6fa6f",
+    ),
+}
+
+
+def _dense_path_cases():
+    cases = {
+        inst["name"]: (instance_field(inst), dict(s=inst["s"], homogeneous=inst["homogeneous"],
+                                                  weights=instance_weight_array(inst),
+                                                  points_per_axis=inst["points"]))
+        for inst in oracle_instances()
+        if inst["name"].startswith("mixed")
+    }
+    # The benchmark's seeded mixed-solve recipe: band 8, P 32, 5 |m|^-1/2.
+    rng = np.random.default_rng([1, 2])
+    coeffs = {(n,): 1.0 + 0.2 * rng.normal() for n in range(-8, 9) if n}
+    cases["seeded"] = (SpectralField(1, 8, coeffs, zero_mean=True),
+                       dict(s=-0.5, weights=scaled_weights(8, 5.0), points_per_axis=32))
+    cases["two_blades"] = (two_blade_field(4),
+                           dict(weights=scaled_weights(4, 5.5), points_per_axis=32))
+    cases["ones_2d"] = _start_cases()["2-D"]
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_PATH_PINS))
+def test_dense_path_splits_keep_their_bytes(name):
+    # Bytes, not floats: a sign of zero that moves in g or h shows here.
+    f, kwargs = _dense_path_cases()[name]
+    split = sum_space_norm(f, tol=1e-6, **kwargs)
+    assert split.path == "interior-point"
+    got = (split.value.hex(), split.gap.hex(), split.iterations,
+           hashlib.sha256(split.g.data.tobytes()).hexdigest(),
+           hashlib.sha256(split.h.data.tobytes()).hexdigest())
+    assert got == DENSE_PATH_PINS[name]
+
+
 def all_ones(band):
     """The zero-mean 1-D field with every coefficient 1."""
     return SpectralField(1, band, {(n,): 1.0 for n in range(-band, band + 1) if n}, zero_mean=True)
@@ -382,7 +450,7 @@ def test_newton_matrix_at_the_identity_scaling_is_the_closed_form_diagonal(
     # The interior-point start divides by diag(G^T G) = 1 / (w**2 P**n) +
     # W**-2 on the active modes, which is all of G^T G on any grid of at
     # least 2N + 1 points per axis.
-    from fracbb.norms import _newton_matrix, _NTScaling, _sum_space_cones, _weights_for
+    from fracbb.norms import _newton_matrix, _NTScaling, _stacked, _sum_space_cones, _weights_for
 
     rng = np.random.default_rng([dim, band, blades])
     modes = len(mode_matrix(dim, band))
@@ -393,7 +461,7 @@ def test_newton_matrix_at_the_identity_scaling_is_the_closed_form_diagonal(
             cones = _sum_space_cones(blades, cells, int(h_mask.sum()))
             identity = (np.ones(cones.count), np.zeros(len(cones.ids)))
             build = _newton_matrix(dim, band, points, blades, weight, h_mask, quad_w)
-            matrix = build(_NTScaling(cones, identity, identity))
+            matrix = build(_NTScaling(cones, _stacked(identity, identity)))
             diagonal = 1.0 / (quad_w**2 * cells) + np.where(h_mask, weight**-2.0, 0.0)
             expected = np.diag(np.tile(np.repeat(diagonal, 2), blades))
             assert np.abs(matrix - expected).max() <= 1e-13 * diagonal.max(), (points, weights)
@@ -421,9 +489,9 @@ def test_interior_point_starts_on_both_equality_constraints(monkeypatch, case):
     starts = []
 
     class Recording(norms._NTScaling):
-        def __init__(self, cones, s, z, lorentz=None):
-            starts.append((cones, s, z))
-            super().__init__(cones, s, z, lorentz)
+        def __init__(self, cones, sz, lorentz=None):
+            starts.append((cones, *cones.halves(sz)))
+            super().__init__(cones, sz, lorentz)
 
     monkeypatch.setattr(norms, "_NTScaling", Recording)
     f, kwargs = _start_cases()[case]
@@ -497,7 +565,7 @@ def test_solve_above_the_old_size_cap(monkeypatch):
 
 
 def test_cone_algebra_of_the_interior_point_method():
-    from fracbb.norms import _LorentzCones, _moved, _NTScaling
+    from fracbb.norms import _LorentzCones, _moved, _NTScaling, _stacked
 
     rng = np.random.default_rng(11)
     ids = np.repeat(np.arange(4), [1, 2, 3, 5])
@@ -508,21 +576,153 @@ def test_cone_algebra_of_the_interior_point_method():
         return np.sqrt(cones.dot(u, u)) + rng.uniform(0.1, 2.0, 4), u
 
     s, z, x = interior(), interior(), interior()
-    scaling = _NTScaling(cones, s, z)
+    scaling = _NTScaling(cones, _stacked(s, z))
     # W z = W^-1 s = lam, and W undoes W^-1.
     for got, want in ((scaling.apply(z), scaling.lam), (scaling.inverse(s), scaling.lam),
                       (scaling.apply(scaling.inverse(x)), x)):
         assert np.allclose(got[0], want[0], atol=1e-12) and np.allclose(got[1], want[1], atol=1e-12)
-    # divide inverts the Jordan product.
-    t, u = cones.product(x, cones.divide(x, s))
-    assert np.allclose(t, s[0]) and np.allclose(u, s[1])
-    # The largest step ends on the boundary of one cone.
+    # On a stacked pair, W^-1 takes the first half and W the second, with the bits of each.
+    both = cones.halves(scaling.apply(_stacked(x, s), None))
+    for got, want in zip(both, (scaling.inverse(x), scaling.apply(s))):
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    # divide inverts the Jordan product with lam.
+    t, u = cones.product(scaling.lam, scaling.divide(x))
+    assert np.allclose(t, x[0]) and np.allclose(u, x[1])
+    # The largest step of x ends on the boundary of one cone; a zero step
+    # of the second point leaves it inside.
     d = (rng.normal(size=4), rng.normal(size=len(ids)))
-    alpha = cones.max_step(x, d)
+    zero = (np.zeros(4), np.zeros(len(ids)))
+    alpha = _NTScaling(cones, _stacked(x, z)).max_step(_stacked(d, zero))
     assert math.isfinite(alpha)
     edge = cones.lorentz(_moved(x, alpha, d))
     assert edge.min() == pytest.approx(0.0, abs=1e-9) and np.all(edge >= -1e-9)
     assert np.all(cones.lorentz(_moved(x, 0.99 * alpha, d)) > 0)
+
+
+def _max_step_of_one_point(cones, x, d):
+    """Largest ``alpha`` keeping ``x + alpha d`` in the cones, computed for ``x`` alone."""
+    n = np.sqrt(cones.lorentz(x))
+    xt, xu = x[0] / n, x[1] / n[cones.ids]
+    c = xt * d[0] - cones.dot(xu, d[1])
+    rho_u = (d[1] - ((c + d[0]) / (xt + 1.0))[cones.ids] * xu) / n[cones.ids]
+    excess = float((np.sqrt(cones.dot(rho_u, rho_u)) - c / n).max())
+    return 1.0 / excess if excess > 0 else math.inf
+
+
+def test_stacked_step_length_is_the_smaller_of_the_two():
+    # One maximum over both points' cones gives min(alpha_s, alpha_z) with
+    # its bits, also where one or both points have no boundary ahead.
+    from fracbb.norms import _NTScaling, _stacked, _sum_space_cones
+
+    rng = np.random.default_rng(19)
+    cones = _sum_space_cones(2, 12, 5)
+
+    def interior():
+        u = rng.normal(size=len(cones.ids))
+        return np.sqrt(cones.dot(u, u)) + rng.uniform(0.1, 2.0, cones.count), u
+
+    kinds = set()
+    for _ in range(40):
+        s, z = interior(), interior()
+        scaling = _NTScaling(cones, _stacked(s, z))
+        ahead = (rng.normal(size=cones.count), rng.normal(size=len(cones.ids)))
+        behind = (rng.normal(size=cones.count), rng.normal(size=len(cones.ids)))
+        # A step along the point itself never leaves the cones.
+        for ds, dz in ((ahead, behind), (s, behind), (ahead, z), (s, z)):
+            want = min(_max_step_of_one_point(cones, s, ds), _max_step_of_one_point(cones, z, dz))
+            got = scaling.max_step(_stacked(ds, dz))
+            assert got.hex() == want.hex()
+            kinds.add(math.isinf(want))
+    assert kinds == {True, False}
+
+
+def test_a_nan_direction_ends_the_newton_steps(monkeypatch):
+    # A NaN direction has no finite step length: the maximum of its cones'
+    # excesses is NaN, so the step length is infinite, alpha is 1, and the
+    # finiteness check is what ends the Newton steps before a NaN point.
+    from fracbb.norms import _stacked
+
+    scalings, points = [], []
+
+    class Poisoned(norms._NTScaling):
+        def __init__(self, *args):
+            super().__init__(*args)
+            scalings.append(self)
+
+        def inverse_squared(self, u):
+            t, v = super().inverse_squared(u)
+            return (t, v * np.nan) if len(scalings) == 3 else (t, v)
+
+    newton = norms._interior_point
+
+    def recorded(*args):
+        for point in newton(*args):
+            points.append(point)
+            yield point
+
+    monkeypatch.setattr(norms, "_NTScaling", Poisoned)
+    monkeypatch.setattr(norms, "_interior_point", recorded)
+    try:
+        mixed_flat_8(tol=1e-6)
+    except ConvergenceError:
+        pass
+    assert len(scalings) == 3 and len(points) == 2
+    assert all(np.isfinite(a).all() for point in points for a in point)
+    last = scalings[-1]
+    nan = (np.full(last.cones.count, np.nan), np.full(len(last.cones.ids), np.nan))
+    assert last.max_step(_stacked(nan, nan)) == math.inf
+
+
+def _index_block_newton_matrix(dim, band, points, blades, weight, h_mask, quad_w, scaling):
+    """:func:`norms._newton_matrix` with its Sobolev block added through ``np.ix_``."""
+    from fracbb.norms import _coupling, _newton_gathers
+
+    cells = points**dim
+    shape = (2 * blades * blades,) + (points,) * dim
+    forward, _ = _coupling(dim, 2 * band, points, shape[0])
+    toeplitz_at, hankel_at = _newton_gathers(dim, band, blades)
+    cut = 2 * blades * cells
+    active = np.flatnonzero(np.broadcast_to(h_mask[:, None], (blades, len(h_mask), 2)))
+    inv_w_real = np.tile(np.repeat(1.0 / weight[h_mask], 2), blades)
+    om = scaling.wu[:cut].view(complex)
+    row, col = om.reshape(blades, 1, cells), om.reshape(1, blades, cells)
+    pairs = np.concatenate((row * col.conj() + np.eye(blades)[:, :, None], row * col))
+    d = (quad_w * scaling.beta[:cells]) ** -2.0 / cells
+    spectra = forward((pairs * d).reshape(shape)).ravel().view(float)
+    spectra = np.concatenate((spectra, -spectra))
+    matrix = spectra[toeplitz_at] + spectra[hankel_at]
+    scale = inv_w_real / scaling.beta[cells]
+    u = scaling.wu[cut:] * scale
+    matrix[active, active] += scale**2
+    matrix[np.ix_(active, active)] += 2.0 * np.outer(u, u)
+    return matrix
+
+
+@pytest.mark.parametrize("dim, band, points", [(1, 4, 16), (2, 2, 8)])
+@pytest.mark.parametrize("blades", [1, 2])
+@pytest.mark.parametrize("homogeneous", [True, False])
+def test_padded_outer_newton_matrix_is_the_index_block_build(dim, band, points, blades, homogeneous):
+    from fracbb.norms import _NTScaling, _newton_matrix, _stacked, _sum_space_cones
+
+    rng = np.random.default_rng([dim, blades, homogeneous])
+    modes, cells, quad_w = (2 * band + 1) ** dim, points**dim, (TWO_PI / points) ** dim
+    h_mask = np.ones(modes, dtype=bool)
+    if homogeneous:
+        h_mask[modes // 2] = False
+    weight = rng.uniform(0.5, 3.0, modes)
+    cones = _sum_space_cones(blades, cells, int(h_mask.sum()))
+
+    def interior():
+        u = rng.normal(size=len(cones.ids))
+        return np.sqrt(cones.dot(u, u)) + rng.uniform(0.1, 2.0, cones.count), u
+
+    for _ in range(5):
+        scaling = _NTScaling(cones, _stacked(interior(), interior()))
+        got = _newton_matrix(dim, band, points, blades, weight, h_mask, quad_w)(scaling)
+        want = _index_block_newton_matrix(
+            dim, band, points, blades, weight, h_mask, quad_w, scaling
+        )
+        assert got.tobytes() == want.tobytes()
 
 
 def _dense_newton_matrix(synthesis, scaling, quad_w, blades, active, inv_w_real):
@@ -562,7 +762,7 @@ def _dense_newton_matrix(synthesis, scaling, quad_w, blades, active, inv_w_real)
 def test_structured_newton_matrix_matches_the_dense_reference(
     dim, band, points, blades, homogeneous
 ):
-    from fracbb.norms import _NTScaling, _coupling, _newton_matrix, _sum_space_cones
+    from fracbb.norms import _NTScaling, _coupling, _newton_matrix, _stacked, _sum_space_cones
 
     rng = np.random.default_rng([dim, band, points, blades])
     modes = (2 * band + 1) ** dim
@@ -579,7 +779,7 @@ def test_structured_newton_matrix_matches_the_dense_reference(
         u = rng.normal(size=len(cones.ids))
         return np.sqrt(cones.dot(u, u)) + rng.uniform(0.1, 2.0, cones.count), u
 
-    scaling = _NTScaling(cones, interior(), interior())
+    scaling = _NTScaling(cones, _stacked(interior(), interior()))
     got = _newton_matrix(dim, band, points, blades, weight, h_mask, quad_w)(scaling)
 
     _, scalar_adjoint = _coupling(dim, band, points, modes)

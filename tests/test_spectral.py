@@ -323,3 +323,18 @@ def test_synthesis_scales_the_adjoint_in_place_with_its_bits(dim, band, points, 
     _, adjoint = _coupling(dim, band, points, *lead)
     expected = adjoint(rows) * points**dim
     assert _synthesis(rows, dim, band, points).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("masks", [(0,), (0, 1, 3)])
+def test_magnitude_keeps_the_bits_of_the_summed_squares_root(masks):
+    # The in-place chain against the expression it replaced, on a 2-D grid
+    # with signed zeros, subnormal squares and squares that overflow.
+    rng = np.random.default_rng(29)
+    shape = (len(masks), 24, 24)
+    data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    data[:, 0, :5] = [0.0, -0.0, -0.0j, 1e-160, 1e200]
+    field = GridField(2, 24, {mask: plane for mask, plane in zip(masks, data)})
+    with np.errstate(over="ignore", under="ignore"):
+        want = np.sqrt((np.abs(field.data) ** 2).sum(axis=0))
+        got = field.magnitude()
+    assert got.shape == (24, 24) and got.tobytes() == want.tobytes()
