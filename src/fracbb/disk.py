@@ -27,7 +27,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .norms import SumSpaceSplit, _l1_norms, _sobolev_norms, sum_space_norms
+from .norms import (
+    SumSpaceSplit, _l1_norms, _sobolev_norms, _sum_space_rows, _weights_for, sum_space_norm,
+)
 from .spectral import SpectralField, _mean_column, _synthesis, default_points, mode_matrix
 
 #: Radius ladder approximating the r -> 1 boundary limit.
@@ -101,28 +103,11 @@ def _trace_rows(f: PowerSeries, radii: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _traces(rows: np.ndarray) -> list[SpectralField]:
-    """The boundary traces whose spectra are ``rows``."""
-    band = (rows.shape[-1] - 1) // 2
-    return [SpectralField.from_blade_vectors(1, band, (0,), row) for row in rows]
-
-
 def _hminus_half_norms(f: PowerSeries, radii: np.ndarray) -> np.ndarray:
     """:func:`hminus_half_boundary_norm` at each radius."""
     n = np.arange(len(f.coeffs))
     weighted = (np.abs(f.coeffs) ** 2) * radii[:, None] ** (2 * n) / (1 + n)
     return np.sqrt(weighted.sum(axis=-1))
-
-
-def _mixed_norms(traces: list[SpectralField], tol: float) -> list[SumSpaceSplit]:
-    """Sum-space norms ``L1 + H^{-1/2}`` of boundary traces, in one stacked solve."""
-    return sum_space_norms(
-        traces,
-        s=-0.5,
-        homogeneous=False,
-        tol=tol,
-        weights=disk_boundary_weights(traces[0].band),
-    )
 
 
 def dilate(f: PowerSeries, r: float) -> PowerSeries:
@@ -132,7 +117,8 @@ def dilate(f: PowerSeries, r: float) -> PowerSeries:
 
 def boundary_trace(f: PowerSeries, r: float) -> SpectralField:
     """One-sided circle spectrum of ``f(r e^{i theta})``: ``a_n r**n`` at n >= 0."""
-    return _traces(_trace_rows(f, _radii([r])))[0]
+    rows = _trace_rows(f, _radii([r]))
+    return SpectralField.from_blade_vectors(1, max(f.order, 1), (0,), rows[0])
 
 
 def hminus_half_boundary_norm(f: PowerSeries, r: float) -> float:
@@ -152,9 +138,16 @@ def disk_boundary_weights(band: int) -> np.ndarray:
     return weights
 
 
+@lru_cache(maxsize=32)
+def _boundary_tables(band: int) -> tuple:
+    """The checked ``(mask, W, W**2)`` of :func:`disk_boundary_weights`.  Shared, read-only."""
+    return _weights_for(1, band, -0.5, False, disk_boundary_weights(band))
+
+
 def mixed_boundary_norm(f: PowerSeries, r: float, tol: float = 1e-6) -> SumSpaceSplit:
     """Sum-space norm ``L1 + H^{-1/2}`` of the boundary trace at radius ``r``."""
-    return _mixed_norms(_traces(_trace_rows(f, _radii([r]))), tol)[0]
+    trace = boundary_trace(f, r)
+    return sum_space_norm(trace, -0.5, False, tol, weights=disk_boundary_weights(trace.band))
 
 
 @dataclass(frozen=True)
@@ -180,13 +173,14 @@ def bbb_ratio(
 ) -> RatioReport:
     """Per-radius ratio ``bergman(f_r) / mixed_boundary_norm(f, r)``.
 
-    The radius ladder is one stack: the traces, the dilated Bergman norms,
-    the ``H^{-1/2}`` norms, the traces' L1 norms and their Sobolev section
-    norms are ``(radii, ...)`` arrays from one pass, and the mixed norms come
-    from one :func:`sum_space_norms` call, each row bit for bit the value of
-    the single-radius functions.  The running max over a corpus estimates
-    the constant of the disk inequality; no reference value exists, so it is
-    reported, not asserted.
+    The radius ladder is one stack: the trace rows, the dilated Bergman
+    norms, the ``H^{-1/2}`` norms, the traces' L1 norms and their Sobolev
+    section norms are ``(radii, ...)`` arrays from one pass, and the mixed
+    norms come from one :func:`norms._sum_space_rows` call on the trace rows,
+    each row bit for bit the value of the single-radius functions; only a
+    radius that iterates builds a trace field.  The running max over a corpus
+    estimates the constant of the disk inequality; no reference value exists,
+    so it is reported, not asserted.
     """
     radii = _radii(radii)
     if not len(radii):
@@ -196,7 +190,10 @@ def bbb_ratio(
     bergman = _bergman_norms(_dilations(f, radii)).tolist()
     l1 = _l1_norms(_synthesis(rows, 1, band, default_points(band)), 1)
     hminus = _hminus_half_norms(f, radii).tolist()
-    mixed = [split.value for split in _mixed_norms(_traces(rows), tol)]
+    solves = _sum_space_rows(
+        rows, [(0,)] * len(rows), 1, band, -0.5, False, tol, tables=_boundary_tables(band)
+    )
+    mixed = [value for value, *_ in solves]
     convention_ratios = []
     if not f.is_zero():
         sections = _sobolev_norms(rows, 1, band, -0.5, homogeneous=False)

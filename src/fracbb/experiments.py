@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .norms import sum_space_norms
+from .norms import _count, _sum_space_rows
 from .operators import fractional_laplacian, riesz
 from .spectral import SpectralField, mode_matrix
 
@@ -51,10 +51,7 @@ class ExperimentConfig:
             raise InputError(f"decay must be finite, got {self.decay!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise InputError(f"tolerance must be finite and positive, got {self.tol!r}")
-        if self.max_iterations < 1:
-            raise InputError(
-                f"iteration cap must be at least 1, got {self.max_iterations!r}"
-            )
+        _count(self.max_iterations, "iteration cap", 1)
 
 
 @dataclass(frozen=True)
@@ -140,7 +137,8 @@ def _sample_row(cfg: ExperimentConfig, sample_id: int) -> SampleRow:
 
     The right side sums the sum-space norms of the ``dim + 1`` fields
     ``(-Lap)^{n/4} R_j u`` of the unit sample, solved in one
-    :func:`sum_space_norms` call, so their closed-form checks run stacked.
+    :func:`norms._sum_space_rows` call on their coefficient rows, so their
+    closed-form checks run stacked and a settled row builds no split.
     """
     u = random_field(cfg, sample_id)
     scale = u.l2_coefficient_norm()
@@ -150,12 +148,13 @@ def _sample_row(cfg: ExperimentConfig, sample_id: int) -> SampleRow:
         fractional_laplacian(unit if j == 0 else riesz(unit, j), exponent)
         for j in range(cfg.dim + 1)
     ]
-    splits = sum_space_norms(
-        fields, s=-cfg.dim / 2.0, homogeneous=True, tol=cfg.tol, max_iterations=cfg.max_iterations
+    solves = _sum_space_rows(
+        [f.data for f in fields], [f.masks for f in fields], cfg.dim, cfg.band,
+        -cfg.dim / 2.0, True, cfg.tol, max_iterations=cfg.max_iterations,
     )
     rhs_unit = 0.0
-    for split in splits:  # left to right from 0.0, as the bits of the ratio require
-        rhs_unit += split.value
+    for value, *_ in solves:  # left to right from 0.0, as the bits of the ratio require
+        rhs_unit += value
     # lhs of the normalized sample is 1 by construction, so the ratio is
     # exactly scale-invariant; lhs/rhs are reported in the original scale.
     return SampleRow(
@@ -163,7 +162,7 @@ def _sample_row(cfg: ExperimentConfig, sample_id: int) -> SampleRow:
         lhs=scale,
         rhs=scale * rhs_unit,
         ratio=1.0 / rhs_unit,
-        gaps=tuple(split.gap for split in splits),
+        gaps=tuple(solve[1] for solve in solves),
     )
 
 

@@ -29,14 +29,16 @@ of zero, kept once per shape, so no forward map and no mean repair run, and
 the default weights, their mask and their square are kept once per ``(dim,
 band, s, homogeneous)``.
 
-:func:`sum_space_norms` runs this check for many fields at once: fields that
-share ``dim``, band, grid, weights and blade count stack into one ``p0``
-table ``(fields, blades, modes)``, with one adjoint and one certificate call;
-a Newton or polish step is a stack of one.  Each field keeps the bits of its
-own check: every per-field sum runs over one C-contiguous row, in the order a
-single field's sum takes (its masked columns mode by mode, as numpy lays them
-out), and the transform pair applies one matrix product per field, because
-BLAS rounds a one-row product (its matrix-vector kernel) differently from a
+The array core :func:`_sum_space_rows` runs this check for many coefficient
+rows at once; :func:`sum_space_norms` makes its results splits, while the
+experiment loops read them as they are.  Rows that share ``dim``, band,
+grid, weights and blade count stack into one ``p0`` table ``(fields, blades,
+modes)``, with one adjoint and one certificate call; a Newton or polish step
+is a stack of one.  Each field keeps the bits of its own check: every
+per-field sum runs over one C-contiguous row, in the order a single field's
+sum takes (its masked columns mode by mode, as numpy lays them out), and
+the transform pair applies one matrix product per field, because BLAS
+rounds a one-row product (its matrix-vector kernel) differently from a
 many-row one.
 
 Otherwise a primal-dual interior-point method solves the dual as a
@@ -207,8 +209,9 @@ def _weights_for(
     """The weight tables of a solve: ``(mask, W, W**2)``.
 
     ``mask`` marks the modes ``h`` may occupy, where the Sobolev weights
-    ``W`` are checked; ``W`` is 1 off it.  The default weights' tables are
-    cached; array and callable weights are checked on every call.
+    ``W`` are checked; ``W`` is 1 off it.  The tables are read-only.  The
+    default weights' tables are cached; array and callable weights are
+    checked on every call.
     """
     if weights is None:
         return _default_weights(dim, band, float(s), homogeneous)
@@ -227,7 +230,10 @@ def _weights_for(
     if np.any(w[mask] <= 0) or not np.all(np.isfinite(w[mask])):
         raise InputError("Sobolev weights must be positive and finite on active modes")
     masked = np.where(mask, w, 1.0)
-    return mask, masked, masked**2
+    tables = mask, masked, masked**2
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 @lru_cache(maxsize=32)
@@ -238,10 +244,7 @@ def _default_weights(dim: int, band: int, s: float, homogeneous: bool) -> tuple:
     half, active = _sobolev_weights(dim, band, s / 2.0, homogeneous)
     w = np.ones(len(active))
     w[active] = half
-    tables = _weights_for(dim, band, s, homogeneous, w)
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+    return _weights_for(dim, band, s, homogeneous, w)
 
 
 @lru_cache(maxsize=32)
@@ -812,12 +815,11 @@ def _closed_form(fvecs, dim, band, points, tol, h_mask, weight, weight_sq):
     return checks
 
 
-def _split(f: SpectralField, points: int, homogeneous: bool, certificate, iterations, path):
-    """The :class:`SumSpaceSplit` of ``f`` from a certificate ``(upper, gap, g, h)``."""
-    upper, gap, g_adj, h_rep = certificate
+def _split(f: SpectralField, homogeneous: bool, upper, gap, g_adj, h_rep, iterations, path):
+    """The :class:`SumSpaceSplit` of ``f`` from a row of :func:`_sum_space_rows`."""
     return SumSpaceSplit(
         # f's masks are checked and sorted; g_adj and h_rep are the split's own.
-        g=GridField._of(f.dim, points, f.masks, g_adj),
+        g=GridField._of(f.dim, g_adj.shape[-1], f.masks, g_adj),
         h=f._with(f.masks, h_rep, homogeneous),
         value=upper,
         gap=gap,
@@ -870,47 +872,66 @@ def sum_space_norms(
 ) -> list[SumSpaceSplit]:
     """:func:`sum_space_norm` of each field, with one closed-form check for all.
 
-    The fields share ``dim`` and ``band``, so one grid and one weight table
-    serve them all.  Their closed-form checks run stacked, one per blade
-    count (see the module docstring); each field's split, value and gap are
-    those of its own :func:`sum_space_norm` call, bit for bit.  The fields
-    that the check does not settle then iterate one after another, in
-    order, each seeded with its own closed-form certificate as the best one
-    seen; the first that fails raises its :class:`ConvergenceError`.
+    The fields share ``dim`` and ``band``.  Each row of :func:`_sum_space_rows`
+    of their coefficients becomes a split, bit for bit its field's own.
+    """
+    fields = list(fields)
+    shapes = {(f.dim, f.band) for f in fields}
+    if len(shapes) > 1:
+        raise InputError("stacked fields must share their dimension and band")
+    dim, band = shapes.pop() if shapes else (1, 1)  # no rows: the core reads neither
+    found = _sum_space_rows(
+        [f.data for f in fields], [f.masks for f in fields], dim, band, s, homogeneous, tol,
+        weights=weights, points_per_axis=points_per_axis, max_iterations=max_iterations,
+    )
+    return [_split(f, homogeneous, *row) for f, row in zip(fields, found)]
+
+
+def _count(value, name: str, least: int) -> int:
+    """``value`` as an int: an integer (not a bool) of at least ``least``, else an input error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InputError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
+def _sum_space_rows(rows, masks, dim: int, band: int, s: float | None, homogeneous: bool,
+                    tol: float, *, weights=None, tables=None, points_per_axis=None,
+                    max_iterations=100_000) -> list[tuple]:
+    """``(value, gap, g, h, iterations, path)`` of each coefficient row ``(blades, modes)``.
+
+    Row ``i`` holds the blades ``masks[i]`` of a field; ``tables``, if given,
+    are the checked ``(mask, W, W**2)``.  The closed-form checks of rows of
+    one blade count run stacked.  Only a row they do not settle becomes a
+    :class:`SpectralField`: such rows iterate one after another, in order,
+    each seeded with its own closed-form certificate as the best one seen,
+    and the first that fails raises its :class:`ConvergenceError`.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tolerance must be finite and positive, got {tol!r}")
-    if max_iterations < 1:
-        raise InputError(f"iteration cap must be at least 1, got {max_iterations!r}")
-    fields = list(fields)
-    if not fields:
+    _count(max_iterations, "iteration cap", 1)
+    if not len(rows):
         return []
-    dim, band = fields[0].dim, fields[0].band
-    if any((f.dim, f.band) != (dim, band) for f in fields):
-        raise InputError("stacked fields must share their dimension and band")
-    if s is None:
-        s = -dim / 2.0
-    if homogeneous and any(_mean_column(f.data).any() for f in fields):
+    if homogeneous and any(_mean_column(row).any() for row in rows):
         raise InputError("homogeneous sum-space norm requires a zero-mean field")
-    P = default_points(band) if points_per_axis is None else int(points_per_axis)
-    if P < 2 * band + 1:
-        raise InputError(f"grid of {P} points per axis is too coarse for band {band}")
+    P = (default_points(band) if points_per_axis is None
+         else _count(points_per_axis, "points per axis", 2 * band + 1))
     shape = (P,) * dim
     quad_w = (TWO_PI / P) ** dim
-    h_mask, weight, weight_sq = _weights_for(dim, band, s, homogeneous, weights)
+    s = -dim / 2.0 if s is None else s
+    h_mask, weight, weight_sq = tables or _weights_for(dim, band, s, homogeneous, weights)
 
-    # Rows of one field stack only with rows of as many blades.
+    # Rows stack only with rows of as many blades.
     stacks: dict[int, list[int]] = {}
-    for i, f in enumerate(fields):
-        stacks.setdefault(len(f.masks), []).append(i)
-    checks = [None] * len(fields)
+    for i, row in enumerate(rows):
+        stacks.setdefault(len(row), []).append(i)
+    checks = [None] * len(rows)
     for members in stacks.values():
-        fvecs = np.stack([fields[i].data for i in members])
+        fvecs = np.asarray(rows) if len(stacks) == 1 else np.stack([rows[i] for i in members])
         found = _closed_form(fvecs, dim, band, P, tol, h_mask, weight, weight_sq)
         for i, check in zip(members, found):
             checks[i] = check
 
-    def iterate(f: SpectralField, seed) -> SumSpaceSplit:
+    def iterate(f: SpectralField, seed) -> tuple:
         """Newton steps, then a polish, from the closed-form certificate ``seed``."""
         fvec, nblades = f.data, len(f.masks)
         forward, adjoint = _coupling(dim, band, P, nblades)
@@ -943,7 +964,7 @@ def sum_space_norms(
             iterations += 1
             found = certificate(gq, pq, Ap)
             if found[1] <= tol:
-                return _split(f, P, homogeneous, found, iterations, "interior-point")
+                return (*found, iterations, "interior-point")
             if found[1] < best[1]:
                 best, best_path, best_g = found, "interior-point", gq
             if iterations == max_iterations:
@@ -951,14 +972,15 @@ def sum_space_norms(
         raise ConvergenceError(
             f"sum-space optimizer stopped at gap {best[1]:.3e} after "
             f"{iterations} iterations (tol {tol:g})",
-            partial=_split(f, P, homogeneous, best, iterations, best_path),
+            partial=_split(f, homogeneous, *best, iterations, best_path),
         )
 
-    splits = []
-    for f, (certified, certificate) in zip(fields, checks):
+    results = []
+    for row, row_masks, (certified, certificate) in zip(rows, masks, checks):
         # A zero field's split g = h = 0 is optimal with gap 0.
-        if certified or not f.data.any():
-            splits.append(_split(f, P, homogeneous, certificate, 0, "closed-form"))
+        if certified or not row.any():
+            results.append((*certificate, 0, "closed-form"))
         else:
-            splits.append(iterate(f, certificate))
-    return splits
+            f = SpectralField.from_blade_vectors(dim, band, row_masks, row)
+            results.append(iterate(f, certificate))
+    return results

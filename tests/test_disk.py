@@ -1,8 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from fracbb import disk, norms
 from fracbb.disk import (
     RADIUS_LADDER,
     PowerSeries,
@@ -17,7 +19,7 @@ from fracbb.disk import (
     random_series,
     verify_bergman,
 )
-from fracbb.errors import InputError
+from fracbb.errors import ConvergenceError, InputError
 from fracbb.norms import l1_norm, sobolev_norm, sum_space_norm
 from fracbb.spectral import SpectralField, inverse_transform
 
@@ -171,6 +173,47 @@ def test_bbb_ratio_ladder_matches_each_radius_alone(order, decay):
         assert bergman_norm(dilate(f, r)).hex() == values[1].hex()
         assert hminus_half_boundary_norm(f, r).hex() == values[3].hex()
         assert mixed_boundary_norm(f, r).value.hex() == values[4].hex()
+
+
+def _split_bits(split):
+    return (split.value.hex(), split.gap.hex(), split.iterations, split.path, split.g.masks,
+            split.h.masks, split.g.data.tobytes(), split.h.data.tobytes())
+
+
+def test_bbb_ratio_rows_that_iterate_match_each_radius_alone(monkeypatch):
+    # With the closed form settling nothing, every radius iterates from its
+    # trace row and gives what its own solve gives; under a one-step cap the
+    # ladder raises the first radius's own error and partial split.
+    closed_form = norms._closed_form
+    monkeypatch.setattr(
+        norms, "_closed_form", lambda *args: [(False, found) for _, found in closed_form(*args)]
+    )
+    f = random_series(8, 1.0, np.random.default_rng([8, 3]))
+    radii = (0.9, 0.999, 1.0)
+    report = bbb_ratio(f, radii=radii)
+    for row, r in zip(report.rows, radii):
+        split = mixed_boundary_norm(f, r)
+        assert split.path == "interior-point"
+        assert (row.mixed.hex(), row.ratio.hex()) == (
+            split.value.hex(), (bergman_norm(dilate(f, r)) / split.value).hex())
+    monkeypatch.setattr(
+        disk, "_sum_space_rows", functools.partial(norms._sum_space_rows, max_iterations=1)
+    )
+    with pytest.raises(ConvergenceError) as ladder:
+        bbb_ratio(f, radii=radii)
+    with pytest.raises(ConvergenceError) as alone:
+        sum_space_norm(boundary_trace(f, radii[0]), s=-0.5, homogeneous=False,
+                       weights=disk_boundary_weights(8), max_iterations=1)
+    assert str(ladder.value) == str(alone.value)
+    assert _split_bits(ladder.value.partial) == _split_bits(alone.value.partial)
+
+
+def test_boundary_weight_tables_are_checked_once_per_band():
+    tables = disk._boundary_tables(12)
+    assert disk._boundary_tables(12) is tables
+    for table, expected in zip(tables, norms._weights_for(1, 12, -0.5, False,
+                                                          disk_boundary_weights(12))):
+        assert table.tobytes() == expected.tobytes() and not table.flags.writeable
 
 
 def test_bbb_ratio_of_no_radii_and_of_a_bad_radius():

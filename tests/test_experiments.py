@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+
+from fracbb import norms
 
 from fracbb.errors import ConvergenceError, InputError
 from fracbb.experiments import (
@@ -13,7 +16,9 @@ from fracbb.experiments import (
     random_field,
     verify_bb,
 )
-from fracbb.norms import sobolev_norm
+from fracbb.experiments import _sample_row
+from fracbb.norms import sobolev_norm, sum_space_norm
+from fracbb.operators import fractional_laplacian, riesz
 from fracbb.spectral import SpectralField, band_indices
 
 from oracles import harmonic_sum
@@ -227,11 +232,11 @@ def test_verify_bb_report_structure():
 def test_verify_bb_failure_strictness(monkeypatch):
     # A solver that cannot converge must surface as non-convergence rather
     # than a silently wrong report.  Its samples certify in closed form, so
-    # the solver is replaced by one that always fails.
+    # the solve the sample calls is replaced by one that always fails.
     def non_converging(*args, **kwargs):
         raise ConvergenceError("cap hit", partial=object())
 
-    monkeypatch.setattr("fracbb.experiments.sum_space_norms", non_converging)
+    monkeypatch.setattr("fracbb.experiments._sum_space_rows", non_converging)
     cfg = ExperimentConfig(
         dim=1, band=8, samples=2, seed=8, tol=1e-14, max_iterations=100
     )
@@ -240,6 +245,88 @@ def test_verify_bb_failure_strictness(monkeypatch):
     assert err.value.partial is not None
     report = verify_bb(cfg, strict=False)
     assert len(report.failures) == 2
+
+
+def _sample_splits(cfg, sample_id, **kwargs):
+    """A sample's scale and the ``sum_space_norm`` split of each of its ``dim + 1`` fields."""
+    u = random_field(cfg, sample_id)
+    scale = u.l2_coefficient_norm()
+    unit = u.scale(1.0 / scale)
+    fields = [
+        fractional_laplacian(unit if j == 0 else riesz(unit, j), cfg.dim / 4.0)
+        for j in range(cfg.dim + 1)
+    ]
+    s = -cfg.dim / 2.0
+    return scale, fields, [
+        sum_space_norm(f, s=s, tol=cfg.tol, max_iterations=cfg.max_iterations, **kwargs)
+        for f in fields
+    ]
+
+
+def _assert_rows_are_the_per_field_solves(cfg, path):
+    report = verify_bb(cfg)
+    assert [row.sample_id for row in report.rows] == list(range(cfg.samples))
+    for row in report.rows:
+        scale, _, splits = _sample_splits(cfg, row.sample_id)
+        assert [split.path for split in splits] == [path] * (cfg.dim + 1)
+        rhs_unit = 0.0
+        for split in splits:
+            rhs_unit += split.value
+        expected = (scale, scale * rhs_unit, 1.0 / rhs_unit) + tuple(s.gap for s in splits)
+        got = (row.lhs, row.rhs, row.ratio) + row.gaps
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+
+_CLOSED_FORM = norms._closed_form
+
+
+def _settle_first(monkeypatch, count):
+    """Let the closed form settle only the first ``count`` rows of a stack; the rest iterate."""
+    monkeypatch.setattr(norms, "_closed_form", lambda *args: [
+        (i < count and settled, found) for i, (settled, found) in enumerate(_CLOSED_FORM(*args))
+    ])
+
+
+def _split_bits(split):
+    return (split.value.hex(), split.gap.hex(), split.iterations, split.path, split.g.masks,
+            split.h.masks, split.g.data.tobytes(), split.h.data.tobytes())
+
+
+@pytest.mark.parametrize("dim, band", [(1, 16), (2, 5)])
+def test_verify_bb_rows_are_the_per_field_solves(dim, band):
+    _assert_rows_are_the_per_field_solves(
+        ExperimentConfig(dim=dim, band=band, samples=3, seed=21, tol=1e-7), "closed-form"
+    )
+
+
+@pytest.mark.parametrize("dim, band", [(1, 8), (2, 3)])
+def test_verify_bb_rows_that_iterate_are_the_per_field_solves(dim, band, monkeypatch):
+    # With the closed form settling nothing, each row iterates from its
+    # coefficient row.  Under a one-step cap a sample raises what its first
+    # unsettled field's own solve raises: the scalar field's, or with the
+    # others settled, the last Riesz field's.
+    _settle_first(monkeypatch, 0)
+    cfg = ExperimentConfig(dim=dim, band=band, samples=2, seed=22, tol=1e-7)
+    _assert_rows_are_the_per_field_solves(cfg, "interior-point")
+    capped = dataclasses.replace(cfg, max_iterations=1)
+    for sample_id in range(cfg.samples):
+        _, fields, _ = _sample_splits(cfg, sample_id)
+        for settled in (0, dim):
+            _settle_first(monkeypatch, settled)
+            with pytest.raises(ConvergenceError) as sample:
+                _sample_row(capped, sample_id)
+            _settle_first(monkeypatch, 0)
+            with pytest.raises(ConvergenceError) as alone:
+                sum_space_norm(fields[settled], s=-dim / 2.0, tol=cfg.tol, max_iterations=1)
+            assert str(sample.value) == str(alone.value)
+            assert _split_bits(sample.value.partial) == _split_bits(alone.value.partial)
+    assert verify_bb(capped, strict=False).failures == (0, 1)
+
+
+@pytest.mark.parametrize("cap", [2.5, 1.5, 2.0, True, "2"])
+def test_a_non_integral_iteration_cap_is_rejected(cap):
+    with pytest.raises(InputError, match="iteration cap must be an integer"):
+        ExperimentConfig(max_iterations=cap)
 
 
 def test_lhs_monotone_under_added_modes():
@@ -281,7 +368,7 @@ def test_decays_that_overflow_are_rejected_before_any_solve(decay, monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("solver reached")
 
-    monkeypatch.setattr(experiments, "sum_space_norms", no_solve)
+    monkeypatch.setattr(experiments, "_sum_space_rows", no_solve)
     cfg = ExperimentConfig(dim=1, band=8, samples=2, decay=decay)
     with pytest.raises(InputError, match="overflows"):
         verify_bb(cfg)

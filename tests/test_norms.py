@@ -1157,6 +1157,36 @@ def test_iteration_cap_is_validated_and_kept():
         assert err.value.partial.iterations == cap
 
 
+def _mixed_flat_10(**kwargs) -> SumSpaceSplit:
+    """The frozen mixed_flat_10 instance solved with ``kwargs``."""
+    [inst] = [inst for inst in oracle_instances() if inst["name"] == "mixed_flat_10"]
+    settings = dict(s=inst["s"], homogeneous=inst["homogeneous"], tol=1e-6,
+                    weights=instance_weight_array(inst), points_per_axis=inst["points"])
+    return sum_space_norm(instance_field(inst), **{**settings, **kwargs})
+
+
+@pytest.mark.parametrize("bad", [2.5, 1.5, 2.0, np.float64(2.0), True, "2"])
+def test_iteration_caps_and_grid_sizes_must_be_integers(bad):
+    # mixed_flat_10 certifies after 9 steps, which no cap of 2.5 or 1.5
+    # equals, and a grid of 40.9 points per axis is no grid; a bool is no
+    # count either.
+    with pytest.raises(InputError, match="iteration cap must be an integer"):
+        _mixed_flat_10(max_iterations=bad)
+    with pytest.raises(InputError, match="points per axis must be an integer"):
+        _mixed_flat_10(points_per_axis=40.9 if bad == 2.5 else bad)
+    with pytest.raises(InputError, match="iteration cap must be an integer"):
+        sum_space_norms([], max_iterations=bad)
+
+
+def test_integer_caps_and_grid_sizes_of_any_integer_type_are_kept():
+    for cap in (2, np.int64(2)):
+        with pytest.raises(ConvergenceError) as err:
+            _mixed_flat_10(max_iterations=cap)
+        assert err.value.partial.iterations == 2
+    [inst] = [inst for inst in oracle_instances() if inst["name"] == "mixed_flat_10"]
+    _assert_same_split(_mixed_flat_10(points_per_axis=np.int32(inst["points"])), _mixed_flat_10())
+
+
 def test_triangle_inequality_and_homogeneity():
     rng = np.random.default_rng(3)
     tol = 1e-7
