@@ -20,24 +20,24 @@ The pure-Sobolev split ``g = 0, h = f`` is checked first, in closed form.
 The only dual point that can certify it maximizes the Sobolev dual term:
 ``p0 = -W**2 f_hat / ||W f_hat||``, zero on a mean mode that ``h`` may not
 occupy.  The split is proven optimal when ``max_x |A* p0|(x) <= w``, the KKT
-condition of the infimal convolution, which costs one adjoint transform.
-(With the mean mode excluded the dual entry there is free, so fixing it at
-zero makes the check sufficient rather than necessary.)  With the genuine
-``H^{-n/2}`` weights every field at desk-scale bands passes.  The check
-transforms nothing else and reads cached tables: ``A 0`` is zero up to signs
-of zero, kept once per shape, so no forward map and no mean repair run, and
-the default weights, their mask and their square are kept once per ``(dim,
-band, s, homogeneous)``.
+condition of the infimal convolution.  (With the mean mode excluded the dual
+entry there is free, so fixing it at zero makes the check sufficient rather
+than necessary.)  As ``|A* p0|(x) / w <= sum_m |p0_m| / (2 pi)**n`` at every
+``x``, a triangle bound below 1 settles the check with no transform, for the
+continuum problem as well as the grid's; otherwise one adjoint checks the grid
+nodes.  With the genuine ``H^{-n/2}`` weights every field at desk-scale bands
+passes.  ``A 0`` is zero up to signs of zero, kept once per shape, so no
+forward map or mean repair runs; the default weights' tables are cached.
 
 The array core :func:`_sum_space_rows` runs this check for many coefficient
 rows at once; :func:`sum_space_norms` makes its results splits, while the
 experiment loops read them as they are.  Rows that share ``dim``, band,
 grid, weights and blade count stack into one ``p0`` table ``(fields, blades,
-modes)``, with one adjoint and one certificate call; a Newton or polish step
-is a stack of one.  Each field keeps the bits of its own check: every
-per-field sum runs over one C-contiguous row, in the order a single field's
-sum takes (its masked columns mode by mode, as numpy lays them out), and
-the transform pair applies one matrix product per field, because BLAS
+modes)``, with at most one adjoint and one certificate call; a Newton or
+polish step is a stack of one.  Each field keeps the bits of its own check:
+every per-field sum runs over one C-contiguous row, in the order a single
+field's sum takes (its masked columns mode by mode, as numpy lays them out),
+and the transform pair applies one matrix product per field, because BLAS
 rounds a one-row product (its matrix-vector kernel) differently from a
 many-row one.
 
@@ -762,23 +762,25 @@ def _duality_gap(upper, s1: float, s2: float, dot: float) -> float:
     return gap
 
 
-def _certificates(fvecs, g, Ag, p, Ap, h_mask, weight, weight_sq) -> list[tuple]:
-    """The certificate ``(upper, gap, g, h)`` of each split of a stack of fields.
+def _grid_scales(Ap: np.ndarray) -> np.ndarray:
+    """The grid scale ``max_x |A* p|(x) / w`` of each dual point from its adjoint ``Ap``."""
+    point_norms = np.sqrt((np.abs(Ap) ** 2).sum(axis=1))
+    return point_norms.reshape(len(Ap), -1).max(axis=1) / (TWO_PI / Ap.shape[-1]) ** (Ap.ndim - 2)
 
-    ``fvecs`` holds coefficient rows ``(fields, blades, modes)``, ``g`` the
-    splits' mean-repaired grid parts (None for zero grids), ``Ag`` their
-    forward maps, ``p`` dual points shaped as ``fvecs`` and ``Ap`` their
-    adjoints.  Each field's sums run over one row, in a single field's order.
+
+def _certificates(fvecs, l1, Ag, p, s1, h_mask, weight, weight_sq) -> list[tuple]:
+    """The certificate ``(upper, gap, h)`` of each split of a stack of fields.
+
+    ``fvecs`` holds coefficient rows ``(fields, blades, modes)``, ``l1`` the
+    L1 norms of the splits' mean-repaired grid parts (None for zero grids),
+    ``Ag`` their forward maps, ``p`` dual points shaped as ``fvecs`` and
+    ``s1`` their :func:`_grid_scales`, or upper bounds of them below 1.
+    Each field's sums run over one row, in a single field's order.
     """
-    count, dim = len(fvecs), Ap.ndim - 2
     h = np.where(h_mask, fvecs - Ag, 0.0)
     uppers = np.sqrt(_row_sums(weight_sq * (np.abs(h) ** 2)))
-    if g is None:  # the L1 term of a zero grid is 0.0, and 0.0 + x == x
-        g = np.zeros(Ap.shape, dtype=complex)
-    else:
-        uppers = np.add(_l1_norms(g, dim), uppers)
-    point_norms = np.sqrt((np.abs(Ap) ** 2).sum(axis=1))
-    s1 = point_norms.reshape(count, -1).max(axis=1) / (TWO_PI / Ap.shape[-1]) ** dim
+    if l1 is not None:  # the L1 term of a zero grid is 0.0, and 0.0 + x == x
+        uppers = np.add(l1, uppers)
     # numpy lays a single field's masked columns (blades, active) out mode
     # by mode, and sums them in that order; so does each row here.
     scaled = np.compress(h_mask, (np.abs(p) ** 2) / weight_sq, axis=2)
@@ -786,7 +788,13 @@ def _certificates(fvecs, g, Ag, p, Ap, h_mask, weight, weight_sq) -> list[tuple]
     dots = _row_sums(np.real(np.conj(p) * fvecs))
     uppers = uppers.tolist()
     gaps = map(_duality_gap, uppers, s1.tolist(), s2.tolist(), dots.tolist())
-    return list(zip(uppers, gaps, g, h))
+    return list(zip(uppers, gaps, h))
+
+
+#: Margin below 1 under which a closed-form dual point's triangle bound ``U`` stands
+#: in for its grid scale: ``U`` and the adjoint each add ``K`` terms (modes) of total
+#: size ``U``, so each rounds by at most about ``K * 2**-53 * U``, under 1e-6 for ``K < 1e9``.
+_TRIANGLE_MARGIN = 1e-6
 
 
 def _closed_form(fvecs, dim, band, points, tol, h_mask, weight, weight_sq):
@@ -795,8 +803,9 @@ def _closed_form(fvecs, dim, band, points, tol, h_mask, weight, weight_sq):
     ``fvecs`` holds the coefficient rows ``(fields, blades, modes)``.  Only
     ``p0 = -W**2 f / ||W f||`` can certify ``g = 0`` (zero when ``||W f||``
     is not positive, say by underflow), so each field gets one certificate
-    there, ``(upper, gap, g, h)``, and whether it settles the split.  The
-    adjoint runs per field, so each field keeps the bits of its own check.
+    there, ``(upper, gap, g, h)``, and whether it settles the split.  No
+    adjoint runs if every row's triangle bound is below ``1 - _TRIANGLE_MARGIN``;
+    else it runs per field, so each field keeps the bits of its own check.
     """
     count, nblades = fvecs.shape[:2]
     weighted = np.where(h_mask, weight * fvecs, 0.0)
@@ -804,12 +813,15 @@ def _closed_form(fvecs, dim, band, points, tol, h_mask, weight, weight_sq):
     positive = weighted_norms > 0
     p0 = -weight * weighted / np.where(positive, weighted_norms, 1.0)[:, None, None]
     p0[~positive] = 0.0
-    _, adjoint = _coupling(dim, band, points, count, nblades)
+    s1 = np.sqrt((np.abs(p0) ** 2).sum(axis=1)).sum(axis=1) / TWO_PI**dim  # triangle bounds
+    if not (s1 <= 1.0 - _TRIANGLE_MARGIN).all():  # also true on a NaN
+        s1 = _grid_scales(_coupling(dim, band, points, count, nblades)[1](p0))
     # A 0 is zero up to signs of zero that h keeps; a cached table holds it.
     Ag = _zero_image(dim, band, points, nblades)
-    found = _certificates(fvecs, None, Ag, p0, adjoint(p0), h_mask, weight, weight_sq)
+    found = _certificates(fvecs, None, Ag, p0, s1, h_mask, weight, weight_sq)
+    g = np.zeros((count, nblades) + (points,) * dim, dtype=complex)
     checks = []
-    for norm, (upper, gap, g_i, h_i) in zip(weighted_norms.tolist(), found):
+    for norm, g_i, (upper, gap, h_i) in zip(weighted_norms.tolist(), g, found):
         roundoff = _GAP_ROUNDOFF_ULPS * math.ulp(upper) if math.isfinite(upper) else 0.0
         checks.append((norm > 0 and gap <= max(tol, roundoff), (upper, gap, g_i, h_i)))
     return checks
@@ -918,7 +930,7 @@ def _sum_space_rows(rows, masks, dim: int, band: int, s: float | None, homogeneo
     shape = (P,) * dim
     quad_w = (TWO_PI / P) ** dim
     s = -dim / 2.0 if s is None else s
-    h_mask, weight, weight_sq = tables or _weights_for(dim, band, s, homogeneous, weights)
+    tables = h_mask, weight, weight_sq = tables or _weights_for(dim, band, s, homogeneous, weights)
 
     # Rows stack only with rows of as many blades.
     stacks: dict[int, list[int]] = {}
@@ -927,8 +939,7 @@ def _sum_space_rows(rows, masks, dim: int, band: int, s: float | None, homogeneo
     checks = [None] * len(rows)
     for members in stacks.values():
         fvecs = np.asarray(rows) if len(stacks) == 1 else np.stack([rows[i] for i in members])
-        found = _closed_form(fvecs, dim, band, P, tol, h_mask, weight, weight_sq)
-        for i, check in zip(members, found):
+        for i, check in zip(members, _closed_form(fvecs, dim, band, P, tol, *tables)):
             checks[i] = check
 
     def iterate(f: SpectralField, seed) -> tuple:
@@ -946,9 +957,9 @@ def _sum_space_rows(rows, masks, dim: int, band: int, s: float | None, homogeneo
                 rho = _mean_column(fvec) - _mean_column(Ag)
                 if np.any(rho):
                     gq = gq + rho.reshape((nblades,) + (1,) * dim)
-            return _certificates(
-                fvec[None], gq[None], Ag[None], pq[None], Ap[None], h_mask, weight, weight_sq
-            )[0]
+            [(upper, gap, h)] = _certificates(fvec[None], _l1_norms(gq[None], dim), Ag[None],
+                                              pq[None], _grid_scales(Ap[None]), *tables)
+            return upper, gap, gq, h
 
         # The best certificate seen and its path, and the g of the best
         # Newton step, where the polish starts.

@@ -432,10 +432,14 @@ class GridField:
         return cls.from_scalar(np.asarray(fn(*coords), dtype=complex), dim)
 
     def magnitude(self) -> np.ndarray:
-        """Pointwise Clifford coefficient norm, as a real array; squared and rooted in place."""
-        power = np.abs(self.data)
-        power **= 2
-        total = power[0] if len(power) == 1 else power.sum(axis=0)
+        """Pointwise Clifford coefficient norm, as a real array; squares summed in place."""
+        total = np.abs(self.data[0])
+        total **= 2
+        power = None
+        for plane in self.data[1:]:  # sum(axis=0)'s order, two planes alive at a time
+            power = np.abs(plane, out=power)
+            power **= 2
+            total += power
         return np.sqrt(total, out=total)
 
     def scalar_values(self) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -62,6 +63,30 @@ def test_verify_bb_deterministic_bytes(tmp_path):
     assert lines[0] == "# schema_version=1"
     assert lines[1].startswith("# config=")
     assert lines[2] == "id,lhs,rhs,ratio,gap_0,gap_1"
+
+
+#: sha256 of the JSON and CSV reports of small default-scale runs (numpy 2.4).
+#: A report keeps its bytes unless a change records which bytes moved and why.
+GOLDEN_REPORTS = [
+    (["verify-bb", "--dim", 1, "--band", 64, "--samples", 3],
+     "8c18b030def1753792e1e4c1c9888cecaa5eaace24b2e786008ee95cc4368e03",
+     "9e03e2f081499ec79d3fed82865a173af64accf25cdbb5aae65daa43a5e6590b"),
+    (["verify-bb", "--dim", 2, "--band", 12, "--samples", 2],
+     "61d0863ebea627027d93169867ede8d2d96c3d5ed7f8fd4cb5790d7ae59dffb7",
+     "968fe3a685e81cd9f06484e7844a7cc161a4d177af176c055d20a8875005e759"),
+    (["verify-bergman", "--corpus-size", 2],
+     "f4007f5059ee61faf9af26ec5c3c7e0ac940d26c6b75114617b5154fed7653d3",
+     "8afe748b999b327f3db76251e7fa3d112f0d026de4bcdf07735302786ed3c4c4"),
+]
+
+
+@pytest.mark.parametrize("args, json_sha, csv_sha", GOLDEN_REPORTS)
+def test_default_scale_reports_keep_their_bytes(tmp_path, args, json_sha, csv_sha):
+    json_path, csv_path = tmp_path / "report.json", tmp_path / "report.csv"
+    csv_flag = "--out" if args[0] == "verify-bergman" else "--out-csv"
+    assert run_cli(args + ["--out-json", json_path, csv_flag, csv_path]) == 0
+    got = [hashlib.sha256(path.read_bytes()).hexdigest() for path in (json_path, csv_path)]
+    assert got == [json_sha, csv_sha]
 
 
 def test_transform_round_trip_via_files(tmp_path):

@@ -894,32 +894,27 @@ def _closed_form_reference(f, s, homogeneous, weights, points):
     return float(upper), max(float(upper - lower), 0.0), h
 
 
-@pytest.mark.parametrize(
-    "dim, band, masks, homogeneous, weight_kind",
-    [
-        (1, 8, (0, 1), False, "callable"),
-        (1, 32, (0,), True, "default"),  # the largest dense DFT matrix
-        (1, 33, (0, 1), True, "default"),  # the smallest FFT grid
-        (1, 64, (0,), False, "array"),
-        (2, 6, (0,), True, "callable"),
-        (2, 12, (0, 3), True, "array"),
-        (2, 33, (0,), False, "default"),
-        (3, 2, (0, 5), True, "default"),
-        (3, 2, (0,), False, "array"),
-    ],
-)
-def test_closed_form_split_matches_the_reference_bit_for_bit(
-    dim, band, masks, homogeneous, weight_kind
-):
-    from fracbb.norms import _weights_for, _zero_image
-    from fracbb.spectral import _DENSE_MAX_ENTRIES
+#: ``(dim, band, masks, homogeneous, weight_kind)`` of the closed-form reference cases.
+REFERENCE_CASES = [
+    (1, 8, (0, 1), False, "callable"),
+    (1, 32, (0,), True, "default"),  # the largest dense DFT matrix
+    (1, 33, (0, 1), True, "default"),  # the smallest FFT grid
+    (1, 64, (0,), False, "array"),
+    (2, 6, (0,), True, "callable"),
+    (2, 12, (0, 3), True, "array"),
+    (2, 33, (0,), False, "default"),
+    (3, 2, (0, 5), True, "default"),
+    (3, 2, (0,), False, "array"),
+]
 
+
+def _reference_case(dim, band, masks, homogeneous, weight_kind):
+    """``(f, s, weights)`` of a reference case: decaying coefficients, half of
+    them imaginary with a real part of -0.0, so the signs of zero in h count."""
     rng = np.random.default_rng([dim, band, len(masks)])
     s = -dim / 2.0
     mm = mode_matrix(dim, band)
     norm_sq = (mm.astype(float) ** 2).sum(axis=1)
-    # Decaying coefficients, half of them imaginary with a real part of -0.0,
-    # so the signs of zero in h count.
     data = rng.normal(size=(len(masks), len(mm))) + 1j * rng.normal(size=(len(masks), len(mm)))
     data /= np.maximum(norm_sq, 1.0)
     data[:, ::2] = -0.0 + 1j * data[:, ::2].imag
@@ -931,6 +926,17 @@ def test_closed_form_split_matches_the_reference_bit_for_bit(
         "array": 1.01 * np.where(norm_sq > 0, np.maximum(norm_sq, 1.0) ** (s / 2.0), 1.0),
         "callable": lambda m: (1.0 + sum(x * x for x in m)) ** (s / 2.0),
     }[weight_kind]
+    return f, s, weights
+
+
+@pytest.mark.parametrize("dim, band, masks, homogeneous, weight_kind", REFERENCE_CASES)
+def test_closed_form_split_matches_the_reference_bit_for_bit(
+    dim, band, masks, homogeneous, weight_kind
+):
+    from fracbb.norms import _weights_for, _zero_image
+    from fracbb.spectral import _DENSE_MAX_ENTRIES
+
+    f, s, weights = _reference_case(dim, band, masks, homogeneous, weight_kind)
     points = 4 * band
     assert (points * (2 * band + 1) <= _DENSE_MAX_ENTRIES) == (band <= 32)
 
@@ -1055,7 +1061,7 @@ def test_stacked_certificates_match_one_field_at_a_time(
     # Nonzero splits g and dual points p, as a Newton or polish step has
     # them: each field of a stack gets from _certificates, bit for bit, the
     # certificate it gets as a stack of one.
-    from fracbb.norms import _certificates, _coupling, _weights_for
+    from fracbb.norms import _certificates, _coupling, _grid_scales, _l1_norms, _weights_for
 
     rng = np.random.default_rng([dim, band, blades])
     s, points, count = -dim / 2.0, 4 * band, 8
@@ -1086,13 +1092,16 @@ def test_stacked_certificates_match_one_field_at_a_time(
     Ag = np.stack([forward(plane) for plane in g])
     Ap = np.stack([adjoint(row) for row in p])
 
-    stacked = _certificates(fvecs, g, Ag, p, Ap, mask, weight, weight_sq)
+    def certificates(fvecs, g, Ag, p, Ap):
+        l1, s1 = _l1_norms(g, dim), _grid_scales(Ap)
+        return _certificates(fvecs, l1, Ag, p, s1, mask, weight, weight_sq)
+
+    stacked = certificates(fvecs, g, Ag, p, Ap)
     assert len(stacked) == count
     quad_w = (TWO_PI / points) ** dim
     gaps = []
-    for i, (upper, gap, g_i, h_i) in enumerate(stacked):
-        rows = [x[i : i + 1] for x in (fvecs, g, Ag, p, Ap)]
-        [alone] = _certificates(*rows, mask, weight, weight_sq)
+    for i, (upper, gap, h_i) in enumerate(stacked):
+        [alone] = certificates(*[x[i : i + 1] for x in (fvecs, g, Ag, p, Ap)])
         assert (upper.hex(), gap.hex()) == (alone[0].hex(), alone[1].hex())
         # The single-field formulas, written out in a single field's order.
         h = np.where(mask, fvecs[i] - Ag[i], 0.0)
@@ -1103,10 +1112,8 @@ def test_stacked_certificates_match_one_field_at_a_time(
         lower = -float(np.real(np.conj(p[i]) * fvecs[i]).sum()) / max(s1, s2, 1.0)
         assert (upper.hex(), gap.hex()) == (expected.hex(), float(expected - lower).hex())
         # Bit patterns, so signed zeros and last-place differences count.
-        for ours in (h_i, alone[3]):
+        for ours in (h_i, alone[2]):
             assert np.array_equal(ours.view(np.uint64), h.view(np.uint64))
-        for ours in (g_i, alone[2]):
-            assert np.array_equal(ours.view(np.uint64), g[i].view(np.uint64))
         assert upper > 0 and gap > 0
         gaps.append(gap)
     # Distinct gaps: each field's certificate is its own.
@@ -1133,6 +1140,154 @@ def test_stacked_solve_iterates_its_uncertified_members_alone():
         mixed_flat_8(tol=1e-10, max_iterations=3)
     assert str(stacked.value) == str(alone.value)
     _assert_same_split(stacked.value.partial, alone.value.partial)
+
+
+# -- the triangle bound of the closed-form grid scale -------------------------------
+
+
+def _count_adjoints(monkeypatch) -> list:
+    """Record the shape of every row stack the solver's adjoint transforms."""
+    calls, coupling = [], norms._coupling
+
+    def spied(*args):
+        forward, adjoint = coupling(*args)
+
+        def counted(rows):
+            calls.append(rows.shape)
+            return adjoint(rows)
+
+        return forward, counted
+
+    monkeypatch.setattr(norms, "_coupling", spied)
+    return calls
+
+
+def _bound_and_exact(monkeypatch, run):
+    """``run()`` with the triangle bound, its closed-form adjoints, and ``run()`` without it.
+
+    A closed-form check transforms a stack ``(fields, blades, modes)``; a
+    Newton or polish step, rows ``(blades, modes)``.
+    """
+    calls = _count_adjoints(monkeypatch)
+    bound = run()
+    adjoints = sum(len(shape) == 3 for shape in calls)
+    with monkeypatch.context() as patch:
+        patch.setattr(norms, "_TRIANGLE_MARGIN", 2.0)  # no bound is below 1 - 2
+        exact = run()
+    assert len(calls) > adjoints  # the forced run did transform
+    return bound, adjoints, exact
+
+
+@pytest.mark.parametrize("dim, band, masks, homogeneous, weight_kind", REFERENCE_CASES)
+def test_triangle_bound_keeps_the_bits_of_the_reference_cases(
+    monkeypatch, dim, band, masks, homogeneous, weight_kind
+):
+    f, s, weights = _reference_case(dim, band, masks, homogeneous, weight_kind)
+    bound, adjoints, exact = _bound_and_exact(
+        monkeypatch, lambda: sum_space_norm(f, s=s, homogeneous=homogeneous, weights=weights)
+    )
+    assert adjoints == 0 and bound.path == "closed-form"
+    _assert_same_split(bound, exact)
+
+
+def test_triangle_bound_keeps_the_bits_of_stacked_two_blade_fields(monkeypatch):
+    # Two-blade members with -0.0 real parts, a one-blade one and a zero
+    # field, in one call: both stacks settle by the bound.
+    rng = np.random.default_rng(21)
+    members = [(0, 1), (0,), (0, 1), (), (0, 1)]
+    fields = [_stack_member(rng, 1, 8, masks, True) for masks in members]
+    bound, adjoints, exact = _bound_and_exact(monkeypatch, lambda: sum_space_norms(fields))
+    assert adjoints == 0
+    for ours, theirs in zip(bound, exact):
+        _assert_same_split(ours, theirs)
+
+
+def test_triangle_bound_keeps_the_bits_of_the_oracle_instances(monkeypatch):
+    # The Sobolev-only instances settle by the bound; the mixed ones, whose
+    # bounds exceed 1, transform and iterate as before.
+    def solve_all():
+        return [
+            sum_space_norm(instance_field(inst), s=inst["s"], homogeneous=inst["homogeneous"],
+                           weights=instance_weight_array(inst), points_per_axis=inst["points"])
+            for inst in oracle_instances()
+        ]
+
+    bound, _, exact = _bound_and_exact(monkeypatch, solve_all)
+    assert {split.path for split in bound} == {"closed-form", "interior-point"}
+    for ours, theirs in zip(bound, exact):
+        _assert_same_split(ours, theirs)
+
+
+@pytest.mark.parametrize("dim, band", [(1, 64), (2, 12), (3, 4)])
+def test_triangle_bound_keeps_the_bits_of_verify_bb_samples(monkeypatch, dim, band):
+    from fracbb.experiments import ExperimentConfig, _sample_row
+
+    cfg = ExperimentConfig(dim=dim, band=band, samples=3, seed=5)
+    bound, adjoints, exact = _bound_and_exact(
+        monkeypatch, lambda: [_sample_row(cfg, i) for i in range(cfg.samples)]
+    )
+    assert adjoints == 0
+    for ours, theirs in zip(bound, exact):
+        assert [x.hex() for x in (ours.lhs, ours.rhs, ours.ratio, *ours.gaps)] == [
+            x.hex() for x in (theirs.lhs, theirs.rhs, theirs.ratio, *theirs.gaps)]
+
+
+def test_triangle_bound_keeps_the_bits_of_a_disk_ladder(monkeypatch):
+    from fracbb.disk import bbb_ratio, random_series
+
+    series = random_series(24, 0.75, np.random.default_rng(8))
+    bound, adjoints, exact = _bound_and_exact(monkeypatch, lambda: bbb_ratio(series))
+    assert adjoints == 0 and len(bound.rows) == 4
+    names = ("bergman", "l1", "hminushalf", "mixed", "ratio")
+    for ours, theirs in zip(bound.rows, exact.rows):
+        assert [getattr(ours, k).hex() for k in names] == [getattr(theirs, k).hex() for k in names]
+
+
+def test_one_unsettled_row_runs_the_adjoint_for_its_whole_stack(monkeypatch):
+    # Under 5|m|**-1/2 the all-ones band-8 field's bound is about 1.86 and a
+    # single mode's is 5 / (sqrt(3) 2 pi) < 1: alone, only the first
+    # transforms; stacked, one adjoint runs for both, and each row keeps the
+    # certificate it gets alone.
+    band, P = 8, default_points(8)
+    tables = norms._weights_for(1, band, -0.5, True, scaled_weights(band, 5.0))
+    flat = all_ones(band).data
+    single = SpectralField(1, band, {(3,): 0.5 - 0.25j}, zero_mean=True).data
+    p0 = tables[2] * flat / math.sqrt(float((tables[2] * np.abs(flat) ** 2).sum()))
+    assert 1.8 < np.abs(p0).sum() / TWO_PI < 1.9
+    calls = _count_adjoints(monkeypatch)
+
+    def check(*rows):
+        return norms._closed_form(np.stack(rows), 1, band, P, 1e-6, *tables)
+
+    alone = check(flat) + check(single)
+    assert calls == [(1, 1, 2 * band + 1)]
+    stacked = check(flat, single)
+    assert calls[1:] == [(2, 1, 2 * band + 1)]
+    assert [settled for settled, _ in stacked] == [False, True]
+    for (settled, ours), (settled_alone, theirs) in zip(stacked, alone):
+        assert settled == settled_alone
+        assert (ours[0].hex(), ours[1].hex()) == (theirs[0].hex(), theirs[1].hex())
+        for a, b in zip(ours[2:], theirs[2:]):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("scale, size", [(1.0, 1e160), (1e10, 1e300)])
+def test_rows_whose_weighted_norm_overflows_keep_their_result(monkeypatch, scale, size):
+    # ||W f|| overflows.  With finite W f entries p0 is zero and so is its
+    # bound; with overflowing entries p0 and its bound are NaN, and the
+    # check takes the adjoint.  Either way the closed-form certificate that
+    # the capped run raises is the one the adjoint path gives.
+    f = all_ones(4).scale(size)
+    weights = scaled_weights(4, scale)
+
+    def partial():
+        with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as err:
+            sum_space_norm(f, weights=weights, max_iterations=1)
+        return err.value.partial
+
+    bound, adjoints, exact = _bound_and_exact(monkeypatch, partial)
+    assert (adjoints > 0) == (scale > 1.0)
+    _assert_same_split(bound, exact)
 
 
 def test_stacked_fields_share_dimension_and_band():

@@ -17,7 +17,7 @@ from fracbb.clifford import (
     multiply,
 )
 from fracbb.fileio import load_coefficients, load_grid_csv, save_coefficients, save_grid_csv
-from fracbb.norms import _coupling, l1_norm, sobolev_norm, sum_space_norm
+from fracbb.norms import _coupling, _grid_scales, l1_norm, sobolev_norm, sum_space_norm
 from fracbb.operators import dirac_D, invert_D, invert_D2
 from fracbb.spectral import (
     _DENSE_MAX_ENTRIES,
@@ -338,6 +338,46 @@ def test_solver_coupling_adjoint_identity(dim, band, extra_points, fft_side, bla
     scale = 1e-12 * max(1.0, np.linalg.norm(g) * np.linalg.norm(p))
     assert abs(lhs - np.vdot(s_p, g) / points**dim) <= scale
     assert abs(lhs - np.vdot(adjoint(p), g)) <= scale
+
+
+def _triangle_bound(p: np.ndarray, dim: int) -> float:
+    """``sum_m |p_m| / (2 pi)**n`` of dual rows ``(blades, modes)``, as the closed form bounds."""
+    return float(np.sqrt((np.abs(p) ** 2).sum(axis=0)).sum() / (2.0 * math.pi) ** dim)
+
+
+triangle_cases = dict(
+    dim=st.integers(1, 2), band=st.integers(1, 4), blades=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@PROPERTY_SETTINGS
+@given(**triangle_cases)
+def test_triangle_bound_covers_the_grid_scale_on_any_grid(dim, band, blades, seed):
+    # |A* p(x)| / w = |sum_m p_m e^{im.x}| / (2 pi)**n is at most the bound
+    # at every x: on the tightest grid, the default one and one 16 times finer.
+    rng = np.random.default_rng(seed)
+    shape = (blades, (2 * band + 1) ** dim)
+    p = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * rng.uniform(0, 2, shape[1]) ** 4
+    bound = _triangle_bound(p, dim)
+    for points in (2 * band + 1, default_points(band), 16 * default_points(band)):
+        _, adjoint = _coupling(dim, band, points, 1, blades)
+        assert _grid_scales(adjoint(p[None]))[0] <= bound * (1 + 1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(**triangle_cases)
+def test_a_flat_point_mass_at_a_node_attains_the_triangle_bound(dim, band, blades, seed):
+    # p_m = c e^{-i m.x0} with x0 a grid node: every term of A* p(x0) is c / P**n.
+    rng = np.random.default_rng(seed)
+    points = default_points(band)
+    node = rng.integers(0, points, dim)
+    phase = (mode_matrix(dim, band) @ node) % points  # exact integer phases
+    c = rng.normal(size=blades) + 1j * rng.normal(size=blades)
+    p = c[:, None] * np.exp(phase * (-2j * math.pi / points))
+    _, adjoint = _coupling(dim, band, points, 1, blades)
+    bound = _triangle_bound(p, dim)
+    assert abs(_grid_scales(adjoint(p[None]))[0] - bound) <= 1e-12 * bound
 
 
 @PROPERTY_SETTINGS

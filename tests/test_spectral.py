@@ -325,10 +325,10 @@ def test_synthesis_scales_the_adjoint_in_place_with_its_bits(dim, band, points, 
     assert _synthesis(rows, dim, band, points).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("masks", [(0,), (0, 1, 3)])
+@pytest.mark.parametrize("masks", [(0,), (0, 3), (0, 1, 3), (0, 1, 2, 3)])
 def test_magnitude_keeps_the_bits_of_the_summed_squares_root(masks):
-    # The in-place chain against the expression it replaced, on a 2-D grid
-    # with signed zeros, subnormal squares and squares that overflow.
+    # The blade-by-blade chain against the expression it replaced, on a 2-D
+    # grid with signed zeros, subnormal squares and squares that overflow.
     rng = np.random.default_rng(29)
     shape = (len(masks), 24, 24)
     data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
@@ -338,3 +338,32 @@ def test_magnitude_keeps_the_bits_of_the_summed_squares_root(masks):
         want = np.sqrt((np.abs(field.data) ** 2).sum(axis=0))
         got = field.magnitude()
     assert got.shape == (24, 24) and got.tobytes() == want.tobytes()
+
+
+def test_magnitude_holds_two_planes_of_a_three_blade_grid():
+    # The squares accumulate in the first blade's plane, so the peak is two
+    # real planes (the sum and one square), where squaring every blade in
+    # place before the sum held four.
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    data = rng.normal(size=(3, 64, 64)) + 1j * rng.normal(size=(3, 64, 64))
+    field = GridField(2, 64, dict(zip((0, 1, 2), data)))
+    plane = 64 * 64 * 8
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def squared_then_summed():
+        power = np.abs(field.data)
+        power **= 2
+        return np.sqrt(power.sum(axis=0))
+
+    summed = peak(squared_then_summed)
+    ours = peak(field.magnitude)
+    assert summed >= 4 * plane and ours < 2.5 * plane
