@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InputError
 from .norms import _sobolev_norms
-from .operators import _symbol_table, fractional_laplacian, riesz
+from .operators import _fraclap_rows, _symbol_table, fractional_laplacian, riesz
 from .spectral import SpectralField, _mean_column, _synthesis, default_points, project_zero_mean
 
 @dataclass(frozen=True)
@@ -76,10 +76,7 @@ def solve_decomposition(
     for j in range(1, dim + 1):
         rows[j] = table("riesz", (j, not conjugated_riesz)).data[0] * rows[0] + 0
         images[j] = table("riesz", (j, conjugated_riesz)).data[0] * rows[j] + 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = table("fraclap", s).data[0] * images + 0
-    if not np.isfinite(terms).all():
-        raise InputError(f"fractional Laplacian with exponent {s} overflows on band {band}")
+    terms = _fraclap_rows(images, dim, band, s)
     residual = float(np.linalg.norm(sum(terms[1:], terms[0]) - g.data[0]))
     sob = tuple(_sobolev_norms(rows[:, None], dim, band, dim / 2.0, True))
     points = default_points(band)  # one part's grid at a time; sqrt commutes with max

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError
 from .norms import _count, _sum_space_rows
-from .operators import fractional_laplacian, riesz
+from .operators import _fraclap_rows, _symbol_table
 from .spectral import SpectralField, mode_matrix
 
 @dataclass(frozen=True)
@@ -99,12 +99,18 @@ def random_field(cfg: ExperimentConfig, sample_index: int = 0) -> SpectralField:
     order.  Raises :class:`InputError` when the decay overflows a magnitude
     or the sum of their squares.
     """
+    row = _random_row(cfg, sample_index)
+    return SpectralField.from_blade_vectors(cfg.dim, cfg.band, (0,), row, zero_mean=True)
+
+
+def _random_row(cfg: ExperimentConfig, sample_index: int) -> np.ndarray:
+    """The ``(1, modes)`` coefficient row of :func:`random_field`."""
     active, magnitudes = _field_magnitudes(cfg.dim, cfg.band, cfg.decay)
     rng = np.random.default_rng([int(cfg.seed), int(sample_index)])
     phases = np.exp(2j * math.pi * rng.uniform(size=len(magnitudes)))
-    data = np.zeros((1, len(active)), dtype=complex)
-    data[0, active] = magnitudes * phases
-    return SpectralField.from_blade_vectors(cfg.dim, cfg.band, (0,), data, zero_mean=True)
+    row = np.zeros((1, len(active)), dtype=complex)
+    row[0, active] = magnitudes * phases
+    return row
 
 
 # Typed: a numpy float decay takes numpy's power below, a float C's.
@@ -135,22 +141,21 @@ def _field_magnitudes(dim: int, band: int, decay: float) -> tuple[np.ndarray, np
 def _sample_row(cfg: ExperimentConfig, sample_id: int) -> SampleRow:
     """The inequality's two sides on sample ``sample_id``.
 
-    The right side sums the sum-space norms of the ``dim + 1`` fields
-    ``(-Lap)^{n/4} R_j u`` of the unit sample, solved in one
-    :func:`norms._sum_space_rows` call on their coefficient rows, so their
-    closed-form checks run stacked and a settled row builds no split.
+    Coefficient rows from the draw to the solve: the unit row of
+    :func:`random_field` and the ``dim + 1`` rows ``(-Lap)^{n/4} R_j u``, with
+    the bits the public operators give, go to one :func:`norms._sum_space_rows`
+    call, so their closed-form checks run stacked and a settled row builds no split.
     """
-    u = random_field(cfg, sample_id)
-    scale = u.l2_coefficient_norm()
-    unit = u.scale(1.0 / scale)
-    exponent = cfg.dim / 4.0
-    fields = [
-        fractional_laplacian(unit if j == 0 else riesz(unit, j), exponent)
-        for j in range(cfg.dim + 1)
-    ]
+    dim, band = cfg.dim, cfg.band
+    row = _random_row(cfg, sample_id)
+    scale = float(np.linalg.norm(row))
+    images = np.empty((dim + 1,) + row.shape, dtype=complex)
+    images[0] = complex(1.0 / scale) * row  # the unit sample, as SpectralField.scale forms it
+    for j in range(1, dim + 1):
+        images[j] = _symbol_table(dim, band, "riesz", (j, False)).data[0] * images[0] + 0
     solves = _sum_space_rows(
-        [f.data for f in fields], [f.masks for f in fields], cfg.dim, cfg.band,
-        -cfg.dim / 2.0, True, cfg.tol, max_iterations=cfg.max_iterations,
+        _fraclap_rows(images, dim, band, dim / 4.0), [(0,)] * (dim + 1), dim, band,
+        -dim / 2.0, True, cfg.tol, max_iterations=cfg.max_iterations,
     )
     rhs_unit = 0.0
     for value, *_ in solves:  # left to right from 0.0, as the bits of the ratio require

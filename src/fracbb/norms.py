@@ -808,8 +808,11 @@ def _closed_form(fvecs, dim, band, points, tol, h_mask, weight, weight_sq):
     else it runs per field, so each field keeps the bits of its own check.
     """
     count, nblades = fvecs.shape[:2]
-    weighted = np.where(h_mask, weight * fvecs, 0.0)
-    weighted_norms = np.sqrt(_row_sums(np.abs(weighted) ** 2))
+    with np.errstate(over="ignore"):
+        weighted = np.where(h_mask, weight * fvecs, 0.0)
+        weighted_norms = np.sqrt(_row_sums(np.abs(weighted) ** 2))
+    if not np.isfinite(weighted_norms).all():
+        raise InputError("sum-space norm: the weighted norm ||W f|| of a field overflows")
     positive = weighted_norms > 0
     p0 = -weight * weighted / np.where(positive, weighted_norms, 1.0)[:, None, None]
     p0[~positive] = 0.0
@@ -853,7 +856,8 @@ def sum_space_norm(
     """Minimizer of ``||g||_L1 + ||h||_{H^s}`` over ``g + h = f``, certified.
 
     ``s`` defaults to ``-dim/2``.  The homogeneous variant requires a
-    zero-mean field.  The pure-Sobolev split ``g = 0, h = f`` is checked in
+    zero-mean field, and a field whose weighted norm ``||W f||`` overflows
+    is an input error.  The pure-Sobolev split ``g = 0, h = f`` is checked in
     closed form first (see the module docstring) and returned with
     ``iterations == 0`` when its gap is within ``tol``, or within
     ``_GAP_ROUNDOFF_ULPS`` units in the last place of its value, since

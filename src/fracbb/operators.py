@@ -75,19 +75,23 @@ def _apply(u: SpectralField, op: str, param=None) -> SpectralField:
     return _mode_product(_symbol_table(u.dim, u.band, op, param), u, u.zero_mean)
 
 
+def _fraclap_rows(rows: np.ndarray, dim: int, band: int, s: float) -> np.ndarray:
+    """``|m|**(2s) * rows + 0`` as the per-mode product forms it; an overflow is an input error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _symbol_table(dim, band, "fraclap", float(s)).data[0] * rows + 0
+    if not np.isfinite(out).all():
+        raise InputError(f"fractional Laplacian with exponent {s} overflows on band {band}")
+    return out
+
+
 def fractional_laplacian(u: SpectralField, s: float) -> SpectralField:
     """Coefficientwise multiplication by ``|m|**(2s)``; the mean is annihilated.
 
-    A non-finite ``s``, or a result that overflows (as it does wherever the
-    symbol does), is an input error.
+    A non-finite ``s``, or a result that overflows, is an input error.
     """
     if not (math.isfinite(s) and s > 0):
         raise InputError(f"fractional exponent must be positive and finite, got {s}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _apply(u, "fraclap", float(s))
-    if not np.isfinite(out.data).all():
-        raise InputError(f"fractional Laplacian with exponent {s} overflows on band {u.band}")
-    return out
+    return u._with(u.masks, _fraclap_rows(u.data, u.dim, u.band, s), u.zero_mean)
 
 
 def riesz(u: SpectralField, axis: int = 1, conjugated: bool = False) -> SpectralField:

@@ -249,16 +249,16 @@ def test_exit_codes(tmp_path, capsys):
     assert error["gap"] > 1e-15
 
 
-def test_non_convergence_report_of_an_overflowed_split_is_valid_json(tmp_path, capsys):
+def test_mixed_norm_of_a_field_whose_weighted_norm_overflows_is_an_input_error(tmp_path, capsys):
+    # Finite coefficients of 1e300 whose weighted norm overflows: bad input,
+    # reported as valid JSON before any iteration and without a RuntimeWarning.
     src = tmp_path / "huge.json"
     save_coefficients(SpectralField(1, 4, {(1,): 1e300, (-2,): 1e300}, zero_mean=True), src)
     capsys.readouterr()
-    with np.errstate(all="ignore"):
-        code = run_cli(["mixed-norm", "--in", src, "--homogeneous", "--s", 1,
-                        "--max-iterations", 50])
-    assert code == 3
+    code = run_cli(["mixed-norm", "--in", src, "--homogeneous", "--s", 1, "--max-iterations", 50])
+    assert code == 2
     error = json.loads(capsys.readouterr().err)
-    assert error["error"] == "non-convergence" and "value" not in error
+    assert error["error"] == "input" and "weighted norm" in error["message"]
 
 
 @pytest.mark.parametrize("args", [

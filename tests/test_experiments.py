@@ -292,14 +292,20 @@ def _split_bits(split):
             split.h.masks, split.g.data.tobytes(), split.h.data.tobytes())
 
 
-@pytest.mark.parametrize("dim, band", [(1, 16), (2, 5)])
-def test_verify_bb_rows_are_the_per_field_solves(dim, band):
+@pytest.mark.parametrize("dim, band, decay", [
+    pytest.param(dim, band, decay, id=f"{dim}-{band}" + ("" if decay == 1.0 else f"-decay{decay}"))
+    for dim, band, decay in [(1, 16, 1.0), (2, 5, 1.0), (3, 3, 1.0), (1, 16, 0.3), (2, 5, 1.5),
+                             (3, 3, 0.3), (3, 3, 1.5)]
+])
+def test_verify_bb_rows_are_the_per_field_solves(dim, band, decay):
+    # The sample's rows against fields built by the public operators.
     _assert_rows_are_the_per_field_solves(
-        ExperimentConfig(dim=dim, band=band, samples=3, seed=21, tol=1e-7), "closed-form"
+        ExperimentConfig(dim=dim, band=band, samples=3, seed=21, decay=decay, tol=1e-7),
+        "closed-form",
     )
 
 
-@pytest.mark.parametrize("dim, band", [(1, 8), (2, 3)])
+@pytest.mark.parametrize("dim, band", [(1, 8), (2, 3), (3, 2)])
 def test_verify_bb_rows_that_iterate_are_the_per_field_solves(dim, band, monkeypatch):
     # With the closed form settling nothing, each row iterates from its
     # coefficient row.  Under a one-step cap a sample raises what its first

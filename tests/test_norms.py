@@ -1273,21 +1273,17 @@ def test_one_unsettled_row_runs_the_adjoint_for_its_whole_stack(monkeypatch):
 
 @pytest.mark.parametrize("scale, size", [(1.0, 1e160), (1e10, 1e300)])
 def test_rows_whose_weighted_norm_overflows_keep_their_result(monkeypatch, scale, size):
-    # ||W f|| overflows.  With finite W f entries p0 is zero and so is its
-    # bound; with overflowing entries p0 and its bound are NaN, and the
-    # check takes the adjoint.  Either way the closed-form certificate that
-    # the capped run raises is the one the adjoint path gives.
+    # ||W f|| overflows: with finite W f entries at 1e160, with overflowing
+    # ones at 1e300.  Their result is an input error, found before any
+    # transform and without a RuntimeWarning, alone or stacked with a field
+    # that runs.
     f = all_ones(4).scale(size)
     weights = scaled_weights(4, scale)
-
-    def partial():
-        with np.errstate(all="ignore"), pytest.raises(ConvergenceError) as err:
-            sum_space_norm(f, weights=weights, max_iterations=1)
-        return err.value.partial
-
-    bound, adjoints, exact = _bound_and_exact(monkeypatch, partial)
-    assert (adjoints > 0) == (scale > 1.0)
-    _assert_same_split(bound, exact)
+    calls = _count_adjoints(monkeypatch)
+    for fields in ([f], [all_ones(4), f]):
+        with pytest.raises(InputError, match="weighted norm"):
+            sum_space_norms(fields, weights=weights)
+    assert calls == []
 
 
 def test_stacked_fields_share_dimension_and_band():

@@ -66,6 +66,28 @@ def test_fraclap_symbol_composition():
     assert field_error(twice, once) < 1e-12
 
 
+@pytest.mark.parametrize("dim, band, masks", [(1, 4, (0,)), (2, 3, (0, 3)), (3, 2, (1, 2, 6))])
+def test_fraclap_is_the_per_mode_product_bit_for_bit(dim, band, masks):
+    # Signed zeros, a subnormal and a nonzero mean: the row product keeps
+    # the bits, masks and flag of the per-mode Clifford product of the symbol.
+    from fracbb.operators import _symbol_table
+    from fracbb.spectral import _mode_product
+
+    rng = np.random.default_rng(dim)
+    data = rng.normal(size=(len(masks), (2 * band + 1) ** dim)) * (1 - 2j)
+    data[:, ::3] = -0.0
+    data[:, 1::5] = complex(-0.0, 5e-324)
+    for zero_mean in (False, True):
+        if zero_mean:
+            data[:, data.shape[1] // 2] = 0
+        u = SpectralField.from_blade_vectors(dim, band, masks, data, zero_mean)
+        for s in (0.25, 0.5, 3):
+            ours = fractional_laplacian(u, s)
+            theirs = _mode_product(_symbol_table(dim, band, "fraclap", float(s)), u, zero_mean)
+            assert (ours.masks, ours.zero_mean) == (theirs.masks, theirs.zero_mean)
+            assert ours.data.tobytes() == theirs.data.tobytes()
+
+
 def test_fraclap_rejects_nonpositive_exponent():
     u = SpectralField(1, 2, {(1,): 1.0})
     with pytest.raises(InputError):
