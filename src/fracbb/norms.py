@@ -209,9 +209,9 @@ def _weights_for(
     """The weight tables of a solve: ``(mask, W, W**2)``.
 
     ``mask`` marks the modes ``h`` may occupy, where the Sobolev weights
-    ``W`` are checked; ``W`` is 1 off it.  The tables are read-only.  The
-    default weights' tables are cached; array and callable weights are
-    checked on every call.
+    ``W`` are checked, and so is ``W**2``, as normal floats; ``W`` is 1 off
+    it.  The tables are read-only.  The default weights' tables are cached;
+    array and callable weights are checked on every call.
     """
     if weights is None:
         return _default_weights(dim, band, float(s), homogeneous)
@@ -230,7 +230,11 @@ def _weights_for(
     if np.any(w[mask] <= 0) or not np.all(np.isfinite(w[mask])):
         raise InputError("Sobolev weights must be positive and finite on active modes")
     masked = np.where(mask, w, 1.0)
-    tables = mask, masked, masked**2
+    with np.errstate(over="ignore"):
+        squares = masked**2
+    if not (np.isfinite(squares).all() and squares.min() >= np.finfo(float).tiny):
+        raise InputError("sum-space norm: the squared weights W**2 overflow or underflow")
+    tables = mask, masked, squares
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -746,8 +750,10 @@ def _duality_gap(upper, s1: float, s2: float, dot: float) -> float:
 
     ``s1`` and ``s2`` are the dual point's grid and Sobolev scales and ``dot``
     is ``Re<p, f_hat>``.  Bounds that cross by roundoff give 0; a larger
-    crossing raises :class:`InvariantViolation`.
+    crossing, or a NaN scale or ``dot``, raises :class:`InvariantViolation`.
     """
+    if math.isnan(s1) or math.isnan(s2) or math.isnan(dot):
+        raise InvariantViolation(f"sum-space dual point has a NaN scale or dot: {s1}, {s2}, {dot}")
     # Dual feasibility also needs p = -W*q on active modes, so the scaled
     # dual objective is -<p, f_hat>; weak duality gives the lower bound.
     lower = -dot / max(s1, s2, 1.0)

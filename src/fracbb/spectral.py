@@ -14,7 +14,8 @@ Clifford blade and a column per mode of the band cube, in the canonical
 order of :func:`mode_list`; grid samples are one array with a plane per
 blade.  Truncation is a hard cube ``|m_j| <= N`` and no operation extends
 the band silently.  Fourier multipliers and convolution are per-mode
-Clifford products of two such arrays.
+Clifford products of two such arrays.  Fields with the same blades add and
+subtract as one array op, and a new field drops its zero rows in one pass.
 
 The transform pair :func:`_coupling`, used by the public transforms and the
 sum-space solver alike, is realized in one of two ways, chosen from the band
@@ -35,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping, ValuesView
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -180,13 +181,13 @@ class SpectralField:
         self._assign(dim, band, tuple(masks), data, zero_mean)
 
     def _assign(self, dim, band, masks, data, zero_mean) -> None:
-        """Store ``data`` (owned by the field from now on), dropping zero rows."""
-        keep = [r for r in range(len(masks)) if data[r].any()]
-        if not keep:
+        """Store ``data`` (owned by the field from now on), dropping zero rows in one pass."""
+        keep = data.any(axis=1).tolist()  # a few flags: Python's any and all are faster
+        if not any(keep):
             masks, data = (0,), np.zeros((1, data.shape[1]), dtype=complex)
-        elif len(keep) < len(masks):
-            masks, data = tuple(masks[r] for r in keep), data[keep]
-        if zero_mean and _mean_column(data).any():
+        elif not all(keep):
+            masks, data = tuple(itertools.compress(masks, keep)), data[keep]
+        if zero_mean and any(_mean_column(data).tolist()):
             raise InputError("field flagged zero_mean has a nonzero coefficient at 0")
         data.flags.writeable = False
         self.dim, self.band, self.masks, self.data = dim, band, masks, data
@@ -214,9 +215,13 @@ class SpectralField:
             raise InputError(f"coefficient array of shape {data.shape} does not fit "
                              f"{len(masks)} blades on band {band}")
         order = sorted(range(len(masks)), key=masks.__getitem__)
-        data = data[order]  # a copy, in increasing mask order
+        return cls._of(dim, band, tuple(masks[r] for r in order), data[order], zero_mean)
+
+    @classmethod
+    def _of(cls, dim, band, masks, data, zero_mean) -> "SpectralField":
+        """Field owning ``data``, rows of the increasing ``masks`` of C_dim; unchecked."""
         field = cls.__new__(cls)
-        field._assign(dim, band, tuple(masks[r] for r in order), data, zero_mean)
+        field._assign(dim, band, masks, data, zero_mean)
         return field
 
     # -- read-only views -----------------------------------------------------
@@ -228,9 +233,12 @@ class SpectralField:
 
     def get(self, m) -> CliffordElement:
         col = _mode_positions(self.dim, self.band).get(normalize_index(m, self.dim))
-        if col is None:
-            return CliffordElement.zero(self.dim)
-        return _elements(self.dim, self.masks, self.data[:, col : col + 1])[0]
+        return CliffordElement.zero(self.dim) if col is None else self._element(col)
+
+    def _element(self, col: int) -> CliffordElement:
+        """The element of column ``col``: its nonzero entries (not ``-0.0``) in mask order."""
+        comps = {mask: z for mask, z in zip(self.masks, self.data[:, col].tolist()) if z}
+        return CliffordElement._of_each(self.dim, [comps])[0]
 
     def mean_coefficient(self) -> CliffordElement:
         return self.get((0,) * self.dim)
@@ -255,27 +263,33 @@ class SpectralField:
     # -- linear structure ----------------------------------------------------
 
     def _with(self, masks, data, zero_mean) -> "SpectralField":
-        field = SpectralField.__new__(SpectralField)
-        field._assign(self.dim, self.band, masks, data, zero_mean)
-        return field
+        return SpectralField._of(self.dim, self.band, masks, data, zero_mean)
 
     def scale(self, factor: complex) -> "SpectralField":
         return self._with(self.masks, complex(factor) * self.data, self.zero_mean)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        return self._combine(other, other.data)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return self._combine(other, -other.data)
+        return self._combine(other, np.subtract)
 
-    def _combine(self, other: "SpectralField", other_data: np.ndarray) -> "SpectralField":
-        """``self + other`` with ``other``'s rows replaced by ``other_data``."""
+    def _combine(self, other: "SpectralField", op) -> "SpectralField":
+        """``self + other`` or ``self - other``, as ``op`` is ``np.add`` or ``np.subtract``.
+
+        Equal blades take one array op; else ``other``'s rows combine into
+        ``self``'s, scattered over the union of the blades.
+        """
         self._require_compatible(other)
+        zero_mean = self.zero_mean and other.zero_mean
+        if self.masks == other.masks:
+            return self._with(self.masks, op(self.data, other.data), zero_mean)
         masks = tuple(sorted(set(self.masks) | set(other.masks)))
         data = np.zeros((len(masks), self.data.shape[1]), dtype=complex)
         data[[masks.index(mask) for mask in self.masks]] = self.data
-        data[[masks.index(mask) for mask in other.masks]] += other_data
-        return self._with(masks, data, self.zero_mean and other.zero_mean)
+        rows = [masks.index(mask) for mask in other.masks]
+        data[rows] = op(data[rows], other.data)
+        return self._with(masks, data, zero_mean)
 
     def _require_compatible(self, other: "SpectralField") -> None:
         if self.dim != other.dim:
@@ -300,17 +314,17 @@ class _CoefficientView(Mapping):
     """Read-only ``mode -> CliffordElement`` view of a field's nonzero modes.
 
     Iterates in canonical (lexicographic) mode order; within a mode only the
-    nonzero blades appear.  Elements are built when read, by
-    :func:`_elements`: ``values()`` and ``items()`` pass it the nonzero
-    columns in chunks of ``_READ_CHUNK``, ``view[m]`` (like ``get`` and
-    ``mean_coefficient``) a block of one column.
+    nonzero blades appear.  Elements are built when read: ``values()`` and
+    ``items()`` pass :func:`_elements` the nonzero ``cols``, found on first
+    use, in chunks of ``_READ_CHUNK``; ``view[m]`` reads its one column alone.
     """
-
-    __slots__ = ("field", "cols")
 
     def __init__(self, field: SpectralField):
         self.field = field
-        self.cols = np.flatnonzero(field.data.any(axis=0))
+
+    @cached_property
+    def cols(self) -> np.ndarray:
+        return np.flatnonzero(self.field.data.any(axis=0))
 
     def __len__(self) -> int:
         return len(self.cols)
@@ -322,9 +336,9 @@ class _CoefficientView(Mapping):
     def __getitem__(self, m) -> CliffordElement:
         field = self.field
         col = _mode_positions(field.dim, field.band).get(m)
-        if col is None or not field.data[:, col].any():
+        if col is None or not (element := field._element(col)).comps:
             raise KeyError(m)
-        return _elements(field.dim, field.masks, field.data[:, col : col + 1])[0]
+        return element
 
     def values(self) -> ValuesView:
         return _CoefficientValues(self)
@@ -364,7 +378,7 @@ _READ_CHUNK = 4096  # columns per _elements call in a values() read
 def _elements(dim: int, masks: tuple[int, ...], block: np.ndarray) -> list[CliffordElement]:
     """The elements of the columns of ``block``, shaped ``(len(masks), k)``, in order.
 
-    Every per-mode read builds its elements here, from one ``tolist`` of the
+    Every bulk read builds its elements here, from one ``tolist`` of the
     block and one of its nonzero pattern (a ``bool`` cast, false at ``-0.0``
     too).  The dicts fill blade by blade, in mask order, each blade passing
     ``compress`` only its nonzero entries, so none is tested in Python.
@@ -381,7 +395,7 @@ class GridField:
     """Samples of a Clifford-valued function on the uniform torus grid.
 
     ``data[r]`` is the plane of blade ``masks[r]``: the values at the grid
-    points ``x_k = 2*pi*k/P``, shape ``(P,)*dim``, masks increasing.  Every
+    points ``x_k = 2*pi*k/P``, shape ``(P,)*dim``, masks increasing in [0, 2**dim).  Every
     plane given is kept, zero planes too (each is a grid CSV column pair);
     with none, one zero scalar plane.  ``data`` is read-only.
     """
@@ -394,6 +408,8 @@ class GridField:
         shape = (int(points_per_axis),) * dim
         planes: dict[int, np.ndarray] = {}
         for mask, plane in comps.items():
+            if not 0 <= int(mask) < 1 << dim:
+                raise InputError(f"blade mask {mask} out of range for C_{dim}")
             plane = np.asarray(plane, dtype=complex)
             if plane.shape != shape:
                 raise InputError(f"plane for blade {mask} has shape {plane.shape}, expected {shape}")
@@ -559,8 +575,9 @@ def forward_transform(grid: GridField, band: int) -> SpectralField:
     _check_grid_band(P, band)
     if band < 1:
         raise InputError("band must be >= 1")
+    _check_shape(grid.dim, band)
     forward, _ = _coupling(grid.dim, band, P, len(grid.masks))
-    return SpectralField.from_blade_vectors(grid.dim, band, grid.masks, forward(grid.data))
+    return SpectralField._of(grid.dim, band, grid.masks, forward(grid.data), False)
 
 
 def inverse_transform(field: SpectralField, points_per_axis: int | None = None) -> GridField:
@@ -583,12 +600,13 @@ def _synthesis(rows: np.ndarray, dim: int, band: int, points: int) -> np.ndarray
     return out
 
 
-def _mode_product(f: SpectralField, g: SpectralField, zero_mean: bool = False) -> SpectralField:
+def _mode_product(f: SpectralField, g: SpectralField, zero_mean: bool = False,
+                  factor: float | None = None) -> SpectralField:
     """Per-mode Clifford product ``f_hat(m) * g_hat(m)``, with f on the left.
 
     Works on whole blade rows: rows ``a`` of f and ``b`` of g add
     ``sign(a, b) * f_a * g_b`` to row ``a ^ b`` of the result, in increasing
-    order of ``a``.
+    order of ``a``; a ``factor`` then scales them, as ``.scale`` would.
     """
     f._require_compatible(g)
     sign = _blade_tables(f.dim)[0]
@@ -598,7 +616,7 @@ def _mode_product(f: SpectralField, g: SpectralField, zero_mean: bool = False) -
         for b, g_row in zip(g.masks, g.data):
             term = f_row * g_row
             data[masks.index(a ^ b)] += term if sign[a, b] > 0 else -term
-    return f._with(masks, data, zero_mean)
+    return f._with(masks, data if factor is None else complex(factor) * data, zero_mean)
 
 
 def convolve(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -606,7 +624,7 @@ def convolve(f: SpectralField, g: SpectralField) -> SpectralField:
 
     Clifford coefficients multiply in the order f then g; the order matters.
     """
-    return _mode_product(f, g).scale(TWO_PI**f.dim)
+    return _mode_product(f, g, factor=TWO_PI**f.dim)
 
 
 def project_zero_mean(f: SpectralField) -> SpectralField:

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own code paths: direct
 Riemann sums instead of FFTs, bubble-sort transposition counting instead of
 the bitmask sign rule, polar quadrature instead of the closed-form disk norm,
-and a projected-subgradient optimizer instead of the primal-dual solver.
+a projected-subgradient optimizer instead of the primal-dual solver, and the
+union/scatter formula for every sum and difference of fields.
 """
 
 from __future__ import annotations
@@ -138,3 +139,20 @@ def sum_space_subgradient(
             sub = sub - (Em.conj().T @ (Wm**2 * resid)) / rnorm
         g = project(g - (step0 / math.sqrt(t)) * sub)
     return best
+
+
+def scatter_combine(a, b, subtract: bool = False) -> tuple:
+    """``(masks, data, zero_mean)`` of ``a + b`` (or ``a - b``) by the union/scatter formula.
+
+    ``a``'s rows go into a zero table over the union of both fields' blades,
+    ``b``'s rows (negated to subtract) are added in place, and the zero rows
+    are dropped one by one; a zero result is one zero scalar row.
+    """
+    masks = tuple(sorted(set(a.masks) | set(b.masks)))
+    data = np.zeros((len(masks), a.data.shape[1]), dtype=complex)
+    data[[masks.index(mask) for mask in a.masks]] = a.data
+    data[[masks.index(mask) for mask in b.masks]] += -b.data if subtract else b.data
+    keep = [r for r in range(len(masks)) if data[r].any()]
+    if not keep:
+        return (0,), np.zeros((1, data.shape[1]), dtype=complex), a.zero_mean and b.zero_mean
+    return tuple(masks[r] for r in keep), data[keep], a.zero_mean and b.zero_mean

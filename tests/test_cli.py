@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -259,6 +260,24 @@ def test_mixed_norm_of_a_field_whose_weighted_norm_overflows_is_an_input_error(t
     assert code == 2
     error = json.loads(capsys.readouterr().err)
     assert error["error"] == "input" and "weighted norm" in error["message"]
+
+
+@pytest.mark.parametrize("s", [-330, 300])
+def test_mixed_norm_whose_weight_squares_leave_the_floats_is_an_input_error(tmp_path, capsys, s):
+    # Weights W = |m|**s whose squares underflow (the closed form used to
+    # divide 0 by 0 and report a split) or overflow: exit 2 with a JSON input
+    # error and no RuntimeWarning.
+    src = tmp_path / "ones.json"
+    save_coefficients(
+        SpectralField(1, 8, {(n,): 1.0 for n in range(-8, 9) if n}, zero_mean=True), src
+    )
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(["mixed-norm", "--in", src, "--s", s, "--homogeneous"])
+    assert code == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "input" and "W**2" in error["message"]
 
 
 @pytest.mark.parametrize("args", [

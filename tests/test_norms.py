@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fracbb import norms
-from fracbb.errors import ConvergenceError, InputError
+from fracbb.errors import ConvergenceError, InputError, InvariantViolation
 from fracbb.norms import (
     SumSpaceSplit,
     l1_norm,
@@ -1419,6 +1419,42 @@ def test_custom_weight_validation():
         sum_space_norm(f, weights=np.ones(3))  # needs 5 modes
     with pytest.raises(InputError):
         sum_space_norm(f, weights=np.zeros(5))
+
+
+@pytest.mark.parametrize("s, weights", [
+    (-330, None),  # W = |m|**-330: W**2 is subnormal at |m| = 3, 0 beyond
+    (300, None),  # W = |m|**300: W**2 overflows for |m| >= 4
+    (None, np.full(17, 1e-200)),
+    (None, lambda m: 1e155),
+])
+def test_weights_whose_squares_underflow_or_overflow_are_input_errors(s, weights):
+    f = SpectralField(1, 8, {(n,): 1.0 for n in range(-8, 9) if n}, zero_mean=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match=r"W\*\*2"):
+            sum_space_norm(f, s, weights=weights)
+
+
+def test_weight_squares_must_be_normal_finite_floats():
+    tiny_root, huge_root = math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max)
+    for ok in (tiny_root * (1 + 1e-15), 1.0, huge_root * (1 - 1e-15)):
+        _, weight, weight_sq = norms._weights_for(1, 8, -0.5, True, np.full(17, ok))
+        assert weight_sq[1] == ok * ok >= np.finfo(float).tiny
+    for bad in (tiny_root * (1 - 1e-15), huge_root * (1 + 1e-15)):
+        with pytest.raises(InputError, match=r"W\*\*2"):
+            norms._weights_for(1, 8, -0.5, True, np.full(17, bad))
+    # Off the active modes W is 1, whatever the weights hold there.
+    assert norms._weights_for(1, 8, -0.5, True, np.where(np.arange(17) == 8, 1e-300, 1.0))
+
+
+@pytest.mark.parametrize("s1, s2, dot", [
+    (math.nan, 0.5, -1.0), (0.5, math.nan, -1.0), (0.5, 0.5, math.nan),
+])
+def test_a_nan_dual_scale_or_dot_is_an_invariant_violation(s1, s2, dot):
+    # max(s1, s2, 1.0) would drop a NaN scale and leave the dual point unchecked.
+    with pytest.raises(InvariantViolation, match="NaN"):
+        norms._duality_gap(1.0, s1, s2, dot)
+    assert norms._duality_gap(1.5, 0.5, 0.5, -1.0) == 0.5
 
 
 def test_clifford_valued_field_supported():

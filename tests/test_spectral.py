@@ -11,6 +11,7 @@ from fracbb.spectral import (
     SpectralField,
     _coupling,
     _mode_positions,
+    _mode_product,
     _synthesis,
     band_indices,
     convolve,
@@ -23,7 +24,7 @@ from fracbb.spectral import (
 )
 from fracbb.norms import l2_norm, sum_space_norm
 
-from oracles import brute_convolution, quadrature_coefficient
+from oracles import brute_convolution, quadrature_coefficient, scatter_combine
 
 TWO_PI = 2.0 * math.pi
 
@@ -367,3 +368,128 @@ def test_magnitude_holds_two_planes_of_a_three_blade_grid():
     summed = peak(squared_then_summed)
     ours = peak(field.magnitude)
     assert summed >= 4 * plane and ours < 2.5 * plane
+
+
+def _rows_with_edge_entries(rng, count, dim, band, zero_mean):
+    """Nonzero coefficient rows with -0.0, subnormal and 1e300 entries (zero means if asked)."""
+    shape = (count, (2 * band + 1) ** dim)
+    rows = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rows[:, 1:6] = [complex(-0.0, -0.0), -0.0, 5e-324, complex(1e-310, -5e-324), 1e300]
+    if zero_mean:
+        rows[:, shape[1] // 2] = 0
+    return rows
+
+
+@pytest.mark.parametrize(
+    "dim, band, count",
+    [(dim, band, count) for dim, band in ((1, 5), (2, 3), (3, 2)) for count in range(1, 5)
+     if count <= 2**dim],
+)
+@pytest.mark.parametrize("zero_mean", [False, True])
+def test_sums_and_differences_of_fields_with_equal_blades_are_the_scatter_formula(
+    dim, band, count, zero_mean
+):
+    # Equal blades take one array op; the scatter formula is the reference,
+    # in masks, data bytes and flag, -0.0 + -0.0, a - a, a + (-a) and
+    # cancelling rows included.
+    rng = np.random.default_rng([dim, count, zero_mean])
+    masks = tuple(sorted(rng.choice(2**dim, size=count, replace=False).tolist()))
+    a_rows = _rows_with_edge_entries(rng, count, dim, band, zero_mean)
+    b_rows = _rows_with_edge_entries(rng, count, dim, band, zero_mean)
+    b_rows[0] = -a_rows[0]  # the first row of a + b cancels
+    a = SpectralField.from_blade_vectors(dim, band, masks, a_rows, zero_mean=zero_mean)
+    b = SpectralField.from_blade_vectors(dim, band, masks, b_rows, zero_mean=zero_mean)
+    negated = a.scale(-1.0)
+    for x, y in ((a, b), (b, a), (a, a), (a, negated)):
+        assert x.masks == y.masks
+        for got, subtract in ((x + y, False), (x - y, True)):
+            want_masks, want_data, want_zero_mean = scatter_combine(x, y, subtract)
+            assert got.masks == want_masks and got.zero_mean == want_zero_mean
+            assert got.data.tobytes() == want_data.tobytes()
+            assert not got.data.flags.writeable
+    assert (a - a).masks == (a + negated).masks == (0,)
+    assert not (a - a).data.any()
+
+
+def test_sums_of_fields_with_other_blades_keep_the_scatter_formula():
+    rng = np.random.default_rng(41)
+    a = SpectralField.from_blade_vectors(2, 3, (0, 3), _rows_with_edge_entries(rng, 2, 2, 3, False))
+    b = SpectralField.from_blade_vectors(2, 3, (1, 3), _rows_with_edge_entries(rng, 2, 2, 3, True))
+    for x, y in ((a, b), (b, a)):
+        for got, subtract in ((x + y, False), (x - y, True)):
+            want_masks, want_data, want_zero_mean = scatter_combine(x, y, subtract)
+            assert got.masks == want_masks and got.zero_mean == want_zero_mean
+            assert got.data.tobytes() == want_data.tobytes()
+
+
+# Dense matmul grids and, past 128 * 65 DFT entries, FFT grids.
+@pytest.mark.parametrize(
+    "dim, band, points, masks",
+    [(1, 8, 32, (0,)), (1, 40, 256, (0, 1)), (2, 6, 24, (0, 3)), (2, 20, 256, (1, 2, 3)),
+     (3, 3, 12, (0, 5, 6))],
+)
+def test_forward_transform_is_the_checked_constructor_bit_for_bit(dim, band, points, masks):
+    rng = np.random.default_rng([dim, band, points])
+    shape = (len(masks),) + (points,) * dim
+    planes = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    planes[0].flat[:3] = [complex(-0.0, -0.0), 5e-324, 1e300]
+    if len(masks) > 1:
+        planes[-1] = 0  # a zero plane gives a zero row, which the field drops
+    grid = GridField(dim, points, dict(zip(masks, planes)))
+    forward, _ = _coupling(dim, band, points, len(masks))
+    want = SpectralField.from_blade_vectors(dim, band, grid.masks, forward(grid.data))
+    got = forward_transform(grid, band)
+    assert got.masks == want.masks == (masks[:-1] or masks)
+    assert got.zero_mean is want.zero_mean is False
+    assert got.data.tobytes() == want.data.tobytes()
+    assert not got.data.flags.writeable and got.data.flags.c_contiguous
+
+
+@pytest.mark.parametrize("mask", [2, -1])
+def test_grid_planes_of_masks_outside_the_algebra_are_input_errors(mask):
+    with pytest.raises(InputError, match="out of range"):
+        GridField(1, 8, {0: np.ones(8), mask: np.ones(8)})
+
+
+@pytest.mark.parametrize("dim, band", [(1, 6), (2, 3), (3, 2)])
+def test_convolve_is_the_scaled_mode_product_bit_for_bit(dim, band):
+    rng = np.random.default_rng([dim, band, 7])
+    masks = (0, 1) if dim == 1 else (0, 1, 2**dim - 1)
+    f = SpectralField.from_blade_vectors(
+        dim, band, masks, _rows_with_edge_entries(rng, len(masks), dim, band, False))
+    g = SpectralField.from_blade_vectors(
+        dim, band, masks[:2], _rows_with_edge_entries(rng, 2, dim, band, True))
+    zero = SpectralField(dim, band, {})
+    for x, y in ((f, g), (g, f), (f, zero)):
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e300 * 1e300
+            got = convolve(x, y)
+            want = _mode_product(x, y).scale(TWO_PI**dim)
+        assert got.masks == want.masks and got.zero_mean is want.zero_mean is False
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("dim, band", [(1, 4), (2, 2), (3, 1)])
+def test_single_mode_reads_are_the_bulk_elements(dim, band):
+    # get, view[m], m in view and mean_coefficient against values(): the same
+    # components in the same (mask) order, with -0.0 entries and all-(-0.0)
+    # columns skipped; none of them finds the view's nonzero columns.
+    rng = np.random.default_rng([dim, band, 11])
+    masks = tuple(range(min(4, 2**dim)))
+    rows = rng.normal(size=(len(masks), (2 * band + 1) ** dim)) + 0j
+    rows[rng.random(rows.shape) < 0.4] = 0
+    rows[rng.random(rows.shape) < 0.3] = complex(-0.0, -0.0)
+    rows[:, 0] = -0.0
+    field = SpectralField.from_blade_vectors(dim, band, masks[::-1], rows[::-1])
+    bulk = dict(field.coeffs.items())
+    for m in mode_list(dim, band):
+        want = list(bulk[m].comps.items()) if m in bulk else []
+        view = field.coeffs
+        assert (m in view) == (m in bulk)
+        if m in bulk:
+            assert list(view[m].comps.items()) == want and view[m].n == dim
+        else:
+            with pytest.raises(KeyError):
+                view[m]
+        assert "cols" not in vars(view)
+        assert list(field.get(m).comps.items()) == want and field.get(m).n == dim
+    assert field.mean_coefficient().comps == field.get((0,) * dim).comps
