@@ -14,8 +14,8 @@ Clifford blade and a column per mode of the band cube, in the canonical
 order of :func:`mode_list`; grid samples are one array with a plane per
 blade.  Truncation is a hard cube ``|m_j| <= N`` and no operation extends
 the band silently.  Fourier multipliers and convolution are per-mode
-Clifford products of two such arrays.  Fields with the same blades add and
-subtract as one array op, and a new field drops its zero rows in one pass.
+Clifford products of two such arrays.  A new field drops its zero rows in
+one pass.
 
 The transform pair :func:`_coupling`, used by the public transforms and the
 sum-space solver alike, is realized in one of two ways, chosen from the band
@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping, ValuesView
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -233,12 +233,9 @@ class SpectralField:
 
     def get(self, m) -> CliffordElement:
         col = _mode_positions(self.dim, self.band).get(normalize_index(m, self.dim))
-        return CliffordElement.zero(self.dim) if col is None else self._element(col)
-
-    def _element(self, col: int) -> CliffordElement:
-        """The element of column ``col``: its nonzero entries (not ``-0.0``) in mask order."""
-        comps = {mask: z for mask, z in zip(self.masks, self.data[:, col].tolist()) if z}
-        return CliffordElement._of_each(self.dim, [comps])[0]
+        if col is None:
+            return CliffordElement.zero(self.dim)
+        return _elements(self.dim, self.masks, self.data[:, col : col + 1])[0]
 
     def mean_coefficient(self) -> CliffordElement:
         return self.get((0,) * self.dim)
@@ -269,27 +266,19 @@ class SpectralField:
         return self._with(self.masks, complex(factor) * self.data, self.zero_mean)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        return self._combine(other, np.add)
+        return self._combine(other, other.data)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        return self._combine(other, np.subtract)
+        return self._combine(other, -other.data)
 
-    def _combine(self, other: "SpectralField", op) -> "SpectralField":
-        """``self + other`` or ``self - other``, as ``op`` is ``np.add`` or ``np.subtract``.
-
-        Equal blades take one array op; else ``other``'s rows combine into
-        ``self``'s, scattered over the union of the blades.
-        """
+    def _combine(self, other: "SpectralField", other_data: np.ndarray) -> "SpectralField":
+        """``self + other`` with ``other``'s rows replaced by ``other_data``."""
         self._require_compatible(other)
-        zero_mean = self.zero_mean and other.zero_mean
-        if self.masks == other.masks:
-            return self._with(self.masks, op(self.data, other.data), zero_mean)
         masks = tuple(sorted(set(self.masks) | set(other.masks)))
         data = np.zeros((len(masks), self.data.shape[1]), dtype=complex)
         data[[masks.index(mask) for mask in self.masks]] = self.data
-        rows = [masks.index(mask) for mask in other.masks]
-        data[rows] = op(data[rows], other.data)
-        return self._with(masks, data, zero_mean)
+        data[[masks.index(mask) for mask in other.masks]] += other_data
+        return self._with(masks, data, self.zero_mean and other.zero_mean)
 
     def _require_compatible(self, other: "SpectralField") -> None:
         if self.dim != other.dim:
@@ -314,17 +303,17 @@ class _CoefficientView(Mapping):
     """Read-only ``mode -> CliffordElement`` view of a field's nonzero modes.
 
     Iterates in canonical (lexicographic) mode order; within a mode only the
-    nonzero blades appear.  Elements are built when read: ``values()`` and
-    ``items()`` pass :func:`_elements` the nonzero ``cols``, found on first
-    use, in chunks of ``_READ_CHUNK``; ``view[m]`` reads its one column alone.
+    nonzero blades appear.  Elements are built when read, by
+    :func:`_elements`: ``values()`` and ``items()`` pass it the nonzero
+    columns in chunks of ``_READ_CHUNK``, ``view[m]`` (like ``get`` and
+    ``mean_coefficient``) a block of one column.
     """
+
+    __slots__ = ("field", "cols")
 
     def __init__(self, field: SpectralField):
         self.field = field
-
-    @cached_property
-    def cols(self) -> np.ndarray:
-        return np.flatnonzero(self.field.data.any(axis=0))
+        self.cols = np.flatnonzero(field.data.any(axis=0))
 
     def __len__(self) -> int:
         return len(self.cols)
@@ -336,9 +325,9 @@ class _CoefficientView(Mapping):
     def __getitem__(self, m) -> CliffordElement:
         field = self.field
         col = _mode_positions(field.dim, field.band).get(m)
-        if col is None or not (element := field._element(col)).comps:
+        if col is None or not field.data[:, col].any():
             raise KeyError(m)
-        return element
+        return _elements(field.dim, field.masks, field.data[:, col : col + 1])[0]
 
     def values(self) -> ValuesView:
         return _CoefficientValues(self)
@@ -378,7 +367,7 @@ _READ_CHUNK = 4096  # columns per _elements call in a values() read
 def _elements(dim: int, masks: tuple[int, ...], block: np.ndarray) -> list[CliffordElement]:
     """The elements of the columns of ``block``, shaped ``(len(masks), k)``, in order.
 
-    Every bulk read builds its elements here, from one ``tolist`` of the
+    Every per-mode read builds its elements here, from one ``tolist`` of the
     block and one of its nonzero pattern (a ``bool`` cast, false at ``-0.0``
     too).  The dicts fill blade by blade, in mask order, each blade passing
     ``compress`` only its nonzero entries, so none is tested in Python.

@@ -3,8 +3,8 @@
 Everything here deliberately avoids the library's own code paths: direct
 Riemann sums instead of FFTs, bubble-sort transposition counting instead of
 the bitmask sign rule, polar quadrature instead of the closed-form disk norm,
-a projected-subgradient optimizer instead of the primal-dual solver, and the
-union/scatter formula for every sum and difference of fields.
+a projected-subgradient optimizer instead of the primal-dual solver, and
+row-by-row zero-row dropping for sums and differences of fields.
 """
 
 from __future__ import annotations
