@@ -56,7 +56,7 @@ from .kernels import (
     sawtooth_field,
     sup_norm_scan,
 )
-from .norms import SumSpaceSplit, l1_norm, l2_norm, sobolev_norm, sum_space_norm, sum_space_norms
+from .norms import SumSpaceSplit, l1_norm, l2_norm, sobolev_norm, sum_space_norm
 from .operators import (
     dirac_D,
     dirac_Dbar,
@@ -137,7 +137,6 @@ __all__ = [
     "sobolev_norm",
     "solve_decomposition",
     "sum_space_norm",
-    "sum_space_norms",
     "sup_norm_scan",
     "verify_bb",
     "verify_bergman",

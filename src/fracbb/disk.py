@@ -27,10 +27,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
-from .norms import (
-    SumSpaceSplit, _l1_norms, _sobolev_norms, _sum_space_rows, _weights_for, sum_space_norm,
-)
-from .spectral import SpectralField, _mean_column, _synthesis, default_points, mode_matrix
+from .norms import (SumSpaceSplit, _count, _l1_norms, _sobolev_norms, _sum_space_rows,
+                    _weights_for, sum_space_norm)
+from .spectral import (SpectralField, _check_size, _mean_column, _synthesis, default_points,
+                       mode_matrix)
 
 #: Radius ladder approximating the r -> 1 boundary limit.
 RADIUS_LADDER = (0.9, 0.99, 0.999, 0.9999)
@@ -190,9 +190,7 @@ def bbb_ratio(
     bergman = _bergman_norms(_dilations(f, radii)).tolist()
     l1 = _l1_norms(_synthesis(rows, 1, band, default_points(band)), 1)
     hminus = _hminus_half_norms(f, radii).tolist()
-    solves = _sum_space_rows(
-        rows, [(0,)] * len(rows), 1, band, -0.5, False, tol, tables=_boundary_tables(band)
-    )
+    solves = _sum_space_rows(rows, (0,), 1, band, -0.5, False, tol, tables=_boundary_tables(band))
     mixed = [value for value, *_ in solves]
     convention_ratios = []
     if not f.is_zero():
@@ -237,6 +235,7 @@ def random_series(order: int, decay: float, rng: np.random.Generator) -> PowerSe
     """Random series with ``|a_n| ~ n**(-decay)`` and uniform phases."""
     if order < 0:
         raise InputError(f"series order must be >= 0, got {order!r}")
+    _check_size(order + 1, f"a series of order {order}")
     if not math.isfinite(decay):
         raise InputError(f"decay must be finite, got {decay!r}")
     n = np.arange(order + 1)
@@ -271,7 +270,7 @@ def verify_bergman(
         raise InputError(f"corpus size must be >= 1, got {corpus_size!r}")
     if not radii:
         raise InputError("need at least one radius")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count(seed, "seed", 0))
     rows = []
     max_ratio = 0.0
     convention = []

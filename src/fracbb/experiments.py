@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConvergenceError, InputError
 from .norms import _count, _sum_space_rows
 from .operators import _fraclap_rows, _symbol_table
-from .spectral import SpectralField, mode_matrix
+from .spectral import SpectralField, _check_shape, mode_matrix
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -41,12 +41,9 @@ class ExperimentConfig:
     max_iterations: int = 100_000
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InputError("dim must be >= 1")
-        if self.band < 1:
-            raise InputError("band must be >= 1")
-        if self.samples < 1:
-            raise InputError("need at least one sample")
+        _check_shape(self.dim, self.band)
+        _count(self.samples, "sample count", 1)
+        _count(self.seed, "seed", 0)
         if not math.isfinite(self.decay):
             raise InputError(f"decay must be finite, got {self.decay!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -153,10 +150,8 @@ def _sample_row(cfg: ExperimentConfig, sample_id: int) -> SampleRow:
     images[0] = complex(1.0 / scale) * row  # the unit sample, as SpectralField.scale forms it
     for j in range(1, dim + 1):
         images[j] = _symbol_table(dim, band, "riesz", (j, False)).data[0] * images[0] + 0
-    solves = _sum_space_rows(
-        _fraclap_rows(images, dim, band, dim / 4.0), [(0,)] * (dim + 1), dim, band,
-        -dim / 2.0, True, cfg.tol, max_iterations=cfg.max_iterations,
-    )
+    solves = _sum_space_rows(_fraclap_rows(images, dim, band, dim / 4.0), (0,), dim, band,
+                             -dim / 2.0, True, cfg.tol, max_iterations=cfg.max_iterations)
     rhs_unit = 0.0
     for value, *_ in solves:  # left to right from 0.0, as the bits of the ratio require
         rhs_unit += value

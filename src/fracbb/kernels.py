@@ -25,16 +25,13 @@ import numpy as np
 
 from .errors import InputError
 from .operators import _symbol_table
-from .spectral import (SpectralField, _check_shape, default_points, freq_norm,
+from .spectral import (SpectralField, _check_shape, _grid_shape, default_points, freq_norm,
                        inverse_transform, mode_matrix)
 
 #: Sup-ratio threshold between consecutive bands above which a scan reports
 #: divergence.  No reference constant exists for the sup growth; the
 #: threshold is a toolkit convention.
 DIVERGENCE_RATIO = 1.25
-
-#: Most cells of a kernel's default grid; a complex plane of 2**26 cells is 1 GiB.
-MAX_GRID_CELLS = 2**26
 
 _KINDS = ("sawtooth", "K", "direction")
 
@@ -63,10 +60,7 @@ class KernelSpec:
             if not 1 <= axis <= self.dim:
                 raise InputError(f"direction {axis} out of range 1..{self.dim}")
         _check_shape(self.dim, self.band)
-        cells = default_points(self.band) ** self.dim
-        if cells > MAX_GRID_CELLS:
-            raise InputError(f"band {self.band} in dimension {self.dim} needs a grid of "
-                             f"{cells} cells, more than {MAX_GRID_CELLS}")
+        _grid_shape(self.dim, default_points(self.band))
 
     def build(self) -> SpectralField:
         """The kernel's coefficients; an n-D ``K`` table is built outside the symbol-table cache."""

@@ -26,20 +26,20 @@ than necessary.)  As ``|A* p0|(x) / w <= sum_m |p0_m| / (2 pi)**n`` at every
 ``x``, a triangle bound below 1 settles the check with no transform, for the
 continuum problem as well as the grid's; otherwise one adjoint checks the grid
 nodes.  With the genuine ``H^{-n/2}`` weights every field at desk-scale bands
-passes.  ``A 0`` is zero up to signs of zero, kept once per shape, so no
-forward map or mean repair runs; the default weights' tables are cached.
+passes.  ``A 0`` is zero up to signs of zero, which reach ``h`` and the
+coefficient files written from it; it is kept once per shape, so no forward
+map or mean repair runs.  The default weights' tables are cached.
 
-The array core :func:`_sum_space_rows` runs this check for many coefficient
-rows at once; :func:`sum_space_norms` makes its results splits, while the
-experiment loops read them as they are.  Rows that share ``dim``, band,
-grid, weights and blade count stack into one ``p0`` table ``(fields, blades,
-modes)``, with at most one adjoint and one certificate call; a Newton or
-polish step is a stack of one.  Each field keeps the bits of its own check:
-every per-field sum runs over one C-contiguous row, in the order a single
-field's sum takes (its masked columns mode by mode, as numpy lays them out),
-and the transform pair applies one matrix product per field, because BLAS
-rounds a one-row product (its matrix-vector kernel) differently from a
-many-row one.
+The array core :func:`_sum_space_rows` runs this check for a stack of
+coefficient rows ``(fields, blades, modes)`` on one set of blades, with at
+most one adjoint and one certificate call; a Newton or polish step is a
+stack of one.  :func:`sum_space_norm` passes a stack of one and makes its
+row a split, while the experiment loops read the rows as they are.  Each
+field keeps the bits of its own check: every per-field sum runs over one
+C-contiguous row, in the order a single field's sum takes (its masked
+columns mode by mode, as numpy lays them out), and the transform pair
+applies one matrix product per field, because BLAS rounds a one-row product
+(its matrix-vector kernel) differently from a many-row one.
 
 Otherwise a primal-dual interior-point method solves the dual as a
 second-order-cone program: minimize ``Re<p, f_hat>`` subject to ``(1, A*
@@ -92,7 +92,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -102,6 +102,7 @@ from .spectral import (
     SpectralField,
     TWO_PI,
     _coupling,
+    _grid_shape,
     _mean_column,
     default_points,
     mode_matrix,
@@ -256,8 +257,8 @@ def _zero_image(dim: int, band: int, points: int, blades: int) -> np.ndarray:
     """``A 0``, the coupling's forward map of the zero grid.
 
     Its entries are zeros, but BLAS can give some of them the sign of -0.0;
-    ``f - A 0`` passes those signs on to ``h`` as a transform would.  Shared
-    cached storage, read-only.
+    ``f - A 0`` passes those signs on to ``h`` as a transform would, and a
+    coefficient file of ``h`` writes them.  Shared cached storage, read-only.
     """
     forward, _ = _coupling(dim, band, points, blades)
     image = forward(np.zeros((blades,) + (points,) * dim, dtype=complex))
@@ -876,37 +877,12 @@ def sum_space_norm(
     method that produced the split: ``"closed-form"`` or
     ``"interior-point"``.  The reported gap is never negative: bounds that
     cross by roundoff report 0, and a larger crossing raises
-    :class:`InvariantViolation`.  This is :func:`sum_space_norms` of ``[f]``.
+    :class:`InvariantViolation`.
     """
-    return sum_space_norms([f], s, homogeneous, tol, weights=weights,
-                           points_per_axis=points_per_axis, max_iterations=max_iterations)[0]
-
-
-def sum_space_norms(
-    fields: Sequence[SpectralField],
-    s: float | None = None,
-    homogeneous: bool = True,
-    tol: float = 1e-6,
-    *,
-    weights: np.ndarray | Callable | None = None,
-    points_per_axis: int | None = None,
-    max_iterations: int = 100_000,
-) -> list[SumSpaceSplit]:
-    """:func:`sum_space_norm` of each field, with one closed-form check for all.
-
-    The fields share ``dim`` and ``band``.  Each row of :func:`_sum_space_rows`
-    of their coefficients becomes a split, bit for bit its field's own.
-    """
-    fields = list(fields)
-    shapes = {(f.dim, f.band) for f in fields}
-    if len(shapes) > 1:
-        raise InputError("stacked fields must share their dimension and band")
-    dim, band = shapes.pop() if shapes else (1, 1)  # no rows: the core reads neither
-    found = _sum_space_rows(
-        [f.data for f in fields], [f.masks for f in fields], dim, band, s, homogeneous, tol,
-        weights=weights, points_per_axis=points_per_axis, max_iterations=max_iterations,
-    )
-    return [_split(f, homogeneous, *row) for f, row in zip(fields, found)]
+    [row] = _sum_space_rows(f.data[None], f.masks, f.dim, f.band, s, homogeneous, tol,
+                            weights=weights, points_per_axis=points_per_axis,
+                            max_iterations=max_iterations)
+    return _split(f, homogeneous, *row)
 
 
 def _count(value, name: str, least: int) -> int:
@@ -916,41 +892,30 @@ def _count(value, name: str, least: int) -> int:
     return int(value)
 
 
-def _sum_space_rows(rows, masks, dim: int, band: int, s: float | None, homogeneous: bool,
-                    tol: float, *, weights=None, tables=None, points_per_axis=None,
-                    max_iterations=100_000) -> list[tuple]:
-    """``(value, gap, g, h, iterations, path)`` of each coefficient row ``(blades, modes)``.
+def _sum_space_rows(rows: np.ndarray, masks: tuple[int, ...], dim: int, band: int,
+                    s: float | None, homogeneous: bool, tol: float, *, weights=None,
+                    tables=None, points_per_axis=None, max_iterations=100_000) -> list[tuple]:
+    """``(value, gap, g, h, iterations, path)`` of each row of ``rows``.
 
-    Row ``i`` holds the blades ``masks[i]`` of a field; ``tables``, if given,
-    are the checked ``(mask, W, W**2)``.  The closed-form checks of rows of
-    one blade count run stacked.  Only a row they do not settle becomes a
-    :class:`SpectralField`: such rows iterate one after another, in order,
-    each seeded with its own closed-form certificate as the best one seen,
-    and the first that fails raises its :class:`ConvergenceError`.
+    ``rows`` is a stack ``(fields, blades, modes)`` of fields on the blades
+    ``masks``; ``tables``, if given, are the checked ``(mask, W, W**2)``.
+    The rows' closed-form checks run stacked.  Only a row they do not settle
+    becomes a :class:`SpectralField`: such rows iterate one after another,
+    in order, each seeded with its own closed-form certificate as the best
+    one seen, and the first that fails raises its :class:`ConvergenceError`.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tolerance must be finite and positive, got {tol!r}")
     _count(max_iterations, "iteration cap", 1)
-    if not len(rows):
-        return []
-    if homogeneous and any(_mean_column(row).any() for row in rows):
+    if homogeneous and _mean_column(rows).any():
         raise InputError("homogeneous sum-space norm requires a zero-mean field")
     P = (default_points(band) if points_per_axis is None
          else _count(points_per_axis, "points per axis", 2 * band + 1))
-    shape = (P,) * dim
+    shape = _grid_shape(dim, P)
     quad_w = (TWO_PI / P) ** dim
     s = -dim / 2.0 if s is None else s
     tables = h_mask, weight, weight_sq = tables or _weights_for(dim, band, s, homogeneous, weights)
-
-    # Rows stack only with rows of as many blades.
-    stacks: dict[int, list[int]] = {}
-    for i, row in enumerate(rows):
-        stacks.setdefault(len(row), []).append(i)
-    checks = [None] * len(rows)
-    for members in stacks.values():
-        fvecs = np.asarray(rows) if len(stacks) == 1 else np.stack([rows[i] for i in members])
-        for i, check in zip(members, _closed_form(fvecs, dim, band, P, tol, *tables)):
-            checks[i] = check
+    checks = _closed_form(rows, dim, band, P, tol, *tables)
 
     def iterate(f: SpectralField, seed) -> tuple:
         """Newton steps, then a polish, from the closed-form certificate ``seed``."""
@@ -997,11 +962,11 @@ def _sum_space_rows(rows, masks, dim: int, band: int, s: float | None, homogeneo
         )
 
     results = []
-    for row, row_masks, (certified, certificate) in zip(rows, masks, checks):
+    for row, (certified, certificate) in zip(rows, checks):
         # A zero field's split g = h = 0 is optimal with gap 0.
         if certified or not row.any():
             results.append((*certificate, 0, "closed-form"))
         else:
-            f = SpectralField.from_blade_vectors(dim, band, row_masks, row)
+            f = SpectralField.from_blade_vectors(dim, band, masks, row)
             results.append(iterate(f, certificate))
     return results

@@ -51,6 +51,9 @@ OVERSAMPLE = 4
 
 TWO_PI = 2.0 * math.pi
 
+#: Most entries of a band cube, a grid or a series; a complex array of 2**26 is 1 GiB.
+MAX_GRID_CELLS = 2**26
+
 
 def freq_norm(m: Index) -> float:
     """Euclidean norm of a frequency tuple."""
@@ -121,6 +124,19 @@ def _check_shape(dim: int, band: int) -> None:
         raise InputError(f"dimension must be an integer in [1, {MAX_GENERATORS}], got {dim!r}")
     if not isinstance(band, int) or band < 1:
         raise InputError(f"band must be a positive integer, got {band!r}")
+    _check_size((2 * band + 1) ** dim, f"the mode cube of band {band} in dimension {dim}")
+
+
+def _check_size(size: int, what: str) -> None:
+    """An input error if ``what``, an array of ``size`` entries, exceeds ``MAX_GRID_CELLS``."""
+    if size > MAX_GRID_CELLS:
+        raise InputError(f"{what} needs {size} entries, more than {MAX_GRID_CELLS}")
+
+
+def _grid_shape(dim: int, points: int) -> tuple[int, ...]:
+    """``(points,) * dim``, the shape of a grid within ``MAX_GRID_CELLS``."""
+    _check_size(points**dim, f"a grid of {points} points per axis in dimension {dim}")
+    return (points,) * dim
 
 
 def grid_coordinates(dim: int, points: int) -> tuple[np.ndarray, ...]:
@@ -305,8 +321,8 @@ class _CoefficientView(Mapping):
     Iterates in canonical (lexicographic) mode order; within a mode only the
     nonzero blades appear.  Elements are built when read, by
     :func:`_elements`: ``values()`` and ``items()`` pass it the nonzero
-    columns in chunks of ``_READ_CHUNK``, ``view[m]`` (like ``get`` and
-    ``mean_coefficient``) a block of one column.
+    columns, ``view[m]`` (like ``get`` and ``mean_coefficient``) a block of
+    one column.
     """
 
     __slots__ = ("field", "cols")
@@ -337,21 +353,13 @@ class _CoefficientView(Mapping):
 
 
 class _CoefficientValues(ValuesView):
-    """The elements of the nonzero modes, from one :func:`_elements` call per chunk of columns.
-
-    A chunk's elements are built when the first of them is read, so a read
-    that consumes them one by one holds at most ``_READ_CHUNK`` at a time.
-    """
+    """The elements of the nonzero modes, from one :func:`_elements` call."""
 
     __slots__ = ()
 
     def __iter__(self) -> Iterator[CliffordElement]:
-        field, cols = self._mapping.field, self._mapping.cols
-        dim, masks, data = field.dim, field.masks, field.data
-        return itertools.chain.from_iterable(
-            _elements(dim, masks, data[:, cols[start : start + _READ_CHUNK]])
-            for start in range(0, len(cols), _READ_CHUNK)
-        )
+        field = self._mapping.field
+        return iter(_elements(field.dim, field.masks, field.data[:, self._mapping.cols]))
 
 
 class _CoefficientItems(ItemsView):
@@ -359,9 +367,6 @@ class _CoefficientItems(ItemsView):
 
     def __iter__(self) -> Iterator[tuple[Index, CliffordElement]]:
         return zip(self._mapping, self._mapping.values())
-
-
-_READ_CHUNK = 4096  # columns per _elements call in a values() read
 
 
 def _elements(dim: int, masks: tuple[int, ...], block: np.ndarray) -> list[CliffordElement]:
@@ -507,9 +512,10 @@ def _coupling(dim: int, band: int, points: int, *lead: int):
     field gets the bits of its own call.  Up to ``_DENSE_MAX_ENTRIES`` entries
     of the per-axis DFT matrix both apply the cached matrices, one matmul per
     axis; larger grids run one FFT per axis, in the order ``fftn`` uses, and
-    scatter into one zero cube owned by the pair.
+    scatter into one zero cube owned by the pair.  A grid of more than
+    ``MAX_GRID_CELLS`` cells is an input error.
     """
-    shape = (points,) * dim
+    shape = _grid_shape(dim, points)
     width = 2 * band + 1
     if points * width <= _DENSE_MAX_ENTRIES:
         analysis, synthesis = _dft_matrices(band, points)

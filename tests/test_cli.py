@@ -19,6 +19,14 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def test_every_public_name_resolves():
+    import fracbb
+
+    assert len(set(fracbb.__all__)) == len(fracbb.__all__)
+    for name in fracbb.__all__:
+        assert getattr(fracbb, name) is not None, name
+
+
 def test_apply_op_fraclap_example(tmp_path):
     src = tmp_path / "one_mode.json"
     out = tmp_path / "out.json"
@@ -410,6 +418,74 @@ def test_verify_bergman_rejects_bad_settings(args, tmp_path, capsys):
     assert not (tmp_path / "bergman.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify-bb", "--seed", -1, "--samples", 1, "--band", 4, "--out-json", "r.json"],
+        ["verify-bb", "--dim", 3, "--band", 100_000, "--out-json", "r.json"],
+        ["verify-bergman", "--seed", -1, "--corpus-size", 1, "--out", "r.csv"],
+        ["verify-bergman", "--corpus-size", 1, "--order", 100_000_000_000, "--out", "r.csv"],
+    ],
+)
+def test_negative_seeds_and_oversized_settings_exit_with_input_error(
+    args, tmp_path, monkeypatch, capsys
+):
+    # Each is refused before any draw or allocation, and nothing is written.
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(args) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["norm", "--kind", "l2"],
+        ["mixed-norm"],
+        ["apply-op", "--op", "riesz"],
+        ["transform", "--direction", "inverse", "--out", "g.csv"],
+        ["decompose", "--out-prefix", "d"],
+    ],
+)
+def test_coefficient_files_past_the_cell_cap_exit_with_input_error(
+    args, tmp_path, monkeypatch, capsys
+):
+    # A 3-D band-100000 file names a cube of 8e15 modes: it is refused when
+    # read, before any per-mode table is built (a table built here fails the
+    # test instead of filling the memory).
+    def unexpected(*args):
+        raise AssertionError("a mode table was built")
+
+    for name in ("_mode_positions", "mode_list", "mode_matrix"):
+        monkeypatch.setattr(spectral, name, unexpected)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.json").write_text('{"dim": 3, "band": 100000, "entries": []}')
+    assert run_cli(args + ["--in", "big.json"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+    assert [path.name for path in tmp_path.iterdir()] == ["big.json"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["norm", "--kind", "l1", "--points", 100_000],
+        ["mixed-norm", "--points", 100_000],
+        ["transform", "--direction", "inverse", "--points", 100_000, "--out", "g.csv"],
+    ],
+)
+def test_grids_past_the_cell_cap_exit_with_input_error(args, tmp_path, monkeypatch, capsys):
+    # 10**10 cells in 2-D: refused before the transform pair or grid is built.
+    def unexpected(*args):
+        raise AssertionError("a transform pair was built")
+
+    monkeypatch.setattr(spectral, "_wrapped_index_arrays", unexpected)
+    monkeypatch.chdir(tmp_path)
+    save_coefficients(SpectralField(2, 4, {(1, 0): 1.0, (0, -2): 0.5j}, zero_mean=True), "f.json")
+    assert run_cli(args + ["--in", "f.json"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "input"
+    assert [path.name for path in tmp_path.iterdir()] == ["f.json"]
+
+
 BAD_INPUT_FILES = [
     ("nan.json", '{"dim": 1, "band": 2, "entries": [{"m": [1], "alpha": [], "re": NaN, "im": 0}]}',
      ["norm", "--kind", "l2"]),
@@ -549,7 +625,7 @@ def test_oversized_kernel_bands_exit_before_any_kernel_is_built(tmp_path, monkey
     def unexpected(*args):
         raise AssertionError("a kernel was built")
 
-    monkeypatch.setattr(kernels, "MAX_GRID_CELLS", 2**12)
+    monkeypatch.setattr(spectral, "MAX_GRID_CELLS", 2**12)
     monkeypatch.setattr(kernels.KernelSpec, "build", unexpected)
     monkeypatch.setattr(kernels, "inverse_transform", unexpected)
     monkeypatch.chdir(tmp_path)

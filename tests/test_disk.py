@@ -336,3 +336,19 @@ def test_huge_boundary_traces_certify_in_closed_form_within_roundoff(decay):
         assert split.gap <= 16 * math.ulp(split.value)
         gaps.append(split.gap)
     assert max(gaps) > 1e-6
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_verify_bergman_seeds_must_be_non_negative_integers(seed):
+    with pytest.raises(InputError, match="seed must be an integer"):
+        verify_bergman(corpus_size=1, decay=1.0, order=4, radii=[0.9], tol=1e-6, seed=seed)
+
+
+def test_series_orders_past_the_cell_cap_are_refused_before_any_draw():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(InputError, match="more than"):
+        random_series(10**11, 1.0, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(InputError, match="more than"):
+        verify_bergman(corpus_size=1, decay=1.0, order=10**11, radii=[0.9], tol=1e-6, seed=0)

@@ -347,7 +347,10 @@ def test_experiment_config_validation():
     with pytest.raises(InputError):
         ExperimentConfig(dim=0)
     with pytest.raises(InputError):
-        ExperimentConfig(samples=0)
+        ExperimentConfig(band=0)
+    for samples in (0, 2.5, True):
+        with pytest.raises(InputError):
+            ExperimentConfig(samples=samples)
     with pytest.raises(InputError):
         bilinear_A({}, {}, 0)
     with pytest.raises(InputError):
@@ -393,3 +396,22 @@ def test_random_field_magnitude_table_is_cached_and_read_only():
     for table in tables:
         with pytest.raises(ValueError):
             table[0] = 0
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, 3.0, True, "3"])
+def test_seeds_must_be_non_negative_integers(seed):
+    # A seed is checked with the other settings, not truncated by int() or
+    # left to the generator.
+    with pytest.raises(InputError, match="seed must be an integer of at least 0"):
+        ExperimentConfig(seed=seed)
+
+
+def test_integer_seeds_of_any_integer_type_draw_the_same_samples():
+    cfg = ExperimentConfig(dim=1, band=8, samples=1, seed=3)
+    same = dataclasses.replace(cfg, seed=np.int64(3))
+    assert np.array_equal(random_field(cfg).data, random_field(same).data)
+
+
+def test_a_band_cube_past_the_cell_cap_is_refused_with_the_config():
+    with pytest.raises(InputError, match="more than"):
+        ExperimentConfig(dim=3, band=100_000)

@@ -14,7 +14,6 @@ from fracbb.norms import (
     l2_norm,
     sobolev_norm,
     sum_space_norm,
-    sum_space_norms,
 )
 from fracbb.spectral import (
     GridField,
@@ -979,43 +978,53 @@ def _assert_same_split(split, expected):
         assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
 
 
-def _stack_member(rng, dim, band, masks, homogeneous):
-    """A decaying field with ``-0.0`` real parts at every other mode, or zero."""
-    mm = mode_matrix(dim, band)
-    if not masks:
-        return SpectralField(dim, band, {}, zero_mean=homogeneous)
-    norm_sq = np.maximum((mm.astype(float) ** 2).sum(axis=1), 1.0)
-    data = rng.normal(size=(len(masks), len(mm))) + 1j * rng.normal(size=(len(masks), len(mm)))
-    data /= norm_sq ** rng.uniform(0.5, 1.0)
-    data[:, ::2] = -0.0 + 1j * data[:, ::2].imag
+def _assert_same_rows(ours, theirs):
+    """Rows of :func:`norms._sum_space_rows` equal bit for bit, planes and all."""
+    assert len(ours) == len(theirs)
+    for (value, gap, g, h, *rest), (value_t, gap_t, g_t, h_t, *rest_t) in zip(ours, theirs):
+        assert (value.hex(), gap.hex(), rest) == (value_t.hex(), gap_t.hex(), rest_t)
+        for a, b in ((g, g_t), (h, h_t)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _stack_rows(rng, dim, band, masks, homogeneous, zero_rows=(2,), count=5):
+    """Decaying rows on ``masks`` with ``-0.0`` real parts at every other mode,
+    and zero rows at ``zero_rows``, stacked ``(count, blades, modes)``."""
+    norm_sq = np.maximum((mode_matrix(dim, band).astype(float) ** 2).sum(axis=1), 1.0)
+    shape = (count, len(masks), len(norm_sq))
+    rows = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rows /= norm_sq ** rng.uniform(0.5, 1.0, (count, 1, 1))
+    rows[:, :, ::2] = -0.0 + 1j * rows[:, :, ::2].imag
     if homogeneous:
-        data[:, len(mm) // 2] = 0.0
-    return SpectralField.from_blade_vectors(dim, band, masks, data, zero_mean=homogeneous)
+        rows[:, :, len(norm_sq) // 2] = 0.0
+    rows[list(zero_rows)] = 0.0
+    return rows
 
 
 @pytest.mark.parametrize(
-    "dim, band, homogeneous, weight_kind, members, seed",
+    "dim, band, homogeneous, weight_kind, masks, seed",
     [
         # 1-D dense side (P 64): one-blade rows take BLAS's matrix-vector kernel.
-        (1, 16, True, "default", [(0,), (0, 1), (), (1,), (0, 1)], 22),
+        (1, 16, True, "default", (0,), 2),
+        (1, 16, False, "default", (0, 1), 13),
         # 1-D FFT side (P 256).
-        (1, 64, False, "array", [(0,), (), (0, 1), (1,), (0, 1)], 3),
-        (2, 6, True, "callable", [(0,), (0, 3), (1, 2, 3), (), (3,)], 27),
-        (3, 2, False, "default", [(0,), (0, 5), tuple(range(8)), (3,), ()], 3),
+        (1, 64, False, "array", (0, 1), 2),
+        (2, 6, True, "callable", (1, 2, 3), 7),
+        (3, 2, False, "default", tuple(range(8)), 5),
     ],
 )
 def test_stacked_closed_form_matches_one_at_a_time(
-    dim, band, homogeneous, weight_kind, members, seed
+    dim, band, homogeneous, weight_kind, masks, seed
 ):
-    # Each member of a stack gets, bit for bit, what the single-field
-    # formulas give it: the written-out closed-form certificate, and the
-    # zero split for a zero field.  The dual scales reach the gap only where
-    # they exceed 1: the grid scale under 4 times the weights (at a loose
-    # tolerance, so every member still certifies), and the Sobolev scale of
-    # a multi-blade member where it rounds above 1.  Each seed gives a stack
-    # where summing that scale blade by blade instead of mode by mode
-    # changes a gap, and the 1-D dense one a stack where one matrix product
-    # for all rows does.
+    # Each row of a stack gets, bit for bit, what the single-field formulas
+    # give it: the written-out closed-form certificate, and the zero split
+    # for a zero row.  The dual scales reach the gap only where they exceed
+    # 1: the grid scale under 4 times the weights (at a loose tolerance, so
+    # every row still certifies), and the Sobolev scale of a multi-blade row
+    # where it rounds above 1.  Each multi-blade seed gives a stack where
+    # summing that scale blade by blade instead of mode by mode changes a
+    # gap, and the one-blade seed a stack where one matrix product for all
+    # rows does.
     from fracbb.norms import _weights_for
 
     rng = np.random.default_rng([dim, band, seed])
@@ -1026,23 +1035,25 @@ def test_stacked_closed_form_matches_one_at_a_time(
         "array": 1.01 * np.where(norm_sq > 0, np.maximum(norm_sq, 1.0) ** (s / 2.0), 1.0),
         "callable": lambda m: (1.0 + sum(x * x for x in m)) ** (s / 2.0),
     }[weight_kind]
-    fields = [_stack_member(rng, dim, band, masks, homogeneous) for masks in members]
+    rows = _stack_rows(rng, dim, band, masks, homogeneous)
     points = 4 * band
     loose = 4.0 * _weights_for(dim, band, s, homogeneous, weights)[1]
     for weights, tol in ((weights, 1e-6), (loose, 10.0)):
-        splits = sum_space_norms(fields, s=s, homogeneous=homogeneous, tol=tol, weights=weights)
-        assert len(splits) == len(fields)
-        for f, split in zip(fields, splits):
-            assert (split.path, split.iterations) == ("closed-form", 0)
-            if f.data.any():
-                value, gap, h = _closed_form_reference(f, s, homogeneous, weights, points)
+        found = norms._sum_space_rows(rows, masks, dim, band, s, homogeneous, tol,
+                                      weights=weights)
+        assert len(found) == len(rows)
+        for row, (value, gap, g, h, iterations, path) in zip(rows, found):
+            assert (path, iterations) == ("closed-form", 0)
+            if row.any():
+                f = SpectralField.from_blade_vectors(dim, band, masks, row)
+                assert f.masks == masks
+                expected = _closed_form_reference(f, s, homogeneous, weights, points)
             else:
-                value, gap, h = 0.0, 0.0, np.zeros((1, len(norm_sq)), dtype=complex)
-            assert split.value.hex() == value.hex() and split.gap.hex() == gap.hex()
-            assert split.h.masks == f.masks and split.h.zero_mean == homogeneous
-            assert np.array_equal(split.h.data.view(np.uint64), h.view(np.uint64))
-            assert split.g.masks == f.masks and not np.any(split.g.data.view(np.uint64))
-            assert split.g.data.shape == (len(f.masks),) + (points,) * dim
+                expected = 0.0, 0.0, row
+            assert (value.hex(), gap.hex()) == (expected[0].hex(), expected[1].hex())
+            # Bit patterns, so signed zeros and last-place differences count.
+            assert np.array_equal(h.view(np.uint64), expected[2].view(np.uint64))
+            assert g.shape == (len(masks),) + (points,) * dim and not np.any(g.view(np.uint64))
 
 
 @pytest.mark.parametrize(
@@ -1130,12 +1141,17 @@ def test_stacked_solve_iterates_its_uncertified_members_alone():
         all_ones(8),
         SpectralField(1, 8, {(3,): 0.7 - 0.1j, (-1,): 0.2}, zero_mean=True),
     ]
-    splits = sum_space_norms(stack, weights=weights)
-    assert [split.path for split in splits] == ["closed-form", "interior-point", "closed-form"]
-    for f, split in zip(stack, splits):
-        _assert_same_split(split, sum_space_norm(f, weights=weights))
+    rows = np.stack([f.data for f in stack])
+
+    def solve(**kwargs):
+        return norms._sum_space_rows(rows, (0,), 1, 8, None, True, weights=weights, **kwargs)
+
+    found = solve(tol=1e-6)
+    assert [row[-1] for row in found] == ["closed-form", "interior-point", "closed-form"]
+    for f, row in zip(stack, found):
+        _assert_same_split(norms._split(f, True, *row), sum_space_norm(f, weights=weights))
     with pytest.raises(ConvergenceError) as stacked:
-        sum_space_norms(stack, weights=weights, tol=1e-10, max_iterations=3)
+        solve(tol=1e-10, max_iterations=3)
     with pytest.raises(ConvergenceError) as alone:
         mixed_flat_8(tol=1e-10, max_iterations=3)
     assert str(stacked.value) == str(alone.value)
@@ -1191,15 +1207,14 @@ def test_triangle_bound_keeps_the_bits_of_the_reference_cases(
 
 
 def test_triangle_bound_keeps_the_bits_of_stacked_two_blade_fields(monkeypatch):
-    # Two-blade members with -0.0 real parts, a one-blade one and a zero
-    # field, in one call: both stacks settle by the bound.
-    rng = np.random.default_rng(21)
-    members = [(0, 1), (0,), (0, 1), (), (0, 1)]
-    fields = [_stack_member(rng, 1, 8, masks, True) for masks in members]
-    bound, adjoints, exact = _bound_and_exact(monkeypatch, lambda: sum_space_norms(fields))
+    # Two-blade rows with -0.0 real parts and a zero row, in one call: the
+    # stack settles by the bound.
+    rows = _stack_rows(np.random.default_rng(21), 1, 8, (0, 1), True)
+    bound, adjoints, exact = _bound_and_exact(
+        monkeypatch, lambda: norms._sum_space_rows(rows, (0, 1), 1, 8, None, True, 1e-6)
+    )
     assert adjoints == 0
-    for ours, theirs in zip(bound, exact):
-        _assert_same_split(ours, theirs)
+    _assert_same_rows(bound, exact)
 
 
 def test_triangle_bound_keeps_the_bits_of_the_oracle_instances(monkeypatch):
@@ -1281,18 +1296,16 @@ def test_rows_whose_weighted_norm_overflows_keep_their_result(monkeypatch, scale
     weights = scaled_weights(4, scale)
     calls = _count_adjoints(monkeypatch)
     for fields in ([f], [all_ones(4), f]):
+        rows = np.stack([field.data for field in fields])
         with pytest.raises(InputError, match="weighted norm"):
-            sum_space_norms(fields, weights=weights)
+            norms._sum_space_rows(rows, (0,), 1, 4, None, True, 1e-6, weights=weights)
     assert calls == []
 
 
-def test_stacked_fields_share_dimension_and_band():
-    assert sum_space_norms([]) == []
-    for other in (all_ones(4), SpectralField(2, 8, {}, zero_mean=True)):
-        with pytest.raises(InputError):
-            sum_space_norms([all_ones(8), other])
-    with pytest.raises(InputError):
-        sum_space_norms([all_ones(8), SpectralField(1, 8, {(0,): 1.0})])
+def test_a_homogeneous_stack_needs_zero_mean_rows():
+    rows = np.stack([all_ones(8).data, SpectralField(1, 8, {(0,): 1.0, (1,): 1.0}).data])
+    with pytest.raises(InputError, match="zero-mean"):
+        norms._sum_space_rows(rows, (0,), 1, 8, None, True, 1e-6)
 
 
 def test_iteration_cap_is_validated_and_kept():
@@ -1326,7 +1339,8 @@ def test_iteration_caps_and_grid_sizes_must_be_integers(bad):
     with pytest.raises(InputError, match="points per axis must be an integer"):
         _mixed_flat_10(points_per_axis=40.9 if bad == 2.5 else bad)
     with pytest.raises(InputError, match="iteration cap must be an integer"):
-        sum_space_norms([], max_iterations=bad)
+        norms._sum_space_rows(np.zeros((0, 1, 17), complex), (0,), 1, 8, None, True, 1e-6,
+                              max_iterations=bad)
 
 
 def test_integer_caps_and_grid_sizes_of_any_integer_type_are_kept():

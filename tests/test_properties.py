@@ -21,7 +21,6 @@ from fracbb.norms import _coupling, _grid_scales, l1_norm, sobolev_norm, sum_spa
 from fracbb.operators import dirac_D, invert_D, invert_D2
 from fracbb.spectral import (
     _DENSE_MAX_ENTRIES,
-    _READ_CHUNK,
     GridField,
     SpectralField,
     band_indices,
@@ -220,16 +219,17 @@ def test_view_elements_with_huge_parts_take_the_scaled_norm(masks, magnitude):
 
 @pytest.mark.parametrize("masks", [(0,), (1, 2)], ids=["one-blade", "two-blade"])
 def test_a_read_over_several_chunks_matches_the_per_mode_reads(masks):
+    # More than 4096 nonzero columns, all built by one _elements call.
     rng = np.random.default_rng(len(masks))
     modes = mode_list(2, 40)
-    assert len(modes) > _READ_CHUNK
+    assert len(modes) > 4096
     shape = (len(masks), len(modes), 2)
     # Some entries and whole columns vanish, as 0.0 or -0.0.
     parts = np.where(rng.random(shape) < 0.7, rng.normal(size=shape), 0.0)
     parts = np.where(rng.random(shape) < 0.5, parts, -parts)
     field = SpectralField.from_blade_vectors(2, 40, masks, parts[..., 0] + 1j * parts[..., 1])
     view = field.coeffs
-    assert len(view) > _READ_CHUNK
+    assert len(view) > 4096
     read = [bits(element) for element in view.values()]
     assert read == [bits(field.get(m)) for m in view]
     assert read == [bits(element) for _, element in view.items()]

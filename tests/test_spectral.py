@@ -6,10 +6,14 @@ import pytest
 from fracbb.clifford import CliffordElement
 from fracbb.errors import AliasingError, InputError
 from fracbb.kernels import KernelSpec, sup_norm_scan
+from fracbb import spectral
 from fracbb.spectral import (
+    MAX_GRID_CELLS,
     GridField,
     SpectralField,
+    _check_shape,
     _coupling,
+    _grid_shape,
     _mode_positions,
     _mode_product,
     _synthesis,
@@ -480,3 +484,36 @@ def test_single_mode_reads_are_the_bulk_elements(dim, band):
                 view[m]
         assert list(field.get(m).comps.items()) == want and field.get(m).n == dim
     assert field.mean_coefficient().comps == field.get((0,) * dim).comps
+
+
+def test_mode_cubes_and_grids_past_the_cell_cap_are_input_errors(monkeypatch):
+    # A 3-D band-100000 cube has 8e15 modes and a 2-D grid of 10**5 points
+    # per axis 10**10 cells: each is refused before a mode table, a transform
+    # pair or a grid is built (a table built here fails the test instead of
+    # filling the memory).
+    assert MAX_GRID_CELLS == 2**26
+    field = SpectralField(2, 8, {(1, 0): 1.0})
+
+    def unexpected(*args):
+        raise AssertionError("a table was built")
+
+    for name in ("_mode_positions", "mode_matrix", "_dft_matrices", "_wrapped_index_arrays"):
+        monkeypatch.setattr(spectral, name, unexpected)
+    for build in (
+        lambda: SpectralField(3, 100_000),
+        lambda: SpectralField.from_blade_vectors(3, 100_000, (0,), np.zeros((1, 1))),
+        lambda: mode_list(3, 100_000),
+        lambda: _coupling(2, 8, 100_000, 1),
+        lambda: inverse_transform(field, 100_000),
+        lambda: sum_space_norm(field, homogeneous=False, points_per_axis=100_000),
+        lambda: KernelSpec(dim=3, band=100_000, kind="K"),
+    ):
+        with pytest.raises(InputError, match=f"more than {2**26}"):
+            build()
+    # The cap itself is allowed: a 1-D cube of 2**26 - 1 modes, a 2-D grid of 2**26 cells.
+    _check_shape(1, 2**25 - 1)
+    assert _grid_shape(2, 2**13) == (2**13, 2**13)
+    with pytest.raises(InputError):
+        _check_shape(1, 2**25)
+    with pytest.raises(InputError):
+        _grid_shape(2, 2**13 + 1)
