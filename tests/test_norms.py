@@ -2,6 +2,7 @@ import hashlib
 import math
 import warnings
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1001,6 +1002,85 @@ def _stack_rows(rng, dim, band, masks, homogeneous, zero_rows=(2,), count=5):
     return rows
 
 
+def _member_rows(rng, dim, band, members, homogeneous):
+    """One row per entry of ``members``, on the union of their blades.
+
+    Each row is a decaying field on its member's blades, with ``-0.0`` real
+    parts at every other mode, and zero on the other blades of the stack; a
+    member ``()`` is a zero row.  Returns ``(rows, masks)``.
+    """
+    masks = tuple(sorted(set().union(*members)))
+    norm_sq = np.maximum((mode_matrix(dim, band).astype(float) ** 2).sum(axis=1), 1.0)
+    rows = np.zeros((len(members), len(masks), len(norm_sq)), dtype=complex)
+    for row, blades in zip(rows, members):
+        if not blades:
+            continue
+        shape = (len(blades), len(norm_sq))
+        data = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        data /= norm_sq ** rng.uniform(0.5, 1.0)
+        data[:, ::2] = -0.0 + 1j * data[:, ::2].imag
+        if homogeneous:
+            data[:, len(norm_sq) // 2] = 0.0
+        row[[masks.index(b) for b in blades]] = data
+    return rows, masks
+
+
+def _assert_closed_form_rows(rows, masks, dim, band, homogeneous, weight_kind):
+    """Each row of the stack gets, bit for bit, the closed-form reference.
+
+    Checked at ``tol`` 1e-6 under the ``weight_kind`` weights, and at a loose
+    ``tol`` under 4 times them, so the grid scale exceeds 1 and every row
+    still certifies."""
+    from fracbb.norms import _weights_for
+
+    s = -dim / 2.0
+    norm_sq = (mode_matrix(dim, band).astype(float) ** 2).sum(axis=1)
+    weights = {
+        "default": None,
+        "array": 1.01 * np.where(norm_sq > 0, np.maximum(norm_sq, 1.0) ** (s / 2.0), 1.0),
+        "callable": lambda m: (1.0 + sum(x * x for x in m)) ** (s / 2.0),
+    }[weight_kind]
+    points = 4 * band
+    loose = 4.0 * _weights_for(dim, band, s, homogeneous, weights)[1]
+    for weights, tol in ((weights, 1e-6), (loose, 10.0)):
+        found = norms._sum_space_rows(rows, masks, dim, band, s, homogeneous, tol,
+                                      weights=weights)
+        assert len(found) == len(rows)
+        for row, (value, gap, g, h, iterations, path) in zip(rows, found):
+            assert (path, iterations) == ("closed-form", 0)
+            if row.any():
+                # On all the stack's blades, zero ones too: a field would drop
+                # those, and A 0's signs of zero depend on the blade count.
+                f = SimpleNamespace(dim=dim, band=band, data=row)
+                expected = _closed_form_reference(f, s, homogeneous, weights, points)
+            else:
+                expected = 0.0, 0.0, row
+            assert (value.hex(), gap.hex()) == (expected[0].hex(), expected[1].hex())
+            # Bit patterns, so signed zeros and last-place differences count.
+            assert np.array_equal(h.view(np.uint64), expected[2].view(np.uint64))
+            assert g.shape == (len(masks),) + (points,) * dim and not np.any(g.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "dim, band, homogeneous, weight_kind, members, seed",
+    [
+        (1, 16, True, "default", [(0,), (0, 1), (), (1,), (0, 1)], 22),
+        # 1-D FFT side (P 256).
+        (1, 64, False, "array", [(0,), (), (0, 1), (1,), (0, 1)], 3),
+        (2, 6, True, "callable", [(0,), (0, 3), (1, 2, 3), (), (3,)], 27),
+        (3, 2, False, "default", [(0,), (0, 5), tuple(range(8)), (3,), ()], 3),
+    ],
+)
+def test_stacked_closed_form_matches_one_at_a_time(
+    dim, band, homogeneous, weight_kind, members, seed
+):
+    # Rows that are zero on some of the stack's blades, and zero rows, get
+    # what the single-field formulas give them as fields on all its blades.
+    rng = np.random.default_rng([dim, band, seed])
+    rows, masks = _member_rows(rng, dim, band, members, homogeneous)
+    _assert_closed_form_rows(rows, masks, dim, band, homogeneous, weight_kind)
+
+
 @pytest.mark.parametrize(
     "dim, band, homogeneous, weight_kind, masks, seed",
     [
@@ -1013,47 +1093,21 @@ def _stack_rows(rng, dim, band, masks, homogeneous, zero_rows=(2,), count=5):
         (3, 2, False, "default", tuple(range(8)), 5),
     ],
 )
-def test_stacked_closed_form_matches_one_at_a_time(
+def test_same_blade_stacks_match_one_at_a_time(
     dim, band, homogeneous, weight_kind, masks, seed
 ):
     # Each row of a stack gets, bit for bit, what the single-field formulas
     # give it: the written-out closed-form certificate, and the zero split
     # for a zero row.  The dual scales reach the gap only where they exceed
-    # 1: the grid scale under 4 times the weights (at a loose tolerance, so
-    # every row still certifies), and the Sobolev scale of a multi-blade row
-    # where it rounds above 1.  Each multi-blade seed gives a stack where
-    # summing that scale blade by blade instead of mode by mode changes a
-    # gap, and the one-blade seed a stack where one matrix product for all
-    # rows does.
-    from fracbb.norms import _weights_for
-
-    rng = np.random.default_rng([dim, band, seed])
-    s = -dim / 2.0
-    norm_sq = (mode_matrix(dim, band).astype(float) ** 2).sum(axis=1)
-    weights = {
-        "default": None,
-        "array": 1.01 * np.where(norm_sq > 0, np.maximum(norm_sq, 1.0) ** (s / 2.0), 1.0),
-        "callable": lambda m: (1.0 + sum(x * x for x in m)) ** (s / 2.0),
-    }[weight_kind]
-    rows = _stack_rows(rng, dim, band, masks, homogeneous)
-    points = 4 * band
-    loose = 4.0 * _weights_for(dim, band, s, homogeneous, weights)[1]
-    for weights, tol in ((weights, 1e-6), (loose, 10.0)):
-        found = norms._sum_space_rows(rows, masks, dim, band, s, homogeneous, tol,
-                                      weights=weights)
-        assert len(found) == len(rows)
-        for row, (value, gap, g, h, iterations, path) in zip(rows, found):
-            assert (path, iterations) == ("closed-form", 0)
-            if row.any():
-                f = SpectralField.from_blade_vectors(dim, band, masks, row)
-                assert f.masks == masks
-                expected = _closed_form_reference(f, s, homogeneous, weights, points)
-            else:
-                expected = 0.0, 0.0, row
-            assert (value.hex(), gap.hex()) == (expected[0].hex(), expected[1].hex())
-            # Bit patterns, so signed zeros and last-place differences count.
-            assert np.array_equal(h.view(np.uint64), expected[2].view(np.uint64))
-            assert g.shape == (len(masks),) + (points,) * dim and not np.any(g.view(np.uint64))
+    # 1: the grid scale under the loose weights, and the Sobolev scale of a
+    # multi-blade row where it rounds above 1.  Each multi-blade seed gives a
+    # stack where summing that scale blade by blade instead of mode by mode
+    # changes a gap, and the one-blade seed a stack where one matrix product
+    # for all rows does.
+    rows = _stack_rows(np.random.default_rng([dim, band, seed]), dim, band, masks, homogeneous)
+    nonzero = rows.any(axis=2)
+    assert (nonzero.all(axis=1) == nonzero.any(axis=1)).all()  # no zero blades in a row
+    _assert_closed_form_rows(rows, masks, dim, band, homogeneous, weight_kind)
 
 
 @pytest.mark.parametrize(
