@@ -29,8 +29,8 @@ import numpy as np
 from .errors import InputError
 from .norms import (SumSpaceSplit, _count, _l1_norms, _sobolev_norms, _sum_space_rows,
                     _weights_for, sum_space_norm)
-from .spectral import (SpectralField, _check_size, _mean_column, _synthesis, default_points,
-                       mode_matrix)
+from .spectral import (SpectralField, _check_size, _grid_shape, _mean_column, _synthesis,
+                       default_points, mode_matrix)
 
 #: Radius ladder approximating the r -> 1 boundary limit.
 RADIUS_LADDER = (0.9, 0.99, 0.999, 0.9999)
@@ -190,7 +190,7 @@ def bbb_ratio(
     bergman = _bergman_norms(_dilations(f, radii)).tolist()
     l1 = _l1_norms(_synthesis(rows, 1, band, default_points(band)), 1)
     hminus = _hminus_half_norms(f, radii).tolist()
-    solves = _sum_space_rows(rows, (0,), 1, band, -0.5, False, tol, tables=_boundary_tables(band))
+    solves = _sum_space_rows(rows, (0,), 1, band, _boundary_tables(band), tol)
     mixed = [value for value, *_ in solves]
     convention_ratios = []
     if not f.is_zero():
@@ -270,6 +270,7 @@ def verify_bergman(
         raise InputError(f"corpus size must be >= 1, got {corpus_size!r}")
     if not radii:
         raise InputError("need at least one radius")
+    _grid_shape(1, default_points(max(order, 1)))  # bbb_ratio's grid, refused before any draw
     rng = np.random.default_rng(_count(seed, "seed", 0))
     rows = []
     max_ratio = 0.0

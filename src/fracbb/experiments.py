@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .norms import _count, _sum_space_rows
+from .norms import _count, _default_weights, _sum_space_rows
 from .operators import _fraclap_rows, _symbol_table
 from .spectral import SpectralField, _check_shape, mode_matrix
 
@@ -151,7 +151,8 @@ def _sample_row(cfg: ExperimentConfig, sample_id: int) -> SampleRow:
     for j in range(1, dim + 1):
         images[j] = _symbol_table(dim, band, "riesz", (j, False)).data[0] * images[0] + 0
     solves = _sum_space_rows(_fraclap_rows(images, dim, band, dim / 4.0), (0,), dim, band,
-                             -dim / 2.0, True, cfg.tol, max_iterations=cfg.max_iterations)
+                             _default_weights(dim, band, -dim / 2.0, True), cfg.tol,
+                             max_iterations=cfg.max_iterations)
     rhs_unit = 0.0
     for value, *_ in solves:  # left to right from 0.0, as the bits of the ratio require
         rhs_unit += value

@@ -26,20 +26,20 @@ than necessary.)  As ``|A* p0|(x) / w <= sum_m |p0_m| / (2 pi)**n`` at every
 ``x``, a triangle bound below 1 settles the check with no transform, for the
 continuum problem as well as the grid's; otherwise one adjoint checks the grid
 nodes.  With the genuine ``H^{-n/2}`` weights every field at desk-scale bands
-passes.  ``A 0`` is zero up to signs of zero, which reach ``h`` and the
-coefficient files written from it; it is kept once per shape, so no forward
-map or mean repair runs.  The default weights' tables are cached.
+passes.  The split's ``h`` is ``f`` on the modes ``h`` may occupy, signs of
+zero included, so no forward map or mean repair runs.  The default weights'
+tables are cached.
 
 The array core :func:`_sum_space_rows` runs this check for a stack of
-coefficient rows ``(fields, blades, modes)`` on one set of blades, with at
-most one adjoint and one certificate call; a Newton or polish step is a
-stack of one.  :func:`sum_space_norm` passes a stack of one and makes its
-row a split, while the experiment loops read the rows as they are.  Each
-field keeps the bits of its own check: every per-field sum runs over one
-C-contiguous row, in the order a single field's sum takes (its masked
-columns mode by mode, as numpy lays them out), and the transform pair
-applies one matrix product per field, because BLAS rounds a one-row product
-(its matrix-vector kernel) differently from a many-row one.
+coefficient rows ``(fields, blades, modes)`` on one set of blades and checked
+weight tables, with at most one adjoint and one certificate call; a Newton or
+polish step is a stack of one.  :func:`sum_space_norm` builds the tables and
+makes its one row a split; the experiment loops pass cached tables and read
+the rows as they are.  Each field keeps the bits of its own check: every
+per-field sum runs over one C-contiguous row, in the order a single field's
+sum takes (its masked columns mode by mode, as numpy lays them out), and the
+transform pair applies one matrix product per field, because BLAS rounds a
+one-row product (its matrix-vector kernel) differently from a many-row one.
 
 Otherwise a primal-dual interior-point method solves the dual as a
 second-order-cone program: minimize ``Re<p, f_hat>`` subject to ``(1, A*
@@ -205,26 +205,21 @@ def _weights_for(
     band: int,
     s: float,
     homogeneous: bool,
-    weights: np.ndarray | Callable | None,
+    weights: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The weight tables of a solve: ``(mask, W, W**2)``.
 
     ``mask`` marks the modes ``h`` may occupy, where the Sobolev weights
     ``W`` are checked, and so is ``W**2``, as normal floats; ``W`` is 1 off
     it.  The tables are read-only.  The default weights' tables are cached;
-    array and callable weights are checked on every call.
+    array weights are checked on every call.
     """
     if weights is None:
         return _default_weights(dim, band, float(s), homogeneous)
-    mm = mode_matrix(dim, band)
-    if callable(weights):
-        w = np.array([float(weights(tuple(row))) for row in mm])
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (len(mm),):
-            raise InputError(
-                f"weights must have one entry per mode ({len(mm)}), got {w.shape}"
-            )
+    w = np.asarray(weights, dtype=float)
+    modes = (2 * band + 1) ** dim
+    if w.shape != (modes,):
+        raise InputError(f"weights must have one entry per mode ({modes}), got {w.shape}")
     mask = np.ones(len(w), dtype=bool)
     if homogeneous:
         _mean_column(mask)[...] = False
@@ -250,20 +245,6 @@ def _default_weights(dim: int, band: int, s: float, homogeneous: bool) -> tuple:
     w = np.ones(len(active))
     w[active] = half
     return _weights_for(dim, band, s, homogeneous, w)
-
-
-@lru_cache(maxsize=32)
-def _zero_image(dim: int, band: int, points: int, blades: int) -> np.ndarray:
-    """``A 0``, the coupling's forward map of the zero grid.
-
-    Its entries are zeros, but BLAS can give some of them the sign of -0.0;
-    ``f - A 0`` passes those signs on to ``h`` as a transform would, and a
-    coefficient file of ``h`` writes them.  Shared cached storage, read-only.
-    """
-    forward, _ = _coupling(dim, band, points, blades)
-    image = forward(np.zeros((blades,) + (points,) * dim, dtype=complex))
-    image.flags.writeable = False
-    return image
 
 
 #: Largest number of real dual unknowns, ``2 * blades * modes``, for which
@@ -720,7 +701,7 @@ def _polish(g, fvec, band, weight, h_mask, quad_w, adjoint) -> Iterator[tuple]:
                 hess += (gram - np.outer(normal, normal)) / length
                 grad += normal
             kkt = np.block([[hess, cons.T], [cons, np.zeros((len(cons),) * 2)]])
-            step = np.linalg.lstsq(kkt, np.concatenate([-grad, bound - cons @ y]))[0]
+            step = np.linalg.lstsq(kkt, np.concatenate([-grad, bound - cons @ y]), rcond=None)[0]
             y = y + step[:unknowns]
             if basis is None:
                 nu = np.where(active, jac @ y - target, 0.0)
@@ -780,8 +761,9 @@ def _certificates(fvecs, l1, Ag, p, s1, h_mask, weight, weight_sq) -> list[tuple
 
     ``fvecs`` holds coefficient rows ``(fields, blades, modes)``, ``l1`` the
     L1 norms of the splits' mean-repaired grid parts (None for zero grids),
-    ``Ag`` their forward maps, ``p`` dual points shaped as ``fvecs`` and
-    ``s1`` their :func:`_grid_scales`, or upper bounds of them below 1.
+    ``Ag`` their forward maps (0.0 for zero grids), ``p`` dual points shaped
+    as ``fvecs`` and ``s1`` their :func:`_grid_scales`, or upper bounds of
+    them below 1.
     Each field's sums run over one row, in a single field's order.
     """
     h = np.where(h_mask, fvecs - Ag, 0.0)
@@ -826,9 +808,8 @@ def _closed_form(fvecs, dim, band, points, tol, h_mask, weight, weight_sq):
     s1 = np.sqrt((np.abs(p0) ** 2).sum(axis=1)).sum(axis=1) / TWO_PI**dim  # triangle bounds
     if not (s1 <= 1.0 - _TRIANGLE_MARGIN).all():  # also true on a NaN
         s1 = _grid_scales(_coupling(dim, band, points, count, nblades)[1](p0))
-    # A 0 is zero up to signs of zero that h keeps; a cached table holds it.
-    Ag = _zero_image(dim, band, points, nblades)
-    found = _certificates(fvecs, None, Ag, p0, s1, h_mask, weight, weight_sq)
+    # g = 0 maps to 0, and h = f - 0 keeps f's signs of zero.
+    found = _certificates(fvecs, None, 0.0, p0, s1, h_mask, weight, weight_sq)
     g = np.zeros((count, nblades) + (points,) * dim, dtype=complex)
     checks = []
     for norm, g_i, (upper, gap, h_i) in zip(weighted_norms.tolist(), g, found):
@@ -837,12 +818,12 @@ def _closed_form(fvecs, dim, band, points, tol, h_mask, weight, weight_sq):
     return checks
 
 
-def _split(f: SpectralField, homogeneous: bool, upper, gap, g_adj, h_rep, iterations, path):
-    """The :class:`SumSpaceSplit` of ``f`` from a row of :func:`_sum_space_rows`."""
+def _split(dim, band, masks, homogeneous, upper, gap, g, h, iterations, path):
+    """The :class:`SumSpaceSplit` of a row of :func:`_sum_space_rows` on the ``masks``."""
     return SumSpaceSplit(
-        # f's masks are checked and sorted; g_adj and h_rep are the split's own.
-        g=GridField._of(f.dim, g_adj.shape[-1], f.masks, g_adj),
-        h=f._with(f.masks, h_rep, homogeneous),
+        # g and h are the split's own arrays; h drops its zero blades as a field does.
+        g=GridField._of(dim, g.shape[-1], masks, g),
+        h=SpectralField._of(dim, band, masks, h, homogeneous),
         value=upper,
         gap=gap,
         iterations=iterations,
@@ -856,33 +837,35 @@ def sum_space_norm(
     homogeneous: bool = True,
     tol: float = 1e-6,
     *,
-    weights: np.ndarray | Callable | None = None,
+    weights: np.ndarray | None = None,
     points_per_axis: int | None = None,
     max_iterations: int = 100_000,
 ) -> SumSpaceSplit:
     """Minimizer of ``||g||_L1 + ||h||_{H^s}`` over ``g + h = f``, certified.
 
-    ``s`` defaults to ``-dim/2``.  The homogeneous variant requires a
-    zero-mean field, and a field whose weighted norm ``||W f||`` overflows
-    is an input error.  The pure-Sobolev split ``g = 0, h = f`` is checked in
-    closed form first (see the module docstring) and returned with
-    ``iterations == 0`` when its gap is within ``tol``, or within
+    ``weights`` holds one ``W`` per mode, in :func:`spectral.mode_list` order,
+    with ``W**2`` as the weight; ``None`` gives the ``H^s`` weights,
+    ``|m|**(2s)`` or ``(1 + |m|**2)**s``, ``s`` defaulting to ``-dim/2``.  A
+    ``W`` that is not positive and finite, or whose square is not a normal
+    float, on a mode ``h`` may occupy is an input error, and so is a field
+    whose ``||W f||`` overflows; the homogeneous variant leaves out the mean
+    and requires a zero-mean field.  The pure-Sobolev split ``g = 0, h = f``
+    is checked in closed form first (see the module docstring) and returned
+    with ``iterations == 0`` when its gap is within ``tol``, or within
     ``_GAP_ROUNDOFF_ULPS`` units in the last place of its value, since
     roundoff alone leaves such a gap on large fields whatever ``tol`` is; the
     gap is reported as computed.  Otherwise interior-point Newton steps run,
     then a polish if they stall, each step certified, until the gap drops
     below ``tol``.  ``max_iterations`` caps the Newton steps; when it runs
     out or the steps stall, :class:`ConvergenceError` carries the best
-    certified split seen, the closed-form one included.  ``path`` names the
-    method that produced the split: ``"closed-form"`` or
-    ``"interior-point"``.  The reported gap is never negative: bounds that
-    cross by roundoff report 0, and a larger crossing raises
-    :class:`InvariantViolation`.
+    certified split seen, the closed-form one included.  The reported gap is
+    never negative: bounds that cross by roundoff report 0, and a larger
+    crossing raises :class:`InvariantViolation`.
     """
-    [row] = _sum_space_rows(f.data[None], f.masks, f.dim, f.band, s, homogeneous, tol,
-                            weights=weights, points_per_axis=points_per_axis,
-                            max_iterations=max_iterations)
-    return _split(f, homogeneous, *row)
+    tables = _weights_for(f.dim, f.band, -f.dim / 2.0 if s is None else s, homogeneous, weights)
+    [row] = _sum_space_rows(f.data[None], f.masks, f.dim, f.band, tables, tol,
+                            points_per_axis=points_per_axis, max_iterations=max_iterations)
+    return _split(f.dim, f.band, f.masks, homogeneous, *row)
 
 
 def _count(value, name: str, least: int) -> int:
@@ -892,34 +875,35 @@ def _count(value, name: str, least: int) -> int:
     return int(value)
 
 
-def _sum_space_rows(rows: np.ndarray, masks: tuple[int, ...], dim: int, band: int,
-                    s: float | None, homogeneous: bool, tol: float, *, weights=None,
-                    tables=None, points_per_axis=None, max_iterations=100_000) -> list[tuple]:
+def _sum_space_rows(rows: np.ndarray, masks: tuple[int, ...], dim: int, band: int, tables,
+                    tol: float, *, points_per_axis=None, max_iterations=100_000) -> list[tuple]:
     """``(value, gap, g, h, iterations, path)`` of each row of ``rows``.
 
-    ``rows`` is a stack ``(fields, blades, modes)`` of fields on the blades
-    ``masks``; ``tables``, if given, are the checked ``(mask, W, W**2)``.
-    The rows' closed-form checks run stacked.  Only a row they do not settle
-    becomes a :class:`SpectralField`: such rows iterate one after another,
-    in order, each seeded with its own closed-form certificate as the best
-    one seen, and the first that fails raises its :class:`ConvergenceError`.
+    ``rows`` is a stack ``(fields, blades, modes)`` of fields on the
+    increasing blades ``masks``, and ``tables`` the checked ``(mask, W,
+    W**2)`` of :func:`_weights_for`; the norm is homogeneous when ``mask``
+    leaves out the mean.  The rows' closed-form checks run stacked.  A row
+    they do not settle iterates as it is, on all of ``masks``: such rows
+    iterate one after another, in order, each seeded with its own closed-form
+    certificate as the best one seen, and the first that fails raises its
+    :class:`ConvergenceError`, whose partial split is on ``masks`` too.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise InputError(f"tolerance must be finite and positive, got {tol!r}")
     _count(max_iterations, "iteration cap", 1)
+    h_mask, weight, _ = tables
+    homogeneous = not _mean_column(h_mask)
     if homogeneous and _mean_column(rows).any():
         raise InputError("homogeneous sum-space norm requires a zero-mean field")
     P = (default_points(band) if points_per_axis is None
          else _count(points_per_axis, "points per axis", 2 * band + 1))
     shape = _grid_shape(dim, P)
     quad_w = (TWO_PI / P) ** dim
-    s = -dim / 2.0 if s is None else s
-    tables = h_mask, weight, weight_sq = tables or _weights_for(dim, band, s, homogeneous, weights)
     checks = _closed_form(rows, dim, band, P, tol, *tables)
 
-    def iterate(f: SpectralField, seed) -> tuple:
-        """Newton steps, then a polish, from the closed-form certificate ``seed``."""
-        fvec, nblades = f.data, len(f.masks)
+    def iterate(fvec: np.ndarray, seed) -> tuple:
+        """Newton steps on ``fvec``, then a polish, from the closed-form certificate ``seed``."""
+        nblades = len(fvec)
         forward, adjoint = _coupling(dim, band, P, nblades)
 
         def certificate(gq, pq, Ap):
@@ -958,7 +942,7 @@ def _sum_space_rows(rows: np.ndarray, masks: tuple[int, ...], dim: int, band: in
         raise ConvergenceError(
             f"sum-space optimizer stopped at gap {best[1]:.3e} after "
             f"{iterations} iterations (tol {tol:g})",
-            partial=_split(f, homogeneous, *best, iterations, best_path),
+            partial=_split(dim, band, masks, homogeneous, *best, iterations, best_path),
         )
 
     results = []
@@ -967,6 +951,5 @@ def _sum_space_rows(rows: np.ndarray, masks: tuple[int, ...], dim: int, band: in
         if certified or not row.any():
             results.append((*certificate, 0, "closed-form"))
         else:
-            f = SpectralField.from_blade_vectors(dim, band, masks, row)
-            results.append(iterate(f, certificate))
+            results.append(iterate(row, certificate))
     return results

@@ -178,6 +178,24 @@ def test_mixed_norm_split_dump(tmp_path, capsys):
         assert abs(total.p0() - expected) < 1e-8
 
 
+@pytest.mark.parametrize("dim, band", [(1, 8), (2, 5), (3, 2)])
+def test_mixed_norm_split_dump_keeps_the_signs_of_zero_of_the_input(tmp_path, capsys, dim, band):
+    # A closed-form h is f on the modes it may occupy: the h file holds the
+    # input's coefficients bit for bit, every -0.0 real part written as -0.
+    rng = np.random.default_rng([dim, band])
+    modes = (2 * band + 1) ** dim
+    data = rng.normal(size=(2, modes)) + 1j * rng.normal(size=(2, modes))
+    data.real[:, ::2] = -0.0
+    data[:, modes // 2] = 0.0
+    src, prefix = tmp_path / "f.json", tmp_path / "split"
+    save_coefficients(SpectralField.from_blade_vectors(dim, band, (0, (1 << dim) - 1), data), src)
+    assert run_cli(["mixed-norm", "--in", src, "--homogeneous", "--dump-split", prefix]) == 0
+    assert json.loads(capsys.readouterr().out)["path"] == "closed-form"
+    f, h = load_coefficients(src), load_coefficients(f"{prefix}_h.json")
+    assert (np.signbit(f.data.real) & (f.data.real == 0)).sum() == modes - 1
+    assert h.masks == f.masks and np.array_equal(h.data.view(np.uint64), f.data.view(np.uint64))
+
+
 def test_bilinear_a_command(capsys):
     assert run_cli(["bilinear-a", "--a", 1.0, "--b", 0.5, "--truncations", "10,100"]) == 0
     payload = json.loads(capsys.readouterr().out)

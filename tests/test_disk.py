@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fracbb import disk, norms
+from fracbb import disk, norms, spectral
 from fracbb.disk import (
     RADIUS_LADDER,
     PowerSeries,
@@ -352,3 +352,21 @@ def test_series_orders_past_the_cell_cap_are_refused_before_any_draw():
     assert rng.bit_generator.state == state
     with pytest.raises(InputError, match="more than"):
         verify_bergman(corpus_size=1, decay=1.0, order=10**11, radii=[0.9], tol=1e-6, seed=0)
+
+
+def test_verify_bergman_refuses_an_oversized_grid_before_any_draw(monkeypatch):
+    # With the cap at 2**12 cells, order 1025 passes random_series' check
+    # (1026 coefficients) but not bbb_ratio's default grid of 4 * 1025 points.
+    draws = []
+
+    def spied(*args):
+        draws.append(args)
+        return random_series(*args)
+
+    monkeypatch.setattr(spectral, "MAX_GRID_CELLS", 2**12)
+    monkeypatch.setattr(disk, "random_series", spied)
+    with pytest.raises(InputError, match="a grid of 4100 points"):
+        verify_bergman(corpus_size=1, decay=1.0, order=1025, radii=[0.9], tol=1e-6, seed=0)
+    assert draws == []
+    verify_bergman(corpus_size=1, decay=1.0, order=1024, radii=[0.9], tol=1e-6, seed=0)
+    assert len(draws) == 1

@@ -850,9 +850,9 @@ def test_solver_coupling_matches_the_transforms(dim, band, points, masks, dense)
 def _closed_form_reference(f, s, homogeneous, weights, points):
     """The certificate of the split ``g = 0`` at ``p0 = -W**2 f / ||W f||``.
 
-    Written out from the solver's formulas as they stand for any ``g``: the
-    forward map of the zero grid, the mean repair, the grid's L1 term and
-    both dual scalings.  Returns ``(value, gap, h)``.
+    Written out from the solver's formulas: ``h = f`` on the modes it may
+    occupy, signs of zero included, and both dual scalings.  Returns
+    ``(value, gap, h)``.
     """
     from fracbb.norms import _coupling
 
@@ -866,32 +866,27 @@ def _closed_form_reference(f, s, homogeneous, weights, points):
             w[mask] = norm_sq[mask] ** (s / 2.0)
         else:
             w = (1.0 + norm_sq) ** (s / 2.0)
-    elif callable(weights):
-        w = np.array([float(weights(tuple(row))) for row in mm])
     else:
         w = np.asarray(weights, dtype=float)
     masked = np.where(mask, w, 1.0)
     weighted = np.where(mask, masked * fvec, 0.0)
     p0 = -masked * weighted / math.sqrt(float((np.abs(weighted) ** 2).sum()))
 
-    blades = len(fvec)
     quad_w = (TWO_PI / points) ** dim
-    forward, adjoint = _coupling(dim, band, points, blades)
-    g = np.zeros((blades,) + (points,) * dim, dtype=complex)
-    Ag = forward(g)
-    if homogeneous:
-        rho = fvec[:, ~mask] - Ag[:, ~mask]
-        if np.any(rho):
-            g = g + rho.sum(axis=1).reshape((blades,) + (1,) * dim)
-            Ag = forward(g)
-    h = np.where(mask, fvec - Ag, 0.0)
-    upper = quad_w * np.sqrt((np.abs(g) ** 2).sum(axis=0)).sum() + math.sqrt(
-        ((masked**2) * (np.abs(h) ** 2)).sum()
-    )
+    _, adjoint = _coupling(dim, band, points, len(fvec))
+    h = np.where(mask, fvec, 0.0)
+    upper = math.sqrt(((masked**2) * (np.abs(h) ** 2)).sum())
     s1 = float(np.sqrt((np.abs(adjoint(p0)) ** 2).sum(axis=0)).max()) / quad_w
     s2 = math.sqrt(((np.abs(p0) ** 2)[:, mask] / (w[mask] ** 2)).sum())
     lower = -float(np.real(np.conj(p0) * fvec).sum()) / max(s1, s2, 1.0)
     return float(upper), max(float(upper - lower), 0.0), h
+
+
+def _tabulated(dim, band, s):
+    """The weights of the "callable" kind: ``(1 + |m|**2)**(s/2)`` as a function
+    of the mode, evaluated mode by mode and tabulated in mode order."""
+    modes = mode_matrix(dim, band).tolist()
+    return np.array([(1.0 + sum(x * x for x in m)) ** (s / 2.0) for m in modes])
 
 
 #: ``(dim, band, masks, homogeneous, weight_kind)`` of the closed-form reference cases.
@@ -924,7 +919,7 @@ def _reference_case(dim, band, masks, homogeneous, weight_kind):
     weights = {
         "default": None,
         "array": 1.01 * np.where(norm_sq > 0, np.maximum(norm_sq, 1.0) ** (s / 2.0), 1.0),
-        "callable": lambda m: (1.0 + sum(x * x for x in m)) ** (s / 2.0),
+        "callable": _tabulated(dim, band, s),
     }[weight_kind]
     return f, s, weights
 
@@ -933,7 +928,7 @@ def _reference_case(dim, band, masks, homogeneous, weight_kind):
 def test_closed_form_split_matches_the_reference_bit_for_bit(
     dim, band, masks, homogeneous, weight_kind
 ):
-    from fracbb.norms import _weights_for, _zero_image
+    from fracbb.norms import _weights_for
     from fracbb.spectral import _DENSE_MAX_ENTRIES
 
     f, s, weights = _reference_case(dim, band, masks, homogeneous, weight_kind)
@@ -954,8 +949,7 @@ def test_closed_form_split_matches_the_reference_bit_for_bit(
     # The cached tables: a repeat returns the same objects, and none can be
     # written.
     def cached():
-        return [*_weights_for(dim, band, s, homogeneous, None),
-                _zero_image(dim, band, points, len(masks))]
+        return _weights_for(dim, band, s, homogeneous, None)
 
     tables = cached()
     assert all(a is b for a, b in zip(tables, cached()))
@@ -977,6 +971,12 @@ def _assert_same_split(split, expected):
         expected.h.masks, expected.h.zero_mean, expected.g.masks)
     for ours, theirs in ((split.h.data, expected.h.data), (split.g.data, expected.g.data)):
         assert np.array_equal(ours.view(np.uint64), theirs.view(np.uint64))
+
+
+def _rows(rows, masks, dim, band, tol, s=None, homogeneous=True, weights=None, **kwargs):
+    """:func:`norms._sum_space_rows` under the weight tables :func:`sum_space_norm` builds."""
+    tables = norms._weights_for(dim, band, -dim / 2.0 if s is None else s, homogeneous, weights)
+    return norms._sum_space_rows(rows, masks, dim, band, tables, tol, **kwargs)
 
 
 def _assert_same_rows(ours, theirs):
@@ -1038,19 +1038,17 @@ def _assert_closed_form_rows(rows, masks, dim, band, homogeneous, weight_kind):
     weights = {
         "default": None,
         "array": 1.01 * np.where(norm_sq > 0, np.maximum(norm_sq, 1.0) ** (s / 2.0), 1.0),
-        "callable": lambda m: (1.0 + sum(x * x for x in m)) ** (s / 2.0),
+        "callable": _tabulated(dim, band, s),
     }[weight_kind]
     points = 4 * band
     loose = 4.0 * _weights_for(dim, band, s, homogeneous, weights)[1]
     for weights, tol in ((weights, 1e-6), (loose, 10.0)):
-        found = norms._sum_space_rows(rows, masks, dim, band, s, homogeneous, tol,
-                                      weights=weights)
+        found = _rows(rows, masks, dim, band, tol, s, homogeneous, weights)
         assert len(found) == len(rows)
         for row, (value, gap, g, h, iterations, path) in zip(rows, found):
             assert (path, iterations) == ("closed-form", 0)
             if row.any():
-                # On all the stack's blades, zero ones too: a field would drop
-                # those, and A 0's signs of zero depend on the blade count.
+                # On all the stack's blades, zero ones too: a field would drop those.
                 f = SimpleNamespace(dim=dim, band=band, data=row)
                 expected = _closed_form_reference(f, s, homogeneous, weights, points)
             else:
@@ -1134,7 +1132,7 @@ def test_stacked_certificates_match_one_field_at_a_time(
     weights = {
         "default": None,
         "array": 3.0 * np.where(norm_sq > 0, np.maximum(norm_sq, 1.0) ** (s / 2.0), 1.0),
-        "callable": lambda m: (1.0 + sum(x * x for x in m)) ** (s / 2.0),
+        "callable": _tabulated(dim, band, s),
     }[weight_kind]
     mask, weight, weight_sq = _weights_for(dim, band, s, homogeneous, weights)
 
@@ -1198,18 +1196,38 @@ def test_stacked_solve_iterates_its_uncertified_members_alone():
     rows = np.stack([f.data for f in stack])
 
     def solve(**kwargs):
-        return norms._sum_space_rows(rows, (0,), 1, 8, None, True, weights=weights, **kwargs)
+        return _rows(rows, (0,), 1, 8, weights=weights, **kwargs)
 
     found = solve(tol=1e-6)
     assert [row[-1] for row in found] == ["closed-form", "interior-point", "closed-form"]
     for f, row in zip(stack, found):
-        _assert_same_split(norms._split(f, True, *row), sum_space_norm(f, weights=weights))
+        _assert_same_split(norms._split(1, 8, (0,), True, *row), sum_space_norm(f, weights=weights))
     with pytest.raises(ConvergenceError) as stacked:
         solve(tol=1e-10, max_iterations=3)
     with pytest.raises(ConvergenceError) as alone:
         mixed_flat_8(tol=1e-10, max_iterations=3)
     assert str(stacked.value) == str(alone.value)
     _assert_same_split(stacked.value.partial, alone.value.partial)
+
+
+def test_a_row_iterates_on_all_the_blades_of_its_stack():
+    # A two-blade stack whose second blade is zero in every row: mixed_flat_8
+    # iterates, the other row settles in closed form, and every split, the
+    # partial one of a capped solve included, keeps both blades.
+    weights = scaled_weights(8, 5.0)
+    rows = np.zeros((2, 2, 17), dtype=complex)
+    rows[0, 0] = all_ones(8).data[0]
+    rows[1, 0] = SpectralField(1, 8, {(3,): 0.7 - 0.1j, (-1,): 0.2}, zero_mean=True).data[0]
+    found = _rows(rows, (0, 1), 1, 8, 1e-6, weights=weights)
+    assert [row[-1] for row in found] == ["interior-point", "closed-form"]
+    for _, _, g, h, _, _ in found:
+        assert g.shape == (2, default_points(8)) and h.shape == (2, 17)
+        assert not g[1].any() and not h[1].any()
+    assert found[0][0] == pytest.approx(mixed_flat_8().value, rel=1e-6)
+    with pytest.raises(ConvergenceError) as err:
+        _rows(rows, (0, 1), 1, 8, 1e-15, weights=weights, max_iterations=1)
+    g = err.value.partial.g
+    assert g.masks == (0, 1) and len(g.masks) == len(g.data)
 
 
 # -- the triangle bound of the closed-form grid scale -------------------------------
@@ -1265,7 +1283,7 @@ def test_triangle_bound_keeps_the_bits_of_stacked_two_blade_fields(monkeypatch):
     # stack settles by the bound.
     rows = _stack_rows(np.random.default_rng(21), 1, 8, (0, 1), True)
     bound, adjoints, exact = _bound_and_exact(
-        monkeypatch, lambda: norms._sum_space_rows(rows, (0, 1), 1, 8, None, True, 1e-6)
+        monkeypatch, lambda: _rows(rows, (0, 1), 1, 8, 1e-6)
     )
     assert adjoints == 0
     _assert_same_rows(bound, exact)
@@ -1352,14 +1370,14 @@ def test_rows_whose_weighted_norm_overflows_keep_their_result(monkeypatch, scale
     for fields in ([f], [all_ones(4), f]):
         rows = np.stack([field.data for field in fields])
         with pytest.raises(InputError, match="weighted norm"):
-            norms._sum_space_rows(rows, (0,), 1, 4, None, True, 1e-6, weights=weights)
+            _rows(rows, (0,), 1, 4, 1e-6, weights=weights)
     assert calls == []
 
 
 def test_a_homogeneous_stack_needs_zero_mean_rows():
     rows = np.stack([all_ones(8).data, SpectralField(1, 8, {(0,): 1.0, (1,): 1.0}).data])
     with pytest.raises(InputError, match="zero-mean"):
-        norms._sum_space_rows(rows, (0,), 1, 8, None, True, 1e-6)
+        _rows(rows, (0,), 1, 8, 1e-6)
 
 
 def test_iteration_cap_is_validated_and_kept():
@@ -1393,8 +1411,7 @@ def test_iteration_caps_and_grid_sizes_must_be_integers(bad):
     with pytest.raises(InputError, match="points per axis must be an integer"):
         _mixed_flat_10(points_per_axis=40.9 if bad == 2.5 else bad)
     with pytest.raises(InputError, match="iteration cap must be an integer"):
-        norms._sum_space_rows(np.zeros((0, 1, 17), complex), (0,), 1, 8, None, True, 1e-6,
-                              max_iterations=bad)
+        _rows(np.zeros((0, 1, 17), complex), (0,), 1, 8, 1e-6, max_iterations=bad)
 
 
 def test_integer_caps_and_grid_sizes_of_any_integer_type_are_kept():
@@ -1493,7 +1510,7 @@ def test_custom_weight_validation():
     (-330, None),  # W = |m|**-330: W**2 is subnormal at |m| = 3, 0 beyond
     (300, None),  # W = |m|**300: W**2 overflows for |m| >= 4
     (None, np.full(17, 1e-200)),
-    (None, lambda m: 1e155),
+    (None, np.full(17, 1e155)),
 ])
 def test_weights_whose_squares_underflow_or_overflow_are_input_errors(s, weights):
     f = SpectralField(1, 8, {(n,): 1.0 for n in range(-8, 9) if n}, zero_mean=True)
