@@ -13,8 +13,9 @@ point ``p`` on the coefficients bounds the optimum from below by
 point and ``||p / W|| <= 1``.  Every answer carries this duality-gap
 certificate: the reported value is the cost of a feasible split, a dual point
 scaled into feasibility gives the lower bound, and ``gap >= 0`` is their
-difference.  One routine computes it for every split, the closed-form one
-and each Newton or polish step's, so one certificate judges them all.
+difference.  One routine computes it for every split, the closed-form one,
+each Newton step's undamped point and each polish step's, so one
+certificate judges them all.
 
 The pure-Sobolev split ``g = 0, h = f`` is checked first, in closed form.
 The only dual point that can certify it maximizes the Sobolev dual term:
@@ -67,8 +68,11 @@ in Gondzio's matrix-free interior-point method (Comput. Optim. Appl. 51,
 split is an output: the vector part of grid cone ``x``'s multiplier,
 divided by ``w``, is ``g(x)``.  The steps start, as CVXOPT's and ECOS's do,
 from a point that meets both equality constraints, here in closed form
-because ``G^T G`` is diagonal, so only complementarity is left to close.
-The frozen mixed instances certify at tol 1e-6 in 8-9 steps.
+because ``G^T G`` is diagonal, so only complementarity is left to close:
+the multiplier lies halfway between the least-norm one and the closed-form
+split's.  Each step moves to the damped point but is judged at the undamped
+one, which near the optimum lies about one step further along.  The frozen
+mixed instances certify at tol 1e-6 in 7-8 steps.
 
 When the Newton steps stall before the gap reaches ``tol`` (on roundoff,
 typically at an absolute gap of 1e-11 to 1e-8), a polish in the manner of
@@ -82,8 +86,8 @@ every Newton step against one cap.
 
 The coupling pair ``A``/``A*`` is :func:`spectral._coupling`, the package's
 one transform pair, built once per stack and once per field that iterates.
-Each Newton step's certificate and the next step's residual share one
-``A* p``.
+Each Newton step costs two adjoints: ``A* p`` of the damped point, for the
+next step's residual, and ``A* (p + dp)`` for its certificate.
 """
 
 from __future__ import annotations
@@ -255,7 +259,7 @@ def _default_weights(dim: int, band: int, s: float, homogeneous: bool) -> tuple:
 _DENSE_NEWTON_MAX_UNKNOWNS = 352
 #: Newton steps after which the interior-point method hands over to the
 #: polish, the default iteration limit of the ECOS and CVXOPT conic solvers.
-#: It converges in 6-16 steps on every input measured, and stalls on
+#: It converges in 5-16 steps on every input measured, and stalls on
 #: roundoff within about 20 when the tolerance is out of its reach.
 _INTERIOR_POINT_MAX_STEPS = 100
 #: Fraction of the distance to the cone boundary that a Newton step covers.
@@ -266,6 +270,12 @@ _STEP_FRACTION = 0.99
 #: mixed instances, the hard corpus at tol 1e-9 and the conjugate-gradient
 #: inputs.
 _START_MARGIN = 6.0
+#: How far the starting multiplier's vector part lies from the least-norm
+#: solution of ``G^T z = -f`` (0) towards the closed-form split's multiplier
+#: (1).  Of 0, 1/4, 1/2, 3/4 and 1, halfway took the fewest Newton steps in
+#: all, at tol 1e-6, 1e-9 and 1e-12, over 51 iterating inputs: the mixed
+#: instances, seeded mixed fields, the hard corpus and flat point masses.
+_START_BLEND = 0.5
 
 
 class _LorentzCones:
@@ -512,7 +522,7 @@ def _interior_point(
     forward,
     adjoint,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield the split's ``g``, the dual point ``p`` and ``A* p`` after each Newton step.
+    """Yield the undamped point's ``g``, dual point ``p`` and ``A* p`` at each Newton step.
 
     The dual problem as a second-order-cone program: minimize
     ``Re<p, f_hat>`` subject to ``(1, A* p(x) / w)`` in a Lorentz cone at
@@ -520,10 +530,15 @@ def _interior_point(
     more.  In conic form ``G p + s = (1, 0)`` with the slack ``s`` in the
     cones; the multiplier ``z`` of that constraint is the primal split, ``g(x)``
     the vector part of grid cone ``x``'s multiplier divided by ``w``.  Each
-    step is a Mehrotra predictor-corrector step with Nesterov-Todd scaling.
-    The first starts where both equality constraints hold: ``p = 0``, ``s =
-    (1, 0)``, and ``z`` with the least-norm vector part that solves ``G^T z
-    = -f`` and the scalar part ``max(1, _START_MARGIN |z_u|)`` per cone.
+    step is a Mehrotra predictor-corrector step with Nesterov-Todd scaling;
+    it moves to the damped point, ``_STEP_FRACTION`` of the way to the cone
+    boundary, and yields the undamped one, ``p + dp`` with ``g`` from ``z +
+    dz``, whose certificate near the optimum is about one step ahead.  The
+    first starts where both equality constraints hold: ``p = 0``, ``s = (1,
+    0)``, and ``z`` whose vector part, a solution of ``G^T z = -f``, lies
+    ``_START_BLEND`` of the way from the least-norm one to the closed-form
+    split's (``W f`` on the Sobolev cone, 0 on the grid cones), and whose
+    scalar part is ``max(1, _START_MARGIN |z_u|)`` per cone.
     Cone vector parts are real; the complex views meet the transforms, and
     above ``_DENSE_NEWTON_MAX_UNKNOWNS`` real unknowns conjugate gradients
     solve the Newton systems.  The generator returns when a step fails: a
@@ -555,11 +570,14 @@ def _interior_point(
         return out
 
     # G^T G = I / (w**2 P**n) + W**-2 on the active modes is diagonal for
-    # P >= 2N + 1, so z_u = G y with y = -f / diag(G^T G) is the least-norm
-    # solution of G^T z_u = -f.  A relative margin on each scalar part keeps
-    # z inside the cones even where |z_u| is beyond 1 / eps.
+    # P >= 2N + 1, so G y with y = -f / diag(G^T G) is the least-norm
+    # solution of G^T z_u = -f.  The closed-form split's multiplier, 0 on the
+    # grid cones and W f on the Sobolev cone, solves it too, and so does
+    # every blend of the two.  A relative margin on each scalar part keeps z
+    # inside the cones even where |z_u| is beyond 1 / eps.
     diagonal = 1.0 / (quad_w**2 * cells) + np.where(h_mask, 1.0 / weight**2, 0.0)
-    z_u = couple(-fvec / diagonal)
+    z_u = (1.0 - _START_BLEND) * couple(-fvec / diagonal)
+    z_u[2 * cut:] += _START_BLEND * (fvec[:, h_mask] * weight[h_mask]).ravel().view(float)
     z_t = np.maximum(1.0, _START_MARGIN * np.sqrt(cones.dot(z_u, z_u)))
     # s and z end to end, one point of the pair of cones, as are ds and dz.
     pair, s = cones.pair, (np.ones(cones.count), np.zeros(len(cones.ids)))
@@ -615,10 +633,12 @@ def _interior_point(
         alpha = min(1.0, _STEP_FRACTION * scaling.max_step(dsz))
         if not (alpha > 0 and np.isfinite(np.concatenate((dp.view(float).ravel(), *dsz))).all()):
             return
+        # Yield the undamped point: the certificate prices any g and scales
+        # any p into feasibility.
+        full_p, full_u = p + dp, z[1] + cones.halves(dsz)[1][1]
         p, sz = p + alpha * dp, _moved(sz, alpha, dsz)
-        # The step's certificate and the next step's residual share A* p.
         Ap = adjoint(p)
-        yield cones.halves(sz)[1][1].view(complex)[:cut].reshape(planes) / quad_w, p, Ap
+        yield full_u.view(complex)[:cut].reshape(planes) / quad_w, full_p, adjoint(full_p)
 
 
 #: Relative residual at which conjugate gradients accept a Newton direction.
