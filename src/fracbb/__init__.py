@@ -7,18 +7,12 @@ certified primal-dual solver, disk power-series norms, and randomized
 inequality verification harnesses.
 """
 
-from .clifford import CliffordElement, conjugate, invert_vector, multiply, p0
-from .decomposition import (
-    ComplementResult,
-    DecompositionResult,
-    smooth_complement,
-    solve_decomposition,
-)
+from .clifford import CliffordElement, multiply
+from .decomposition import DecompositionResult, solve_decomposition
 from .disk import (
     CorpusReport,
     PowerSeries,
     RatioReport,
-    analytic_projection,
     bbb_ratio,
     bergman_norm,
     boundary_trace,
@@ -81,7 +75,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AliasingError",
     "CliffordElement",
-    "ComplementResult",
     "ConvergenceError",
     "CorpusReport",
     "DecompositionResult",
@@ -98,14 +91,12 @@ __all__ = [
     "SpectralField",
     "SumSpaceSplit",
     "ToolkitError",
-    "analytic_projection",
     "band_indices",
     "bbb_ratio",
     "bergman_norm",
     "bilinear_A",
     "bilinear_A_diracs",
     "boundary_trace",
-    "conjugate",
     "convolve",
     "dilate",
     "dirac_D",
@@ -118,7 +109,6 @@ __all__ = [
     "hminus_half_boundary_norm",
     "invert_D",
     "invert_D2",
-    "invert_vector",
     "kernel_K_1d",
     "kernel_K_nd",
     "kernel_component_nd",
@@ -126,14 +116,12 @@ __all__ = [
     "l2_norm",
     "mixed_boundary_norm",
     "multiply",
-    "p0",
     "project_zero_mean",
     "random_field",
     "random_series",
     "riesz",
     "sawtooth_eval",
     "sawtooth_field",
-    "smooth_complement",
     "sobolev_norm",
     "solve_decomposition",
     "sum_space_norm",

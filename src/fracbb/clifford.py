@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -88,6 +88,12 @@ def mask_to_subset(mask: int) -> tuple[int, ...]:
         mask >>= 1
         j += 1
     return tuple(out)
+
+
+def blade_label(mask: int) -> str:
+    """``"1"`` for the scalar blade, else ``"e"`` and its generator indices (``"e13"``)."""
+    subset = mask_to_subset(mask)
+    return "1" if not subset else "e" + "".join(str(j) for j in subset)
 
 
 def subset_to_mask(subset: Iterable[int], n: int) -> int:
@@ -158,29 +164,11 @@ class CliffordElement:
     def scalar(cls, n: int, value: complex) -> "CliffordElement":
         return cls(n, {0: value})
 
-    @classmethod
-    def basis_vector(cls, n: int, j: int) -> "CliffordElement":
-        """The generator ``e_j`` (1-based axis index)."""
-        if not 1 <= j <= n:
-            raise InputError(f"axis {j} out of range 1..{n}")
-        return cls(n, {1 << (j - 1): 1.0})
-
-    @classmethod
-    def from_vector(cls, coords: Sequence[complex]) -> "CliffordElement":
-        """Grade-1 element ``sum_j coords[j-1] * e_j``."""
-        n = len(coords)
-        return cls(n, {1 << j: coords[j] for j in range(n)})
-
     # -- component access --------------------------------------------------
 
     def component(self, subset: Iterable[int]) -> complex:
         """Coefficient of the blade given by an increasing generator subset."""
         return self.comps.get(subset_to_mask(tuple(subset), self.n), 0j)
-
-    def items_by_subset(self) -> Iterator[tuple[tuple[int, ...], complex]]:
-        """Components as (subset, value) pairs in canonical mask order."""
-        for mask in sorted(self.comps):
-            yield mask_to_subset(mask), self.comps[mask]
 
     def p0(self) -> complex:
         """Projection onto the scalar (unit) component."""
@@ -265,12 +253,6 @@ class CliffordElement:
             comps[mask] = sign * value.conjugate()
         return CliffordElement(self.n, comps)
 
-    # -- comparison --------------------------------------------------------
-
-    def isclose(self, other: "CliffordElement", tol: float = 1e-12) -> bool:
-        self._require_same_n(other)
-        return (self - other).norm() <= tol
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffordElement):
             return NotImplemented
@@ -282,10 +264,7 @@ class CliffordElement:
     def __repr__(self) -> str:
         if not self.comps:
             return f"CliffordElement({self.n}, 0)"
-        parts = []
-        for subset, value in self.items_by_subset():
-            label = "1" if not subset else "e" + "".join(str(j) for j in subset)
-            parts.append(f"{value:g}*{label}")
+        parts = [f"{self.comps[mask]:g}*{blade_label(mask)}" for mask in sorted(self.comps)]
         return f"CliffordElement({self.n}, {' + '.join(parts)})"
 
 
@@ -321,28 +300,3 @@ def _dense_multiply(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     product.n, product.comps = x.n, {k: complex(flat_re[k], flat_im[k]) for k in nonzero}
     return product
 
-
-def conjugate(x: CliffordElement) -> CliffordElement:
-    return x.conjugate()
-
-
-def p0(x: CliffordElement) -> complex:
-    return x.p0()
-
-
-def invert_vector(coords: Sequence[float]) -> CliffordElement:
-    """Inverse ``v / |v|**2`` of a nonzero real vector, as a grade-1 element.
-
-    Only real vectors are safely invertible here: complex vectors may square
-    to zero (``(e1 + i*e2)**2 == 0``).
-    """
-    try:
-        vec = np.asarray(coords, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"expected a real vector: {exc}") from exc
-    if vec.ndim != 1 or vec.size < 1:
-        raise InputError("expected a 1-D real vector")
-    norm_sq = float(np.dot(vec, vec))
-    if norm_sq == 0.0:
-        raise InputError("zero vector is not invertible")
-    return CliffordElement.from_vector(vec / norm_sq)

@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import InputError
 from .norms import _sobolev_norms
-from .operators import _fraclap_rows, _symbol_table, fractional_laplacian, riesz
-from .spectral import SpectralField, _mean_column, _synthesis, default_points, project_zero_mean
+from .operators import _fraclap_rows, _symbol_table
+from .spectral import SpectralField, _mean_column, _synthesis, default_points
 
 @dataclass(frozen=True)
 class DecompositionResult:
@@ -100,52 +100,3 @@ def solve_decomposition(
         conjugated_riesz=conjugated_riesz,
     )
 
-
-@dataclass(frozen=True)
-class ComplementResult:
-    """Outcome of the smooth-complement identity ``f = phi + sum R_j f_j``."""
-
-    phi: SpectralField
-    decomposition: DecompositionResult
-    #: Coefficient norm of phi away from the constant mode; must vanish when
-    #: the reassembly flavor matches the solver flavor.
-    offband_residual: float
-    flavors_match: bool
-
-    @property
-    def clean(self) -> bool:
-        return self.offband_residual <= 1e-10
-
-
-def smooth_complement(
-    f: SpectralField,
-    conjugated_riesz: bool = True,
-    reassembly_conjugated: bool | None = None,
-) -> ComplementResult:
-    """Split ``f`` as a constant plus Riesz images of the decomposition parts.
-
-    Solves the decomposition for ``g = (-Lap)^{n/4} f`` with the requested
-    flavor, then forms ``phi = f - f_0 - sum R_j f_j`` using
-    ``reassembly_conjugated`` (defaults to the solver flavor).  In the
-    band-limited setting a matching reassembly leaves ``phi`` equal to the
-    constant ``f_hat(0)``; any nonzero-frequency content above 1e-10 is
-    surfaced via ``offband_residual`` rather than reconciled.
-    """
-    if not f.is_scalar():
-        raise InputError("smooth_complement expects a complex scalar field")
-    dim = f.dim
-    if reassembly_conjugated is None:
-        reassembly_conjugated = conjugated_riesz
-    g = fractional_laplacian(f, dim / 4.0)
-    result = solve_decomposition(g, conjugated_riesz=conjugated_riesz)
-    summed = result.parts[0]
-    for j in range(1, dim + 1):
-        summed = summed + riesz(result.parts[j], j, conjugated=reassembly_conjugated)
-    phi = f - summed
-    offband = project_zero_mean(phi).l2_coefficient_norm()
-    return ComplementResult(
-        phi=phi,
-        decomposition=result,
-        offband_residual=offband,
-        flavors_match=(reassembly_conjugated == conjugated_riesz),
-    )

@@ -29,8 +29,8 @@ import numpy as np
 from .errors import InputError
 from .norms import (SumSpaceSplit, _count, _l1_norms, _sobolev_norms, _sum_space_rows,
                     _weights_for, sum_space_norm)
-from .spectral import (SpectralField, _check_size, _grid_shape, _mean_column, _synthesis,
-                       default_points, mode_matrix)
+from .spectral import (SpectralField, _check_size, _grid_shape, _synthesis, default_points,
+                       mode_matrix)
 
 #: Radius ladder approximating the r -> 1 boundary limit.
 RADIUS_LADDER = (0.9, 0.99, 0.999, 0.9999)
@@ -206,29 +206,6 @@ def bbb_ratio(
         max_ratio=max(finite) if finite else 0.0,
         weight_convention_ratio=float(np.mean(convention_ratios)) if convention_ratios else 1.0,
     )
-
-
-def analytic_projection(u: SpectralField) -> tuple[PowerSeries, PowerSeries]:
-    """Split a zero-mean circle field into weighted analytic pieces.
-
-    The plus series carries ``n**(1/2) u_n`` at degree ``n >= 1``; the minus
-    series carries ``|n|**(1/2) u_{-n}`` as a series in the conjugate
-    variable.  For real-valued ``u`` the minus coefficients are conjugates of
-    the plus coefficients.
-    """
-    if u.dim != 1:
-        raise InputError("analytic projection is defined on circle fields")
-    if _mean_column(u.data).any():
-        raise InputError("analytic projection requires a zero-mean field")
-    scalars = u.scalar_coeffs()
-    plus = np.zeros(u.band + 1, dtype=complex)
-    minus = np.zeros(u.band + 1, dtype=complex)
-    for (n,), value in scalars.items():
-        if n > 0:
-            plus[n] = math.sqrt(n) * value
-        elif n < 0:
-            minus[-n] = math.sqrt(-n) * value
-    return PowerSeries(plus), PowerSeries(minus)
 
 
 def random_series(order: int, decay: float, rng: np.random.Generator) -> PowerSeries:

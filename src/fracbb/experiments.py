@@ -269,21 +269,3 @@ def bilinear_A_diracs(a: float, b: float, truncations: Sequence[int]) -> DiracSe
         limit=dirac_pair_limit(theta),
     )
 
-
-def dirac_pair_bound_scan(
-    pair_count: int, truncation: int, seed: int = 0
-) -> tuple[float, float]:
-    """(max sup of partial sums, max |limit|) over a random (a, b) grid.
-
-    The max sup is the measured continuity constant of the pairing on unit
-    point masses.
-    """
-    rng = np.random.default_rng(seed)
-    worst_sup = 0.0
-    worst_limit = 0.0
-    for _ in range(pair_count):
-        a, b = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        trace = bilinear_A_diracs(a, b, [truncation])
-        worst_sup = max(worst_sup, trace.sup_partial)
-        worst_limit = max(worst_limit, abs(trace.limit))
-    return worst_sup, worst_limit

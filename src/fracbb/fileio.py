@@ -24,9 +24,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .clifford import MAX_GENERATORS, CliffordElement, mask_to_subset, subset_to_mask
+from .clifford import (MAX_GENERATORS, CliffordElement, blade_label, mask_to_subset,
+                       subset_to_mask)
 from .errors import InputError, InvariantViolation
-from .spectral import GridField, SpectralField
+from .spectral import GridField, SpectralField, mode_list
 
 SCHEMA_VERSION = 1
 
@@ -88,10 +89,18 @@ def write_json(path, value) -> None:
 
 
 def field_to_jsonable(field: SpectralField) -> dict:
+    """One entry per nonzero ``data`` entry, read straight from the blade rows.
+
+    Entries run over the modes in canonical order, then over the masks.  An
+    entry is written where its value is nonzero; a ``-0.0`` part is written
+    as such beside a nonzero one.
+    """
+    modes = mode_list(field.dim, field.band)
+    subsets = [mask_to_subset(mask) for mask in field.masks]
+    cols, rows = np.nonzero(field.data.T)
     entries = [
-        {"m": list(m), "alpha": list(subset), "re": float(v.real), "im": float(v.imag)}
-        for m, element in field.coeffs.items()
-        for subset, v in element.items_by_subset()
+        {"m": list(modes[col]), "alpha": list(subsets[row]), "re": v.real, "im": v.imag}
+        for col, row, v in zip(cols.tolist(), rows.tolist(), field.data[rows, cols].tolist())
     ]
     return {"dim": field.dim, "band": field.band, "entries": entries}
 
@@ -102,8 +111,7 @@ def save_coefficients(field: SpectralField, path) -> None:
 
 def field_from_jsonable(data: dict) -> SpectralField:
     try:
-        dim = int(data["dim"])
-        band = int(data["band"])
+        dim, band = _integers((data["dim"], data["band"]))
         raw_entries = data["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed coefficient data: {exc}") from exc
@@ -127,7 +135,7 @@ def field_from_jsonable(data: dict) -> SpectralField:
 
 
 def _integers(values) -> tuple[int, ...]:
-    """The entries of a frequency or blade list; a non-integral number is a ValueError."""
+    """The entries of a frequency, blade or shape list; a non-integral number is a ValueError."""
     if any(isinstance(v, float) and not v.is_integer() for v in values):
         raise ValueError(f"non-integral index in {values!r}")
     return tuple(int(v) for v in values)
@@ -148,11 +156,6 @@ def load_coefficients(path) -> SpectralField:
 
 
 # -- grid files ---------------------------------------------------------------
-
-
-def blade_label(mask: int) -> str:
-    subset = mask_to_subset(mask)
-    return "1" if not subset else "e" + "".join(str(j) for j in subset)
 
 
 def _label_to_mask(label: str, dim: int) -> int:

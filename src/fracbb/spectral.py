@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable, ItemsView, Iterable, Iterator, Mapping, ValuesView
+from collections.abc import Iterable, Iterator, Mapping, ValuesView
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -83,7 +83,8 @@ def mode_list(dim: int, band: int) -> tuple[Index, ...]:
     """Canonically ordered modes of the band cube (lexicographic).
 
     Only per-mode keys need these tuples (the dict constructor, ``get``, the
-    coefficient views); array paths use :func:`mode_matrix`.
+    coefficient views, the coefficient-file writer); array paths use
+    :func:`mode_matrix`.
     """
     _check_shape(dim, band)
     return tuple(band_indices(dim, band))
@@ -266,13 +267,6 @@ class SpectralField:
         view = self.coeffs
         return dict(zip(view, self.data[0, view.cols].tolist()))
 
-    def blade_masks(self) -> tuple[int, ...]:
-        return self.masks
-
-    def blade_vectors(self) -> tuple[tuple[int, ...], np.ndarray]:
-        """``(masks, data)``: the read-only per-blade rows aligned with ``mode_list``."""
-        return self.masks, self.data
-
     # -- linear structure ----------------------------------------------------
 
     def _with(self, masks, data, zero_mean) -> "SpectralField":
@@ -320,9 +314,8 @@ class _CoefficientView(Mapping):
 
     Iterates in canonical (lexicographic) mode order; within a mode only the
     nonzero blades appear.  Elements are built when read, by
-    :func:`_elements`: ``values()`` and ``items()`` pass it the nonzero
-    columns, ``view[m]`` (like ``get`` and ``mean_coefficient``) a block of
-    one column.
+    :func:`_elements`: ``values()`` passes it the nonzero columns, ``view[m]``
+    (like ``get``, ``mean_coefficient`` and ``items()``) a block of one column.
     """
 
     __slots__ = ("field", "cols")
@@ -348,9 +341,6 @@ class _CoefficientView(Mapping):
     def values(self) -> ValuesView:
         return _CoefficientValues(self)
 
-    def items(self) -> ItemsView:
-        return _CoefficientItems(self)
-
 
 class _CoefficientValues(ValuesView):
     """The elements of the nonzero modes, from one :func:`_elements` call."""
@@ -360,13 +350,6 @@ class _CoefficientValues(ValuesView):
     def __iter__(self) -> Iterator[CliffordElement]:
         field = self._mapping.field
         return iter(_elements(field.dim, field.masks, field.data[:, self._mapping.cols]))
-
-
-class _CoefficientItems(ItemsView):
-    __slots__ = ()
-
-    def __iter__(self) -> Iterator[tuple[Index, CliffordElement]]:
-        return zip(self._mapping, self._mapping.values())
 
 
 def _elements(dim: int, masks: tuple[int, ...], block: np.ndarray) -> list[CliffordElement]:
@@ -435,12 +418,6 @@ class GridField:
             raise InputError(f"scalar samples have {values.ndim} axes, expected {dim}")
         return cls(dim, values.shape[0], {0: values})
 
-    @classmethod
-    def sample_scalar(cls, fn: Callable, dim: int, points_per_axis: int) -> "GridField":
-        """Sample a scalar function of grid coordinates (vectorized callable)."""
-        coords = grid_coordinates(dim, points_per_axis)
-        return cls.from_scalar(np.asarray(fn(*coords), dtype=complex), dim)
-
     def magnitude(self) -> np.ndarray:
         """Pointwise Clifford coefficient norm, as a real array; squares summed in place."""
         total = np.abs(self.data[0])
@@ -451,11 +428,6 @@ class GridField:
             power **= 2
             total += power
         return np.sqrt(total, out=total)
-
-    def scalar_values(self) -> np.ndarray:
-        if any(mask and plane.any() for mask, plane in zip(self.masks, self.data)):
-            raise InputError("grid field has non-scalar Clifford components")
-        return self.data[0] if self.masks[0] == 0 else np.zeros(self.data.shape[1:], complex)
 
     def quadrature_weight(self) -> float:
         return (TWO_PI / self.points_per_axis) ** self.dim

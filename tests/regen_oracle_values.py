@@ -183,7 +183,7 @@ def main() -> None:
     ]
     for inst in oracle_instances():
         f = instance_field(inst)
-        masks, fvec = f.blade_vectors()
+        fvec = f.data
         weight, h_mask = independent_weights(
             mode_matrix(inst["dim"], inst["band"]),
             inst["s"],

@@ -98,6 +98,85 @@ def test_default_scale_reports_keep_their_bytes(tmp_path, args, json_sha, csv_sh
     assert got == [json_sha, csv_sha]
 
 
+def _entry(m, alpha, re, im):
+    return {"m": m, "alpha": alpha, "re": re, "im": im}
+
+
+#: Multi-blade coefficient files with -0.0 parts, repeated (mode, blade)
+#: entries that the reader adds up, and an entry that is zero in both parts.
+COEFFICIENT_INPUTS = {
+    "multi_2d.json": {"dim": 2, "band": 2, "entries": [
+        _entry([1, 0], [], 1.5, -0.0),
+        _entry([1, 0], [1, 2], -0.0, 0.25),
+        _entry([0, -2], [2], 0.5, -0.75),
+        _entry([0, -2], [2], 0.125, 0.0),
+        _entry([-1, 1], [1], -0.0, -0.0),
+        _entry([2, 2], [1], -0.0, 3.0),
+        _entry([-2, 1], [], -1.0, -0.0),
+        _entry([0, 0], [1, 2], 2.0, 1.0),
+    ]},
+    "multi_3d.json": {"dim": 3, "band": 1, "entries": [
+        _entry([1, 0, 0], [], -0.0, 1.0),
+        _entry([1, 0, 0], [1, 2, 3], 0.5, -0.0),
+        _entry([0, 1, -1], [2, 3], -2.0, 0.5),
+        _entry([0, 1, -1], [2, 3], 2.0, -0.5),
+        _entry([-1, -1, 1], [1], 0.75, -0.0),
+        _entry([-1, -1, 1], [3], -0.0, -1.25),
+        _entry([1, 1, 1], [2], 1e-300, -0.0),
+    ]},
+    "scalar_2d.json": {"dim": 2, "band": 2, "entries": [
+        _entry([1, 0], [], 1.0, -0.0),
+        _entry([1, 0], [], -0.5, 0.25),
+        _entry([0, -1], [], -0.0, -2.0),
+        _entry([2, -1], [], 0.75, 0.5),
+        _entry([-1, 2], [], -0.0, -0.0),
+    ]},
+}
+
+
+def _write_golden_inputs(folder):
+    for name, payload in COEFFICIENT_INPUTS.items():
+        (folder / name).write_text(json.dumps(payload))
+    planes = np.arange(2 * 36, dtype=float).reshape(2, 6, 6) % 7 - 3.0
+    values = (planes[0] + 0.5j * planes[1]) / 4
+    values.real[:, ::3] = -0.0
+    save_grid_csv(GridField(2, 6, {0: values, 3: np.conj(values[::-1])}), folder / "grid_2d.csv")
+
+
+#: sha256 of the coefficient files that CLI commands write from the inputs above.
+GOLDEN_COEFFICIENT_FILES = [
+    (["apply-op", "--op", "D", "--in", "multi_2d.json", "--out", "out.json"], ["out.json"],
+     ["6790abb11b6797a8e0dce6620ef34e283c45a0707cf8c628f9f7760f40939de0"]),
+    (["apply-op", "--op", "D", "--in", "multi_3d.json", "--out", "out.json"], ["out.json"],
+     ["e4d72282d04ac16f954b214a9588d9a46f367c2265e8cd2961ec2e51cf5170bf"]),
+    (["transform", "--direction", "forward", "--in", "grid_2d.csv", "--out", "out.json",
+      "--dim", 2, "--band", 2], ["out.json"],
+     ["0e169f86cc31f04a9b1578f9c0187df8d63d0c66e7801b7174fe89d74b403989"]),
+    (["kernel", "--kind", "K", "--dim", 3, "--band", 2, "--out", "out.json"], ["out.json"],
+     ["6dc1a3b05c1d7e32246afc40a4e5ff112562b1568981bb128428e51a4cda421d"]),
+    (["decompose", "--in", "scalar_2d.json", "--out-prefix", "dec"],
+     ["dec_part0.json", "dec_part1.json", "dec_part2.json"],
+     ["29e4406b01a8235c372113cc49f2f9100b214819c87eca04dc18b44839e89b32",
+      "ad371f47547fd66547624617106cdf03a30e15235f04ded67e17b230c46153cc",
+      "555ea63ceff877229333ea4db5b9d6af424e067846d0819fe2927357be3af690"]),
+    # A closed-form h is the input itself, so its file keeps the -0.0 real parts.
+    (["mixed-norm", "--in", "multi_2d.json", "--dump-split", "split"], ["split_h.json"],
+     ["d34cbfd6c9a1993002704916cadf9da400bb6a81b45ce1c3d7ed6d8682f62e5b"]),
+]
+
+
+@pytest.mark.parametrize(
+    "args, outputs, shas",
+    GOLDEN_COEFFICIENT_FILES,
+    ids=["D_2d", "D_3d", "forward", "K_3d", "decompose", "split_h"],
+)
+def test_coefficient_files_keep_their_bytes(tmp_path, monkeypatch, args, outputs, shas):
+    _write_golden_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(args) == 0
+    assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in outputs] == shas
+
+
 def test_transform_round_trip_via_files(tmp_path):
     field = SpectralField(1, 3, {(1,): 1.0, (-2,): 0.5j})
     grid_path = tmp_path / "grid.csv"
@@ -517,6 +596,12 @@ BAD_INPUT_FILES = [
      ["transform", "--direction", "forward", "--dim", 1, "--band", 1]),
     ("fractional_m.json",
      '{"dim": 1, "band": 2, "entries": [{"m": [1.5], "alpha": [], "re": 1, "im": 0}]}',
+     ["norm", "--kind", "sobolev", "--s", 0.5, "--homogeneous"]),
+    ("fractional_dim.json",
+     '{"dim": 1.9, "band": 2, "entries": [{"m": [1], "alpha": [], "re": 1, "im": 0}]}',
+     ["norm", "--kind", "sobolev", "--s", 0.5, "--homogeneous"]),
+    ("fractional_band.json",
+     '{"dim": 1, "band": 2.5, "entries": [{"m": [1], "alpha": [], "re": 1, "im": 0}]}',
      ["norm", "--kind", "sobolev", "--s", 0.5, "--homogeneous"]),
 ]
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fracbb.decomposition import smooth_complement, solve_decomposition
+from fracbb.decomposition import solve_decomposition
 from fracbb.errors import InputError
 from fracbb.norms import sobolev_norm
 from fracbb.operators import _symbol_table, fractional_laplacian, riesz
@@ -188,41 +188,3 @@ def test_decomposition_input_validation():
     with pytest.raises(InputError):
         solve_decomposition(clifford_valued)
 
-
-# -- smooth complement ---------------------------------------------------------------
-
-
-def test_complement_single_mode_matched():
-    f = SpectralField(2, 2, {(1, 0): 1.0}, zero_mean=True)
-    result = smooth_complement(f, conjugated_riesz=True)
-    assert result.flavors_match
-    assert result.offband_residual <= 1e-10
-    assert result.clean
-    # phi reduces to the (zero) constant part
-    assert result.phi.l2_coefficient_norm() <= 1e-12
-
-
-def test_complement_constant_passthrough():
-    f = SpectralField(1, 2, {(0,): 3.0})
-    result = smooth_complement(f)
-    assert result.phi.get(0).p0() == pytest.approx(3.0)
-    assert all(not part.coeffs for part in result.decomposition.parts)
-    assert result.clean
-
-
-@pytest.mark.parametrize("flavor", [True, False])
-def test_complement_random_fields_matched_flavors(flavor):
-    rng = np.random.default_rng(30 + flavor)
-    base = random_zero_mean(rng, 2, 3)
-    f = base + SpectralField(2, 3, {(0, 0): 1.5})
-    result = smooth_complement(f, conjugated_riesz=flavor)
-    assert result.offband_residual <= 1e-10
-    assert result.phi.get((0, 0)).p0() == pytest.approx(1.5)
-
-
-def test_complement_mismatched_flavor_is_surfaced():
-    f = SpectralField(2, 2, {(1, 1): 1.0}, zero_mean=True)
-    result = smooth_complement(f, conjugated_riesz=True, reassembly_conjugated=False)
-    assert not result.flavors_match
-    assert result.offband_residual > 1e-3
-    assert not result.clean

@@ -8,7 +8,6 @@ from fracbb import disk, norms, spectral
 from fracbb.disk import (
     RADIUS_LADDER,
     PowerSeries,
-    analytic_projection,
     bbb_ratio,
     bergman_norm,
     boundary_trace,
@@ -232,37 +231,6 @@ def test_szego_type_growth_finite_ratio():
     report = bbb_ratio(f, radii=(0.99,), tol=1e-6)
     assert math.isfinite(report.rows[0].ratio)
     assert report.rows[0].ratio > 0
-
-
-def test_analytic_projection_examples():
-    u = SpectralField(1, 2, {(1,): 0.5, (-1,): 0.5}, zero_mean=True)
-    plus, minus = analytic_projection(u)
-    assert plus.coeffs[1] == pytest.approx(0.5)
-    assert minus.coeffs[1] == pytest.approx(0.5)
-    v = SpectralField(1, 2, {(1,): 1.0}, zero_mean=True)
-    plus, minus = analytic_projection(v)
-    assert plus.coeffs[1] == pytest.approx(1.0)
-    assert minus.is_zero()
-
-
-def test_analytic_projection_weights_and_conjugacy():
-    rng = np.random.default_rng(6)
-    coeffs = {}
-    for n in range(1, 6):
-        value = complex(rng.normal(), rng.normal())
-        coeffs[(n,)] = value
-        coeffs[(-n,)] = value.conjugate()  # real-valued field
-    u = SpectralField(1, 5, coeffs, zero_mean=True)
-    plus, minus = analytic_projection(u)
-    for n in range(1, 6):
-        assert plus.coeffs[n] == pytest.approx(math.sqrt(n) * coeffs[(n,)])
-        assert minus.coeffs[n] == pytest.approx(plus.coeffs[n].conjugate())
-
-
-def test_analytic_projection_requires_zero_mean():
-    u = SpectralField(1, 2, {(0,): 1.0})
-    with pytest.raises(InputError):
-        analytic_projection(u)
 
 
 def test_disk_boundary_weights():

@@ -115,7 +115,9 @@ def test_1d_convolution_sup_bound():
             4,
             {(n,): complex(rng.normal(), rng.normal()) for n in range(-4, 5)},
         )
-        values = inverse_transform(base, 32).scalar_values()
+        grid = inverse_transform(base, 32)
+        assert grid.masks == (0,)
+        values = grid.data[0]
         values = np.abs(values) ** 2  # nonnegative sample, band 8
         values -= values.mean()
         g = forward_transform(GridField.from_scalar(values), 8)
@@ -174,7 +176,9 @@ def test_kernel_K_nd_inverts_D2_by_convolution():
 
 def test_directional_grid_values_purely_imaginary():
     k = kernel_component_nd(2, 1, 6)
-    values = inverse_transform(k, 32).scalar_values()
+    grid = inverse_transform(k, 32)
+    assert grid.masks == (0,)
+    values = grid.data[0]
     assert np.abs(values.real).max() < 1e-12
 
 
@@ -212,7 +216,9 @@ def test_dyadic_assembly_matches_inverse_transform():
     band = 5
     k = kernel_component_nd(2, 1, band)
     P = 4 * band
-    grid = inverse_transform(k, P).scalar_values()
+    samples = inverse_transform(k, P)
+    assert samples.masks == (0,)
+    grid = samples.data[0]
     xs = grid_coordinates(2, P)
     for idx in [(1, 3), (7, 2), (11, 19)]:
         point = (xs[0][idx], xs[1][idx])

@@ -42,13 +42,18 @@ def random_scalar_field(rng, dim, band, zero_mean=False):
     return SpectralField(dim, band, coeffs, zero_mean=zero_mean)
 
 
+def scalar_plane(grid):
+    assert grid.masks == (0,)
+    return grid.data[0]
+
+
 def max_coeff_error(a, b):
     keys = set(a.coeffs) | set(b.coeffs)
     return max(((a.get(m) - b.get(m)).norm() for m in keys), default=0.0)
 
 
 def test_forward_single_mode():
-    grid = GridField.sample_scalar(lambda x: np.exp(1j * x), 1, 8)
+    grid = GridField.from_scalar(np.exp(1j * grid_coordinates(1, 8)[0]))
     hat = forward_transform(grid, 3)
     assert abs(hat.get(1).p0() - 1.0) < 1e-12
     for n in range(-3, 4):
@@ -57,18 +62,19 @@ def test_forward_single_mode():
 
 
 def test_forward_constant():
-    grid = GridField.sample_scalar(lambda x: np.ones_like(x), 1, 8)
+    grid = GridField.from_scalar(np.ones(8))
     hat = forward_transform(grid, 2)
     assert abs(hat.get(0).p0() - 1.0) < 1e-14
     assert hat.get(1).norm() < 1e-14
 
 
 def test_forward_cosine_torus_vs_quadrature_oracle():
-    grid = GridField.sample_scalar(lambda x, y: np.cos(2 * x), 2, 16)
+    x, _ = grid_coordinates(2, 16)
+    grid = GridField.from_scalar(np.cos(2 * x))
     hat = forward_transform(grid, 4)
     assert abs(hat.get((2, 0)).p0() - 0.5) < 1e-12
     assert abs(hat.get((-2, 0)).p0() - 0.5) < 1e-12
-    values = grid.scalar_values()
+    values = scalar_plane(grid)
     for m in [(2, 0), (-2, 0), (1, 1), (0, 0)]:
         oracle = quadrature_coefficient(values, m)
         assert abs(hat.get(m).p0() - oracle) < 1e-12
@@ -78,9 +84,9 @@ def test_inverse_single_mode_and_empty():
     field = SpectralField(1, 3, {(1,): 1.0})
     grid = inverse_transform(field, 8)
     x = grid_coordinates(1, 8)[0]
-    assert np.allclose(grid.scalar_values(), np.exp(1j * x), atol=1e-12)
+    assert np.allclose(scalar_plane(grid), np.exp(1j * x), atol=1e-12)
     empty = SpectralField(1, 3, {})
-    assert not np.any(inverse_transform(empty, 8).scalar_values())
+    assert not np.any(scalar_plane(inverse_transform(empty, 8)))
 
 
 @pytest.mark.parametrize("dim,band,points", [(1, 3, 7), (1, 5, 20), (2, 3, 8)])
@@ -108,8 +114,8 @@ def test_transform_linearity():
     f = random_scalar_field(rng, 1, 4)
     g = random_scalar_field(rng, 1, 4)
     lam = 2.0 - 1.5j
-    lhs = inverse_transform(f.scale(lam) + g, 16).scalar_values()
-    rhs = lam * inverse_transform(f, 16).scalar_values() + inverse_transform(g, 16).scalar_values()
+    lhs = scalar_plane(inverse_transform(f.scale(lam) + g, 16))
+    rhs = lam * scalar_plane(inverse_transform(f, 16)) + scalar_plane(inverse_transform(g, 16))
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -129,7 +135,7 @@ def test_convolve_matches_grid_quadrature_oracle():
     f = random_scalar_field(rng, 1, 3)
     g = random_scalar_field(rng, 1, 3)
     pointwise = brute_convolution(
-        inverse_transform(f, 24).scalar_values(), inverse_transform(g, 24).scalar_values()
+        scalar_plane(inverse_transform(f, 24)), scalar_plane(inverse_transform(g, 24))
     )
     oracle = forward_transform(GridField.from_scalar(pointwise), 3)
     result = convolve(f, g)
@@ -144,8 +150,8 @@ def test_convolve_dimension_mismatch():
 
 
 def test_convolve_order_matters_for_clifford_values():
-    e1 = CliffordElement.basis_vector(2, 1)
-    e2 = CliffordElement.basis_vector(2, 2)
+    e1 = CliffordElement(2, {0b01: 1.0})
+    e2 = CliffordElement(2, {0b10: 1.0})
     f = SpectralField(2, 1, {(1, 0): e1})
     g = SpectralField(2, 1, {(1, 0): e2})
     fg = convolve(f, g).get((1, 0))
@@ -168,7 +174,7 @@ def test_projected_field_has_zero_grid_mean():
     rng = np.random.default_rng(5)
     f = random_scalar_field(rng, 2, 3)
     projected = project_zero_mean(f)
-    values = inverse_transform(projected, 12).scalar_values()
+    values = scalar_plane(inverse_transform(projected, 12))
     assert abs(values.mean()) < 1e-12
 
 
@@ -185,7 +191,7 @@ def test_aliasing_error():
     field = SpectralField(1, 4, {(1,): 1.0})
     with pytest.raises(AliasingError):
         inverse_transform(field, 8)  # needs 9 points
-    grid = GridField.sample_scalar(lambda x: np.exp(1j * x), 1, 8)
+    grid = GridField.from_scalar(np.exp(1j * grid_coordinates(1, 8)[0]))
     with pytest.raises(AliasingError):
         forward_transform(grid, 4)
 
@@ -291,7 +297,8 @@ def test_mode_matrix_is_the_mode_list_as_int64_rows(dim):
 
 def test_array_paths_build_no_per_mode_tuples():
     # mode_list and _mode_positions hold a tuple per mode of the band cube;
-    # only the dict constructor, get and the coefficient views need them.
+    # only the dict constructor, get, the coefficient views and the
+    # coefficient-file writer need them.
     mode_list.cache_clear()
     _mode_positions.cache_clear()
     rng = np.random.default_rng(19)
