@@ -107,6 +107,7 @@ __all__ = [
     "fractional_laplacian",
     "freq_norm",
     "hminus_half_boundary_norm",
+    "inverse_transform",
     "invert_D",
     "invert_D2",
     "kernel_K_1d",

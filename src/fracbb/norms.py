@@ -13,9 +13,8 @@ point ``p`` on the coefficients bounds the optimum from below by
 point and ``||p / W|| <= 1``.  Every answer carries this duality-gap
 certificate: the reported value is the cost of a feasible split, a dual point
 scaled into feasibility gives the lower bound, and ``gap >= 0`` is their
-difference.  One routine computes it for every split, the closed-form one,
-each Newton step's undamped point and each polish step's, so one
-certificate judges them all.
+difference.  One routine computes it for every split, the closed-form one
+and each Newton step's undamped point, so one certificate judges them all.
 
 The pure-Sobolev split ``g = 0, h = f`` is checked first, in closed form.
 The only dual point that can certify it maximizes the Sobolev dual term:
@@ -33,8 +32,8 @@ tables are cached.
 
 The array core :func:`_sum_space_rows` runs this check for a stack of
 coefficient rows ``(fields, blades, modes)`` on one set of blades and checked
-weight tables, with at most one adjoint and one certificate call; a Newton or
-polish step is a stack of one.  :func:`sum_space_norm` builds the tables and
+weight tables, with at most one adjoint and one certificate call; a Newton
+step is a stack of one.  :func:`sum_space_norm` builds the tables and
 makes its one row a split; the experiment loops pass cached tables and read
 the rows as they are.  Each field keeps the bits of its own check: every
 per-field sum runs over one C-contiguous row, in the order a single field's
@@ -74,15 +73,12 @@ split's.  Each step moves to the damped point but is judged at the undamped
 one, which near the optimum lies about one step further along.  The frozen
 mixed instances certify at tol 1e-6 in 7-8 steps.
 
-When the Newton steps stall before the gap reaches ``tol`` (on roundoff,
-typically at an absolute gap of 1e-11 to 1e-8), a polish in the manner of
-OSQP's (Stellato et al., Math. Prog. Comp. 12, 2020) fixes the support
-``S`` of the best split's ``g`` and takes Newton steps on ``g`` over ``S``:
-first on ``w sum_S |g(x)| + ||W (f - A_S g)||``, with the dual point ``-W**2
-h / ||W h||``, then, for an ``h = 0`` optimum, on ``w sum_S |g(x)|`` under
-``W A_S g = W f``, with the dual point ``W nu`` from its multipliers.
-Without the mean mode both keep ``(A_S g)_0 = 0``.  ``iterations`` counts
-every Newton step against one cap.
+Near tight tolerances roundoff puts a damped point on a cone's boundary or
+takes the Cholesky factor from the Newton matrix.  Two end-game repairs in
+the manner of ECOS's keep the steps going to gaps of 1e-12: the point is
+lifted back inside, and the matrix gets a small diagonal shift.  Neither
+touches a step that needs neither, and the certificate prices every
+undamped point by itself, so neither can make a reported bound wrong.
 
 The coupling pair ``A``/``A*`` is :func:`spectral._coupling`, the package's
 one transform pair, built once per stack and once per field that iterates.
@@ -92,7 +88,6 @@ next step's residual, and ``A* (p + dp)`` for its certificate.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -253,15 +248,25 @@ def _default_weights(dim: int, band: int, s: float, homogeneous: bool) -> tuple:
 
 #: Largest number of real dual unknowns, ``2 * blades * modes``, for which
 #: the Newton matrix is formed and factored; above it conjugate gradients
-#: solve the Newton systems, and no polish runs on more.  The crossover, on
+#: solve the Newton systems, which need no shift.  The crossover, on
 #: 1-D all-ones fields at ``s = 0.25`` and tol 1e-6 (2-CPU machine, one BLAS
 #: thread): 156 ms dense vs 203 ms CG at 322 unknowns, 227 vs 191 at 386.
 _DENSE_NEWTON_MAX_UNKNOWNS = 352
-#: Newton steps after which the interior-point method hands over to the
-#: polish, the default iteration limit of the ECOS and CVXOPT conic solvers.
-#: It converges in 5-16 steps on every input measured, and stalls on
-#: roundoff within about 20 when the tolerance is out of its reach.
+#: Newton steps after which the interior-point method stops, the default
+#: iteration limit of the ECOS and CVXOPT conic solvers.  It converges in
+#: 5-19 steps on every input measured, and stalls on roundoff within about
+#: 30 when the tolerance is out of its reach.
 _INTERIOR_POINT_MAX_STEPS = 100
+#: Lifts per solve of a point off the cones' interior, or of a pair without a
+#: Nesterov-Todd scaling: each cone's scalar part becomes at least ``1 +
+#: _LIFT_MARGIN`` times the length of its vector part.  Caps of 1-4 all
+#: certify the hard corpus at tol 1e-12.
+_MAX_LIFTS = 3
+_LIFT_MARGIN = 1e-10
+#: Diagonal shifts, as fractions of the mean diagonal entry, tried in turn on
+#: a dense Newton matrix until one has a Cholesky factor; roundoff near the
+#: optimum can leave the unshifted matrix (0) without one.
+_NEWTON_SHIFTS = (0.0, 1e-12, 1e-10, 1e-8)
 #: Fraction of the distance to the cone boundary that a Newton step covers.
 _STEP_FRACTION = 0.99
 #: Relative margin of the starting multiplier: each cone's scalar part is
@@ -353,9 +358,16 @@ class _NTScaling:
     """
 
     def __init__(self, cones: _LorentzCones, sz, lorentz=None):
-        """``lorentz``, if given, is ``cones.pair.lorentz(sz)``."""
+        """``lorentz``, if given, is ``cones.pair.lorentz(sz)``.
+
+        Raises :class:`ZeroDivisionError` if ``s`` or ``z`` is not inside the
+        cones, or if the pair has no scaling in floating point.
+        """
         pair, ids, count, size = cones.pair, cones.ids, cones.count, len(cones.ids)
-        n = np.sqrt(pair.lorentz(sz) if lorentz is None else lorentz)
+        lorentz = pair.lorentz(sz) if lorentz is None else lorentz
+        if not lorentz.min() > 0:  # also false on a NaN
+            raise ZeroDivisionError("a point is not inside the cones")
+        n = np.sqrt(lorentz)
         self._n, self._n_at = n, n[pair.ids]
         self._unit = sz[0] / n, sz[1] / self._n_at
         (st, su), (zt, zu) = cones.halves(self._unit)
@@ -541,10 +553,11 @@ def _interior_point(
     scalar part is ``max(1, _START_MARGIN |z_u|)`` per cone.
     Cone vector parts are real; the complex views meet the transforms, and
     above ``_DENSE_NEWTON_MAX_UNKNOWNS`` real unknowns conjugate gradients
-    solve the Newton systems.  The generator returns when a step fails: a
-    point that left the cones' interior, a pair without a Nesterov-Todd
-    scaling, a Newton matrix whose Cholesky factorization breaks down, a
-    non-finite direction or a zero step.
+    solve the Newton systems.  A point without a Nesterov-Todd scaling is
+    lifted (see ``_MAX_LIFTS``), and a dense Newton matrix without a
+    Cholesky factor shifted (see ``_NEWTON_SHIFTS``).  The generator returns
+    when a step fails all the same: a point past its lifts, a matrix past its
+    shifts, a non-finite direction or a zero step.
     """
     nblades = len(fvec)
     dim, points = len(shape), shape[0]
@@ -583,19 +596,27 @@ def _interior_point(
     pair, s = cones.pair, (np.ones(cones.count), np.zeros(len(cones.ids)))
     p, sz = np.zeros_like(fvec), _stacked(s, (z_t, z_u))
     Ap = adjoint(p)
-    for _ in range(_INTERIOR_POINT_MAX_STEPS):
-        lorentz = pair.lorentz(sz)
-        if not lorentz.min() > 0:  # also false on a NaN
-            return
+    lifts = 0
+    for _ in range(_INTERIOR_POINT_MAX_STEPS + _MAX_LIFTS):
         try:
-            scaling = _NTScaling(cones, sz, lorentz)
-        except ZeroDivisionError:
-            return
+            scaling = _NTScaling(cones, sz)
+        except ZeroDivisionError:  # a lift takes a pass of the loop, not a step
+            if lifts == _MAX_LIFTS:
+                return
+            lifts += 1
+            sz = np.maximum(sz[0], (1.0 + _LIFT_MARGIN) * np.sqrt(pair.dot(sz[1], sz[1]))), sz[1]
+            continue
         if dense:
-            matrix = newton_matrix(scaling)
-            try:
-                np.linalg.cholesky(matrix)
-            except np.linalg.LinAlgError:
+            base = newton_matrix(scaling)
+            size = len(base)
+            for shift in _NEWTON_SHIFTS:
+                matrix = base + shift * np.trace(base) / size * np.eye(size) if shift else base
+                try:
+                    np.linalg.cholesky(matrix)
+                    break
+                except np.linalg.LinAlgError:
+                    pass
+            else:
                 return
         s, z = cones.halves(sz)
         r_x = couple_t(z[1]) + fvec
@@ -666,79 +687,6 @@ def _conjugate_gradients(product: Callable, rhs: np.ndarray) -> np.ndarray:
         rr, rr_old = np.vdot(r, r).real, rr
         d = r + (rr / rr_old) * d
     return x
-
-
-#: A polish's support: the cells where ``|g(x)|`` exceeds this fraction of its maximum.
-_POLISH_SUPPORT = 1e-6
-#: Newton steps of each polish model.
-_POLISH_MAX_STEPS = 8
-
-
-def _polish(g, fvec, band, weight, h_mask, quad_w, adjoint) -> Iterator[tuple]:
-    """Yield ``g``, a dual point ``p`` and ``A* p`` after each Newton step on a fixed support.
-
-    On the support ``S`` of ``g`` the cost is smooth while no ``g(x)`` and no
-    ``h`` vanish.  Each model (see the module docstring) takes up to
-    ``_POLISH_MAX_STEPS`` steps from ``g``, its KKT system solved by least
-    squares; ``W A_S g = W f`` is reduced to its row space by a singular value
-    decomposition.  An excluded mean entry of ``p`` is the multiplier of
-    ``(A_S g)_0 = 0``.
-    """
-    nblades, shape = g.shape[0], g.shape[1:]
-    dim, points = len(shape), shape[0]
-    flat = g.reshape(nblades, -1)
-    magnitude = np.linalg.norm(flat, axis=0)
-    support = np.flatnonzero(magnitude > _POLISH_SUPPORT * magnitude.max())
-    cells, unknowns = len(support), 2 * nblades * len(support)
-    if not 0 < unknowns <= _DENSE_NEWTON_MAX_UNKNOWNS:
-        return
-    # W_m e^{-i m.x} / P**n on S, from exact integer phases, and the real
-    # matrix of g -> W A_S g, with unknowns ordered (cell, blade, re/im) and
-    # rows (mode, blade, re/im).
-    phase = (mode_matrix(dim, band) @ np.array(np.unravel_index(support, shape))) % points
-    rows = weight[:, None] * np.exp(phase * (-2j * math.pi / points)) / points**dim
-    eye, rotate = np.eye(2 * nblades), np.kron(np.eye(nblades), [[0.0, -1.0], [1.0, 0.0]])
-    jac = np.kron(rows.real, eye) + np.kron(rows.imag, rotate)
-    target = (weight * fvec).T.ravel().view(float)
-    active = np.repeat(h_mask, 2 * nblades)
-    sob = jac[active]
-    gram, diagonal = sob.T @ sob, np.eye(cells)
-
-    def newton(cons, bound, basis=None):
-        """Steps on the first model, or with the constraint's ``basis`` on the second."""
-        y = flat[:, support].T.ravel().view(float)
-        for _ in range(_POLISH_MAX_STEPS):
-            cone = y.reshape(cells, -1)
-            size = np.linalg.norm(cone, axis=1)[:, None]
-            u = cone / size
-            blocks = quad_w * (eye - u[:, :, None] * u[:, None, :]) / size[:, :, None]
-            grad = quad_w * u.ravel()
-            hess = np.einsum("xy,xab->xayb", diagonal, blocks).reshape(unknowns, unknowns)
-            if basis is None:
-                res = sob @ y - target[active]
-                length = np.linalg.norm(res)
-                normal = sob.T @ res / length
-                hess += (gram - np.outer(normal, normal)) / length
-                grad += normal
-            kkt = np.block([[hess, cons.T], [cons, np.zeros((len(cons),) * 2)]])
-            step = np.linalg.lstsq(kkt, np.concatenate([-grad, bound - cons @ y]), rcond=None)[0]
-            y = y + step[:unknowns]
-            if basis is None:
-                nu = np.where(active, jac @ y - target, 0.0)
-                nu = nu / np.linalg.norm(nu)
-                nu[~active] = step[unknowns:]
-            else:
-                nu = basis @ step[unknowns:]
-            p = weight[:, None] * nu.view(complex).reshape(-1, nblades)
-            if not (np.isfinite(y).all() and np.isfinite(p).all()):
-                return
-            out = np.zeros_like(flat)
-            out[:, support] = y.view(complex).reshape(cells, nblades).T
-            yield out.reshape(g.shape), p.T, adjoint(p.T)
-
-    yield from newton(jac[~active], target[~active])
-    basis, singular, right = np.linalg.svd(jac, full_matrices=False)
-    yield from newton(singular[:, None] * right, basis.T @ target, basis)
 
 
 #: How far, in units in the last place of the split cost, the lower bound
@@ -875,12 +823,14 @@ def sum_space_norm(
     ``_GAP_ROUNDOFF_ULPS`` units in the last place of its value, since
     roundoff alone leaves such a gap on large fields whatever ``tol`` is; the
     gap is reported as computed.  Otherwise interior-point Newton steps run,
-    then a polish if they stall, each step certified, until the gap drops
-    below ``tol``.  ``max_iterations`` caps the Newton steps; when it runs
-    out or the steps stall, :class:`ConvergenceError` carries the best
-    certified split seen, the closed-form one included.  The reported gap is
-    never negative: bounds that cross by roundoff report 0, and a larger
-    crossing raises :class:`InvariantViolation`.
+    each step certified, until the gap drops below ``tol``; a point that
+    rounds onto a cone's boundary is lifted back inside, and a dense Newton
+    matrix without a Cholesky factor is shifted (see :func:`_interior_point`).
+    ``max_iterations`` caps the Newton steps; when it runs out or the steps
+    stall, :class:`ConvergenceError` carries the best certified split seen,
+    the closed-form one included.  The reported gap is never negative: bounds
+    that cross by roundoff report 0, and a larger crossing raises
+    :class:`InvariantViolation`.
     """
     tables = _weights_for(f.dim, f.band, -f.dim / 2.0 if s is None else s, homogeneous, weights)
     [row] = _sum_space_rows(f.data[None], f.masks, f.dim, f.band, tables, tol,
@@ -922,7 +872,7 @@ def _sum_space_rows(rows: np.ndarray, masks: tuple[int, ...], dim: int, band: in
     checks = _closed_form(rows, dim, band, P, tol, *tables)
 
     def iterate(fvec: np.ndarray, seed) -> tuple:
-        """Newton steps on ``fvec``, then a polish, from the closed-form certificate ``seed``."""
+        """Newton steps on ``fvec`` from the closed-form certificate ``seed``."""
         nblades = len(fvec)
         forward, adjoint = _coupling(dim, band, P, nblades)
 
@@ -940,23 +890,16 @@ def _sum_space_rows(rows: np.ndarray, masks: tuple[int, ...], dim: int, band: in
                                               pq[None], _grid_scales(Ap[None]), *tables)
             return upper, gap, gq, h
 
-        # The best certificate seen and its path, and the g of the best
-        # Newton step, where the polish starts.
-        best, best_path, best_g = seed, "closed-form", None
-
-        def polish():
-            if best_g is not None:
-                yield from _polish(best_g, fvec, band, weight, h_mask, quad_w, adjoint)
-
+        best, best_path = seed, "closed-form"  # the best certificate seen and its path
         newton = _interior_point(fvec, band, weight, h_mask, quad_w, shape, forward, adjoint)
         iterations = 0
-        for gq, pq, Ap in itertools.chain(newton, polish()):
+        for gq, pq, Ap in newton:
             iterations += 1
             found = certificate(gq, pq, Ap)
             if found[1] <= tol:
                 return (*found, iterations, "interior-point")
             if found[1] < best[1]:
-                best, best_path, best_g = found, "interior-point", gq
+                best, best_path = found, "interior-point"
             if iterations == max_iterations:
                 break
         raise ConvergenceError(

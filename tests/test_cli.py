@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import subprocess
@@ -25,6 +26,10 @@ def test_every_public_name_resolves():
     assert len(set(fracbb.__all__)) == len(fracbb.__all__)
     for name in fracbb.__all__:
         assert getattr(fracbb, name) is not None, name
+    # Every public name the package binds, other than its submodules, is exported.
+    bound = {name for name, value in vars(fracbb).items()
+             if not name.startswith("_") and not inspect.ismodule(value)}
+    assert bound <= set(fracbb.__all__), sorted(bound - set(fracbb.__all__))
 
 
 def test_apply_op_fraclap_example(tmp_path):

@@ -346,7 +346,10 @@ def test_hard_mixed_inputs_certify_in_few_steps(tol):
     # stopped at a 100k cap: all-ones fields at positive exponents, an h = 0
     # optimum, a two-blade field whose count grew with the grid, a 2-D
     # all-ones field under weights 20 |m|^-1, and the frozen mixed instances.
-    # At 1e-12 the Newton steps stall on roundoff and the polish certifies.
+    # At 1e-12 roundoff puts points on a cone's boundary, where a lift puts
+    # them back, and leaves the Newton matrix of all_ones(32) and
+    # all_ones(64) at s = 0.25 without a Cholesky factor, where a diagonal
+    # shift gives it one; with both, every case certifies in 7-19 steps.
     cases = [
         (all_ones(16), dict(s=0.5)),
         (all_ones(24), dict(s=0.5)),
@@ -379,19 +382,19 @@ def test_hard_mixed_inputs_certify_in_few_steps(tol):
 
 
 def test_nonconvergence_carries_the_best_certificate_seen():
-    # Below the reach of roundoff the interior-point steps stall after 14
-    # steps and the polish takes 8 + 8 more; caps on both sides are reached
+    # Below the reach of roundoff the Newton steps on this input stop after
+    # 26 steps, past their lifts and shifts; every cap below that is reached
     # exactly, and a larger cap never reports a worse split.
     gaps = []
-    for cap in (10, 14, 20, 25, 29):
+    for cap in (10, 14, 20, 25):
         with pytest.raises(ConvergenceError) as err:
-            mixed_flat_8(tol=1e-15, max_iterations=cap)
+            sum_space_norm(all_ones(64), s=0.25, tol=1e-15, max_iterations=cap)
         assert err.value.partial.iterations == cap
         gaps.append(err.value.partial.gap)
     # Without a cap the steps stop by themselves.
     with pytest.raises(ConvergenceError) as err:
-        mixed_flat_8(tol=1e-15)
-    assert err.value.partial.iterations == 30
+        sum_space_norm(all_ones(64), s=0.25, tol=1e-15)
+    assert err.value.partial.iterations == 26
     gaps.append(err.value.partial.gap)
     assert all(0.0 < later <= earlier for earlier, later in zip(gaps, gaps[1:])), gaps
 
@@ -436,8 +439,8 @@ def test_interior_point_path_is_named():
 
 
 def test_interior_point_path_certifies_after_a_stall():
-    # At 1e-12 the Newton steps stall on roundoff first; the polish on the
-    # support of their best split certifies.
+    # At 1e-12 a damped point rounds onto a cone's boundary; lifted back
+    # inside, the Newton steps go on and certify.
     split = mixed_flat_8(tol=1e-12)
     assert split.path == "interior-point"
     assert 12 <= split.iterations <= 30 and split.gap <= 1e-12
@@ -461,6 +464,19 @@ def test_conjugate_gradient_steps_above_the_dense_size(monkeypatch):
     assert (again.value.hex(), again.gap.hex(), again.iterations) == (
         dense.value.hex(), dense.gap.hex(), dense.iterations)
     assert np.array_equal(again.g.data, dense.g.data) and np.array_equal(again.h.data, dense.h.data)
+
+
+def test_conjugate_gradient_steps_certify_at_a_tight_tolerance():
+    # all_ones(90) has 362 real unknowns, past the dense size.  At s = 0.25
+    # and 1e-10 a damped point rounds onto a cone's boundary; lifted back
+    # inside, the conjugate-gradient steps go on and certify.
+    from fracbb import norms
+
+    f = all_ones(90)
+    assert 2 * f.data.size > norms._DENSE_NEWTON_MAX_UNKNOWNS
+    split = sum_space_norm(f, s=0.25, tol=1e-10)
+    assert split.path == "interior-point" and 0 < split.iterations <= 30
+    assert 0.0 <= split.gap <= 1e-10
 
 
 def _flat_point_mass(band):
@@ -1148,9 +1164,9 @@ def test_same_blade_stacks_match_one_at_a_time(
 def test_stacked_certificates_match_one_field_at_a_time(
     dim, band, blades, homogeneous, weight_kind
 ):
-    # Nonzero splits g and dual points p, as a Newton or polish step has
-    # them: each field of a stack gets from _certificates, bit for bit, the
-    # certificate it gets as a stack of one.
+    # Nonzero splits g and dual points p, as a Newton step has them: each
+    # field of a stack gets from _certificates, bit for bit, the certificate
+    # it gets as a stack of one.
     from fracbb.norms import _certificates, _coupling, _grid_scales, _l1_norms, _weights_for
 
     rng = np.random.default_rng([dim, band, blades])
@@ -1281,7 +1297,7 @@ def _bound_and_exact(monkeypatch, run):
     """``run()`` with the triangle bound, its closed-form adjoints, and ``run()`` without it.
 
     A closed-form check transforms a stack ``(fields, blades, modes)``; a
-    Newton or polish step, rows ``(blades, modes)``.
+    Newton step, rows ``(blades, modes)``.
     """
     calls = _count_adjoints(monkeypatch)
     bound = run()
@@ -1411,12 +1427,12 @@ def test_iteration_cap_is_validated_and_kept():
     f = SpectralField(1, 8, {(n,): 1.0 for n in range(-8, 9) if n}, zero_mean=True)
     with pytest.raises(InputError):
         sum_space_norm(f, s=0.5, max_iterations=0)
-    # The weights of mixed_flat_8 and a tolerance below the reach of
-    # roundoff make the Newton steps run into the cap, once among the
-    # interior-point steps and once in the polish.
+    # A tolerance below the reach of roundoff makes the Newton steps on
+    # all_ones(64) at s = 0.25 run into the cap, once early and once after
+    # the end-game's lifts and shifts.
     for cap in (7, 25):
         with pytest.raises(ConvergenceError) as err:
-            sum_space_norm(f, tol=1e-15, weights=scaled_weights(8, 5.0), max_iterations=cap)
+            sum_space_norm(all_ones(64), s=0.25, tol=1e-15, max_iterations=cap)
         assert err.value.partial.iterations == cap
 
 
@@ -1582,11 +1598,12 @@ def test_clifford_valued_field_supported():
     assert split.value <= sobolev_norm(f, -0.5) + 1e-7
 
 
-def test_a_pair_without_nesterov_todd_scaling_ends_the_newton_steps(monkeypatch):
+def test_a_pair_without_nesterov_todd_scaling_is_lifted(monkeypatch):
     # From the least-norm start with a margin of 8 the Newton steps on this
     # input reach a pair inside the cones by the Lorentz test whose gamma
-    # rounds to 0.  The steps end there, before anything divides by it, and
-    # the polish certifies.
+    # rounds to 0.  The scaling raises before anything divides by it, the
+    # point is lifted off the cones' boundary, and the steps go on and
+    # certify.
     raised = []
 
     class Recording(norms._NTScaling):
@@ -1606,5 +1623,5 @@ def test_a_pair_without_nesterov_todd_scaling_ends_the_newton_steps(monkeypatch)
             two_blade_field(4), weights=scaled_weights(4, 5.5), points_per_axis=32, tol=1e-12
         )
     assert raised == [True]
-    assert (split.path, split.iterations, split.gap) == ("interior-point", 23, 0.0)
-    assert split.value.hex() == "0x1.7281618ca1191p+4"
+    assert (split.path, split.iterations) == ("interior-point", 22)
+    assert (split.value.hex(), split.gap.hex()) == ("0x1.7281618ca1197p+4", "0x1.2000000000000p-45")
