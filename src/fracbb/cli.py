@@ -14,6 +14,7 @@ coefficient and grid files, and experiment settings that cannot run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -127,10 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--homogeneous", action="store_true")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--points", type=int, help="grid for the integrable part")
-    p.add_argument(
-        "--max-iterations", type=int, default=100_000,
-        help="cap on Newton steps (default 100000)",
-    )
+    p.add_argument("--max-iterations", type=int, default=100,
+                   help="cap on Newton steps (default 100)")
     p.add_argument("--out")
     p.add_argument("--dump-split", metavar="PREFIX", help="write the achieved split")
 
@@ -189,22 +188,15 @@ def _cmd_transform(args) -> int:
 
 def _cmd_apply_op(args) -> int:
     field = load_coefficients(args.infile)
-    if args.op == "fraclap":
-        if args.s is None:
-            raise InputError("fraclap needs --s")
-        result = fractional_laplacian(field, args.s)
-    elif args.op == "riesz":
-        result = riesz(field, args.axis)
-    elif args.op == "riesz-conj":
-        result = riesz(field, args.axis, conjugated=True)
-    elif args.op == "D":
-        result = dirac_D(field)
-    elif args.op == "Dbar":
-        result = dirac_Dbar(field)
-    elif args.op == "invD":
-        result = invert_D(field)
-    else:
-        result = invert_D2(field)
+    if args.op == "fraclap" and args.s is None:
+        raise InputError("fraclap needs --s")
+    apply = {
+        "fraclap": lambda u: fractional_laplacian(u, args.s),
+        "riesz": lambda u: riesz(u, args.axis),
+        "riesz-conj": lambda u: riesz(u, args.axis, conjugated=True),
+        "D": dirac_D, "Dbar": dirac_Dbar, "invD": invert_D, "invD2": invert_D2,
+    }[args.op]
+    result = apply(field)
     if args.out:
         save_coefficients(result, args.out)
     else:
@@ -302,26 +294,14 @@ def _cmd_mixed_norm(args) -> int:
 
 
 def _cmd_verify_bb(args) -> int:
-    cfg = ExperimentConfig(
-        dim=args.dim,
-        band=args.band,
-        samples=args.samples,
-        seed=args.seed,
-        decay=args.decay,
-        tol=args.tol,
-    )
+    # The config's fields are the command's options, and the report echoes them.
+    options = (f.name for f in dataclasses.fields(ExperimentConfig))
+    cfg = ExperimentConfig(**{name: getattr(args, name) for name in options})
     report = verify_bb(cfg)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "verify-bb",
-        "config": {
-            "dim": cfg.dim,
-            "band": cfg.band,
-            "samples": cfg.samples,
-            "seed": cfg.seed,
-            "decay": cfg.decay,
-            "tol": cfg.tol,
-        },
+        "config": dataclasses.asdict(cfg),
         "aggregates": {
             "max_ratio": report.max_ratio,
             "median_ratio": report.median_ratio,
@@ -387,10 +367,9 @@ def _cmd_bilinear_a(args) -> int:
             raise InputError("truncations must be positive integers")
         f1 = load_coefficients(args.in1)
         f2 = load_coefficients(args.in2)
-        if f1.dim != 1 or f2.dim != 1:
-            raise InputError("bilinear pairing takes circle coefficient files")
-        g1 = {m[0]: v for m, v in f1.scalar_coeffs().items()}
-        g2 = {m[0]: v for m, v in f2.scalar_coeffs().items()}
+        if not all(f.dim == 1 and f.is_scalar() for f in (f1, f2)):
+            raise InputError("bilinear pairing takes scalar circle coefficient files")
+        g1, g2 = (dict(zip(range(-f.band, f.band + 1), f.data[0].tolist())) for f in (f1, f2))
         truncation = max(args.truncations)
         value = bilinear_A(g1, g2, truncation)
         payload = {

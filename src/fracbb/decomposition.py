@@ -15,9 +15,10 @@ so the aggregate ratio is exactly ``1/sqrt(2)``; the summed ratio is bounded
 by ``sqrt(n+1)/sqrt(2)`` via Cauchy-Schwarz (diagonal single modes attain
 ``(1 + sqrt(n))/2``).
 
-The solve works on the ``(n + 1, modes)`` stack of the parts' coefficient rows
-in the public operators' order, so every number keeps their bits; the sup norms
-synthesize one part's grid at a time.
+The solve works on the ``(n + 1, 1, modes)`` stack of the parts' coefficient
+rows, through the per-mode product of the public operators and in their order,
+so every number keeps their bits; the sup norms synthesize one part's grid at a
+time.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from .errors import InputError
 from .norms import _sobolev_norms
 from .operators import _fraclap_rows, _symbol_table
-from .spectral import SpectralField, _mean_column, _synthesis, default_points
+from .spectral import SpectralField, _mode_product, _synthesis, default_points
 
 @dataclass(frozen=True)
 class DecompositionResult:
@@ -63,25 +64,25 @@ def solve_decomposition(
     ``fj_hat = (i m_j / |m|) * g_hat / (2 |m|**(n/2))``; the plain flavor
     flips the sign of the Riesz parts.  Reconstruction is exact on the band.
     """
-    if _mean_column(g.data).any():
+    if not g.zero_mean:
         raise InputError("decomposition requires a zero-mean field")
     if not g.is_scalar():
         raise InputError("decomposition expects a complex scalar field")
     dim, band, s = g.dim, g.band, g.dim / 4.0
-    table = partial(_symbol_table, dim, band)
-    # Products are added to 0 as in the per-mode product (-0.0 becomes 0.0).
-    rows = np.empty((dim + 1, g.data.shape[1]), dtype=complex)
-    rows[0] = 0.5 * table("fraclap", -s).data[0] * g.data[0] + 0
+    riesz = partial(_symbol_table, dim, band, "riesz")  # scalar symbols: one row, blade 0
+    half_inverse = 0.5 * _symbol_table(dim, band, "fraclap", -s).data
+    rows = np.empty((dim + 1,) + g.data.shape, dtype=complex)
+    rows[0] = _mode_product((0,), half_inverse, (0,), g.data)[1]
     images = rows.copy()  # f_0 and R~_j f_j, the inputs of (-Lap)^{n/4}
     for j in range(1, dim + 1):
-        rows[j] = table("riesz", (j, not conjugated_riesz)).data[0] * rows[0] + 0
-        images[j] = table("riesz", (j, conjugated_riesz)).data[0] * rows[j] + 0
-    terms = _fraclap_rows(images, dim, band, s)
-    residual = float(np.linalg.norm(sum(terms[1:], terms[0]) - g.data[0]))
-    sob = tuple(_sobolev_norms(rows[:, None], dim, band, dim / 2.0, True))
+        rows[j] = _mode_product((0,), riesz((j, not conjugated_riesz)).data, (0,), rows[0])[1]
+        images[j] = _mode_product((0,), riesz((j, conjugated_riesz)).data, (0,), rows[j])[1]
+    terms = _fraclap_rows((0,), images, dim, band, s)
+    residual = float(np.linalg.norm(sum(terms[1:], terms[0]) - g.data))
+    sob = tuple(_sobolev_norms(rows, dim, band, dim / 2.0, True))
     points = default_points(band)  # one part's grid at a time; sqrt commutes with max
     sups = tuple(
-        math.sqrt((np.abs(_synthesis(row[None], dim, band, points)) ** 2).max()) for row in rows
+        math.sqrt((np.abs(_synthesis(row, dim, band, points)) ** 2).max()) for row in rows
     )
     g_norm = g.l2_coefficient_norm()
     if g_norm > 0:
@@ -91,7 +92,7 @@ def solve_decomposition(
         bound_ratio = 0.0
         sum_ratio = 0.0
     return DecompositionResult(
-        parts=tuple(g._with((0,), rows[j : j + 1], True) for j in range(dim + 1)),
+        parts=tuple(g._with((0,), row) for row in rows),
         residual=residual,
         sobolev_norms=sob,
         sup_norms=sups,

@@ -24,10 +24,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .clifford import (MAX_GENERATORS, CliffordElement, blade_label, mask_to_subset,
-                       subset_to_mask)
+from .clifford import MAX_GENERATORS, blade_label, mask_to_subset, subset_to_mask
 from .errors import InputError, InvariantViolation
-from .spectral import GridField, SpectralField, mode_list
+from .spectral import GridField, SpectralField, _check_shape, _mode_positions, mode_list
 
 SCHEMA_VERSION = 1
 
@@ -110,12 +109,19 @@ def save_coefficients(field: SpectralField, path) -> None:
 
 
 def field_from_jsonable(data: dict) -> SpectralField:
+    """The field of coefficient-file data, read into blade rows.
+
+    The entries of one mode and blade add up in file order, the first assigned
+    and each later one added to it; the nonzero sums fill the rows.
+    """
     try:
         dim, band = _integers((data["dim"], data["band"]))
         raw_entries = data["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed coefficient data: {exc}") from exc
-    coeffs: dict[tuple[int, ...], dict[int, complex]] = {}
+    _check_shape(dim, band)  # before a mode table of the cube is built
+    positions = _mode_positions(dim, band)
+    sums: dict[tuple[int, int], complex] = {}  # (mask, column) -> sum
     for entry in raw_entries:
         try:
             m, subset = _integers(entry["m"]), _integers(entry["alpha"])
@@ -124,14 +130,16 @@ def field_from_jsonable(data: dict) -> SpectralField:
             raise InputError(f"malformed coefficient entry {entry!r}") from exc
         if not cmath.isfinite(value):
             raise InputError(f"non-finite coefficient in entry {entry!r}")
-        mask = subset_to_mask(subset, dim)
-        comps = coeffs.setdefault(m, {})
-        comps[mask] = comps[mask] + value if mask in comps else value
-    return SpectralField(
-        dim,
-        band,
-        {m: CliffordElement(dim, comps) for m, comps in coeffs.items()},
-    )
+        col = positions.get(m)
+        if col is None:
+            raise InputError(f"frequency {m} outside the band-{band} cube of dimension {dim}")
+        key = (subset_to_mask(subset, dim), col)
+        sums[key] = sums[key] + value if key in sums else value
+    masks = sorted({mask for mask, _ in sums})
+    rows = np.zeros((len(masks), len(positions)), dtype=complex)
+    for (mask, col), value in sums.items():
+        rows[masks.index(mask), col] = value or 0j  # a zero sum, -0.0 parts too, is 0
+    return SpectralField.from_blade_vectors(dim, band, masks, rows)
 
 
 def _integers(values) -> tuple[int, ...]:

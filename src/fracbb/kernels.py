@@ -127,7 +127,7 @@ def kernel_component_nd(dim: int, axis: int, band: int) -> SpectralField:
     norm[origin] = 1.0  # any positive value; the origin is zeroed below
     row = 2j * (-0.5j * (mm[:, axis - 1] / norm ** (dim + 1)))
     row[origin] = 0
-    return SpectralField.from_blade_vectors(dim, band, (0,), row[None], zero_mean=True)
+    return SpectralField.from_blade_vectors(dim, band, (0,), row[None])
 
 
 def kernel_K_nd(dim: int, band: int) -> SpectralField:

@@ -88,6 +88,7 @@ next step's residual, and ``A* (p + dp)`` for its certificate.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -252,11 +253,6 @@ def _default_weights(dim: int, band: int, s: float, homogeneous: bool) -> tuple:
 #: 1-D all-ones fields at ``s = 0.25`` and tol 1e-6 (2-CPU machine, one BLAS
 #: thread): 156 ms dense vs 203 ms CG at 322 unknowns, 227 vs 191 at 386.
 _DENSE_NEWTON_MAX_UNKNOWNS = 352
-#: Newton steps after which the interior-point method stops, the default
-#: iteration limit of the ECOS and CVXOPT conic solvers.  It converges in
-#: 5-19 steps on every input measured, and stalls on roundoff within about
-#: 30 when the tolerance is out of its reach.
-_INTERIOR_POINT_MAX_STEPS = 100
 #: Lifts per solve of a point off the cones' interior, or of a pair without a
 #: Nesterov-Todd scaling: each cone's scalar part becomes at least ``1 +
 #: _LIFT_MARGIN`` times the length of its vector part.  Caps of 1-4 all
@@ -357,14 +353,12 @@ class _NTScaling:
     and ``dz``, come stacked as one point of ``cones.pair``.
     """
 
-    def __init__(self, cones: _LorentzCones, sz, lorentz=None):
-        """``lorentz``, if given, is ``cones.pair.lorentz(sz)``.
-
-        Raises :class:`ZeroDivisionError` if ``s`` or ``z`` is not inside the
+    def __init__(self, cones: _LorentzCones, sz):
+        """Raise :class:`ZeroDivisionError` if ``s`` or ``z`` is not inside the
         cones, or if the pair has no scaling in floating point.
         """
         pair, ids, count, size = cones.pair, cones.ids, cones.count, len(cones.ids)
-        lorentz = pair.lorentz(sz) if lorentz is None else lorentz
+        lorentz = pair.lorentz(sz)
         if not lorentz.min() > 0:  # also false on a NaN
             raise ZeroDivisionError("a point is not inside the cones")
         n = np.sqrt(lorentz)
@@ -555,9 +549,9 @@ def _interior_point(
     above ``_DENSE_NEWTON_MAX_UNKNOWNS`` real unknowns conjugate gradients
     solve the Newton systems.  A point without a Nesterov-Todd scaling is
     lifted (see ``_MAX_LIFTS``), and a dense Newton matrix without a
-    Cholesky factor shifted (see ``_NEWTON_SHIFTS``).  The generator returns
-    when a step fails all the same: a point past its lifts, a matrix past its
-    shifts, a non-finite direction or a zero step.
+    Cholesky factor shifted (see ``_NEWTON_SHIFTS``).  The caller caps the
+    steps; the generator returns when a step fails: a point past its lifts,
+    a matrix past its shifts, a non-finite direction or a zero step.
     """
     nblades = len(fvec)
     dim, points = len(shape), shape[0]
@@ -597,7 +591,7 @@ def _interior_point(
     p, sz = np.zeros_like(fvec), _stacked(s, (z_t, z_u))
     Ap = adjoint(p)
     lifts = 0
-    for _ in range(_INTERIOR_POINT_MAX_STEPS + _MAX_LIFTS):
+    while True:
         try:
             scaling = _NTScaling(cones, sz)
         except ZeroDivisionError:  # a lift takes a pass of the loop, not a step
@@ -786,12 +780,12 @@ def _closed_form(fvecs, dim, band, points, tol, h_mask, weight, weight_sq):
     return checks
 
 
-def _split(dim, band, masks, homogeneous, upper, gap, g, h, iterations, path):
+def _split(dim, band, masks, upper, gap, g, h, iterations, path):
     """The :class:`SumSpaceSplit` of a row of :func:`_sum_space_rows` on the ``masks``."""
     return SumSpaceSplit(
         # g and h are the split's own arrays; h drops its zero blades as a field does.
         g=GridField._of(dim, g.shape[-1], masks, g),
-        h=SpectralField._of(dim, band, masks, h, homogeneous),
+        h=SpectralField._of(dim, band, masks, h),
         value=upper,
         gap=gap,
         iterations=iterations,
@@ -807,7 +801,7 @@ def sum_space_norm(
     *,
     weights: np.ndarray | None = None,
     points_per_axis: int | None = None,
-    max_iterations: int = 100_000,
+    max_iterations: int = 100,
 ) -> SumSpaceSplit:
     """Minimizer of ``||g||_L1 + ||h||_{H^s}`` over ``g + h = f``, certified.
 
@@ -826,16 +820,18 @@ def sum_space_norm(
     each step certified, until the gap drops below ``tol``; a point that
     rounds onto a cone's boundary is lifted back inside, and a dense Newton
     matrix without a Cholesky factor is shifted (see :func:`_interior_point`).
-    ``max_iterations`` caps the Newton steps; when it runs out or the steps
-    stall, :class:`ConvergenceError` carries the best certified split seen,
-    the closed-form one included.  The reported gap is never negative: bounds
-    that cross by roundoff report 0, and a larger crossing raises
-    :class:`InvariantViolation`.
+    ``max_iterations`` caps the Newton steps, lifts not counted, at the ECOS
+    and CVXOPT limit of 100 by default (the steps converge in 5-19 on every
+    input measured, and stall on roundoff within about 30).  When it runs out
+    or the steps stall, :class:`ConvergenceError` carries the best certified
+    split seen, the closed-form one included.  The reported gap is never
+    negative: bounds that cross by roundoff report 0, and a larger crossing
+    raises :class:`InvariantViolation`.
     """
     tables = _weights_for(f.dim, f.band, -f.dim / 2.0 if s is None else s, homogeneous, weights)
     [row] = _sum_space_rows(f.data[None], f.masks, f.dim, f.band, tables, tol,
                             points_per_axis=points_per_axis, max_iterations=max_iterations)
-    return _split(f.dim, f.band, f.masks, homogeneous, *row)
+    return _split(f.dim, f.band, f.masks, *row)
 
 
 def _count(value, name: str, least: int) -> int:
@@ -846,7 +842,7 @@ def _count(value, name: str, least: int) -> int:
 
 
 def _sum_space_rows(rows: np.ndarray, masks: tuple[int, ...], dim: int, band: int, tables,
-                    tol: float, *, points_per_axis=None, max_iterations=100_000) -> list[tuple]:
+                    tol: float, *, points_per_axis=None, max_iterations=100) -> list[tuple]:
     """``(value, gap, g, h, iterations, path)`` of each row of ``rows``.
 
     ``rows`` is a stack ``(fields, blades, modes)`` of fields on the
@@ -893,19 +889,16 @@ def _sum_space_rows(rows: np.ndarray, masks: tuple[int, ...], dim: int, band: in
         best, best_path = seed, "closed-form"  # the best certificate seen and its path
         newton = _interior_point(fvec, band, weight, h_mask, quad_w, shape, forward, adjoint)
         iterations = 0
-        for gq, pq, Ap in newton:
-            iterations += 1
+        for iterations, (gq, pq, Ap) in enumerate(itertools.islice(newton, max_iterations), 1):
             found = certificate(gq, pq, Ap)
             if found[1] <= tol:
                 return (*found, iterations, "interior-point")
             if found[1] < best[1]:
                 best, best_path = found, "interior-point"
-            if iterations == max_iterations:
-                break
         raise ConvergenceError(
             f"sum-space optimizer stopped at gap {best[1]:.3e} after "
             f"{iterations} iterations (tol {tol:g})",
-            partial=_split(dim, band, masks, homogeneous, *best, iterations, best_path),
+            partial=_split(dim, band, masks, *best, iterations, best_path),
         )
 
     results = []

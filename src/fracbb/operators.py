@@ -11,10 +11,12 @@ the Dirac symbols reduce to the scalar form ``|m|**(1/2) * (1 +/- i*sign(m))``
 and no Clifford generators appear.
 
 Every symbol has grade at most 1.  It is tabulated once per
-``(dim, band, operator)`` as a zero-mean field and applied by the per-mode
-Clifford product, so every multiplier sends the ``m = 0`` mode to zero (the
-calculus works modulo means throughout); symbols left-multiply the
-coefficients, which matters for Clifford-valued fields.
+``(dim, band, operator)`` as a zero-mean field and applied by the one
+per-mode product of blade rows, :func:`spectral._mode_product`, to a field
+or, in the experiments and the decomposition, to a stack of rows.  So every
+multiplier sends the ``m = 0`` mode to zero (the calculus works modulo means
+throughout); symbols left-multiply the coefficients, which matters for
+Clifford-valued fields.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
-from .spectral import SpectralField, _mean_column, _mode_product, mode_matrix
+from .spectral import SpectralField, _field_product, _mode_product, mode_matrix
 
 
 @lru_cache(maxsize=64)
@@ -68,17 +70,18 @@ def _symbol_table(dim: int, band: int, op: str, param=None) -> SpectralField:
         rows = [np.broadcast_to(scalar, norm.shape), *vector.T]
     data = np.array(rows, dtype=complex)
     data[:, origin] = 0
-    return SpectralField.from_blade_vectors(dim, band, masks, data, zero_mean=True)
+    return SpectralField.from_blade_vectors(dim, band, masks, data)
 
 
 def _apply(u: SpectralField, op: str, param=None) -> SpectralField:
-    return _mode_product(_symbol_table(u.dim, u.band, op, param), u, u.zero_mean)
+    return _field_product(_symbol_table(u.dim, u.band, op, param), u)
 
 
-def _fraclap_rows(rows: np.ndarray, dim: int, band: int, s: float) -> np.ndarray:
-    """``|m|**(2s) * rows + 0`` as the per-mode product forms it; an overflow is an input error."""
+def _fraclap_rows(masks, rows: np.ndarray, dim: int, band: int, s: float) -> np.ndarray:
+    """``|m|**(2s)`` times rows ``(..., blades, modes)`` of ``masks``; overflow is an InputError."""
+    symbol = _symbol_table(dim, band, "fraclap", float(s))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _symbol_table(dim, band, "fraclap", float(s)).data[0] * rows + 0
+        _, out = _mode_product(symbol.masks, symbol.data, masks, rows)
     if not np.isfinite(out).all():
         raise InputError(f"fractional Laplacian with exponent {s} overflows on band {band}")
     return out
@@ -91,7 +94,7 @@ def fractional_laplacian(u: SpectralField, s: float) -> SpectralField:
     """
     if not (math.isfinite(s) and s > 0):
         raise InputError(f"fractional exponent must be positive and finite, got {s}")
-    return u._with(u.masks, _fraclap_rows(u.data, u.dim, u.band, s), u.zero_mean)
+    return u._with(u.masks, _fraclap_rows(u.masks, u.data, u.dim, u.band, s))
 
 
 def riesz(u: SpectralField, axis: int = 1, conjugated: bool = False) -> SpectralField:
@@ -112,7 +115,7 @@ def dirac_Dbar(u: SpectralField) -> SpectralField:
 
 
 def _require_zero_mean(f: SpectralField, what: str) -> None:
-    if _mean_column(f.data).any():
+    if not f.zero_mean:
         raise InputError(f"{what} requires a zero-mean field (nonzero coefficient at m = 0)")
 
 

@@ -13,9 +13,10 @@ A field stores its coefficients as one dense complex array with a row per
 Clifford blade and a column per mode of the band cube, in the canonical
 order of :func:`mode_list`; grid samples are one array with a plane per
 blade.  Truncation is a hard cube ``|m_j| <= N`` and no operation extends
-the band silently.  Fourier multipliers and convolution are per-mode
-Clifford products of two such arrays.  A new field drops its zero rows in
-one pass.
+the band silently.  Every Fourier multiplier and convolution is one
+per-mode Clifford product of blade rows, :func:`_mode_product`, whose right
+operand may be a stack of fields.  A new field drops its zero rows in one
+pass.
 
 The transform pair :func:`_coupling`, used by the public transforms and the
 sum-space solver alike, is realized in one of two ways, chosen from the band
@@ -41,7 +42,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .clifford import MAX_GENERATORS, CliffordElement, _blade_tables
+from .clifford import MAX_GENERATORS, CliffordElement, _blade_product
 from .errors import AliasingError, InputError
 
 Index = tuple[int, ...]
@@ -82,9 +83,9 @@ def band_indices(dim: int, band: int) -> Iterator[Index]:
 def mode_list(dim: int, band: int) -> tuple[Index, ...]:
     """Canonically ordered modes of the band cube (lexicographic).
 
-    Only per-mode keys need these tuples (the dict constructor, ``get``, the
-    coefficient views, the coefficient-file writer); array paths use
-    :func:`mode_matrix`.
+    Only per-mode keys need these tuples (the dict constructor, the
+    coefficient views, the coefficient-file reader and writer); array paths
+    use :func:`mode_matrix`.
     """
     _check_shape(dim, band)
     return tuple(band_indices(dim, band))
@@ -111,6 +112,12 @@ def mode_matrix(dim: int, band: int) -> np.ndarray:
 def _mean_column(rows: np.ndarray) -> np.ndarray:
     """View of rows' ``m = 0`` entries, the band cube's centre; a mean's square can underflow."""
     return rows[..., rows.shape[-1] // 2]
+
+
+def _check_zero_mean(data: np.ndarray, zero_mean: bool) -> None:
+    """The constructors' input check: with ``zero_mean``, the rows ``data`` have no mean."""
+    if zero_mean and _mean_column(data).any():
+        raise InputError("field flagged zero_mean has a nonzero coefficient at 0")
 
 
 @lru_cache(maxsize=128)
@@ -154,21 +161,16 @@ class SpectralField:
     ``data[r, k]`` is the component along blade ``masks[r]`` of the coefficient
     at mode ``mode_list(dim, band)[k]``.  Only blades with a nonzero entry get
     a row (``masks == (0,)`` for the zero field), in increasing mask order.
-    Fields are immutable values and ``data`` is read-only.
+    Fields are immutable values and ``data`` is read-only; a field holds
+    nothing else.  One mode's coefficient is read through :attr:`coeffs`.
 
-    ``zero_mean`` marks fields whose coefficient at ``m = 0`` is known to be
-    zero; constructors enforce the invariant when the flag is set.
+    ``zero_mean`` is read from ``data``: true when the coefficient at ``m =
+    0`` is zero.  The constructors' ``zero_mean=True`` is an input check.
     """
 
-    __slots__ = ("dim", "band", "masks", "data", "zero_mean")
+    __slots__ = ("dim", "band", "masks", "data")
 
-    def __init__(
-        self,
-        dim: int,
-        band: int,
-        coeffs: Mapping | None = None,
-        zero_mean: bool = False,
-    ):
+    def __init__(self, dim: int, band: int, coeffs: Mapping | None = None, zero_mean: bool = False):
         _check_shape(dim, band)
         positions = _mode_positions(dim, band)
         entries: dict[int, Mapping[int, complex]] = {}
@@ -190,35 +192,26 @@ class SpectralField:
             elif value.comps:
                 entries[col] = value.comps
         masks = sorted({mask for comps in entries.values() for mask in comps})
-        row = {mask: r for r, mask in enumerate(masks)}
         data = np.zeros((len(masks), len(positions)), dtype=complex)
         for col, comps in entries.items():
             for mask, value in comps.items():
-                data[row[mask], col] = value
-        self._assign(dim, band, tuple(masks), data, zero_mean)
+                data[masks.index(mask), col] = value
+        _check_zero_mean(data, zero_mean)
+        self._assign(dim, band, tuple(masks), data)
 
-    def _assign(self, dim, band, masks, data, zero_mean) -> None:
+    def _assign(self, dim, band, masks, data) -> None:
         """Store ``data`` (owned by the field from now on), dropping zero rows in one pass."""
         keep = data.any(axis=1).tolist()  # a few flags: Python's any and all are faster
         if not any(keep):
             masks, data = (0,), np.zeros((1, data.shape[1]), dtype=complex)
         elif not all(keep):
             masks, data = tuple(itertools.compress(masks, keep)), data[keep]
-        if zero_mean and any(_mean_column(data).tolist()):
-            raise InputError("field flagged zero_mean has a nonzero coefficient at 0")
         data.flags.writeable = False
         self.dim, self.band, self.masks, self.data = dim, band, masks, data
-        self.zero_mean = zero_mean
 
     @classmethod
-    def from_blade_vectors(
-        cls,
-        dim: int,
-        band: int,
-        masks: Iterable[int],
-        vectors: np.ndarray,
-        zero_mean: bool = False,
-    ) -> "SpectralField":
+    def from_blade_vectors(cls, dim: int, band: int, masks: Iterable[int], vectors: np.ndarray,
+                           zero_mean: bool = False) -> "SpectralField":
         """Field from per-blade coefficient rows aligned with ``mode_list``.
 
         ``vectors`` has shape ``(len(masks), modes)`` and is copied.
@@ -231,14 +224,15 @@ class SpectralField:
         if data.shape != (len(masks), (2 * band + 1) ** dim):
             raise InputError(f"coefficient array of shape {data.shape} does not fit "
                              f"{len(masks)} blades on band {band}")
+        _check_zero_mean(data, zero_mean)
         order = sorted(range(len(masks)), key=masks.__getitem__)
-        return cls._of(dim, band, tuple(masks[r] for r in order), data[order], zero_mean)
+        return cls._of(dim, band, tuple(masks[r] for r in order), data[order])
 
     @classmethod
-    def _of(cls, dim, band, masks, data, zero_mean) -> "SpectralField":
+    def _of(cls, dim, band, masks, data) -> "SpectralField":
         """Field owning ``data``, rows of the increasing ``masks`` of C_dim; unchecked."""
         field = cls.__new__(cls)
-        field._assign(dim, band, masks, data, zero_mean)
+        field._assign(dim, band, masks, data)
         return field
 
     # -- read-only views -----------------------------------------------------
@@ -248,32 +242,22 @@ class SpectralField:
         """Mapping from each nonzero mode to its Clifford coefficient."""
         return _CoefficientView(self)
 
-    def get(self, m) -> CliffordElement:
-        col = _mode_positions(self.dim, self.band).get(normalize_index(m, self.dim))
-        if col is None:
-            return CliffordElement.zero(self.dim)
-        return _elements(self.dim, self.masks, self.data[:, col : col + 1])[0]
-
-    def mean_coefficient(self) -> CliffordElement:
-        return self.get((0,) * self.dim)
+    @property
+    def zero_mean(self) -> bool:
+        """True when the coefficient at ``m = 0`` is zero."""
+        return not _mean_column(self.data).any()
 
     def is_scalar(self) -> bool:
         """True when every coefficient has only a scalar (unit) component."""
         return self.masks == (0,)
 
-    def scalar_coeffs(self) -> dict[Index, complex]:
-        if not self.is_scalar():
-            raise InputError("field has non-scalar Clifford components")
-        view = self.coeffs
-        return dict(zip(view, self.data[0, view.cols].tolist()))
-
     # -- linear structure ----------------------------------------------------
 
-    def _with(self, masks, data, zero_mean) -> "SpectralField":
-        return SpectralField._of(self.dim, self.band, masks, data, zero_mean)
+    def _with(self, masks, data) -> "SpectralField":
+        return SpectralField._of(self.dim, self.band, masks, data)
 
     def scale(self, factor: complex) -> "SpectralField":
-        return self._with(self.masks, complex(factor) * self.data, self.zero_mean)
+        return self._with(self.masks, complex(factor) * self.data)
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         return self._combine(other, other.data)
@@ -288,7 +272,7 @@ class SpectralField:
         data = np.zeros((len(masks), self.data.shape[1]), dtype=complex)
         data[[masks.index(mask) for mask in self.masks]] = self.data
         data[[masks.index(mask) for mask in other.masks]] += other_data
-        return self._with(masks, data, self.zero_mean and other.zero_mean)
+        return self._with(masks, data)
 
     def _require_compatible(self, other: "SpectralField") -> None:
         if self.dim != other.dim:
@@ -303,10 +287,8 @@ class SpectralField:
         return float(np.linalg.norm(self.data))
 
     def __repr__(self) -> str:
-        return (
-            f"SpectralField(dim={self.dim}, band={self.band}, "
-            f"modes={len(self.coeffs)}, zero_mean={self.zero_mean})"
-        )
+        return (f"SpectralField(dim={self.dim}, band={self.band}, modes={len(self.coeffs)}, "
+                f"zero_mean={self.zero_mean})")
 
 
 class _CoefficientView(Mapping):
@@ -315,7 +297,7 @@ class _CoefficientView(Mapping):
     Iterates in canonical (lexicographic) mode order; within a mode only the
     nonzero blades appear.  Elements are built when read, by
     :func:`_elements`: ``values()`` passes it the nonzero columns, ``view[m]``
-    (like ``get``, ``mean_coefficient`` and ``items()``) a block of one column.
+    (and so ``get`` and ``items()``) a block of one column.
     """
 
     __slots__ = ("field", "cols")
@@ -540,11 +522,9 @@ def forward_transform(grid: GridField, band: int) -> SpectralField:
     """
     P = grid.points_per_axis
     _check_grid_band(P, band)
-    if band < 1:
-        raise InputError("band must be >= 1")
     _check_shape(grid.dim, band)
     forward, _ = _coupling(grid.dim, band, P, len(grid.masks))
-    return SpectralField._of(grid.dim, band, grid.masks, forward(grid.data), False)
+    return SpectralField._of(grid.dim, band, grid.masks, forward(grid.data))
 
 
 def inverse_transform(field: SpectralField, points_per_axis: int | None = None) -> GridField:
@@ -567,23 +547,35 @@ def _synthesis(rows: np.ndarray, dim: int, band: int, points: int) -> np.ndarray
     return out
 
 
-def _mode_product(f: SpectralField, g: SpectralField, zero_mean: bool = False,
-                  factor: float | None = None) -> SpectralField:
-    """Per-mode Clifford product ``f_hat(m) * g_hat(m)``, with f on the left.
+#: The 0 a blade's first product term is added to; a Python 0 costs a conversion per call.
+_ZERO = np.zeros((), dtype=complex)
 
-    Works on whole blade rows: rows ``a`` of f and ``b`` of g add
-    ``sign(a, b) * f_a * g_b`` to row ``a ^ b`` of the result, in increasing
-    order of ``a``; a ``factor`` then scales them, as ``.scale`` would.
+
+def _mode_product(f_masks, f_rows, g_masks, g_rows) -> tuple[tuple[int, ...], np.ndarray]:
+    """Per-mode Clifford product ``(masks, rows)`` of blade rows, ``f`` on the left.
+
+    ``g_rows`` may be a stack ``(..., blades, modes)``.  Rows ``a`` of f and
+    ``b`` of g give ``sign(a, b) * f_a * g_b`` to blade ``a ^ b``, in order of
+    ``a``, then ``b``: a blade's first term is added to 0 (a ``-0.0`` part
+    becomes ``0.0``) and each later one to it.
     """
+    masks = sorted({a ^ b for a in f_masks for b in g_masks})
+    out = np.empty(g_rows.shape[:-2] + (len(masks), g_rows.shape[-1]), dtype=complex)
+    started = set()
+    for a, f_row in zip(f_masks, f_rows):
+        for r, b in enumerate(g_masks):
+            sign, blade = _blade_product(a, b)
+            target = out[..., masks.index(blade), :]
+            add = np.add if sign > 0 else np.subtract
+            add(target if blade in started else _ZERO, f_row * g_rows[..., r, :], out=target)
+            started.add(blade)
+    return tuple(masks), out
+
+
+def _field_product(f: SpectralField, g: SpectralField) -> SpectralField:
+    """The field of :func:`_mode_product` of two fields' rows, ``f`` on the left."""
     f._require_compatible(g)
-    sign = _blade_tables(f.dim)[0]
-    masks = tuple(sorted({a ^ b for a in f.masks for b in g.masks}))
-    data = np.zeros((len(masks), f.data.shape[1]), dtype=complex)
-    for a, f_row in zip(f.masks, f.data):
-        for b, g_row in zip(g.masks, g.data):
-            term = f_row * g_row
-            data[masks.index(a ^ b)] += term if sign[a, b] > 0 else -term
-    return f._with(masks, data if factor is None else complex(factor) * data, zero_mean)
+    return f._with(*_mode_product(f.masks, f.data, g.masks, g.data))
 
 
 def convolve(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -591,11 +583,11 @@ def convolve(f: SpectralField, g: SpectralField) -> SpectralField:
 
     Clifford coefficients multiply in the order f then g; the order matters.
     """
-    return _mode_product(f, g, factor=TWO_PI**f.dim)
+    return _field_product(f, g).scale(TWO_PI**f.dim)
 
 
 def project_zero_mean(f: SpectralField) -> SpectralField:
-    """Drop the ``m = 0`` coefficient and flag the result as zero-mean."""
+    """Drop the ``m = 0`` coefficient."""
     data = f.data.copy()
     _mean_column(data)[...] = 0
-    return f._with(f.masks, data, True)
+    return f._with(f.masks, data)

@@ -146,13 +146,16 @@ def scatter_combine(a, b, subtract: bool = False) -> tuple:
 
     ``a``'s rows go into a zero table over the union of both fields' blades,
     ``b``'s rows (negated to subtract) are added in place, and the zero rows
-    are dropped one by one; a zero result is one zero scalar row.
+    are dropped one by one; a zero result is one zero scalar row.  The sum
+    has a zero mean when every entry of its mean column, the middle one, is
+    zero.
     """
     masks = tuple(sorted(set(a.masks) | set(b.masks)))
     data = np.zeros((len(masks), a.data.shape[1]), dtype=complex)
     data[[masks.index(mask) for mask in a.masks]] = a.data
     data[[masks.index(mask) for mask in b.masks]] += -b.data if subtract else b.data
+    zero_mean = all(value == 0 for value in data[:, data.shape[1] // 2].tolist())
     keep = [r for r in range(len(masks)) if data[r].any()]
     if not keep:
-        return (0,), np.zeros((1, data.shape[1]), dtype=complex), a.zero_mean and b.zero_mean
-    return tuple(masks[r] for r in keep), data[keep], a.zero_mean and b.zero_mean
+        return (0,), np.zeros((1, data.shape[1]), dtype=complex), zero_mean
+    return tuple(masks[r] for r in keep), data[keep], zero_mean

@@ -11,7 +11,7 @@ import pytest
 
 from fracbb import kernels, spectral
 from fracbb.cli import main
-from fracbb.clifford import MAX_GENERATORS
+from fracbb.clifford import MAX_GENERATORS, CliffordElement
 from fracbb.fileio import load_coefficients, save_coefficients, save_grid_csv
 from fracbb.spectral import GridField, SpectralField, inverse_transform
 
@@ -38,7 +38,7 @@ def test_apply_op_fraclap_example(tmp_path):
     save_coefficients(SpectralField(1, 4, {(3,): 1.0}), src)
     assert run_cli(["apply-op", "--op", "fraclap", "--s", 0.25, "--in", src, "--out", out]) == 0
     result = load_coefficients(out)
-    assert abs(result.get(3).p0() - math.sqrt(3.0)) < 1e-12
+    assert abs(result.coeffs[(3,)].p0() - math.sqrt(3.0)) < 1e-12
 
 
 def test_decompose_example(tmp_path):
@@ -48,8 +48,8 @@ def test_decompose_example(tmp_path):
     assert run_cli(["decompose", "--dim", 1, "--in", src, "--out-prefix", prefix]) == 0
     part0 = load_coefficients(f"{prefix}_part0.json")
     part1 = load_coefficients(f"{prefix}_part1.json")
-    assert abs(part0.get(1).p0() - 0.5) < 1e-12
-    assert abs(part1.get(1).p0() - 0.5j) < 1e-12
+    assert abs(part0.coeffs[(1,)].p0() - 0.5) < 1e-12
+    assert abs(part1.coeffs[(1,)].p0() - 0.5j) < 1e-12
     report = json.loads(open(f"{prefix}_report.json").read())
     assert report["schema_version"] == 1
     assert abs(report["bound_ratio"] - 1 / math.sqrt(2)) < 1e-12
@@ -192,8 +192,8 @@ def test_transform_round_trip_via_files(tmp_path):
         "--out", coeff_path, "--dim", 1, "--band", 3,
     ]) == 0
     back = load_coefficients(coeff_path)
-    assert (back.get(1) - field.get(1)).norm() < 1e-12
-    assert (back.get(-2) - field.get(-2)).norm() < 1e-12
+    assert (back.coeffs[(1,)] - field.coeffs[(1,)]).norm() < 1e-12
+    assert (back.coeffs[(-2,)] - field.coeffs[(-2,)]).norm() < 1e-12
     grid2_path = tmp_path / "grid2.csv"
     assert run_cli([
         "transform", "--direction", "inverse", "--in", coeff_path,
@@ -257,7 +257,7 @@ def test_mixed_norm_split_dump(tmp_path, capsys):
     h = load_coefficients(f"{prefix}_h.json")
     g_hat = load_coefficients(f"{prefix}_g_coeffs.json")
     for m in [(1,), (2,)]:
-        total = g_hat.get(m) + h.get(m)
+        total = (g_hat + h).coeffs[m]
         expected = 1.0 if m == (1,) else 1j
         assert abs(total.p0() - expected) < 1e-8
 
@@ -307,7 +307,7 @@ def test_kernel_command(tmp_path):
         "--scan-bands", "4,8", "--out", out, "--report", report,
     ]) == 0
     k = load_coefficients(out)
-    assert abs(k.get((1, 0)).p0() - 1.0) < 1e-12
+    assert abs(k.coeffs[(1, 0)].p0() - 1.0) < 1e-12
     lines = report.read_text().splitlines()
     assert lines[0] == "# schema_version=1"
     assert lines[1].startswith("# config=")
@@ -608,6 +608,12 @@ BAD_INPUT_FILES = [
     ("fractional_band.json",
      '{"dim": 1, "band": 2.5, "entries": [{"m": [1], "alpha": [], "re": 1, "im": 0}]}',
      ["norm", "--kind", "sobolev", "--s", 0.5, "--homogeneous"]),
+    ("out_of_band.json",
+     '{"dim": 1, "band": 2, "entries": [{"m": [3], "alpha": [], "re": 1, "im": 0}]}',
+     ["apply-op", "--op", "D"]),
+    ("wrong_dim_m.json",
+     '{"dim": 2, "band": 2, "entries": [{"m": [1], "alpha": [], "re": 1, "im": 0}]}',
+     ["apply-op", "--op", "D"]),
 ]
 
 
@@ -649,6 +655,16 @@ def test_a_tiny_mean_is_a_mean_for_every_zero_mean_command(args, tmp_path, monke
     assert run_cli(args[:1] + ["--in", src] + args[1:]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "input"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["mean.json"]
+
+
+def test_bilinear_a_sequence_mode_rejects_a_multi_blade_file(tmp_path, capsys):
+    # The pairing reads one scalar row per file; an e1 part is an input error.
+    scalar, blades = tmp_path / "scalar.json", tmp_path / "blades.json"
+    save_coefficients(SpectralField(1, 2, {(1,): 1.0, (-1,): 1.0}), scalar)
+    save_coefficients(SpectralField(1, 2, {(1,): CliffordElement(1, {0: 1.0, 1: 2.0})}), blades)
+    for in1, in2 in ((scalar, blades), (blades, scalar)):
+        assert run_cli(["bilinear-a", "--in1", in1, "--in2", in2, "--truncations", "2"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "input"
 
 
 @pytest.mark.parametrize("truncations", ["", "0,5"], ids=["empty", "below-one"])

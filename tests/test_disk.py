@@ -69,14 +69,14 @@ def test_dilation_monotone_in_radius_with_abel_limit():
 def test_boundary_trace():
     f = PowerSeries([1.0])
     trace = boundary_trace(f, 0.7)
-    assert abs(trace.get(0).p0() - 1.0) < 1e-15
+    assert abs(trace.coeffs[(0,)].p0() - 1.0) < 1e-15
     fz = PowerSeries([0.0, 1.0])
-    assert abs(boundary_trace(fz, 0.5).get(1).p0() - 0.5) < 1e-15
+    assert abs(boundary_trace(fz, 0.5).coeffs[(1,)].p0() - 0.5) < 1e-15
     rng = np.random.default_rng(2)
     f = PowerSeries(rng.normal(size=5))
     trace = boundary_trace(f, 0.9)
     for n in range(-trace.band, 0):
-        assert trace.get(n).is_zero()
+        assert (n,) not in trace.coeffs
 
 
 def test_hminus_half_boundary_norm():

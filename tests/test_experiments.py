@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -106,9 +107,9 @@ def test_random_field_determinism():
     f2 = random_field(cfg, 2)
     assert f1.coeffs.keys() == f2.coeffs.keys()
     for m in f1.coeffs:
-        assert (f1.get(m) - f2.get(m)).is_zero()
+        assert (f1.coeffs[m] - f2.coeffs[m]).is_zero()
     f3 = random_field(cfg, 3)
-    assert any(not (f1.get(m) - f3.get(m)).is_zero() for m in f1.coeffs)
+    assert any(not (f1.coeffs[m] - f3.coeffs[m]).is_zero() for m in f1.coeffs)
 
 
 def dict_built_random_field(cfg, sample_index):
@@ -140,14 +141,15 @@ def test_random_field_band_one_mode_count():
     cfg = ExperimentConfig(dim=2, band=1, samples=1, seed=0)
     f = random_field(cfg)
     assert len(f.coeffs) <= 8  # the 3x3 cube minus the origin
-    assert f.get((0, 0)).is_zero()
+    assert (0, 0) not in f.coeffs
 
 
 def test_random_field_magnitude_law():
     cfg = ExperimentConfig(dim=1, band=32, samples=1, seed=4, decay=1.0)
     f = random_field(cfg)
-    for (n,), value in f.scalar_coeffs().items():
-        assert abs(abs(value) - abs(n) ** -1.0) < 1e-12
+    assert f.is_scalar()
+    for (n,), value in f.coeffs.items():
+        assert abs(abs(value.p0()) - abs(n) ** -1.0) < 1e-12
 
 
 def test_random_field_sobolev_growth_follows_harmonic_sum():
@@ -241,14 +243,10 @@ def test_verify_bb_failure_strictness(monkeypatch):
         raise ConvergenceError("cap hit", partial=object())
 
     monkeypatch.setattr("fracbb.experiments._sum_space_rows", non_converging)
-    cfg = ExperimentConfig(
-        dim=1, band=8, samples=2, seed=8, tol=1e-14, max_iterations=100
-    )
+    cfg = ExperimentConfig(dim=1, band=8, samples=2, seed=8, tol=1e-14)
     with pytest.raises(ConvergenceError) as err:
         verify_bb(cfg)
-    assert err.value.partial is not None
-    report = verify_bb(cfg, strict=False)
-    assert len(report.failures) == 2
+    assert err.value.partial.failures == (0, 1) and not err.value.partial.rows
 
 
 def _sample_splits(cfg, sample_id, **kwargs):
@@ -262,7 +260,7 @@ def _sample_splits(cfg, sample_id, **kwargs):
     ]
     s = -cfg.dim / 2.0
     return scale, fields, [
-        sum_space_norm(f, s=s, tol=cfg.tol, max_iterations=cfg.max_iterations, **kwargs)
+        sum_space_norm(f, s=s, tol=cfg.tol, **kwargs)
         for f in fields
     ]
 
@@ -318,25 +316,36 @@ def test_verify_bb_rows_that_iterate_are_the_per_field_solves(dim, band, monkeyp
     _settle_first(monkeypatch, 0)
     cfg = ExperimentConfig(dim=dim, band=band, samples=2, seed=22, tol=1e-7)
     _assert_rows_are_the_per_field_solves(cfg, "interior-point")
-    capped = dataclasses.replace(cfg, max_iterations=1)
+    _cap_the_sample_solves(monkeypatch, 1)
     for sample_id in range(cfg.samples):
         _, fields, _ = _sample_splits(cfg, sample_id)
         for settled in (0, dim):
             _settle_first(monkeypatch, settled)
             with pytest.raises(ConvergenceError) as sample:
-                _sample_row(capped, sample_id)
+                _sample_row(cfg, sample_id)
             _settle_first(monkeypatch, 0)
             with pytest.raises(ConvergenceError) as alone:
                 sum_space_norm(fields[settled], s=-dim / 2.0, tol=cfg.tol, max_iterations=1)
             assert str(sample.value) == str(alone.value)
             assert _split_bits(sample.value.partial) == _split_bits(alone.value.partial)
-    assert verify_bb(capped, strict=False).failures == (0, 1)
+    with pytest.raises(ConvergenceError) as report:
+        verify_bb(cfg)
+    assert report.value.partial.failures == (0, 1)
+
+
+def _cap_the_sample_solves(monkeypatch, cap):
+    """Give every solve of a verify-bb sample the iteration cap ``cap``."""
+    monkeypatch.setattr("fracbb.experiments._sum_space_rows",
+                        functools.partial(norms._sum_space_rows, max_iterations=cap))
 
 
 @pytest.mark.parametrize("cap", [2.5, 1.5, 2.0, True, "2"])
-def test_a_non_integral_iteration_cap_is_rejected(cap):
+def test_a_non_integral_iteration_cap_is_rejected(cap, monkeypatch):
+    # An input error of a sample's solve ends the run; it is not counted as
+    # a failed sample.
+    _cap_the_sample_solves(monkeypatch, cap)
     with pytest.raises(InputError, match="iteration cap must be an integer"):
-        ExperimentConfig(max_iterations=cap)
+        verify_bb(ExperimentConfig(dim=1, band=8, samples=2))
 
 
 def test_lhs_monotone_under_added_modes():
@@ -362,10 +371,7 @@ def test_experiment_config_validation():
 
 
 def test_settings_that_cannot_run_are_rejected():
-    # An iteration cap below one can never certify anything, and NaN angles
-    # give NaN partial sums; both fail at the boundary.
-    with pytest.raises(InputError):
-        ExperimentConfig(max_iterations=0)
+    # NaN angles give NaN partial sums; they fail at the boundary.
     with pytest.raises(InputError):
         bilinear_A_diracs(math.nan, 0.5, [10])
     with pytest.raises(InputError):

@@ -34,7 +34,7 @@ def test_coefficient_round_trip(tmp_path):
     back = load_coefficients(path)
     assert back.dim == field.dim and back.band == field.band
     for m in [(1, -2), (0, 0)]:
-        assert (back.get(m) - field.get(m)).norm() == 0.0
+        assert (back.coeffs[m] - field.coeffs[m]).norm() == 0.0
 
 
 def test_coefficient_schema_shape(tmp_path):
@@ -56,7 +56,7 @@ def test_clifford_alpha_round_trip():
     data = field_to_jsonable(field)
     assert data["entries"][0]["alpha"] == [1, 3]
     back = field_from_jsonable(data)
-    assert back.get((1, 0, 0)).component((1, 3)) == 2.0
+    assert back.coeffs[(1, 0, 0)].component((1, 3)) == 2.0
 
 
 def test_grid_csv_round_trip(tmp_path):
@@ -156,7 +156,7 @@ def test_coefficient_indices_must_be_integral():
         return {"dim": 2, "band": 2, "entries": [{"m": m, "alpha": alpha, "re": 1.0, "im": 0.0}]}
 
     field = field_from_jsonable(entry([1.0, -2.0], [2.0]))
-    assert field.masks == (2,) and field.get((1, -2)).component([2]) == 1.0
+    assert field.masks == (2,) and field.coeffs[(1, -2)].component([2]) == 1.0
     for m, alpha in (([1.5, 0], []), ([0.9, 0], []), ([1, 0], [1.5]), ([math.inf, 0], [])):
         with pytest.raises(InputError, match="malformed coefficient entry"):
             field_from_jsonable(entry(m, alpha))

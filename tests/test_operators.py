@@ -40,8 +40,7 @@ def random_clifford_field(rng, dim, band):
 
 
 def field_error(a, b):
-    keys = set(a.coeffs) | set(b.coeffs)
-    return max(((a.get(m) - b.get(m)).norm() for m in keys), default=0.0)
+    return max((v.norm() for v in (a - b).coeffs.values()), default=0.0)
 
 
 # -- fractional Laplacian ----------------------------------------------------
@@ -50,7 +49,21 @@ def field_error(a, b):
 def test_fraclap_single_mode():
     u = SpectralField(1, 4, {(3,): 1.0})
     out = fractional_laplacian(u, 0.25)
-    assert abs(out.get(3).p0() - math.sqrt(3.0)) < 1e-14
+    assert abs(out.coeffs[(3,)].p0() - math.sqrt(3.0)) < 1e-14
+
+
+def test_zero_mean_is_read_from_the_data():
+    # A field holds its arrays and nothing else: every multiplier annihilates
+    # the mean, so its output reports a zero mean whatever its input's, and
+    # so does a field built without the flag whose mean entry is zero.
+    assert SpectralField.__slots__ == ("dim", "band", "masks", "data")
+    u = SpectralField(1, 2, {(0,): 3.0, (1,): 1.0, (-2,): 2j})
+    assert not u.zero_mean
+    assert riesz(u).zero_mean and fractional_laplacian(u, 0.5).zero_mean
+    assert SpectralField(1, 2, {(1,): 1.0}).zero_mean
+    # The constructors' flag is an input check.
+    with pytest.raises(InputError, match="zero_mean"):
+        SpectralField.from_blade_vectors(1, 2, (0,), u.data, zero_mean=True)
 
 
 def test_fraclap_annihilates_constant():
@@ -71,7 +84,7 @@ def test_fraclap_is_the_per_mode_product_bit_for_bit(dim, band, masks):
     # Signed zeros, a subnormal and a nonzero mean: the row product keeps
     # the bits, masks and flag of the per-mode Clifford product of the symbol.
     from fracbb.operators import _symbol_table
-    from fracbb.spectral import _mode_product
+    from fracbb.spectral import _field_product
 
     rng = np.random.default_rng(dim)
     data = rng.normal(size=(len(masks), (2 * band + 1) ** dim)) * (1 - 2j)
@@ -83,7 +96,7 @@ def test_fraclap_is_the_per_mode_product_bit_for_bit(dim, band, masks):
         u = SpectralField.from_blade_vectors(dim, band, masks, data, zero_mean)
         for s in (0.25, 0.5, 3):
             ours = fractional_laplacian(u, s)
-            theirs = _mode_product(_symbol_table(dim, band, "fraclap", float(s)), u, zero_mean)
+            theirs = _field_product(_symbol_table(dim, band, "fraclap", float(s)), u)
             assert (ours.masks, ours.zero_mean) == (theirs.masks, theirs.zero_mean)
             assert ours.data.tobytes() == theirs.data.tobytes()
 
@@ -100,14 +113,14 @@ def test_fraclap_rejects_nonpositive_exponent():
 def test_riesz_circle_signs():
     plus = SpectralField(1, 2, {(1,): 1.0})
     minus = SpectralField(1, 2, {(-1,): 1.0})
-    assert abs(riesz(plus, 1).get(1).p0() - 1j) < 1e-15
-    assert abs(riesz(minus, 1).get(-1).p0() + 1j) < 1e-15
+    assert abs(riesz(plus, 1).coeffs[(1,)].p0() - 1j) < 1e-15
+    assert abs(riesz(minus, 1).coeffs[(-1,)].p0() + 1j) < 1e-15
 
 
 def test_riesz_torus_direction():
     u = SpectralField(2, 2, {(1, 1): 1.0})
     out = riesz(u, 1)
-    assert abs(out.get((1, 1)).p0() - 1j / math.sqrt(2)) < 1e-14
+    assert abs(out.coeffs[(1, 1)].p0() - 1j / math.sqrt(2)) < 1e-14
 
 
 def test_riesz_axis_validation():
@@ -118,8 +131,8 @@ def test_riesz_axis_validation():
 
 def test_riesz_conjugated_is_negative():
     u = SpectralField(2, 2, {(1, 0): 1.0})
-    a = riesz(u, 1).get((1, 0)).p0()
-    b = riesz(u, 1, conjugated=True).get((1, 0)).p0()
+    a = riesz(u, 1).coeffs[(1, 0)].p0()
+    b = riesz(u, 1, conjugated=True).coeffs[(1, 0)].p0()
     assert abs(a + b) < 1e-15
 
 
@@ -135,12 +148,12 @@ def test_riesz_squared_is_minus_identity_on_circle():
 
 def test_dirac_circle_single_mode():
     u = SpectralField(1, 2, {(1,): 1.0})
-    assert abs(dirac_D(u).get(1).p0() - (1 + 1j)) < 1e-15
+    assert abs(dirac_D(u).coeffs[(1,)].p0() - (1 + 1j)) < 1e-15
 
 
 def test_dirac_torus_single_mode():
     u = SpectralField(2, 2, {(1, 0): 1.0})
-    out = dirac_D(u).get((1, 0))
+    out = dirac_D(u).coeffs[(1, 0)]
     assert abs(out.p0() - 1.0) < 1e-14
     assert abs(out.component((1,)) - 1j) < 1e-14
     assert out.component((2,)) == 0j
@@ -161,7 +174,7 @@ def test_D_plus_Dbar_is_twice_fraclap(dim, band):
 def test_invert_D_circle_single_mode():
     f = SpectralField(1, 2, {(1,): 1.0}, zero_mean=True)
     F = invert_D(f)
-    assert abs(F.get(1).p0() - (0.5 - 0.5j)) < 1e-15
+    assert abs(F.coeffs[(1,)].p0() - (0.5 - 0.5j)) < 1e-15
 
 
 def test_invert_D_zero_field():
@@ -193,9 +206,9 @@ def test_invert_D_l2_bound():
 
 def test_invert_D2_examples():
     g = SpectralField(1, 2, {(1,): 1.0}, zero_mean=True)
-    assert abs(invert_D2(g).get(1).p0() + 0.5j) < 1e-15
+    assert abs(invert_D2(g).coeffs[(1,)].p0() + 0.5j) < 1e-15
     g2 = SpectralField(1, 2, {(-1,): 1.0}, zero_mean=True)
-    assert abs(invert_D2(g2).get(-1).p0() - 0.5j) < 1e-15
+    assert abs(invert_D2(g2).coeffs[(-1,)].p0() - 0.5j) < 1e-15
 
 
 @pytest.mark.parametrize("dim,band", [(1, 8), (2, 4), (3, 2)])
@@ -223,4 +236,4 @@ def test_inverses_reject_nonzero_mean():
 def test_multipliers_annihilate_mean():
     u = SpectralField(2, 2, {(0, 0): 4.0, (1, 0): 1.0})
     for out in (dirac_D(u), dirac_Dbar(u), riesz(u, 1), fractional_laplacian(u, 0.5)):
-        assert out.get((0, 0)).is_zero()
+        assert (0, 0) not in out.coeffs
