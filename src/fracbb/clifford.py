@@ -27,20 +27,13 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _count
 
 #: Runtime cap on the generator count (2**8 components).
 MAX_GENERATORS = 8
 
 # Products of elements denser than this (pair count) go through the table path.
 _DENSE_PAIR_THRESHOLD = 128
-
-
-def _check_generator_count(n: int) -> None:
-    if not isinstance(n, int) or n < 1 or n > MAX_GENERATORS:
-        raise InputError(
-            f"generator count must be an integer in [1, {MAX_GENERATORS}], got {n!r}"
-        )
 
 
 def _reordering_sign(a: int, b: int) -> int:
@@ -129,7 +122,7 @@ class CliffordElement:
     __slots__ = ("n", "comps")
 
     def __init__(self, n: int, comps: Mapping[int, complex] | None = None):
-        _check_generator_count(n)
+        n = _count(n, "generator count", 1, MAX_GENERATORS)
         cleaned: dict[int, complex] = {}
         if comps:
             top = 1 << n

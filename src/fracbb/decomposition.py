@@ -32,7 +32,8 @@ import numpy as np
 from .errors import InputError
 from .norms import _sobolev_norms
 from .operators import _fraclap_rows, _symbol_table
-from .spectral import SpectralField, _mode_product, _synthesis, default_points
+from .spectral import (SpectralField, _mode_product, _require_zero_mean, _synthesis,
+                       default_points)
 
 @dataclass(frozen=True)
 class DecompositionResult:
@@ -64,8 +65,7 @@ def solve_decomposition(
     ``fj_hat = (i m_j / |m|) * g_hat / (2 |m|**(n/2))``; the plain flavor
     flips the sign of the Riesz parts.  Reconstruction is exact on the band.
     """
-    if not g.zero_mean:
-        raise InputError("decomposition requires a zero-mean field")
+    _require_zero_mean(g.data, "decomposition")
     if not g.is_scalar():
         raise InputError("decomposition expects a complex scalar field")
     dim, band, s = g.dim, g.band, g.dim / 4.0

@@ -26,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
-from .norms import (SumSpaceSplit, _count, _l1_norms, _sobolev_norms, _sum_space_rows,
+from .errors import InputError, _count
+from .norms import (SumSpaceSplit, _l1_norms, _sobolev_norms, _sum_space_rows,
                     _weights_for, sum_space_norm)
 from .spectral import (SpectralField, _check_size, _grid_shape, _synthesis, default_points,
                        mode_matrix)
@@ -210,8 +210,7 @@ def bbb_ratio(
 
 def random_series(order: int, decay: float, rng: np.random.Generator) -> PowerSeries:
     """Random series with ``|a_n| ~ n**(-decay)`` and uniform phases."""
-    if order < 0:
-        raise InputError(f"series order must be >= 0, got {order!r}")
+    order = _count(order, "series order", 0)
     _check_size(order + 1, f"a series of order {order}")
     if not math.isfinite(decay):
         raise InputError(f"decay must be finite, got {decay!r}")
@@ -243,8 +242,7 @@ def verify_bergman(
     Series ``k`` is the ``k``-th draw of ``random_series(order, decay, rng)``
     with ``rng = default_rng(seed)``, so a corpus is a prefix of any larger one.
     """
-    if corpus_size < 1:
-        raise InputError(f"corpus size must be >= 1, got {corpus_size!r}")
+    corpus_size, order = _count(corpus_size, "corpus size", 1), _count(order, "series order", 0)
     if not radii:
         raise InputError("need at least one radius")
     _grid_shape(1, default_points(max(order, 1)))  # bbb_ratio's grid, refused before any draw

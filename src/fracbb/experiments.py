@@ -23,8 +23,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError
-from .norms import _count, _default_weights, _sum_space_rows
+from .errors import ConvergenceError, InputError, _count
+from .norms import _default_weights, _sum_space_rows
 from .operators import _fraclap_rows, _symbol_table
 from .spectral import SpectralField, _check_shape, _mode_product, mode_matrix
 
@@ -40,9 +40,11 @@ class ExperimentConfig:
     tol: float = 1e-6
 
     def __post_init__(self):
-        _check_shape(self.dim, self.band)
-        _count(self.samples, "sample count", 1)
-        _count(self.seed, "seed", 0)
+        dim, band = _check_shape(self.dim, self.band)
+        counts = (("dim", dim), ("band", band), ("samples", _count(self.samples, "sample count", 1)),
+                  ("seed", _count(self.seed, "seed", 0)))
+        for name, value in counts:
+            object.__setattr__(self, name, value)  # the checked ints; the config is frozen
         if not math.isfinite(self.decay):
             raise InputError(f"decay must be finite, got {self.decay!r}")
         if not (math.isfinite(self.tol) and self.tol > 0):
@@ -195,10 +197,8 @@ def bilinear_A(
     g1: Mapping[int, complex], g2: Mapping[int, complex], truncation: int
 ) -> complex:
     """Symmetric partial sum ``sum_{0 < |n| <= N} sign(n) g1_n g2_{-n} / (i|n|)``."""
-    if truncation < 1:
-        raise InputError("truncation must be >= 1")
     total = 0j
-    for n in range(1, truncation + 1):
+    for n in range(1, _count(truncation, "truncation", 1) + 1):
         plus = g1.get(n, 0j) * g2.get(-n, 0j)
         minus = g1.get(-n, 0j) * g2.get(n, 0j)
         total += (plus - minus) / (1j * n)
@@ -241,9 +241,9 @@ def bilinear_A_diracs(a: float, b: float, truncations: Sequence[int]) -> DiracSe
     theta = a - b  # not finite when a or b is not, or when it overflows
     if not math.isfinite(theta):
         raise InputError(f"point-mass angles and a - b must be finite, got a={a!r}, b={b!r}")
-    truncations = sorted({int(t) for t in truncations})
-    if not truncations or truncations[0] < 1:
-        raise InputError("truncations must be positive integers")
+    truncations = sorted({_count(t, "truncation", 1) for t in truncations})
+    if not truncations:
+        raise InputError("need at least one truncation")
     top = truncations[-1]
     wanted = dict.fromkeys(truncations, 0.0)
     running = 0.0

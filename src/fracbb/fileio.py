@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .clifford import MAX_GENERATORS, blade_label, mask_to_subset, subset_to_mask
-from .errors import InputError, InvariantViolation
+from .errors import InputError, InvariantViolation, _count
 from .spectral import GridField, SpectralField, _check_shape, _mode_positions, mode_list
 
 SCHEMA_VERSION = 1
@@ -189,8 +189,7 @@ def save_grid_csv(grid: GridField, path) -> None:
 
 
 def load_grid_csv(path, dim: int) -> GridField:
-    if not 1 <= dim <= MAX_GENERATORS:
-        raise InputError(f"grid dimension must lie in [1, {MAX_GENERATORS}], got {dim}")
+    dim = _count(dim, "grid dimension", 1, MAX_GENERATORS)
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)

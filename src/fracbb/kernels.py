@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _count
 from .operators import _symbol_table
 from .spectral import (SpectralField, _check_shape, _grid_shape, default_points, freq_norm,
                        inverse_transform, mode_matrix)
@@ -55,12 +55,13 @@ class KernelSpec:
             raise InputError(f"unknown kernel kind {self.kind!r}; expected {_KINDS}")
         if self.kind == "sawtooth" and self.dim != 1:
             raise InputError("the sawtooth kernel is one-dimensional")
-        if self.kind == "direction":
-            axis = self.direction if self.direction is not None else 1
-            if not 1 <= axis <= self.dim:
-                raise InputError(f"direction {axis} out of range 1..{self.dim}")
-        _check_shape(self.dim, self.band)
-        _grid_shape(self.dim, default_points(self.band))
+        dim, band = _check_shape(self.dim, self.band)
+        direction = self.direction
+        if self.kind == "direction" and direction is not None:
+            direction = _count(direction, "direction", 1, dim)
+        for name, value in (("dim", dim), ("band", band), ("direction", direction)):
+            object.__setattr__(self, name, value)  # the checked ints; the spec is frozen
+        _grid_shape(dim, default_points(band))
 
     def build(self) -> SpectralField:
         """The kernel's coefficients; an n-D ``K`` table is built outside the symbol-table cache."""
@@ -104,8 +105,6 @@ def kernel_K_1d(band: int) -> SpectralField:
 
     This is the symbol of ``invert_D2`` on the circle.
     """
-    if band < 1:
-        raise InputError("band must be >= 1")
     return _symbol_table(1, band, "invD2")
 
 
@@ -119,8 +118,7 @@ def kernel_component_nd(dim: int, axis: int, band: int) -> SpectralField:
     """
     if dim < 2:
         raise InputError("directional kernel needs dim >= 2 (use the 1-D kernel)")
-    if not 1 <= axis <= dim:
-        raise InputError(f"axis {axis} out of range 1..{dim}")
+    axis = _count(axis, "axis", 1, dim)
     mm = mode_matrix(dim, band)
     norm = np.sqrt((mm**2).sum(axis=1))
     origin = norm == 0
@@ -150,8 +148,7 @@ def dyadic_range(level: int) -> tuple[int, int]:
     Level 0 covers ``[1/2, 1)`` and contains no positive integer; for radial
     levels the value 0 is assigned to level 0 (``|m~| < 1``).
     """
-    if level < 0:
-        raise InputError("dyadic level must be >= 0")
+    level = _count(level, "dyadic level", 0)
     if level == 0:
         return 1, 0  # empty integer range
     return 2 ** (level - 1), 2**level - 1
@@ -188,10 +185,8 @@ def dyadic_block_sum(
     boundedness argument; blocks intersected with a cube reproduce the
     truncated kernel when summed in increasing level order.
     """
-    if dim < 1:
-        raise InputError("dim must be >= 1")
-    if not 1 <= axis <= dim:
-        raise InputError(f"axis {axis} out of range 1..{dim}")
+    dim = _count(dim, "dimension", 1)
+    axis, ktilde = _count(axis, "axis", 1, dim), _count(ktilde, "dyadic level", 0)
     x = tuple(float(v) for v in x)
     if len(x) != dim:
         raise InputError(f"point has {len(x)} coordinates, expected {dim}")
@@ -225,6 +220,7 @@ def kernel_point_eval_dyadic(
     dim: int, axis: int, band: int, x: Sequence[float]
 ) -> complex:
     """Truncated directional kernel at one point via ordered dyadic blocks."""
+    band = _count(band, "band", 0)
     max_level = band.bit_length() + 1
     total = 0j
     for k1 in range(max_level + 1):
@@ -261,7 +257,7 @@ def sup_norm_scan(spec: KernelSpec, bands: Sequence[int]) -> ScanReport:
     built, and only one band's coefficients, grid and magnitude are held:
     n-D ``K`` tables are built outside the symbol-table cache.
     """
-    bands = [int(b) for b in bands]
+    bands = [_count(b, "band", 1) for b in bands]
     if any(b2 <= b1 for b1, b2 in zip(bands, bands[1:])):
         raise InputError("bands must be strictly increasing")
     specs = [replace(spec, band=band) for band in bands]

@@ -96,7 +96,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError, InvariantViolation
+from .errors import ConvergenceError, InputError, InvariantViolation, _count
 from .spectral import (
     GridField,
     SpectralField,
@@ -104,6 +104,7 @@ from .spectral import (
     _coupling,
     _grid_shape,
     _mean_column,
+    _require_zero_mean,
     default_points,
     mode_matrix,
 )
@@ -142,10 +143,8 @@ def _sobolev_norms(
     """:func:`sobolev_norm` of each field of coefficient rows ``(fields, blades, modes)``."""
     if not math.isfinite(s):
         raise InputError(f"Sobolev exponent must be finite, got {s!r}")
-    if homogeneous and s < 0 and _mean_column(rows).any():
-        raise InputError(
-            "homogeneous norm with negative exponent needs a zero-mean field"
-        )
+    if homogeneous and s < 0:
+        _require_zero_mean(rows, "a homogeneous norm with negative exponent")
     power = (np.abs(rows) ** 2).sum(axis=1)
     weights, active = _sobolev_weights(dim, band, s, homogeneous)
     if homogeneous:
@@ -834,13 +833,6 @@ def sum_space_norm(
     return _split(f.dim, f.band, f.masks, *row)
 
 
-def _count(value, name: str, least: int) -> int:
-    """``value`` as an int: an integer (not a bool) of at least ``least``, else an input error."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise InputError(f"{name} must be an integer of at least {least}, got {value!r}")
-    return int(value)
-
-
 def _sum_space_rows(rows: np.ndarray, masks: tuple[int, ...], dim: int, band: int, tables,
                     tol: float, *, points_per_axis=None, max_iterations=100) -> list[tuple]:
     """``(value, gap, g, h, iterations, path)`` of each row of ``rows``.
@@ -859,8 +851,8 @@ def _sum_space_rows(rows: np.ndarray, masks: tuple[int, ...], dim: int, band: in
     _count(max_iterations, "iteration cap", 1)
     h_mask, weight, _ = tables
     homogeneous = not _mean_column(h_mask)
-    if homogeneous and _mean_column(rows).any():
-        raise InputError("homogeneous sum-space norm requires a zero-mean field")
+    if homogeneous:
+        _require_zero_mean(rows, "the homogeneous sum-space norm")
     P = (default_points(band) if points_per_axis is None
          else _count(points_per_axis, "points per axis", 2 * band + 1))
     shape = _grid_shape(dim, P)

@@ -26,11 +26,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError
-from .spectral import SpectralField, _field_product, _mode_product, mode_matrix
+from .errors import InputError, _count
+from .spectral import (SpectralField, _field_product, _mode_product, _require_zero_mean,
+                       mode_matrix)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: a band of 4.0 or True reaches the shape check
 def _symbol_table(dim: int, band: int, op: str, param=None) -> SpectralField:
     """Symbol of one multiplier on the band cube, as a read-only zero-mean field.
 
@@ -99,9 +100,7 @@ def fractional_laplacian(u: SpectralField, s: float) -> SpectralField:
 
 def riesz(u: SpectralField, axis: int = 1, conjugated: bool = False) -> SpectralField:
     """Riesz transform along ``axis``: multiplier ``+/- i*m_j/|m|``."""
-    if not 1 <= axis <= u.dim:
-        raise InputError(f"axis {axis} out of range 1..{u.dim}")
-    return _apply(u, "riesz", (axis, bool(conjugated)))
+    return _apply(u, "riesz", (_count(axis, "axis", 1, u.dim), bool(conjugated)))
 
 
 def dirac_D(u: SpectralField) -> SpectralField:
@@ -114,11 +113,6 @@ def dirac_Dbar(u: SpectralField) -> SpectralField:
     return _apply(u, "Dbar")
 
 
-def _require_zero_mean(f: SpectralField, what: str) -> None:
-    if not f.zero_mean:
-        raise InputError(f"{what} requires a zero-mean field (nonzero coefficient at m = 0)")
-
-
 def invert_D(f: SpectralField) -> SpectralField:
     """Solve ``D F = f`` exactly on the band for zero-mean ``f``.
 
@@ -126,7 +120,7 @@ def invert_D(f: SpectralField) -> SpectralField:
     so the inverse symbol is ``(1 - v) / (2*|m|**(n/2))``.  The solution
     satisfies ``||F||_{L2} <= ||f||_{H^{-n/2}-dot}`` coefficientwise.
     """
-    _require_zero_mean(f, "invert_D")
+    _require_zero_mean(f.data, "invert_D")
     return _apply(f, "invD")
 
 
@@ -137,5 +131,5 @@ def invert_D2(g: SpectralField) -> SpectralField:
     whose inverse is the bounded-kernel multiplier ``m / (2i*|m|**(n+1))``
     (``-i/(2m)`` in one dimension).
     """
-    _require_zero_mean(g, "invert_D2")
+    _require_zero_mean(g.data, "invert_D2")
     return _apply(g, "invD2")

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from collections.abc import Iterable, Iterator, Mapping, ValuesView
 from functools import lru_cache
 from types import MappingProxyType
@@ -43,7 +44,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .clifford import MAX_GENERATORS, CliffordElement, _blade_product
-from .errors import AliasingError, InputError
+from .errors import AliasingError, InputError, _count
 
 Index = tuple[int, ...]
 
@@ -79,7 +80,7 @@ def band_indices(dim: int, band: int) -> Iterator[Index]:
     return itertools.product(range(-band, band + 1), repeat=dim)
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)  # typed: a 4.0 or True never finds band 4's or 1's table
 def mode_list(dim: int, band: int) -> tuple[Index, ...]:
     """Canonically ordered modes of the band cube (lexicographic).
 
@@ -96,7 +97,7 @@ def _mode_positions(dim: int, band: int) -> dict[Index, int]:
     return {m: i for i, m in enumerate(mode_list(dim, band))}
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def mode_matrix(dim: int, band: int) -> np.ndarray:
     """Integer (modes, dim) array of the band cube in canonical order.
 
@@ -114,10 +115,10 @@ def _mean_column(rows: np.ndarray) -> np.ndarray:
     return rows[..., rows.shape[-1] // 2]
 
 
-def _check_zero_mean(data: np.ndarray, zero_mean: bool) -> None:
-    """The constructors' input check: with ``zero_mean``, the rows ``data`` have no mean."""
-    if zero_mean and _mean_column(data).any():
-        raise InputError("field flagged zero_mean has a nonzero coefficient at 0")
+def _require_zero_mean(rows: np.ndarray, what: str) -> None:
+    """An input error naming ``what`` unless the coefficient rows ``rows`` have no mean."""
+    if _mean_column(rows).any():
+        raise InputError(f"{what} requires a zero-mean field (nonzero coefficient at m = 0)")
 
 
 @lru_cache(maxsize=128)
@@ -127,12 +128,11 @@ def _wrapped_index_arrays(dim: int, band: int, points: int) -> tuple[np.ndarray,
     return tuple(np.mod(mm[:, ax], points).astype(np.intp) for ax in range(dim))
 
 
-def _check_shape(dim: int, band: int) -> None:
-    if not isinstance(dim, int) or not 1 <= dim <= MAX_GENERATORS:
-        raise InputError(f"dimension must be an integer in [1, {MAX_GENERATORS}], got {dim!r}")
-    if not isinstance(band, int) or band < 1:
-        raise InputError(f"band must be a positive integer, got {band!r}")
+def _check_shape(dim: int, band: int) -> tuple[int, int]:
+    """``(dim, band)`` as ints, a band cube within ``MAX_GRID_CELLS``; else an input error."""
+    dim, band = _count(dim, "dimension", 1, MAX_GENERATORS), _count(band, "band", 1)
     _check_size((2 * band + 1) ** dim, f"the mode cube of band {band} in dimension {dim}")
+    return dim, band
 
 
 def _check_size(size: int, what: str) -> None:
@@ -171,7 +171,7 @@ class SpectralField:
     __slots__ = ("dim", "band", "masks", "data")
 
     def __init__(self, dim: int, band: int, coeffs: Mapping | None = None, zero_mean: bool = False):
-        _check_shape(dim, band)
+        dim, band = _check_shape(dim, band)
         positions = _mode_positions(dim, band)
         entries: dict[int, Mapping[int, complex]] = {}
         for m, value in (coeffs or {}).items():
@@ -196,7 +196,8 @@ class SpectralField:
         for col, comps in entries.items():
             for mask, value in comps.items():
                 data[masks.index(mask), col] = value
-        _check_zero_mean(data, zero_mean)
+        if zero_mean:
+            _require_zero_mean(data, "the zero_mean flag")
         self._assign(dim, band, tuple(masks), data)
 
     def _assign(self, dim, band, masks, data) -> None:
@@ -216,7 +217,7 @@ class SpectralField:
 
         ``vectors`` has shape ``(len(masks), modes)`` and is copied.
         """
-        _check_shape(dim, band)
+        dim, band = _check_shape(dim, band)
         masks = tuple(int(mask) for mask in masks)
         if len(set(masks)) != len(masks) or not all(0 <= mk < 1 << dim for mk in masks):
             raise InputError(f"blade masks {masks} are not distinct masks of C_{dim}")
@@ -224,7 +225,8 @@ class SpectralField:
         if data.shape != (len(masks), (2 * band + 1) ** dim):
             raise InputError(f"coefficient array of shape {data.shape} does not fit "
                              f"{len(masks)} blades on band {band}")
-        _check_zero_mean(data, zero_mean)
+        if zero_mean:
+            _require_zero_mean(data, "the zero_mean flag")
         order = sorted(range(len(masks)), key=masks.__getitem__)
         return cls._of(dim, band, tuple(masks[r] for r in order), data[order])
 
@@ -362,9 +364,8 @@ class GridField:
     __slots__ = ("dim", "points_per_axis", "masks", "data")
 
     def __init__(self, dim: int, points_per_axis: int, comps: Mapping[int, np.ndarray]):
-        if points_per_axis < 2:
-            raise InputError("need at least 2 points per axis")
-        shape = (int(points_per_axis),) * dim
+        dim = _count(dim, "dimension", 1, MAX_GENERATORS)
+        shape = (_count(points_per_axis, "points per axis", 2),) * dim
         planes: dict[int, np.ndarray] = {}
         for mask, plane in comps.items():
             if not 0 <= int(mask) < 1 << dim:
@@ -522,15 +523,17 @@ def forward_transform(grid: GridField, band: int) -> SpectralField:
     """
     P = grid.points_per_axis
     _check_grid_band(P, band)
-    _check_shape(grid.dim, band)
+    _, band = _check_shape(grid.dim, band)
     forward, _ = _coupling(grid.dim, band, P, len(grid.masks))
     return SpectralField._of(grid.dim, band, grid.masks, forward(grid.data))
 
 
 def inverse_transform(field: SpectralField, points_per_axis: int | None = None) -> GridField:
     """Synthesis ``u(x_k) = sum_m u_hat(m) exp(i<m, x_k>)`` on the uniform grid."""
-    P = default_points(field.band) if points_per_axis is None else int(points_per_axis)
-    _check_grid_band(P, field.band)
+    P = default_points(field.band) if points_per_axis is None else points_per_axis
+    if isinstance(P, numbers.Real):  # too few points, a bool or a fraction too, is aliasing
+        _check_grid_band(P, field.band)
+    P = _count(P, "points per axis", 2 * field.band + 1)
     planes = _synthesis(field.data, field.dim, field.band, P)
     return GridField._of(field.dim, P, field.masks, planes)
 

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from fracbb.clifford import CliffordElement
 from fracbb.decomposition import solve_decomposition
@@ -24,14 +23,7 @@ from fracbb.experiments import ExperimentConfig, random_field, verify_bb
 from fracbb.kernels import KernelSpec, sawtooth_eval, sup_norm_scan, kernel_K_1d, kernel_K_nd
 from fracbb.norms import l1_norm, sobolev_norm, sum_space_norm
 from fracbb.operators import dirac_D, fractional_laplacian, invert_D2, riesz
-from fracbb.spectral import (
-    GridField,
-    SpectralField,
-    band_indices,
-    convolve,
-    forward_transform,
-    inverse_transform,
-)
+from fracbb.spectral import SpectralField, band_indices, convolve, inverse_transform
 
 from frozen_values import SUBGRADIENT_VALUES
 from regen_oracle_values import instance_field, instance_weight_array, oracle_instances
