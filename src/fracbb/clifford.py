@@ -59,15 +59,12 @@ def _blade_product(a: int, b: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=MAX_GENERATORS)
 def _blade_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (sign, target-blade) tables for all basis-blade pairs."""
+    """Dense (sign, target-blade) tables for all basis-blade pairs; shared, so read-only."""
     dim = 1 << n
-    sign = np.empty((dim, dim), dtype=np.int8)
-    for a in range(dim):
-        row = sign[a]
-        for b in range(dim):
-            row[b] = _reordering_sign(a, b)
+    sign = np.array([[_reordering_sign(a, b) for b in range(dim)] for a in range(dim)], np.int8)
     masks = np.arange(dim, dtype=np.intp)
     target = (masks[:, None] ^ masks[None, :]).ravel()
+    sign.flags.writeable = target.flags.writeable = False
     return sign, target
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .clifford import MAX_GENERATORS, blade_label, mask_to_subset, subset_to_mask
 from .errors import InputError, InvariantViolation, _count
-from .spectral import GridField, SpectralField, _check_shape, _mode_positions, mode_list
+from .spectral import GridField, SpectralField, _check_shape, _column_modes, _mode_columns
 
 SCHEMA_VERSION = 1
 
@@ -94,12 +94,12 @@ def field_to_jsonable(field: SpectralField) -> dict:
     entry is written where its value is nonzero; a ``-0.0`` part is written
     as such beside a nonzero one.
     """
-    modes = mode_list(field.dim, field.band)
     subsets = [mask_to_subset(mask) for mask in field.masks]
     cols, rows = np.nonzero(field.data.T)
+    modes = _column_modes(cols, field.dim, field.band).tolist()
     entries = [
-        {"m": list(modes[col]), "alpha": list(subsets[row]), "re": v.real, "im": v.imag}
-        for col, row, v in zip(cols.tolist(), rows.tolist(), field.data[rows, cols].tolist())
+        {"m": m, "alpha": list(subsets[row]), "re": v.real, "im": v.imag}
+        for m, row, v in zip(modes, rows.tolist(), field.data[rows, cols].tolist())
     ]
     return {"dim": field.dim, "band": field.band, "entries": entries}
 
@@ -111,17 +111,15 @@ def save_coefficients(field: SpectralField, path) -> None:
 def field_from_jsonable(data: dict) -> SpectralField:
     """The field of coefficient-file data, read into blade rows.
 
-    The entries of one mode and blade add up in file order, the first assigned
-    and each later one added to it; the nonzero sums fill the rows.
+    The entries of one mode and blade add up in file order, the first assigned and
+    each later one added; the sums fill the rows, a zero sum (``-0.0`` parts too) as 0.
     """
-    try:
-        dim, band = _integers((data["dim"], data["band"]))
+    try:  # the shape is checked before the coefficient rows of the cube are built
+        dim, band = _check_shape(*_integers((data["dim"], data["band"])))
         raw_entries = data["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed coefficient data: {exc}") from exc
-    _check_shape(dim, band)  # before a mode table of the cube is built
-    positions = _mode_positions(dim, band)
-    sums: dict[tuple[int, int], complex] = {}  # (mask, column) -> sum
+    sums: dict[tuple[int, tuple[int, ...]], complex] = {}  # (mask, mode) -> sum
     for entry in raw_entries:
         try:
             m, subset = _integers(entry["m"]), _integers(entry["alpha"])
@@ -130,22 +128,22 @@ def field_from_jsonable(data: dict) -> SpectralField:
             raise InputError(f"malformed coefficient entry {entry!r}") from exc
         if not cmath.isfinite(value):
             raise InputError(f"non-finite coefficient in entry {entry!r}")
-        col = positions.get(m)
-        if col is None:
+        if len(m) != dim or not all(-band <= mj <= band for mj in m):
             raise InputError(f"frequency {m} outside the band-{band} cube of dimension {dim}")
-        key = (subset_to_mask(subset, dim), col)
+        key = (subset_to_mask(subset, dim), m)
         sums[key] = sums[key] + value if key in sums else value
     masks = sorted({mask for mask, _ in sums})
-    rows = np.zeros((len(masks), len(positions)), dtype=complex)
-    for (mask, col), value in sums.items():
-        rows[masks.index(mask), col] = value or 0j  # a zero sum, -0.0 parts too, is 0
+    rows = np.zeros((len(masks), (2 * band + 1) ** dim), dtype=complex)
+    cols = _mode_columns(np.array([m for _, m in sums], dtype=np.int64).reshape(-1, dim), band)
+    rows[[masks.index(mask) for mask, _ in sums], cols] = [value or 0j for value in sums.values()]
     return SpectralField.from_blade_vectors(dim, band, masks, rows)
 
 
 def _integers(values) -> tuple[int, ...]:
-    """The entries of a frequency, blade or shape list; a non-integral number is a ValueError."""
-    if any(isinstance(v, float) and not v.is_integer() for v in values):
-        raise ValueError(f"non-integral index in {values!r}")
+    """The ints of a frequency, blade or shape list; a bool, string or fraction is a ValueError."""
+    if any(isinstance(v, (bool, str)) or isinstance(v, float) and not v.is_integer()
+           for v in values):
+        raise ValueError(f"non-integer index in {values!r}")
     return tuple(int(v) for v in values)
 
 

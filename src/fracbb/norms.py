@@ -104,6 +104,7 @@ from .spectral import (
     _coupling,
     _grid_shape,
     _mean_column,
+    _mode_columns,
     _require_zero_mean,
     default_points,
     mode_matrix,
@@ -437,9 +438,7 @@ def _newton_gathers(dim: int, band: int, blades: int) -> tuple[np.ndarray, np.nd
     read-only.
     """
     mm = mode_matrix(dim, band)
-    width = 4 * band + 1
-    place = width ** np.arange(dim - 1, -1, -1)
-    modes, spectrum = len(mm), width**dim
+    modes, spectrum = len(mm), (4 * band + 1) ** dim
     negated = 2 * blades * blades * spectrum * 2
     pair = blades * np.arange(blades)[:, None] + np.arange(blades)
     pair = pair.reshape(blades, 1, 1, blades, 1, 1)
@@ -447,7 +446,7 @@ def _newton_gathers(dim: int, band: int, blades: int) -> tuple[np.ndarray, np.nd
     size = 2 * blades * modes
 
     def table(offset: int, modes_at: np.ndarray, sign: list) -> np.ndarray:
-        at = ((modes_at + 2 * band) @ place).reshape(1, modes, 1, 1, modes, 1)
+        at = _mode_columns(modes_at, 2 * band).reshape(1, modes, 1, 1, modes, 1)
         flip = negated * np.array(sign).reshape(1, 1, 2, 1, 1, 2)
         index = ((offset + pair) * spectrum + at) * 2 + part + flip
         index = np.ascontiguousarray(index.reshape(size, size), dtype=np.intp)
@@ -804,7 +803,7 @@ def sum_space_norm(
 ) -> SumSpaceSplit:
     """Minimizer of ``||g||_L1 + ||h||_{H^s}`` over ``g + h = f``, certified.
 
-    ``weights`` holds one ``W`` per mode, in :func:`spectral.mode_list` order,
+    ``weights`` holds one ``W`` per mode, in :func:`spectral.mode_matrix` row order,
     with ``W**2`` as the weight; ``None`` gives the ``H^s`` weights,
     ``|m|**(2s)`` or ``(1 + |m|**2)**s``, ``s`` defaulting to ``-dim/2``.  A
     ``W`` that is not positive and finite, or whose square is not a normal

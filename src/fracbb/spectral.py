@@ -10,13 +10,13 @@ the point count.  The quadrature is exact (to roundoff) for fields whose band
 fits the grid, which requires ``P >= 2*N + 1`` points per axis.
 
 A field stores its coefficients as one dense complex array with a row per
-Clifford blade and a column per mode of the band cube, in the canonical
-order of :func:`mode_list`; grid samples are one array with a plane per
-blade.  Truncation is a hard cube ``|m_j| <= N`` and no operation extends
-the band silently.  Every Fourier multiplier and convolution is one
-per-mode Clifford product of blade rows, :func:`_mode_product`, whose right
-operand may be a stack of fields.  A new field drops its zero rows in one
-pass.
+Clifford blade and a column per mode of the band cube, in lexicographic
+order (the rows of :func:`mode_matrix`; :func:`_mode_columns` states the
+layout); grid samples are one array with a plane per blade.  Truncation is
+a hard cube ``|m_j| <= N`` and no operation extends the band silently.
+Every Fourier multiplier and convolution is one per-mode Clifford product
+of blade rows, :func:`_mode_product`, whose right operand may be a stack of
+fields.  A new field drops its zero rows in one pass.
 
 The transform pair :func:`_coupling`, used by the public transforms and the
 sum-space solver alike, is realized in one of two ways, chosen from the band
@@ -62,52 +62,59 @@ def freq_norm(m: Index) -> float:
     return math.sqrt(sum(mj * mj for mj in m))
 
 
-def normalize_index(m, dim: int) -> Index:
-    if isinstance(m, (int, np.integer)):
-        m = (int(m),)
-    else:
-        try:
-            m = tuple(int(mj) for mj in m)
-        except (TypeError, ValueError, OverflowError):
-            raise InputError(f"frequency index {m!r} is not an integer tuple") from None
-    if len(m) != dim:
-        raise InputError(f"frequency index {m} has wrong dimension (expected {dim})")
-    return m
-
-
 def band_indices(dim: int, band: int) -> Iterator[Index]:
-    """All lattice points of the symmetric cube ``|m_j| <= band``."""
+    """All lattice points of the symmetric cube ``|m_j| <= band``, in lexicographic order."""
     return itertools.product(range(-band, band + 1), repeat=dim)
 
 
+def _mode_columns(modes: np.ndarray, band: int) -> np.ndarray:
+    """Columns of integer modes ``(..., dim)`` in the band cube, inverted by :func:`_column_modes`.
+
+    The cube is lexicographic: ``m`` is column ``sum_j (m_j + N) * (2N + 1)**(dim - 1 - j)``.
+    """
+    return (modes + band) @ (2 * band + 1) ** np.arange(modes.shape[-1] - 1, -1, -1)
+
+
+def _column_modes(cols: np.ndarray, dim: int, band: int) -> np.ndarray:
+    """The ``(len(cols), dim)`` integer modes at columns ``cols`` of the band cube."""
+    return np.stack(np.unravel_index(cols, (2 * band + 1,) * dim), axis=-1) - band
+
+
 @lru_cache(maxsize=128, typed=True)  # typed: a 4.0 or True never finds band 4's or 1's table
-def mode_list(dim: int, band: int) -> tuple[Index, ...]:
-    """Canonically ordered modes of the band cube (lexicographic).
-
-    Only per-mode keys need these tuples (the dict constructor, the
-    coefficient views, the coefficient-file reader and writer); array paths
-    use :func:`mode_matrix`.
-    """
-    _check_shape(dim, band)
-    return tuple(band_indices(dim, band))
-
-
-@lru_cache(maxsize=128)
-def _mode_positions(dim: int, band: int) -> dict[Index, int]:
-    return {m: i for i, m in enumerate(mode_list(dim, band))}
-
-
-@lru_cache(maxsize=128, typed=True)
 def mode_matrix(dim: int, band: int) -> np.ndarray:
-    """Integer (modes, dim) array of the band cube in canonical order.
-
-    The rows of :func:`mode_list`, built from ``np.indices`` without its
-    tuples.  Shared cached storage; treat as read-only.
-    """
-    _check_shape(dim, band)
-    modes = np.ascontiguousarray(np.indices((2 * band + 1,) * dim, np.int64).reshape(dim, -1).T)
-    modes -= band
+    """Integer (modes, dim) array of the band cube in lexicographic order; shared, so read-only."""
+    dim, band = _check_shape(dim, band)
+    modes = _column_modes(np.arange((2 * band + 1) ** dim), dim, band)
+    modes.flags.writeable = False
     return modes
+
+
+def _key_columns(keys: list, dim: int, band: int) -> np.ndarray:
+    """Columns of mapping keys, sequences of ``dim`` entries each taken by ``int``.
+
+    They convert in one array operation, or, if that fails or a mode lies outside the
+    band, one at a time (an integer is a 1-tuple), so the first bad key raises its error.
+    """
+    modes = None
+    try:  # the len of a key without one, or the int of an entry, fails as below
+        if set(map(len, keys)) <= {dim}:
+            modes = np.fromiter(itertools.chain.from_iterable(keys), np.int64, len(keys) * dim)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    if modes is None or ((modes < -band) | (modes > band)).any():
+        rows = []
+        for m in keys:
+            try:
+                mode = (int(m),) if isinstance(m, (int, np.integer)) else tuple(map(int, m))
+            except (TypeError, ValueError, OverflowError):
+                raise InputError(f"frequency index {m!r} is not an integer tuple") from None
+            if len(mode) != dim:
+                raise InputError(f"frequency index {mode} has wrong dimension (expected {dim})")
+            if any(abs(mj) > band for mj in mode):
+                raise InputError(f"frequency {mode} outside band {band}")
+            rows.append(mode)
+        modes = np.array(rows, dtype=np.int64)
+    return _mode_columns(modes.reshape(len(keys), dim), band)
 
 
 def _mean_column(rows: np.ndarray) -> np.ndarray:
@@ -123,9 +130,10 @@ def _require_zero_mean(rows: np.ndarray, what: str) -> None:
 
 @lru_cache(maxsize=128)
 def _wrapped_index_arrays(dim: int, band: int, points: int) -> tuple[np.ndarray, ...]:
-    """Per-axis FFT-cube positions of each band mode, for gather/scatter."""
-    mm = mode_matrix(dim, band)
-    return tuple(np.mod(mm[:, ax], points).astype(np.intp) for ax in range(dim))
+    """Per-axis FFT-cube positions of each band mode, for gather/scatter; read-only."""
+    index = np.ascontiguousarray(np.mod(mode_matrix(dim, band).T, points), dtype=np.intp)
+    index.flags.writeable = False
+    return tuple(index)
 
 
 def _check_shape(dim: int, band: int) -> tuple[int, int]:
@@ -159,7 +167,7 @@ class SpectralField:
     """Band-limited Clifford-valued field stored as one dense coefficient array.
 
     ``data[r, k]`` is the component along blade ``masks[r]`` of the coefficient
-    at mode ``mode_list(dim, band)[k]``.  Only blades with a nonzero entry get
+    at mode ``mode_matrix(dim, band)[k]``.  Only blades with a nonzero entry get
     a row (``masks == (0,)`` for the zero field), in increasing mask order.
     Fields are immutable values and ``data`` is read-only; a field holds
     nothing else.  One mode's coefficient is read through :attr:`coeffs`.
@@ -172,30 +180,23 @@ class SpectralField:
 
     def __init__(self, dim: int, band: int, coeffs: Mapping | None = None, zero_mean: bool = False):
         dim, band = _check_shape(dim, band)
-        positions = _mode_positions(dim, band)
+        coeffs = coeffs or {}
         entries: dict[int, Mapping[int, complex]] = {}
-        for m, value in (coeffs or {}).items():
-            # A key equal to a mode tuple finds its column; others are normalized.
-            col = positions.get(m) if isinstance(m, tuple) else None
-            if col is None:
-                m = normalize_index(m, dim)
-                if any(abs(mj) > band for mj in m):
-                    raise InputError(f"frequency {m} outside band {band}")
-                col = positions[m]
+        for col, value in zip(_key_columns(list(coeffs), dim, band).tolist(), coeffs.values()):
             if not isinstance(value, CliffordElement):
                 value = complex(value)
                 if value:
                     entries[col] = {0: value}
             elif value.n != dim:
-                raise InputError(f"coefficient at {mode_list(dim, band)[col]} lives in "
-                                 f"C_{value.n}, field needs C_{dim}")
+                mode = tuple(_column_modes([col], dim, band)[0].tolist())
+                raise InputError(f"coefficient at {mode} lives in C_{value.n}, field needs C_{dim}")
             elif value.comps:
                 entries[col] = value.comps
         masks = sorted({mask for comps in entries.values() for mask in comps})
-        data = np.zeros((len(masks), len(positions)), dtype=complex)
-        for col, comps in entries.items():
-            for mask, value in comps.items():
-                data[masks.index(mask), col] = value
+        data = np.zeros((len(masks), (2 * band + 1) ** dim), dtype=complex)
+        for r, mask in enumerate(masks):
+            cols = [col for col, comps in entries.items() if mask in comps]
+            data[r, cols] = [entries[col][mask] for col in cols]
         if zero_mean:
             _require_zero_mean(data, "the zero_mean flag")
         self._assign(dim, band, tuple(masks), data)
@@ -213,7 +214,7 @@ class SpectralField:
     @classmethod
     def from_blade_vectors(cls, dim: int, band: int, masks: Iterable[int], vectors: np.ndarray,
                            zero_mean: bool = False) -> "SpectralField":
-        """Field from per-blade coefficient rows aligned with ``mode_list``.
+        """Field from per-blade coefficient rows aligned with the rows of ``mode_matrix``.
 
         ``vectors`` has shape ``(len(masks), modes)`` and is copied.
         """
@@ -312,13 +313,17 @@ class _CoefficientView(Mapping):
         return len(self.cols)
 
     def __iter__(self) -> Iterator[Index]:
-        modes = mode_list(self.field.dim, self.field.band)
-        return (modes[col] for col in self.cols.tolist())
+        field = self.field
+        return zip(*_column_modes(self.cols, field.dim, field.band).T.tolist())
 
     def __getitem__(self, m) -> CliffordElement:
         field = self.field
-        col = _mode_positions(field.dim, field.band).get(m)
-        if col is None or not field.data[:, col].any():
+        try:  # as in a dict, m is found when it equals a mode tuple: (1.0,) is, (1.5,) is not
+            col = int(_key_columns([m], field.dim, field.band)[0])
+            found = isinstance(m, tuple) and m == tuple(map(int, m)) and field.data[:, col].any()
+        except InputError:
+            found = False
+        if not found:
             raise KeyError(m)
         return _elements(field.dim, field.masks, field.data[:, col : col + 1])[0]
 
@@ -399,7 +404,7 @@ class GridField:
         dim = values.ndim if dim is None else dim
         if values.ndim != dim:
             raise InputError(f"scalar samples have {values.ndim} axes, expected {dim}")
-        return cls(dim, values.shape[0], {0: values})
+        return cls(dim, values.shape[0] if dim else 0, {0: values})  # dimension 0 is refused
 
     def magnitude(self) -> np.ndarray:
         """Pointwise Clifford coefficient norm, as a real array; squares summed in place."""

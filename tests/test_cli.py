@@ -558,7 +558,7 @@ def test_coefficient_files_past_the_cell_cap_exit_with_input_error(
     def unexpected(*args):
         raise AssertionError("a mode table was built")
 
-    for name in ("_mode_positions", "mode_list", "mode_matrix"):
+    for name in ("_mode_columns", "_column_modes", "mode_matrix"):
         monkeypatch.setattr(spectral, name, unexpected)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "big.json").write_text('{"dim": 3, "band": 100000, "entries": []}')
@@ -614,6 +614,12 @@ BAD_INPUT_FILES = [
     ("wrong_dim_m.json",
      '{"dim": 2, "band": 2, "entries": [{"m": [1], "alpha": [], "re": 1, "im": 0}]}',
      ["apply-op", "--op", "D"]),
+    ("bool_m.json",
+     '{"dim": 1, "band": 2, "entries": [{"m": [true], "alpha": [], "re": 1, "im": 0}]}',
+     ["norm", "--kind", "l2"]),
+    ("string_band.json",
+     '{"dim": 1, "band": "2", "entries": [{"m": [1], "alpha": [], "re": 1, "im": 0}]}',
+     ["norm", "--kind", "l2"]),
 ]
 
 

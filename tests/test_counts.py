@@ -92,6 +92,8 @@ def test_zero_dimensional_grids_and_fractional_axes_are_input_errors():
     with pytest.raises(InputError):
         GridField(0, 4, {})
     with pytest.raises(InputError):
+        GridField.from_scalar(np.array(1.0))
+    with pytest.raises(InputError):
         kernel_component_nd(2, 1.5, 4)
     with pytest.raises(InputError):
         verify_bergman(2.5, 1.0, 2, (0.9,), 1e-6, 0)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,40 @@ def test_coefficient_indices_must_be_integral():
 
     field = field_from_jsonable(entry([1.0, -2.0], [2.0]))
     assert field.masks == (2,) and field.coeffs[(1, -2)].component([2]) == 1.0
-    for m, alpha in (([1.5, 0], []), ([0.9, 0], []), ([1, 0], [1.5]), ([math.inf, 0], [])):
+    for m, alpha in (([1.5, 0], []), ([0.9, 0], []), ([1, 0], [1.5]), ([math.inf, 0], []),
+                     ([True, 0], []), (["1", 0], []), ("10", []), ([1, 0], [True]),
+                     ([1, 0], ["2"])):
         with pytest.raises(InputError, match="malformed coefficient entry"):
             field_from_jsonable(entry(m, alpha))
+    # JSON booleans and strings are not integers in the shape either.
+    for shape in ({"dim": True, "band": 2}, {"dim": 2, "band": "2"}, {"dim": "2", "band": 2}):
+        with pytest.raises(InputError, match="malformed coefficient data"):
+            field_from_jsonable({**shape, "entries": []})
+
+
+def test_a_one_entry_file_of_a_large_cube_is_read_and_written_in_proportion_to_its_array(
+    tmp_path,
+):
+    # A 3-D band-60 cube has 121**3 = 1,771,561 modes: the coefficient array
+    # is 27 MiB, and a Python tuple per mode would take hundreds of MiB.
+    rows = np.zeros((1, 121**3), dtype=complex)
+    rows[0, np.ravel_multi_index((61, 0, 67), (121,) * 3)] = 2.0 - 1j  # mode (1, -60, 7)
+    field = SpectralField.from_blade_vectors(3, 60, (0,), rows)
+    del rows
+    array_bytes = field.data.nbytes
+    path = tmp_path / "one.json"
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            result = run()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    _, write_peak = peak(lambda: save_coefficients(field, path))
+    back, read_peak = peak(lambda: load_coefficients(path))
+    assert json.loads(path.read_text())["entries"] == [
+        {"m": [1, -60, 7], "alpha": [], "re": 2.0, "im": -1.0}]
+    assert back.masks == field.masks and np.array_equal(back.data, field.data)
+    assert write_peak <= 3 * array_bytes and read_peak <= 3 * array_bytes

@@ -24,7 +24,6 @@ from fracbb.spectral import (
     GridField,
     SpectralField,
     _dft_matrices,
-    _mode_positions,
     _wrapped_index_arrays,
     band_indices,
     convolve,
@@ -33,7 +32,6 @@ from fracbb.spectral import (
     freq_norm,
     grid_coordinates,
     inverse_transform,
-    mode_list,
     mode_matrix,
 )
 from fracbb.norms import l1_norm
@@ -313,8 +311,7 @@ def test_two_dimensional_scan_holds_a_few_grid_planes():
     # Cold caches, so the tables the scan builds count.  The last band's grid
     # is 256**2 cells, 1 MiB a complex plane; per-mode tuple tables and the
     # full grade-1 table would take the peak to about 6.6 MiB.
-    for cached in (mode_list, _mode_positions, mode_matrix, _symbol_table, _dft_matrices,
-                   _wrapped_index_arrays):
+    for cached in (mode_matrix, _symbol_table, _dft_matrices, _wrapped_index_arrays):
         cached.cache_clear()
     tracemalloc.start()
     try:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from fracbb.clifford import CliffordElement
+from fracbb.clifford import CliffordElement, _blade_tables
 from fracbb.errors import AliasingError, InputError
-from fracbb.kernels import KernelSpec, sup_norm_scan
+from fracbb.kernels import KernelSpec
 from fracbb import spectral
 from fracbb.spectral import (
     MAX_GRID_CELLS,
@@ -15,15 +15,14 @@ from fracbb.spectral import (
     _coupling,
     _field_product,
     _grid_shape,
-    _mode_positions,
     _mode_product,
     _synthesis,
+    _wrapped_index_arrays,
     band_indices,
     convolve,
     forward_transform,
     grid_coordinates,
     inverse_transform,
-    mode_list,
     mode_matrix,
     project_zero_mean,
 )
@@ -292,34 +291,16 @@ def test_mode_matrix_is_the_mode_list_as_int64_rows(dim):
     for band in range(1, 7):
         modes = mode_matrix(dim, band)
         assert modes.dtype == np.int64 and modes.flags.c_contiguous
-        np.testing.assert_array_equal(modes, np.array(mode_list(dim, band), dtype=np.int64))
+        np.testing.assert_array_equal(modes, np.array(list(band_indices(dim, band)), np.int64))
 
 
-def test_array_paths_build_no_per_mode_tuples():
-    # mode_list and _mode_positions hold a tuple per mode of the band cube;
-    # only the dict constructor, get, the coefficient views and the
-    # coefficient-file writer need them.
-    mode_list.cache_clear()
-    _mode_positions.cache_clear()
-    rng = np.random.default_rng(19)
-    for dim, band in ((1, 37), (2, 7), (3, 3)):
-        shape = (2, (2 * band + 1) ** dim)
-        rows = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        rows[:, shape[1] // 2] = 0
-        field = SpectralField.from_blade_vectors(dim, band, (0, 1), rows, zero_mean=True)
-        round_trip = forward_transform(inverse_transform(field), band)
-        np.testing.assert_allclose(round_trip.data, field.data, atol=1e-12)
-        assert sum_space_norm(field).path == "closed-form"
-    # An iterating solve: the two-blade 1-D field under 5.5 |m|**-1/2.
-    freq = np.abs(mode_matrix(1, 8)[:, 0])
-    weights = np.where(freq > 0, 5.5 * np.maximum(freq, 1) ** -0.5, 1.0)
-    rows = rng.normal(size=(2, 17)) + 1j * rng.normal(size=(2, 17))
-    rows[:, 8] = 0
-    field = SpectralField.from_blade_vectors(1, 8, (0, 1), rows, zero_mean=True)
-    assert sum_space_norm(field, weights=weights).path == "interior-point"
-    sup_norm_scan(KernelSpec(2, 5, "direction", 2), [5, 9, 35])
-    assert mode_list.cache_info().currsize == 0
-    assert _mode_positions.cache_info().currsize == 0
+def test_shared_tables_are_read_only():
+    # Cached tables are handed to every caller: a write into one would corrupt
+    # every later operator in the process.
+    sign, target = _blade_tables(3)
+    for table in (mode_matrix(1, 8), *_wrapped_index_arrays(2, 4, 16), sign, target):
+        with pytest.raises(ValueError, match="read-only"):
+            table[:] = 0
 
 
 # Dense matmul sizes and, at 256 * 129 and 160 * 81 DFT entries, FFT sizes.
@@ -499,7 +480,7 @@ def test_single_mode_reads_are_the_bulk_elements(dim, band):
     rows[:, 0] = -0.0
     field = SpectralField.from_blade_vectors(dim, band, masks[::-1], rows[::-1])
     bulk = dict(zip(field.coeffs, field.coeffs.values()))
-    for m in mode_list(dim, band):
+    for m in band_indices(dim, band):
         want = list(bulk[m].comps.items()) if m in bulk else []
         view = field.coeffs
         assert (m in view) == (m in bulk)
@@ -523,12 +504,12 @@ def test_mode_cubes_and_grids_past_the_cell_cap_are_input_errors(monkeypatch):
     def unexpected(*args):
         raise AssertionError("a table was built")
 
-    for name in ("_mode_positions", "mode_matrix", "_dft_matrices", "_wrapped_index_arrays"):
+    for name in ("_mode_columns", "mode_matrix", "_dft_matrices", "_wrapped_index_arrays"):
         monkeypatch.setattr(spectral, name, unexpected)
     for build in (
         lambda: SpectralField(3, 100_000),
         lambda: SpectralField.from_blade_vectors(3, 100_000, (0,), np.zeros((1, 1))),
-        lambda: mode_list(3, 100_000),
+        lambda: mode_matrix(3, 100_000),
         lambda: _coupling(2, 8, 100_000, 1),
         lambda: inverse_transform(field, 100_000),
         lambda: sum_space_norm(field, homogeneous=False, points_per_axis=100_000),
