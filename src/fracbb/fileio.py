@@ -136,7 +136,7 @@ def field_from_jsonable(data: dict) -> SpectralField:
     rows = np.zeros((len(masks), (2 * band + 1) ** dim), dtype=complex)
     cols = _mode_columns(np.array([m for _, m in sums], dtype=np.int64).reshape(-1, dim), band)
     rows[[masks.index(mask) for mask, _ in sums], cols] = [value or 0j for value in sums.values()]
-    return SpectralField.from_blade_vectors(dim, band, masks, rows)
+    return SpectralField._of(dim, band, tuple(masks), rows)  # rows of increasing masks, owned
 
 
 def _integers(values) -> tuple[int, ...]:

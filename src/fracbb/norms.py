@@ -58,9 +58,12 @@ structure: its grid block depends on the modes only through ``m - n`` and
 ``m + n``, so one forward transform at band ``2N`` of per-cell arrays gives
 every entry, placed by cached gather tables.  The Sobolev cone adds its
 dense block, and a Cholesky factorization checks the matrix.  A dense step
-and its certificate take about 0.4 ms at 34-42 real unknowns (one BLAS
-thread), mostly the fixed cost of small numpy calls, two LU solves among
-them.  Above ``_DENSE_NEWTON_MAX_UNKNOWNS`` real dual unknowns (``2 *
+and its certificate take about 0.43 ms at 34-42 real unknowns (one BLAS
+thread, shared 2-CPU host), mostly the fixed cost of small numpy calls;
+the two LU solves and the Cholesky check are about 0.07 ms of it.
+The cones, their pair and the weight-free Newton tables are built once per
+shape, and each scaling binds its tables once, so its methods only do
+arithmetic.  Above ``_DENSE_NEWTON_MAX_UNKNOWNS`` real dual unknowns (``2 *
 blades * modes``) conjugate gradients solve the Newton systems instead, as
 in Gondzio's matrix-free interior-point method (Comput. Optim. Appl. 51,
 2012); a product is one adjoint and one forward transform.  The primal
@@ -118,7 +121,7 @@ def l1_norm(u: GridField) -> float:
 
 def _l1_norms(planes: np.ndarray, dim: int) -> list[float]:
     """:func:`l1_norm` of each field of grid planes ``(fields, blades) + (P,)*dim``."""
-    magnitude = np.sqrt((np.abs(planes) ** 2).sum(axis=1))
+    magnitude = np.sqrt(np.add.reduce(np.abs(planes) ** 2, axis=1))
     return (((TWO_PI / planes.shape[-1]) ** dim) * _row_sums(magnitude)).tolist()
 
 
@@ -179,7 +182,7 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     numpy sums a contiguous row pairwise; a strided or transposed layout can
     add in another order and move the last bit.
     """
-    return np.ascontiguousarray(x).reshape(len(x), -1).sum(axis=1)
+    return np.add.reduce(np.ascontiguousarray(x).reshape(len(x), -1), axis=1)
 
 
 @dataclass
@@ -223,7 +226,8 @@ def _weights_for(
     mask = np.ones(len(w), dtype=bool)
     if homogeneous:
         _mean_column(mask)[...] = False
-    if np.any(w[mask] <= 0) or not np.all(np.isfinite(w[mask])):
+    active = w[mask]
+    if not ((active > 0).all() and np.isfinite(active).all()):  # a NaN fails both
         raise InputError("Sobolev weights must be positive and finite on active modes")
     masked = np.where(mask, w, 1.0)
     with np.errstate(over="ignore"):
@@ -288,27 +292,21 @@ class _LorentzCones:
     """
 
     def __init__(self, ids: np.ndarray, count: int):
-        self.ids, self.count = ids, count
+        self.ids, self.count, self.size = ids, count, len(ids)
 
     @cached_property
     def pair(self) -> "_LorentzCones":
-        """Two copies of these cones end to end, ``signs`` -1 on the first and 1 on the second."""
-        pair = _LorentzCones(np.concatenate((self.ids, self.ids + self.count)), 2 * self.count)
-        pair.signs = np.repeat((-1.0, 1.0), self.count)
-        return pair
+        """Two copies of these cones end to end."""
+        return _LorentzCones(np.concatenate((self.ids, self.ids + self.count)), 2 * self.count)
 
     def halves(self, x):
         """The two points of these cones stacked in ``x``, a point of :attr:`pair`."""
-        count, size = self.count, len(self.ids)
+        count, size = self.count, self.size
         return (x[0][:count], x[1][:size]), (x[0][count:], x[1][size:])
 
     def dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Inner product of two vector parts, one per cone."""
         return np.bincount(self.ids, u * v, self.count)
-
-    def inner(self, x, y) -> float:
-        """Inner product of two points over all cones."""
-        return float(x[0] @ y[0] + x[1] @ y[1])
 
     def lorentz(self, x) -> np.ndarray:
         """``t**2 - |u|**2`` per cone, factored to stay accurate near the boundary."""
@@ -323,24 +321,24 @@ class _LorentzCones:
         )
 
 
+@lru_cache(maxsize=8)
 def _sum_space_cones(blades: int, cells: int, active: int) -> _LorentzCones:
     """The cones of the dual program: one per grid cell, then the Sobolev cone.
 
     The vector parts are the real views of the complex arrays ``(blades,
     cells)`` (grid cone ``x`` holds column ``x``) and ``(blades, active)``.
+    Shared cached storage, :attr:`~_LorentzCones.pair` included; read-only.
     """
     grid = np.repeat(np.tile(np.arange(cells), blades), 2)
-    return _LorentzCones(np.concatenate([grid, np.full(2 * blades * active, cells)]), cells + 1)
+    cones = _LorentzCones(np.concatenate([grid, np.full(2 * blades * active, cells)]), cells + 1)
+    for ids in (cones.ids, cones.pair.ids):
+        ids.flags.writeable = False
+    return cones
 
 
 def _stacked(x, y):
     """The points ``x`` and ``y`` end to end, one point of ``cones.pair``."""
     return np.concatenate((x[0], y[0])), np.concatenate((x[1], y[1]))
-
-
-def _moved(x, alpha: float, d):
-    """The cone point ``x + alpha d``."""
-    return x[0] + alpha * d[0], x[1] + alpha * d[1]
 
 
 class _NTScaling:
@@ -350,78 +348,89 @@ class _NTScaling:
     point ``w = (wt, wu)`` of unit Lorentz norm, chosen so that ``W z`` and
     ``W^-1 s`` are one point ``lam``.  The vector block of ``W^-2`` is
     ``(I + 2 wu wu^T) / beta**2``.  ``s`` and ``z``, like the steps ``ds``
-    and ``dz``, come stacked as one point of ``cones.pair``.
+    and ``dz``, come stacked as one point of ``cones.pair``.  Every table the
+    methods read is built here, once a step, so that they only do arithmetic.
     """
 
     def __init__(self, cones: _LorentzCones, sz):
         """Raise :class:`ZeroDivisionError` if ``s`` or ``z`` is not inside the
         cones, or if the pair has no scaling in floating point.
         """
-        pair, ids, count, size = cones.pair, cones.ids, cones.count, len(cones.ids)
-        lorentz = pair.lorentz(sz)
-        if not lorentz.min() > 0:  # also false on a NaN
+        ids, pair_ids, count, size = cones.ids, cones.pair.ids, cones.count, cones.size
+        t, u = sz
+        lorentz = cones.pair.lorentz(sz)
+        if not np.minimum.reduce(lorentz) > 0:  # also false on a NaN
             raise ZeroDivisionError("a point is not inside the cones")
         n = np.sqrt(lorentz)
-        self._n, self._n_at = n, n[pair.ids]
-        self._unit = sz[0] / n, sz[1] / self._n_at
-        (st, su), (zt, zu) = cones.halves(self._unit)
+        n_at = n[pair_ids]
+        unit_t, unit_u = t / n, u / n_at
+        st, zt, su, zu = unit_t[:count], unit_t[count:], unit_u[:size], unit_u[size:]
         ns, nz = n[:count], n[count:]
-        gamma_sq = (1.0 + st * zt + cones.dot(su, zu)) / 2.0
-        if not gamma_sq.min() > 0:  # also false on a NaN
+        gamma_sq = (1.0 + st * zt + np.bincount(ids, su * zu, count)) / 2.0
+        if not np.minimum.reduce(gamma_sq) > 0:  # also false on a NaN
             raise ZeroDivisionError("Nesterov-Todd gamma, at least 1 exactly, rounded to 0")
         gamma = np.sqrt(gamma_sq)
         two_gamma, root, sum_t = 2.0 * gamma, np.sqrt(ns * nz), st + zt
         scale = root / (sum_t + two_gamma)
-        self.cones = cones
-        self.beta = np.sqrt(ns / nz)
-        self.wt = sum_t / two_gamma
+        self.cones, self._ids, self._pair_ids, self._count = cones, ids, pair_ids, count
+        self.beta = beta = np.sqrt(ns / nz)
+        self.wt = wt = sum_t / two_gamma
         self.wu = (su - zu) / two_gamma[ids]
         lam_u = (scale * (gamma + zt))[ids] * su + (scale * (gamma + st))[ids] * zu
-        self.lam = gamma * root, lam_u
-        self._lam_lorentz, self._lam_at = cones.lorentz(self.lam), self.lam[0][ids]
-        self._squared = self.beta**-2.0
-        self._squared_at = self._squared[ids]
-        # apply's tables: W^-1 takes beta**-1, W beta, and a stacked pair both in turn.
-        beta = np.concatenate((self.beta**-1.0, self.beta))
-        beta_at, w = beta[pair.ids], (self.wt, self.wu, 1.0 + self.wt)
-        self._tables = {
-            -1.0: (cones, -1.0, beta[:count], beta_at[:size], *w),
-            1.0: (cones, 1.0, beta[count:], beta_at[size:], *w),
-            None: (pair, pair.signs, beta, beta_at, *(np.concatenate((x, x)) for x in w)),
-        }
+        self.lam = lam_t, lam_u = gamma * root, lam_u
+        # lam's Lorentz form, as cones.lorentz(lam) has it, keeping |lam_u|**2 for lam o lam.
+        self._lam_sq = np.bincount(ids, lam_u * lam_u, count)
+        r = np.sqrt(self._lam_sq)
+        self._lam_lorentz, self._lam_at = (lam_t - r) * (lam_t + r), lam_t[ids]
+        self._squared = beta**-2.0
+        self._squared_at, self._neg_wt, self._wt1 = self._squared[ids], -wt, 1.0 + wt
+        self._inv_beta = beta**-1.0
+        self._beta_at, self._inv_beta_at = beta[ids], self._inv_beta[ids]
+        # max_step's tables.
+        self._n, self._n_at, self._unit, self._unit_t1 = n, n_at, (unit_t, unit_u), unit_t + 1.0
 
-    def apply(self, x, sign: float | None = 1.0):
-        """``W x``, ``W^-1 x`` with ``sign = -1``, or stacked ``W^-1 ds, W dz`` with ``None``."""
-        cones, sign, beta, beta_at, wt, wu, wt1 = self._tables[sign]
-        d = cones.dot(wu, x[1])
-        t = (wt * x[0] + sign * d) * beta
-        coef = (sign * x[0] + d / wt1) * beta
-        return t, beta_at * x[1] + coef[cones.ids] * wu
+    def apply(self, x):
+        """``W x``."""
+        t, u = x
+        d = np.bincount(self._ids, self.wu * u, self._count)
+        coef = (t + d / self._wt1) * self.beta
+        return (self.wt * t + d) * self.beta, self._beta_at * u + coef[self._ids] * self.wu
 
     def inverse(self, x):
         """``W^-1 x``."""
-        return self.apply(x, -1.0)
+        t, u = x
+        d = np.bincount(self._ids, self.wu * u, self._count)
+        inv_beta = self._inv_beta
+        coef = (d / self._wt1 - t) * inv_beta
+        return (self.wt * t - d) * inv_beta, self._inv_beta_at * u + coef[self._ids] * self.wu
+
+    def lam_squared(self):
+        """``lam o lam``, the Jordan product of ``lam`` with itself."""
+        lam_t, lam_u = self.lam
+        half = self._lam_at * lam_u
+        return lam_t * lam_t + self._lam_sq, half + half
 
     def divide(self, r):
         """The ``y`` with ``lam o y = r``."""
-        lam, ids = self.lam, self.cones.ids
-        t = (lam[0] * r[0] - self.cones.dot(lam[1], r[1])) / self._lam_lorentz
-        return t, (r[1] - t[ids] * lam[1]) / self._lam_at
+        lam_t, lam_u = self.lam
+        t = (lam_t * r[0] - np.bincount(self._ids, lam_u * r[1], self._count)) / self._lam_lorentz
+        return t, (r[1] - t[self._ids] * lam_u) / self._lam_at
 
     def inverse_squared(self, u):
         """``W^-2 (0, u)``: ``(-2 wt wu.u, u + 2 wu (wu.u)) / beta**2``."""
-        d = 2.0 * self.cones.dot(self.wu, u)
-        return -self.wt * d * self._squared, (u + d[self.cones.ids] * self.wu) * self._squared_at
+        d = 2.0 * np.bincount(self._ids, self.wu * u, self._count)
+        return self._neg_wt * d * self._squared, (u + d[self._ids] * self.wu) * self._squared_at
 
     def max_step(self, d) -> float:
         """Largest ``alpha`` keeping ``s + alpha ds`` and ``z + alpha dz`` in the cones; ``d``
         stacks ``ds`` and ``dz``, and one maximum over both is the smaller step, bit for bit."""
-        pair, (xt, xu), n = self.cones.pair, self._unit, self._n
-        c = xt * d[0] - pair.dot(xu, d[1])
+        (xt, xu), n, pair_ids = self._unit, self._n, self._pair_ids
+        c = xt * d[0] - np.bincount(pair_ids, xu * d[1], 2 * self._count)
         # The hyperbolic rotation taking x to n * (1, 0) takes d to
         # n * (c / n, rho_u); the step ends where |rho_u| = 1/alpha + c/n.
-        rho_u = (d[1] - ((c + d[0]) / (xt + 1.0))[pair.ids] * xu) / self._n_at
-        excess = float((np.sqrt(pair.dot(rho_u, rho_u)) - c / n).max())
+        rho_u = (d[1] - ((c + d[0]) / self._unit_t1)[pair_ids] * xu) / self._n_at
+        rho = np.sqrt(np.bincount(pair_ids, rho_u * rho_u, 2 * self._count))
+        excess = float(np.maximum.reduce(rho - c / n))
         return 1.0 / excess if excess > 0 else math.inf
 
 
@@ -459,6 +468,26 @@ def _newton_gathers(dim: int, band: int, blades: int) -> tuple[np.ndarray, np.nd
     )
 
 
+@lru_cache(maxsize=8)
+def _active_tables(blades: int, mask: bytes) -> tuple[np.ndarray, ...]:
+    """Where the active modes sit in coefficient rows ``(blades, modes)``.
+
+    ``mask`` is ``h_mask.tobytes()``.  Returns ``(entries, reals, diagonal,
+    delta)``: ``entries`` indexes the flattened complex rows, ``reals`` their
+    real view ``p.view(float)``, ``diagonal`` the flat positions of the
+    active unknowns' diagonal entries in the Newton matrix, and ``delta`` the
+    identity on blades, ``(blades, blades, 1)``.  Shared cached storage,
+    read-only.
+    """
+    h_mask = np.frombuffer(mask, dtype=bool)
+    entries = np.flatnonzero(np.broadcast_to(h_mask, (blades, len(h_mask))))
+    reals = np.flatnonzero(np.broadcast_to(h_mask[:, None], (blades, len(h_mask), 2)))
+    tables = entries, reals, reals * (2 * blades * len(h_mask) + 1), np.eye(blades)[:, :, None]
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _newton_matrix(
     dim: int,
     band: int,
@@ -489,12 +518,9 @@ def _newton_matrix(
     shape = (2 * blades * blades,) + (points,) * dim
     forward, _ = _coupling(dim, 2 * band, points, shape[0])
     toeplitz_at, hankel_at = _newton_gathers(dim, band, blades)
-    delta = np.eye(blades)[:, :, None]
+    _, active, diagonal, delta = _active_tables(blades, h_mask.tobytes())
     cut = 2 * blades * cells
-    # The Sobolev cone's entries in the real unknowns.
     size = 2 * blades * len(h_mask)
-    active = np.flatnonzero(np.broadcast_to(h_mask[:, None], (blades, len(h_mask), 2)))
-    diagonal = active * (size + 1)  # flat indices of the active diagonal entries
     inv_w_real = np.tile(np.repeat(1.0 / weight[h_mask], 2), blades)
 
     def newton_matrix(scaling: "_NTScaling") -> np.ndarray:
@@ -506,10 +532,11 @@ def _newton_matrix(
         spectra = np.concatenate((spectra, -spectra))
         matrix = spectra[toeplitz_at] + spectra[hankel_at]
         scale = inv_w_real / scaling.beta[cells]
-        matrix.reshape(-1)[diagonal] += scale**2
+        flat = matrix.reshape(-1)
+        flat.put(diagonal, flat.take(diagonal) + scale**2)
         # Zero off the active unknowns; 2 u_i u_j has the same bits either way round.
         u = np.zeros(size)
-        u[active] = scaling.wu[cut:] * scale
+        u.put(active, scaling.wu[cut:] * scale)
         matrix += np.multiply.outer(u, 2.0 * u)
         return matrix
 
@@ -555,9 +582,14 @@ def _interior_point(
     dim, points = len(shape), shape[0]
     cells = points**dim
     planes = (nblades,) + shape
-    inv_w = 1.0 / weight[h_mask]
     cut = nblades * cells
+    inv_w = 1.0 / weight[h_mask]
     cones = _sum_space_cones(nblades, cells, len(inv_w))
+    count, size = cones.count, cones.size
+    # The active entries of the flattened rows, and 1 / W at each one.
+    entries = _active_tables(nblades, h_mask.tobytes())[0]
+    inv_w = np.tile(inv_w, nblades)
+    neg_inv_w = -inv_w
     dense = 2 * fvec.size <= _DENSE_NEWTON_MAX_UNKNOWNS
     if dense:
         newton_matrix = _newton_matrix(dim, band, points, nblades, weight, h_mask, quad_w)
@@ -565,13 +597,13 @@ def _interior_point(
     def couple(p, Ap=None):
         """Vector parts of ``G p``, from ``Ap = adjoint(p)`` if given; scalar parts are zero."""
         Ap = adjoint(p) if Ap is None else Ap
-        return np.concatenate([Ap.ravel() / -quad_w, (p[:, h_mask] * -inv_w).ravel()]).view(float)
+        return np.concatenate((Ap.ravel() / -quad_w, p.take(entries) * neg_inv_w)).view(float)
 
     def couple_t(u):
         """``G^T`` of a point with vector parts ``u``."""
         u = u.view(complex)
         out = forward(u[:cut].reshape(planes)) / -quad_w
-        out[:, h_mask] -= u[cut:].reshape(nblades, -1) * inv_w
+        out.put(entries, out.take(entries) - u[cut:] * inv_w)
         return out
 
     # G^T G = I / (w**2 P**n) + W**-2 on the active modes is diagonal for
@@ -584,25 +616,30 @@ def _interior_point(
     z_u = (1.0 - _START_BLEND) * couple(-fvec / diagonal)
     z_u[2 * cut:] += _START_BLEND * (fvec[:, h_mask] * weight[h_mask]).ravel().view(float)
     z_t = np.maximum(1.0, _START_MARGIN * np.sqrt(cones.dot(z_u, z_u)))
-    # s and z end to end, one point of the pair of cones, as are ds and dz.
-    pair, s = cones.pair, (np.ones(cones.count), np.zeros(len(cones.ids)))
-    p, sz = np.zeros_like(fvec), _stacked(s, (z_t, z_u))
+    # s and z end to end, one point of the pair of cones held as one array
+    # x = [s_t, z_t, s_u, z_u], so that a move is one pass; so are ds and dz.
+    x = np.concatenate(_stacked((np.ones(count), np.zeros(size)), (z_t, z_u)))
+    tz, uz = 2 * count, 2 * count + size  # where the vector parts, and z's, start
+    p = np.zeros_like(fvec)
     Ap = adjoint(p)
     lifts = 0
     while True:
+        sz = x[:tz], x[tz:]
         try:
             scaling = _NTScaling(cones, sz)
         except ZeroDivisionError:  # a lift takes a pass of the loop, not a step
             if lifts == _MAX_LIFTS:
                 return
             lifts += 1
-            sz = np.maximum(sz[0], (1.0 + _LIFT_MARGIN) * np.sqrt(pair.dot(sz[1], sz[1]))), sz[1]
+            t, u = sz
+            t = np.maximum(t, (1.0 + _LIFT_MARGIN) * np.sqrt(cones.pair.dot(u, u)))
+            x = np.concatenate((t, u))
             continue
         if dense:
             base = newton_matrix(scaling)
-            size = len(base)
+            order = len(base)
             for shift in _NEWTON_SHIFTS:
-                matrix = base + shift * np.trace(base) / size * np.eye(size) if shift else base
+                matrix = base + shift * np.trace(base) / order * np.eye(order) if shift else base
                 try:
                     np.linalg.cholesky(matrix)
                     break
@@ -610,17 +647,18 @@ def _interior_point(
                     pass
             else:
                 return
-        s, z = cones.halves(sz)
-        r_x = couple_t(z[1]) + fvec
-        r_z = (s[0] - 1.0, couple(p, Ap) + s[1])
-        scaled_r_z = scaling.inverse(r_z)
+        s_t, z_t, s_u, z_u = x[:count], x[count:tz], x[tz:uz], x[uz:]
+        # The residuals r_x = G^T z + f and r_z = G p + s - (1, 0); ds = -r_z - G dp.
+        r_t, r_u = s_t - 1.0, couple(p, Ap) + s_u
+        neg_r_x, neg_r_t, neg_r_u = -(couple_t(z_u) + fvec), -r_t, -r_u
+        scaled_r_t, scaled_r_u = scaling.inverse((r_t, r_u))
 
-        def direction(r_c):
-            """Newton direction ``(dp, dsz)`` with ``lam o (W^-1 ds + W dz) = r_c``."""
-            t, u = scaling.divide(r_c)
-            v = (scaled_r_z[0] + t, scaled_r_z[1] + u)
-            scaled_v = scaling.inverse(v)
-            rhs = -r_x - couple_t(scaled_v[1])
+        def direction(c_t, c_u):
+            """Newton direction ``(dp, d)`` with ``lam o (W^-1 ds + W dz) = (c_t, c_u)``;
+            ``d`` holds ``ds`` and ``dz`` as ``x`` holds ``s`` and ``z``."""
+            t, u = scaling.divide((c_t, c_u))
+            v_t, v_u = scaling.inverse((scaled_r_t + t, scaled_r_u + u))
+            rhs = neg_r_x - couple_t(v_u)
             if dense:
                 dp = np.linalg.solve(matrix, rhs.view(float).ravel()).view(complex)
             else:
@@ -631,27 +669,35 @@ def _interior_point(
             gdp = couple(dp)
             # dz = W^-1 v + W^-2 G dp, with W^-1 r_z inside v once a step.
             rt, ru = scaling.inverse_squared(gdp)
-            return dp, _stacked((-r_z[0], -r_z[1] - gdp), (scaled_v[0] + rt, scaled_v[1] + ru))
+            d = np.empty_like(x)
+            d[:count] = neg_r_t
+            np.add(v_t, rt, out=d[count:tz])
+            np.subtract(neg_r_u, gdp, out=d[tz:uz])
+            np.add(v_u, ru, out=d[uz:])
+            return dp, d
 
         # Predictor: the affine direction, r_c = -lam o lam.
-        gap = cones.inner(s, z)
-        lt, lu = cones.product(scaling.lam, scaling.lam)
-        _, dsz = direction((-lt, -lu))
-        alpha = min(1.0, scaling.max_step(dsz))
-        ratio = cones.inner(*cones.halves(_moved(sz, alpha, dsz))) / gap
+        gap = float(s_t @ z_t + s_u @ z_u)
+        lt, lu = scaling.lam_squared()
+        neg_lt, neg_lu = -lt, -lu
+        _, d = direction(neg_lt, neg_lu)
+        alpha = min(1.0, scaling.max_step((d[:tz], d[tz:])))
+        moved = x + alpha * d
+        ratio = float(moved[:count] @ moved[count:tz] + moved[tz:uz] @ moved[uz:]) / gap
         sigma = min(1.0, max(0.0, ratio)) ** 3
         # Corrector: centring at sigma * mu plus the second-order term.
-        ct, cu = cones.product(*cones.halves(scaling.apply(dsz, None)))
-        dp, dsz = direction((sigma * gap / cones.count - lt - ct, -lu - cu))
-        alpha = min(1.0, _STEP_FRACTION * scaling.max_step(dsz))
-        if not (alpha > 0 and np.isfinite(np.concatenate((dp.view(float).ravel(), *dsz))).all()):
+        ds, dz = (d[:count], d[tz:uz]), (d[count:tz], d[uz:])
+        ct, cu = cones.product(scaling.inverse(ds), scaling.apply(dz))
+        dp, d = direction(sigma * gap / count + neg_lt - ct, neg_lu - cu)
+        alpha = min(1.0, _STEP_FRACTION * scaling.max_step((d[:tz], d[tz:])))
+        if not (alpha > 0 and np.isfinite(dp).all() and np.isfinite(d).all()):
             return
         # Yield the undamped point: the certificate prices any g and scales
         # any p into feasibility.
-        full_p, full_u = p + dp, z[1] + cones.halves(dsz)[1][1]
-        p, sz = p + alpha * dp, _moved(sz, alpha, dsz)
+        full_p, full_g = p + dp, x[uz:uz + 2 * cut] + d[uz:uz + 2 * cut]
+        p, x = p + alpha * dp, x + alpha * d
         Ap = adjoint(p)
-        yield full_u.view(complex)[:cut].reshape(planes) / quad_w, full_p, adjoint(full_p)
+        yield full_g.view(complex).reshape(planes) / quad_w, full_p, adjoint(full_p)
 
 
 #: Relative residual at which conjugate gradients accept a Newton direction.
@@ -712,8 +758,9 @@ def _duality_gap(upper, s1: float, s2: float, dot: float) -> float:
 
 def _grid_scales(Ap: np.ndarray) -> np.ndarray:
     """The grid scale ``max_x |A* p|(x) / w`` of each dual point from its adjoint ``Ap``."""
-    point_norms = np.sqrt((np.abs(Ap) ** 2).sum(axis=1))
-    return point_norms.reshape(len(Ap), -1).max(axis=1) / (TWO_PI / Ap.shape[-1]) ** (Ap.ndim - 2)
+    point_norms = np.sqrt(np.add.reduce(np.abs(Ap) ** 2, axis=1))
+    scales = np.maximum.reduce(point_norms.reshape(len(Ap), -1), axis=1)
+    return scales / (TWO_PI / Ap.shape[-1]) ** (Ap.ndim - 2)
 
 
 def _certificates(fvecs, l1, Ag, p, s1, h_mask, weight, weight_sq) -> list[tuple]:
@@ -732,9 +779,9 @@ def _certificates(fvecs, l1, Ag, p, s1, h_mask, weight, weight_sq) -> list[tuple
         uppers = np.add(l1, uppers)
     # numpy lays a single field's masked columns (blades, active) out mode
     # by mode, and sums them in that order; so does each row here.
-    scaled = np.compress(h_mask, (np.abs(p) ** 2) / weight_sq, axis=2)
-    s2 = np.sqrt(_row_sums(np.swapaxes(scaled, 1, 2)))
-    dots = _row_sums(np.real(np.conj(p) * fvecs))
+    scaled = ((np.abs(p) ** 2) / weight_sq).compress(h_mask, axis=2)
+    s2 = np.sqrt(_row_sums(scaled.swapaxes(1, 2)))
+    dots = _row_sums((np.conj(p) * fvecs).real)
     uppers = uppers.tolist()
     gaps = map(_duality_gap, uppers, s1.tolist(), s2.tolist(), dots.tolist())
     return list(zip(uppers, gaps, h))
@@ -862,6 +909,7 @@ def _sum_space_rows(rows: np.ndarray, masks: tuple[int, ...], dim: int, band: in
         """Newton steps on ``fvec`` from the closed-form certificate ``seed``."""
         nblades = len(fvec)
         forward, adjoint = _coupling(dim, band, P, nblades)
+        fvecs, mean, constant = fvec[None], _mean_column(fvec), (nblades,) + (1,) * dim
 
         def certificate(gq, pq, Ap):
             """The certificate of ``gq``'s split, mean repaired; ``Ap`` is ``adjoint(pq)``."""
@@ -870,10 +918,10 @@ def _sum_space_rows(rows: np.ndarray, masks: tuple[int, ...], dim: int, band: in
                 # Repair the mean constraint by adding a constant per blade.
                 # A constant moves only the mean column of Ag, which h_mask
                 # excludes, so Ag serves the repaired split as it is.
-                rho = _mean_column(fvec) - _mean_column(Ag)
-                if np.any(rho):
-                    gq = gq + rho.reshape((nblades,) + (1,) * dim)
-            [(upper, gap, h)] = _certificates(fvec[None], _l1_norms(gq[None], dim), Ag[None],
+                rho = mean - _mean_column(Ag)
+                if rho.any():
+                    gq = gq + rho.reshape(constant)
+            [(upper, gap, h)] = _certificates(fvecs, _l1_norms(gq[None], dim), Ag[None],
                                               pq[None], _grid_scales(Ap[None]), *tables)
             return upper, gap, gq, h
 

@@ -559,25 +559,40 @@ def _synthesis(rows: np.ndarray, dim: int, band: int, points: int) -> np.ndarray
 _ZERO = np.zeros((), dtype=complex)
 
 
+@lru_cache(maxsize=256)
+def _product_plan(f_masks: tuple[int, ...], g_masks: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """``(masks, terms)`` of :func:`_mode_product` on the blades ``f_masks``, ``g_masks``.
+
+    ``masks`` are the product's increasing blades.  A term ``(i, r, k, add,
+    first)`` sends f's row ``i`` times g's row ``r`` to row ``k`` through
+    ``add`` (``np.add`` or ``np.subtract``), onto 0 when ``first``; the terms
+    run in order of f's rows, then g's.
+    """
+    masks = sorted({a ^ b for a in f_masks for b in g_masks})
+    terms, started = [], set()
+    for i, a in enumerate(f_masks):
+        for r, b in enumerate(g_masks):
+            sign, blade = _blade_product(a, b)
+            add = np.add if sign > 0 else np.subtract
+            terms.append((i, r, masks.index(blade), add, blade not in started))
+            started.add(blade)
+    return tuple(masks), tuple(terms)
+
+
 def _mode_product(f_masks, f_rows, g_masks, g_rows) -> tuple[tuple[int, ...], np.ndarray]:
     """Per-mode Clifford product ``(masks, rows)`` of blade rows, ``f`` on the left.
 
     ``g_rows`` may be a stack ``(..., blades, modes)``.  Rows ``a`` of f and
     ``b`` of g give ``sign(a, b) * f_a * g_b`` to blade ``a ^ b``, in order of
     ``a``, then ``b``: a blade's first term is added to 0 (a ``-0.0`` part
-    becomes ``0.0``) and each later one to it.
+    becomes ``0.0``) and each later one to it, as :func:`_product_plan` lists.
     """
-    masks = sorted({a ^ b for a in f_masks for b in g_masks})
+    masks, terms = _product_plan(tuple(f_masks), tuple(g_masks))
     out = np.empty(g_rows.shape[:-2] + (len(masks), g_rows.shape[-1]), dtype=complex)
-    started = set()
-    for a, f_row in zip(f_masks, f_rows):
-        for r, b in enumerate(g_masks):
-            sign, blade = _blade_product(a, b)
-            target = out[..., masks.index(blade), :]
-            add = np.add if sign > 0 else np.subtract
-            add(target if blade in started else _ZERO, f_row * g_rows[..., r, :], out=target)
-            started.add(blade)
-    return tuple(masks), out
+    for i, r, k, add, first in terms:
+        target = out[..., k, :]
+        add(_ZERO if first else target, f_rows[i] * g_rows[..., r, :], out=target)
+    return masks, out
 
 
 def _field_product(f: SpectralField, g: SpectralField) -> SpectralField:

@@ -1,6 +1,12 @@
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -312,6 +318,52 @@ def test_dense_path_splits_keep_their_bytes(name):
     assert got == DENSE_PATH_PINS[name]
 
 
+#: ``(value.hex(), gap.hex(), iterations, sha256(g.data), sha256(h.data),
+#: Cholesky failures)`` of ``all_ones(32)`` at ``s = 0.25`` and tol 1e-12,
+#: recorded with one BLAS thread before the Newton step was last reworked.
+SHIFT_PATH_PIN = [
+    "0x1.7fd9b09d54962p+3", "0x1.0000000000000p-46", 18,
+    "2c98c61862f360f95202612a9f1acc7bb2c068b8608f362b0366c0c3bf74d04f",
+    "419a9051534a1053488d5b9e5d41cad09cd79e68b59a216e4bf58a2aae53506b",
+    1,
+]
+
+
+def test_a_dense_solve_with_a_diagonal_shift_keeps_its_bytes():
+    # One Newton matrix of this solve has no Cholesky factor, so its step
+    # runs on the matrix with a diagonal shift; the failures are counted at
+    # np.linalg.cholesky.  At 128 real unknowns a threaded BLAS rounds
+    # differently, so the solve runs in a child process with one thread.
+    script = textwrap.dedent("""
+        import hashlib, json
+        import numpy as np
+        from fracbb import SpectralField, sum_space_norm
+
+        failures, cholesky = [], np.linalg.cholesky
+
+        def counted(matrix):
+            try:
+                return cholesky(matrix)
+            except np.linalg.LinAlgError:
+                failures.append(1)
+                raise
+
+        np.linalg.cholesky = counted
+        f = SpectralField(1, 32, {(n,): 1.0 for n in range(-32, 33) if n}, zero_mean=True)
+        split = sum_space_norm(f, s=0.25, tol=1e-12)
+        assert split.path == "interior-point"
+        print(json.dumps([split.value.hex(), split.gap.hex(), split.iterations,
+                          hashlib.sha256(split.g.data.tobytes()).hexdigest(),
+                          hashlib.sha256(split.h.data.tobytes()).hexdigest(), len(failures)]))
+    """)
+    src = str(Path(norms.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == SHIFT_PATH_PIN
+
+
 def all_ones(band):
     """The zero-mean 1-D field with every coefficient 1."""
     return SpectralField(1, band, {(n,): 1.0 for n in range(-band, band + 1) if n}, zero_mean=True)
@@ -604,8 +656,13 @@ def test_solve_above_the_old_size_cap(monkeypatch):
     assert split.value < sobolev_norm(ones_2d, 0.5)
 
 
+def _moved(x, alpha, d):
+    """The cone point ``x + alpha d``."""
+    return x[0] + alpha * d[0], x[1] + alpha * d[1]
+
+
 def test_cone_algebra_of_the_interior_point_method():
-    from fracbb.norms import _LorentzCones, _moved, _NTScaling, _stacked
+    from fracbb.norms import _LorentzCones, _NTScaling, _stacked
 
     rng = np.random.default_rng(11)
     ids = np.repeat(np.arange(4), [1, 2, 3, 5])
@@ -621,13 +678,11 @@ def test_cone_algebra_of_the_interior_point_method():
     for got, want in ((scaling.apply(z), scaling.lam), (scaling.inverse(s), scaling.lam),
                       (scaling.apply(scaling.inverse(x)), x)):
         assert np.allclose(got[0], want[0], atol=1e-12) and np.allclose(got[1], want[1], atol=1e-12)
-    # On a stacked pair, W^-1 takes the first half and W the second, with the bits of each.
-    both = cones.halves(scaling.apply(_stacked(x, s), None))
-    for got, want in zip(both, (scaling.inverse(x), scaling.apply(s))):
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    # divide inverts the Jordan product with lam.
+    # divide inverts the Jordan product with lam, and lam o lam has the product's bits.
     t, u = cones.product(scaling.lam, scaling.divide(x))
     assert np.allclose(t, x[0]) and np.allclose(u, x[1])
+    for got, want in zip(scaling.lam_squared(), cones.product(scaling.lam, scaling.lam)):
+        assert np.array_equal(got, want)
     # The largest step of x ends on the boundary of one cone; a zero step
     # of the second point leaves it inside.
     d = (rng.normal(size=4), rng.normal(size=len(ids)))
@@ -1443,7 +1498,7 @@ def _mixed_flat_10(**kwargs) -> SumSpaceSplit:
 
 @pytest.mark.parametrize("bad", [2.5, 1.5, 2.0, np.float64(2.0), True, "2"])
 def test_iteration_caps_and_grid_sizes_must_be_integers(bad):
-    # mixed_flat_10 certifies after 9 steps, which no cap of 2.5 or 1.5
+    # mixed_flat_10 certifies after 8 steps, which no cap of 2.5 or 1.5
     # equals, and a grid of 40.9 points per axis is no grid; a bool is no
     # count either.
     with pytest.raises(InputError, match="iteration cap must be an integer"):
