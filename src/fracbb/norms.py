@@ -328,6 +328,7 @@ def _sum_space_cones(blades: int, cells: int, active: int) -> _LorentzCones:
     The vector parts are the real views of the complex arrays ``(blades,
     cells)`` (grid cone ``x`` holds column ``x``) and ``(blades, active)``.
     Shared cached storage, :attr:`~_LorentzCones.pair` included; read-only.
+    ``__wrapped__`` builds cones outside the cache.
     """
     grid = np.repeat(np.tile(np.arange(cells), blades), 2)
     cones = _LorentzCones(np.concatenate([grid, np.full(2 * blades * active, cells)]), cells + 1)
@@ -584,15 +585,18 @@ def _interior_point(
     planes = (nblades,) + shape
     cut = nblades * cells
     inv_w = 1.0 / weight[h_mask]
-    cones = _sum_space_cones(nblades, cells, len(inv_w))
+    dense = 2 * fvec.size <= _DENSE_NEWTON_MAX_UNKNOWNS
+    if dense:
+        newton_matrix = _newton_matrix(dim, band, points, nblades, weight, h_mask, quad_w)
+    # Cached at dense sizes, where building them is a visible share of a
+    # solve; larger cones are built per solve, so no cache holds grid tables.
+    cones = (_sum_space_cones if dense else _sum_space_cones.__wrapped__)(
+        nblades, cells, len(inv_w))
     count, size = cones.count, cones.size
     # The active entries of the flattened rows, and 1 / W at each one.
     entries = _active_tables(nblades, h_mask.tobytes())[0]
     inv_w = np.tile(inv_w, nblades)
     neg_inv_w = -inv_w
-    dense = 2 * fvec.size <= _DENSE_NEWTON_MAX_UNKNOWNS
-    if dense:
-        newton_matrix = _newton_matrix(dim, band, points, nblades, weight, h_mask, quad_w)
 
     def couple(p, Ap=None):
         """Vector parts of ``G p``, from ``Ap = adjoint(p)`` if given; scalar parts are zero."""
