@@ -299,18 +299,14 @@ class _LorentzCones:
         """Two copies of these cones end to end."""
         return _LorentzCones(np.concatenate((self.ids, self.ids + self.count)), 2 * self.count)
 
-    def halves(self, x):
-        """The two points of these cones stacked in ``x``, a point of :attr:`pair`."""
-        count, size = self.count, self.size
-        return (x[0][:count], x[1][:size]), (x[0][count:], x[1][size:])
-
     def dot(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Inner product of two vector parts, one per cone."""
         return np.bincount(self.ids, u * v, self.count)
 
-    def lorentz(self, x) -> np.ndarray:
-        """``t**2 - |u|**2`` per cone, factored to stay accurate near the boundary."""
-        r = np.sqrt(self.dot(x[1], x[1]))
+    def lorentz(self, x, norm_sq=None) -> np.ndarray:
+        """``t**2 - |u|**2`` per cone, factored to stay accurate near the boundary;
+        ``norm_sq``, if given, is ``|u|**2`` as :meth:`dot` has it."""
+        r = np.sqrt(self.dot(x[1], x[1]) if norm_sq is None else norm_sq)
         return (x[0] - r) * (x[0] + r)
 
     def product(self, x, y):
@@ -328,7 +324,6 @@ def _sum_space_cones(blades: int, cells: int, active: int) -> _LorentzCones:
     The vector parts are the real views of the complex arrays ``(blades,
     cells)`` (grid cone ``x`` holds column ``x``) and ``(blades, active)``.
     Shared cached storage, :attr:`~_LorentzCones.pair` included; read-only.
-    ``__wrapped__`` builds cones outside the cache.
     """
     grid = np.repeat(np.tile(np.arange(cells), blades), 2)
     cones = _LorentzCones(np.concatenate([grid, np.full(2 * blades * active, cells)]), cells + 1)
@@ -379,10 +374,9 @@ class _NTScaling:
         self.wu = (su - zu) / two_gamma[ids]
         lam_u = (scale * (gamma + zt))[ids] * su + (scale * (gamma + st))[ids] * zu
         self.lam = lam_t, lam_u = gamma * root, lam_u
-        # lam's Lorentz form, as cones.lorentz(lam) has it, keeping |lam_u|**2 for lam o lam.
+        # |lam_u|**2 serves both lam's Lorentz form and lam o lam.
         self._lam_sq = np.bincount(ids, lam_u * lam_u, count)
-        r = np.sqrt(self._lam_sq)
-        self._lam_lorentz, self._lam_at = (lam_t - r) * (lam_t + r), lam_t[ids]
+        self._lam_lorentz, self._lam_at = cones.lorentz(self.lam, self._lam_sq), lam_t[ids]
         self._squared = beta**-2.0
         self._squared_at, self._neg_wt, self._wt1 = self._squared[ids], -wt, 1.0 + wt
         self._inv_beta = beta**-1.0
@@ -585,18 +579,15 @@ def _interior_point(
     planes = (nblades,) + shape
     cut = nblades * cells
     inv_w = 1.0 / weight[h_mask]
-    dense = 2 * fvec.size <= _DENSE_NEWTON_MAX_UNKNOWNS
-    if dense:
-        newton_matrix = _newton_matrix(dim, band, points, nblades, weight, h_mask, quad_w)
-    # Cached at dense sizes, where building them is a visible share of a
-    # solve; larger cones are built per solve, so no cache holds grid tables.
-    cones = (_sum_space_cones if dense else _sum_space_cones.__wrapped__)(
-        nblades, cells, len(inv_w))
+    cones = _sum_space_cones(nblades, cells, len(inv_w))
     count, size = cones.count, cones.size
     # The active entries of the flattened rows, and 1 / W at each one.
     entries = _active_tables(nblades, h_mask.tobytes())[0]
     inv_w = np.tile(inv_w, nblades)
     neg_inv_w = -inv_w
+    dense = 2 * fvec.size <= _DENSE_NEWTON_MAX_UNKNOWNS
+    if dense:
+        newton_matrix = _newton_matrix(dim, band, points, nblades, weight, h_mask, quad_w)
 
     def couple(p, Ap=None):
         """Vector parts of ``G p``, from ``Ap = adjoint(p)`` if given; scalar parts are zero."""

@@ -582,7 +582,8 @@ def test_interior_point_starts_on_both_equality_constraints(monkeypatch, case):
 
     class Recording(norms._NTScaling):
         def __init__(self, cones, sz):
-            starts.append((cones, *cones.halves(sz)))
+            (t, u), c, n = sz, cones.count, cones.size
+            starts.append((cones, (t[:c], u[:n]), (t[c:], u[n:])))
             super().__init__(cones, sz)
 
     monkeypatch.setattr(norms, "_NTScaling", Recording)
